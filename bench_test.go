@@ -297,66 +297,47 @@ func BenchmarkSweepSchedulerSingleWorker(b *testing.B) {
 
 // BenchmarkEngineScale measures raw kernel throughput at and beyond paper
 // scale: 500, 2000, and 5000 nodes at the paper's 100 nodes/km² density,
-// crossed with the intra-run worker axis (Config.Workers — the parallel
-// step pipeline), with TTL expiry and rating sampling switched on so every
-// periodic subsystem is in the loop. Worker counts above GOMAXPROCS clamp
-// to it, so on a host with fewer cores the upper worker points measure the
-// same (serial or narrower) configuration — the stale-plans metric shows
-// whether the optimistic scoring path actually ran. Each iteration retires
-// one simulated
-// second, so the headline ns/op reads directly as nanoseconds per simulated
-// second — the speedup trajectory is tracked in DESIGN.md ("Parallel step
-// pipeline"); the committed BENCH_engine.json holds the recorded grid
-// (regenerate with `go run ./cmd/dtnexp -exp bench-engine`).
+// with TTL expiry and rating sampling switched on so every periodic
+// subsystem is in the loop. Each iteration retires one simulated second, so
+// the headline ns/op reads directly as nanoseconds per simulated second.
+// This is a warm-window microbenchmark; the repository benchmark in
+// perfbench/ measures whole runs of the paper's workloads.
 //
-// The regions axis measures the region-sharded world (Config.Regions — see
-// DESIGN.md "Region-sharded world") against the flat grid on the same
-// workload; results are byte-identical, only the cost moves.
-//
-// -short trims the grid to {500, 2000} × {1, 4} × regions 1, plus the
-// 2000-node regions=4 points, so the CI bench smoke stays fast while still
-// touching the sharded path; the full grid is for local measurement runs.
+// -short trims the grid to {500, 2000} nodes so the CI bench smoke stays
+// fast; the full grid is for local measurement runs.
 func BenchmarkEngineScale(b *testing.B) {
 	for _, nodes := range []int{500, 2000, 5000} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, regions := range []int{1, 4} {
-				if testing.Short() && (nodes > 2000 || (workers != 1 && workers != 4) || (regions != 1 && nodes != 2000)) {
-					continue
-				}
-				b.Run(fmt.Sprintf("nodes=%d/workers=%d/regions=%d", nodes, workers, regions), func(b *testing.B) {
-					spec := scenario.Default(core.SchemeIncentive)
-					spec.Nodes = nodes
-					spec.AreaKm2 = float64(nodes) / 100
-					spec.Duration = 24 * time.Hour // never reached; steps driven manually
-					spec.SelfishPercent = 20
-					spec.MaliciousPercent = 10
-					spec.MeanMessageInterval = 30 * time.Minute
-					spec.Workers = workers
-					spec.Regions = regions
-					cfg, pop, err := scenario.Build(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg.MessageTTL = 30 * time.Minute
-					eng, err := core.NewEngine(cfg, pop)
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Warm up: populate buffers, contacts, and the periodic schedule.
-					if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := eng.RunFor(context.Background(), time.Second); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(eng.StalePlans()), "stale-plans")
-				})
-			}
+		if testing.Short() && nodes > 2000 {
+			continue
 		}
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			spec := scenario.Default(core.SchemeIncentive)
+			spec.Nodes = nodes
+			spec.AreaKm2 = float64(nodes) / 100
+			spec.Duration = 24 * time.Hour // never reached; steps driven manually
+			spec.SelfishPercent = 20
+			spec.MaliciousPercent = 10
+			spec.MeanMessageInterval = 30 * time.Minute
+			cfg, pop, err := scenario.Build(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.MessageTTL = 30 * time.Minute
+			eng, err := core.NewEngine(cfg, pop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm up: populate buffers, contacts, and the periodic schedule.
+			if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.RunFor(context.Background(), time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -406,67 +387,55 @@ func BenchmarkContactDetection(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(eng.ContactRebuilds()), "rebuilds")
+			b.ReportMetric(float64(eng.Snapshot().Counter("candidate_rebuilds")), "rebuilds")
 		})
 	}
 }
 
-// BenchmarkBatchedExchange isolates the batched contact-round exchange
-// scoring path (see DESIGN.md "Batched exchange rounds & bounded tables"):
-// a dense 2000-node workload where many contact rounds come due on the same
-// tick, crossed with workers (flat vs. batched fan-out), regions (flat vs.
-// region-credited batches), and the table cap (unbounded vs. top-k bounded
-// tables). Each iteration retires one simulated second, so ns/op reads as
-// nanoseconds per simulated second; b.ReportAllocs pins the alloc-free
-// scratch reuse in the batch gather and FIFO offer sort.
+// BenchmarkExchangeRounds isolates the contact-round exchange path (see
+// DESIGN.md "Exchange rounds & bounded tables"): a dense 2000-node workload
+// where many contact rounds come due on the same tick, with unbounded and
+// top-k bounded (cap=64) interest tables. Each iteration retires one
+// simulated second, so ns/op reads as nanoseconds per simulated second;
+// b.ReportAllocs pins the alloc-free scratch reuse in the exchange plan,
+// the peer-table gather and the FIFO offer sort.
 //
-// -short trims the grid to 500 nodes at workers {1,4} × regions=1 ×
-// cap={0,64} so the CI race bench smoke (-benchtime=1x) touches both the
-// serial and batched paths and both cap branches cheaply.
-func BenchmarkBatchedExchange(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		for _, regions := range []int{1, 4} {
-			for _, tablecap := range []int{0, 64} {
-				if testing.Short() && regions != 1 {
-					continue
-				}
-				nodes := 2000
-				if testing.Short() {
-					nodes = 500
-				}
-				name := fmt.Sprintf("workers=%d/regions=%d/cap=%d", workers, regions, tablecap)
-				b.Run(name, func(b *testing.B) {
-					spec := scenario.Default(core.SchemeIncentive)
-					spec.Nodes = nodes
-					spec.AreaKm2 = float64(nodes) / 100
-					spec.Duration = 24 * time.Hour // never reached; steps driven manually
-					spec.SelfishPercent = 20
-					spec.MeanMessageInterval = 30 * time.Minute
-					spec.Workers = workers
-					spec.Regions = regions
-					spec.TableCap = tablecap
-					cfg, pop, err := scenario.Build(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					eng, err := core.NewEngine(cfg, pop)
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Warm up: populate tables, contacts, and due exchange rounds.
-					if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := eng.RunFor(context.Background(), time.Second); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+// -short trims the workload to 500 nodes so the CI race bench smoke
+// (-benchtime=1x) touches both cap branches cheaply.
+func BenchmarkExchangeRounds(b *testing.B) {
+	nodes := 2000
+	if testing.Short() {
+		nodes = 500
+	}
+	for _, tablecap := range []int{0, 64} {
+		b.Run(fmt.Sprintf("cap=%d", tablecap), func(b *testing.B) {
+			spec := scenario.Default(core.SchemeIncentive)
+			spec.Nodes = nodes
+			spec.AreaKm2 = float64(nodes) / 100
+			spec.Duration = 24 * time.Hour // never reached; steps driven manually
+			spec.SelfishPercent = 20
+			spec.MeanMessageInterval = 30 * time.Minute
+			spec.TableCap = tablecap
+			cfg, pop, err := scenario.Build(spec)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			eng, err := core.NewEngine(cfg, pop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm up: populate tables, contacts, and due exchange rounds.
+			if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.RunFor(context.Background(), time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -474,64 +443,51 @@ func BenchmarkBatchedExchange(b *testing.B) {
 // DESIGN.md "Contact lifecycle arena & merge-diff") under sustained churn:
 // a waypoint crowd packed to 4× the paper's density, so every tick raises
 // and lapses many contacts at once and the two-pointer diff, the targeted
-// contactList compaction, and the arena free lists all stay hot. Crossed
-// with workers (parallel detect) and regions (sharded detect feeding the
-// same merge). Each iteration retires one simulated second, so ns/op reads
-// as nanoseconds per simulated second; b.ReportAllocs tracks the lifecycle
-// arena's steady-state allocation behavior, with the churn counters
-// reported so a regression in diffing shows up as fewer transitions, not
-// just different timing.
+// contactList compaction, and the arena free lists all stay hot. Each
+// iteration retires one simulated second, so ns/op reads as nanoseconds
+// per simulated second; b.ReportAllocs tracks the lifecycle arena's
+// steady-state allocation behavior, with the churn counters reported so a
+// regression in diffing shows up as fewer transitions, not just different
+// timing.
 //
-// -short trims the grid to workers {1,4} × regions=1 at 500 nodes so the
-// CI race bench smoke exercises the serial and parallel diff paths cheaply.
+// -short trims the crowd to 500 nodes so the CI race bench smoke exercises
+// the diff path cheaply.
 func BenchmarkContactChurn(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		for _, regions := range []int{1, 4} {
-			if testing.Short() && regions != 1 {
-				continue
-			}
-			nodes := 2000
-			if testing.Short() {
-				nodes = 500
-			}
-			name := fmt.Sprintf("workers=%d/regions=%d", workers, regions)
-			b.Run(name, func(b *testing.B) {
-				spec := scenario.Default(core.SchemeIncentive)
-				spec.Nodes = nodes
-				spec.AreaKm2 = float64(nodes) / 400 // 4× paper density: constant churn
-				spec.Duration = 24 * time.Hour      // never reached; steps driven manually
-				spec.SelfishPercent = 20
-				spec.MeanMessageInterval = 30 * time.Minute
-				spec.Workers = workers
-				spec.Regions = regions
-				cfg, pop, err := scenario.Build(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng, err := core.NewEngine(cfg, pop)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm up: populate contacts, the arena pools, and the
-				// periodic schedule.
-				if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
-					b.Fatal(err)
-				}
-				before := eng.Snapshot()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.RunFor(context.Background(), time.Second); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				snap := eng.Snapshot().Sub(before)
-				b.ReportMetric(float64(snap.Counter("contacts_up"))/float64(b.N), "ups/sim-s")
-				b.ReportMetric(float64(snap.Counter("contacts_down"))/float64(b.N), "downs/sim-s")
-			})
+	nodes := 2000
+	if testing.Short() {
+		nodes = 500
+	}
+	spec := scenario.Default(core.SchemeIncentive)
+	spec.Nodes = nodes
+	spec.AreaKm2 = float64(nodes) / 400 // 4× paper density: constant churn
+	spec.Duration = 24 * time.Hour      // never reached; steps driven manually
+	spec.SelfishPercent = 20
+	spec.MeanMessageInterval = 30 * time.Minute
+	cfg, pop, err := scenario.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewEngine(cfg, pop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm up: populate contacts, the arena pools, and the periodic
+	// schedule.
+	if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	before := eng.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.RunFor(context.Background(), time.Second); err != nil {
+			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	snap := eng.Snapshot().Sub(before)
+	b.ReportMetric(float64(snap.Counter("contacts_up"))/float64(b.N), "ups/sim-s")
+	b.ReportMetric(float64(snap.Counter("contacts_down"))/float64(b.N), "downs/sim-s")
 }
 
 func reportSweep(b *testing.B, points []experiment.Fig51Point) {

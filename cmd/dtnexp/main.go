@@ -40,7 +40,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dtnexp", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id: table5.1, fig5.1 .. fig5.6, ablations, routers, battery, bench-engine, bench-contacts, or all")
+	exp := fs.String("exp", "all", "experiment id: table5.1, fig5.1 .. fig5.6, ablations, routers, battery, repmodels, sensitivity, bench-contacts, or all")
 	profileName := fs.String("profile", "quick", "scale profile: paper, quick, or bench")
 	timeout := fs.Duration("timeout", 0, "optional wall-clock limit for the whole run")
 	parallel := fs.Int("parallel", 0, "sweep-scheduler workers; 0 means GOMAXPROCS, higher values are capped at GOMAXPROCS")
@@ -48,9 +48,8 @@ func run(args []string) error {
 	obsSpec := fs.String("obs", "", "structured observability export, format jsonl=PATH: one run_start/heartbeat/run_end JSON line per engine run, suite-wide")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
-	benchOut := fs.String("benchout", "BENCH_engine.json", "output path for the bench-engine measurement grid")
-	benchWindow := fs.Int("benchwindow", 60, "bench-engine/bench-contacts measured window in simulated seconds per grid point")
-	benchRepeat := fs.Int("benchrepeat", 3, "bench-engine/bench-contacts runs per grid point (fresh engine each); the fastest run is recorded, suppressing scheduler noise on shared hosts")
+	benchWindow := fs.Int("benchwindow", 60, "bench-contacts measured window in simulated seconds per grid point")
+	benchRepeat := fs.Int("benchrepeat", 3, "bench-contacts runs per grid point (fresh engine each); the fastest run is recorded, suppressing scheduler noise on shared hosts")
 	contactsOut := fs.String("contactsout", "BENCH_contacts.json", "output path for the bench-contacts measurement grid")
 	engineFlags := scenario.BindEngineFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -60,8 +59,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	profile.Workers = engineFlags.Workers
-	profile.Regions = engineFlags.Regions
 	profile.TableCap = engineFlags.TableCap
 	profile.ContactSkin = engineFlags.Skin
 	ctx := context.Background()
@@ -180,22 +177,6 @@ func run(args []string) error {
 		"sensitivity": func() error {
 			t, _, err := experiment.Sensitivity(ctx, profile)
 			return printTable(t, err)
-		},
-		"bench-engine": func() error {
-			points, err := experiment.EngineBench(ctx, experiment.EngineBenchGrid(), *benchWindow, *benchRepeat, os.Stderr)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiment.WriteEngineBench(f, points); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d bench points to %s\n", len(points), *benchOut)
-			return nil
 		},
 		"bench-contacts": func() error {
 			points, err := experiment.ContactBench(ctx, experiment.ContactBenchGrid(), *benchWindow, engineFlags.Skin, *benchRepeat, os.Stderr)

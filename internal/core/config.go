@@ -123,26 +123,6 @@ func (m ReputationModel) String() string {
 type Config struct {
 	// Seed drives every random stream in the run.
 	Seed int64
-	// Workers bounds the intra-run parallelism: the mobility advance,
-	// contact-pair detection, and exchange scoring each shard across up to
-	// this many goroutines per tick. Zero or one runs fully serially, and
-	// counts above GOMAXPROCS are clamped to it (extra workers can never
-	// cut wall-clock time but would forfeit the serial fast paths).
-	// Results are byte-identical across worker counts — parallel phases are
-	// read-only or write to pre-assigned slots merged in canonical order,
-	// and exchange plans apply optimistically with a serial fallback.
-	Workers int
-	// Regions shards the world state (see DESIGN.md "Region-sharded
-	// world"): the area is tiled into this many regions, each owning its
-	// nodes and its own spatial grid over its ghost-inflated tile, and the
-	// mobility/detect phases run per region on the Workers pool. Zero or
-	// one keeps the single flat grid. Results are byte-identical at every
-	// region count — ghost bands are one radio range plus the kinetic skin
-	// wide, each in-range pair is credited to exactly one region, and
-	// per-region results merge in region-index order before the canonical
-	// sort. Region tiles must be at least as wide as the ghost band along
-	// every split axis; Validate rejects layouts that are not.
-	Regions int
 	// ContactSkin tunes kinetic contact detection: the conservative slack,
 	// in metres, added to the radio range when the engine snapshots its
 	// candidate pair list. The list stays valid until worst-case node
@@ -266,10 +246,6 @@ func DefaultConfig() Config {
 // Validate checks the configuration end to end.
 func (c Config) Validate() error {
 	switch {
-	case c.Workers < 0:
-		return fmt.Errorf("core: workers must be non-negative, got %d", c.Workers)
-	case c.Regions < 0:
-		return fmt.Errorf("core: regions must be non-negative, got %d", c.Regions)
 	case c.TableCap < 0:
 		return fmt.Errorf("core: table cap must be non-negative, got %d", c.TableCap)
 	case c.Step <= 0:
@@ -300,13 +276,6 @@ func (c Config) Validate() error {
 	if err := c.Radio.Validate(); err != nil {
 		return err
 	}
-	if c.Regions > 1 {
-		// The tiling itself checks that tiles stay at least one ghost band
-		// (radio range + resolved skin) wide along every split axis.
-		if _, err := world.NewTiling(c.Area, c.Regions, c.Radio.Range+c.resolvedSkin()); err != nil {
-			return err
-		}
-	}
 	if err := c.Interest.Validate(); err != nil {
 		return err
 	}
@@ -325,8 +294,7 @@ func (c Config) Validate() error {
 // resolvedSkin is the kinetic contact-detection skin after defaulting:
 // negative disables the path (zero skin), zero picks the automatic quarter
 // of the radio range. The engine may still force the skin to zero at build
-// time when a mobility model has no speed bound; the ghost-band margin uses
-// this config-level resolution, which is conservative either way.
+// time when a mobility model has no speed bound.
 func (c Config) resolvedSkin() float64 {
 	switch {
 	case c.ContactSkin < 0:

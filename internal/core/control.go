@@ -61,7 +61,6 @@ func (e *Engine) drainControls(now time.Duration) {
 	if !e.controls.pending.Load() {
 		return
 	}
-	t := time.Now()
 	e.controls.mu.Lock()
 	fns := e.controls.fns
 	e.controls.fns = nil
@@ -70,7 +69,7 @@ func (e *Engine) drainControls(now time.Duration) {
 	for _, fn := range fns {
 		fn(now)
 	}
-	e.reg.AddPhase(obs.PhaseEvents, time.Since(t))
+	e.chargePhase(obs.PhaseEvents)
 }
 
 // SetWorkloadMeanInterval retargets the Poisson message-generation rate

@@ -56,24 +56,10 @@ type Engine struct {
 	pairScratch  []world.Pair
 	tickNo       uint64
 
-	// workers bounds the intra-tick parallel phases (Config.Workers). The
-	// phases shard work but keep results in canonical order, so any worker
-	// count produces a byte-identical run; see DESIGN.md "Parallel step
-	// pipeline".
-	workers *sim.Workers
-	// parallelMove is true when every node's mobility model advertises
-	// mobility.ParallelAdvance; one unsafe model (GroupMember reads its
-	// leader mid-step) keeps the mobility phase serial.
-	parallelMove bool
-	posScratch   []world.Point
-	pairBufs     [][]world.Pair
-	dueScratch   []*contact
-	// dueGrouped/dueStarts are the batched scoring pass's region-grouping
-	// scratch: the due batch counting-sorted region-major (stable, so each
-	// region's contacts keep creation order) plus per-region start offsets
-	// into it (see scoreExchanges).
-	dueGrouped []*contact
-	dueStarts  []int
+	// plan is the reusable RTSR exchange scratch: every round is scored and
+	// applied back to back on the sim goroutine, so one plan serves every
+	// contact (see runExchange).
+	plan interest.ExchangePlan
 
 	// Kinetic contact detection (see DESIGN.md "Kinetic contact
 	// detection"): while every mobility model is speed-bounded, the engine
@@ -89,21 +75,6 @@ type Engine struct {
 	kinPrimed   bool
 	kinCands    []world.Pair
 
-	// Region sharding (see region.go and DESIGN.md "Region-sharded
-	// world"): with Config.Regions > 1 the flat grid is replaced by one
-	// grid shard per region tile (tiling non-nil, grid nil) and the
-	// per-node slices below become the authoritative spatial state.
-	tiling      *world.Tiling
-	regions     []*engineRegion
-	ownerOf     []int32       // node → owning region (the tile holding its position)
-	ownedSlot   []int32       // node → its slot in the owner's node list
-	clampedPos  []world.Point // node → area-clamped position
-	spanOf      []world.Span  // node → grid-shard membership box
-	regionPlan  []sim.Shard
-	regionSizes []int
-	regionWork  []int
-	ctrHandoff  *obs.Counter
-
 	// Observability (see observability.go): the registry behind
 	// Engine.Snapshot(), hot-path counter handles, the per-kind observer
 	// dispatch table, and the run's wall-clock / heartbeat bookkeeping.
@@ -111,7 +82,6 @@ type Engine struct {
 	ctrUps     *obs.Counter
 	ctrUpsOpen *obs.Counter
 	ctrDowns   *obs.Counter
-	ctrStale   *obs.Counter
 	ctrRebuild *obs.Counter
 	ctrSamples *obs.Counter
 	ctrSweep   *obs.Counter
@@ -122,6 +92,8 @@ type Engine struct {
 	started    bool
 	wallStart  time.Time
 	hbLast     time.Time
+	// phaseMark is the last phase boundary (see chargePhase).
+	phaseMark time.Time
 
 	// agenda schedules per-contact periodic work (exchange and gossip
 	// rounds). It is drained at the head of each tick's contact pass — not
@@ -168,9 +140,6 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: network needs at least one node")
 	}
-	if cfg.Regions > len(specs) {
-		return nil, fmt.Errorf("core: %d regions but only %d nodes; a region per node is the useful maximum", cfg.Regions, len(specs))
-	}
 	runner, err := sim.NewRunner(cfg.Step)
 	if err != nil {
 		return nil, err
@@ -194,11 +163,10 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		interner:    interest.NewInterner(),
 		peersOf:     make([][]*contact, len(specs)),
 		agenda:      sim.NewEventQueue(),
-		workers:     sim.NewWorkers(cfg.Workers),
 		workloadRNG: sim.NewRNG(cfg.Seed).Fork("workload"),
 	}
 	e.initObservability(cfg)
-	if err := e.initSpace(len(specs)); err != nil {
+	if e.grid, err = world.NewGrid(cfg.Area, cfg.Radio.Range); err != nil {
 		return nil, err
 	}
 	if s, ok := router.(*routing.SprayAndWait); ok {
@@ -227,23 +195,16 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		// per-round sweeps (DESIGN.md "Lazy-decay interest tables").
 		n.table.SetClock(runner.Clock())
 		// Zero cap keeps the table unbounded; a positive cap bounds it to
-		// the top-k rows by materialized weight (DESIGN.md "Batched
-		// exchange rounds & bounded tables").
+		// the top-k rows by materialized weight (DESIGN.md "Exchange rounds
+		// & bounded tables").
 		n.table.SetCap(cfg.TableCap)
 		e.nodes = append(e.nodes, n)
 		n.lastPos = n.model.Position()
-		e.placeNode(id, n.lastPos)
+		e.grid.Upsert(id, n.lastPos)
 		if spec.Profile.Kind == behavior.Malicious {
 			e.malicious = append(e.malicious, id)
 		} else {
 			e.honest = append(e.honest, id)
-		}
-	}
-	e.parallelMove = true
-	for _, n := range e.nodes {
-		if _, ok := n.model.(mobility.ParallelAdvance); !ok {
-			e.parallelMove = false
-			break
 		}
 	}
 	e.kinSkin = cfg.resolvedSkin()
@@ -284,10 +245,9 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 // firing step may land later when the step doesn't divide the interval).
 func (e *Engine) scheduleSample(due time.Duration) {
 	e.runner.SchedulePost(due, func(at time.Duration) {
-		t := time.Now()
 		e.sampleMaliciousRating(at)
 		e.scheduleSample(nextDeadline(at, e.cfg.RatingSampleInterval, e.runner.Clock().Now()))
-		e.reg.AddPhase(obs.PhaseEvents, time.Since(t))
+		e.chargePhase(obs.PhaseEvents)
 	})
 }
 
@@ -309,10 +269,9 @@ func (e *Engine) armExpiry(n *Node) {
 	switch {
 	case n.expiryEv == nil:
 		n.expiryEv = e.runner.Schedule(at, func(time.Duration) {
-			t := time.Now()
 			n.buf.ExpireAt(e.runner.Clock().Now())
 			e.armExpiry(n)
-			e.reg.AddPhase(obs.PhaseEvents, time.Since(t))
+			e.chargePhase(obs.PhaseEvents)
 		})
 	case !n.expiryEv.Active() || n.expiryEv.At() != at:
 		n.expiryEv.Reschedule(at)
@@ -428,18 +387,20 @@ func (e *Engine) result() Result {
 // expiry, rating sampling — is event-scheduled on the runner: injections
 // and expiries fire before the tick, the sampler observes after it.
 //
-// Each region feeds its wall-clock time to the registry's phase timers
-// (obs.PhaseMove here; updateContacts and progressContacts attribute their
-// own regions), and the tick ends with the heartbeat check so a heartbeat
-// always observes a completed step.
+// Each stage closes its phase on the registry's timers (obs.PhaseMove
+// here; updateContacts and progressContacts close their own), and the tick
+// ends with the heartbeat check so a heartbeat always observes a completed
+// step.
 func (e *Engine) tick(now time.Duration) {
 	e.tickNo++
-	t := time.Now()
+	// The runner's bookkeeping since the last boundary (clock advance,
+	// the pre-tick event lane) is event dispatch.
+	e.chargePhase(obs.PhaseEvents)
 	if e.traceCursor == nil {
 		// Trace replays define connectivity directly; geometry is moot.
 		e.moveNodes()
 	}
-	e.reg.AddPhase(obs.PhaseMove, time.Since(t))
+	e.chargePhase(obs.PhaseMove)
 	e.updateContacts(now)
 	e.progressContacts(now)
 	e.maybeHeartbeat()
@@ -456,42 +417,16 @@ func nextDeadline(due, interval, now time.Duration) time.Duration {
 	return due
 }
 
-// moveNodes advances every mobility model and folds the new positions into
-// the grid. With workers and parallel-safe models the advances shard across
-// goroutines into a dense scratch array — each model owns its state and its
-// forked RNG stream, so shards never share mutable state — and the grid
-// merge then runs serially in node-index order, reproducing the serial
-// Upsert sequence exactly. A model that returns the position it returned
-// last tick (stationary nodes, paused waypoints) skips the upsert outright:
-// the grid state cannot change, and the skip short-circuits the cell hash
-// and dense-slice writes on exactly the scenarios kinetic detection
-// targets.
+// moveNodes advances every mobility model in node-index order and folds
+// the new positions into the grid. A model that returns the position it
+// returned last tick (stationary nodes, paused waypoints) skips the upsert
+// outright: the grid state cannot change, and the skip short-circuits the
+// cell hash and dense-slice writes on exactly the scenarios kinetic
+// detection targets.
 func (e *Engine) moveNodes() {
 	step := e.runner.Clock().Step()
-	if e.tiling != nil {
-		e.regionMoveNodes(step)
-		return
-	}
-	if e.workers.N() <= 1 || !e.parallelMove {
-		for _, n := range e.nodes {
-			if p := n.model.Advance(step); p != n.lastPos {
-				n.lastPos = p
-				e.grid.Upsert(n.id, p)
-			}
-		}
-		return
-	}
-	if cap(e.posScratch) < len(e.nodes) {
-		e.posScratch = make([]world.Point, len(e.nodes))
-	}
-	pos := e.posScratch[:len(e.nodes)]
-	e.workers.Shard(len(e.nodes), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos[i] = e.nodes[i].model.Advance(step)
-		}
-	})
-	for i, n := range e.nodes {
-		if p := pos[i]; p != n.lastPos {
+	for _, n := range e.nodes {
+		if p := n.model.Advance(step); p != n.lastPos {
 			n.lastPos = p
 			e.grid.Upsert(n.id, p)
 		}
@@ -504,13 +439,12 @@ func (e *Engine) moveNodes() {
 // falls back to the full per-tick scan. Either path produces the pair set
 // byte-identical to Grid.Pairs: the candidate list is a sorted conservative
 // superset, and filtering preserves order, so no re-sort is needed between
-// rebuilds.
+// rebuilds. The per-tick filter cost is one InRange per candidate, near
+// O(contacts) in sparse DTN scenarios.
 func (e *Engine) detectPairs(dst []world.Pair) []world.Pair {
-	if e.tiling != nil {
-		return e.regionDetectPairs(dst)
-	}
+	r := e.cfg.Radio.Range
 	if e.kinSkin <= 0 {
-		return e.scanPairs(dst)
+		return e.grid.Pairs(dst, r)
 	}
 	// Movement already happened this tick; account for it before trusting
 	// the candidates. Closing speed is at most 2·maxSpeed (both endpoints
@@ -520,103 +454,15 @@ func (e *Engine) detectPairs(dst []world.Pair) []world.Pair {
 	// so they scan exactly once.
 	e.kinTraveled += 2 * e.kinMaxSpeed * e.runner.Clock().Step().Seconds()
 	if !e.kinPrimed || e.kinTraveled > e.kinSkin {
-		e.kinCands = e.scanCandidates(e.kinCands[:0])
+		e.kinCands = e.grid.Candidates(e.kinCands[:0], r, e.kinSkin)
 		e.kinTraveled = 0
 		e.kinPrimed = true
 		e.ctrRebuild.Inc()
 	}
-	return e.filterCandidates(dst)
-}
-
-// scanPairs is the full grid scan, sharded by cell-row bands when workers
-// are available. Shards only read the grid and append into per-worker
-// buffers; concatenating in shard order and sorting reproduces Grid.Pairs
-// byte for byte (see Grid.PairsRows).
-func (e *Engine) scanPairs(dst []world.Pair) []world.Pair {
-	k := e.workers.N()
-	if rows := e.grid.Rows(); k > rows {
-		k = rows
-	}
-	if k <= 1 {
-		return e.grid.Pairs(dst, e.cfg.Radio.Range)
-	}
-	if cap(e.pairBufs) < k {
-		e.pairBufs = make([][]world.Pair, k)
-	}
-	bufs := e.pairBufs[:k]
-	rows := e.grid.Rows()
-	e.workers.Do(k, func(p int) {
-		bufs[p] = e.grid.PairsRows(bufs[p][:0], e.cfg.Radio.Range, rows*p/k, rows*(p+1)/k)
-	})
-	start := len(dst)
-	for _, b := range bufs {
-		dst = append(dst, b...)
-	}
-	world.SortPairs(dst[start:])
-	return dst
-}
-
-// scanCandidates rebuilds the kinetic candidate list: every pair within
-// radius+kinSkin, sorted, sharded by cell-row bands exactly like scanPairs.
-func (e *Engine) scanCandidates(dst []world.Pair) []world.Pair {
-	k := e.workers.N()
-	if rows := e.grid.Rows(); k > rows {
-		k = rows
-	}
-	if k <= 1 {
-		return e.grid.Candidates(dst, e.cfg.Radio.Range, e.kinSkin)
-	}
-	if cap(e.pairBufs) < k {
-		e.pairBufs = make([][]world.Pair, k)
-	}
-	bufs := e.pairBufs[:k]
-	rows := e.grid.Rows()
-	e.workers.Do(k, func(p int) {
-		bufs[p] = e.grid.CandidatesRows(bufs[p][:0], e.cfg.Radio.Range, e.kinSkin, rows*p/k, rows*(p+1)/k)
-	})
-	start := len(dst)
-	for _, b := range bufs {
-		dst = append(dst, b...)
-	}
-	world.SortPairs(dst[start:])
-	return dst
-}
-
-// filterCandidates appends the candidates that are exactly in range this
-// tick, sharding the distance checks over contiguous candidate ranges. The
-// candidate list is sorted and filtering keeps relative order, so the
-// shard-order concatenation is already canonical — the per-tick cost is one
-// InRange per candidate, near O(contacts) in sparse DTN scenarios.
-func (e *Engine) filterCandidates(dst []world.Pair) []world.Pair {
-	r := e.cfg.Radio.Range
-	k := e.workers.N()
-	if k > len(e.kinCands) {
-		k = len(e.kinCands)
-	}
-	if k <= 1 {
-		for _, p := range e.kinCands {
-			if e.grid.InRange(p.Lo, p.Hi, r) {
-				dst = append(dst, p)
-			}
+	for _, p := range e.kinCands {
+		if e.grid.InRange(p.Lo, p.Hi, r) {
+			dst = append(dst, p)
 		}
-		return dst
-	}
-	if cap(e.pairBufs) < k {
-		e.pairBufs = make([][]world.Pair, k)
-	}
-	bufs := e.pairBufs[:k]
-	cands := e.kinCands
-	e.workers.Do(k, func(p int) {
-		buf := bufs[p][:0]
-		for _, pr := range cands[len(cands)*p/k : len(cands)*(p+1)/k] {
-			if e.grid.InRange(pr.Lo, pr.Hi, r) {
-				buf = append(buf, pr)
-			}
-		}
-		bufs[p] = buf
-	})
-	for _, b := range bufs {
-		dst = append(dst, b...)
 	}
 	return dst
 }
@@ -624,28 +470,26 @@ func (e *Engine) filterCandidates(dst []world.Pair) []world.Pair {
 // updateContacts diffs the in-range pair set against the live contact set,
 // creating and tearing down contacts. The live set is carried tick to tick
 // as a pair-sorted slice (liveSorted) parallel to the creation-order
-// contactList, and detectPairs emits a canonically sorted pair list — every
-// connectivity source (flat grid, region-sharded merge, kinetic filter)
-// preserves that invariant — so the diff is a two-pointer sorted merge: no
-// per-pair map lookups, no per-contact tick stamps, and no full-list
-// tombstone sweep. Raises happen mid-merge in pair order (exactly the order
-// the historical pair-list walk produced) and lapses are deferred to
-// teardownContacts, which replays them in creation order — the order the
-// historical contactList sweep used — so runs stay byte-identical.
+// contactList, and detectPairs emits a canonically sorted pair list — both
+// connectivity sources (full grid scan, kinetic filter) preserve that
+// invariant — so the diff is a two-pointer sorted merge: no per-pair map
+// lookups, no per-contact tick stamps, and no full-list tombstone sweep.
+// Raises happen mid-merge in pair order (exactly the order the historical
+// pair-list walk produced) and lapses are deferred to teardownContacts,
+// which replays them in creation order — the order the historical
+// contactList sweep used — so runs stay byte-identical.
 //
 // In trace mode the up/down transitions come from the replay cursor instead
 // of the spatial grid (the whole replay advance is attributed to the
 // contacts phase; there is no geometric detection).
 func (e *Engine) updateContacts(now time.Duration) {
-	t := time.Now()
 	if e.traceCursor != nil {
 		e.updateTraceContacts(now)
-		e.reg.AddPhase(obs.PhaseContacts, time.Since(t))
+		e.chargePhase(obs.PhaseContacts)
 		return
 	}
 	e.pairScratch = e.detectPairs(e.pairScratch[:0])
-	t2 := time.Now()
-	e.reg.AddPhase(obs.PhaseDetect, t2.Sub(t))
+	e.chargePhase(obs.PhaseDetect)
 	pairs := e.pairScratch
 	old := e.liveSorted
 	next := e.liveScratch[:0]
@@ -679,7 +523,7 @@ func (e *Engine) updateContacts(now time.Duration) {
 		// teardown needs no live-set pruning.
 		e.teardownContacts(downs, false)
 	}
-	e.reg.AddPhase(obs.PhaseContacts, time.Since(t2))
+	e.chargePhase(obs.PhaseContacts)
 }
 
 // updateTraceContacts advances the replay cursor and mirrors its up/down
@@ -717,8 +561,8 @@ func (e *Engine) updateTraceContacts(now time.Duration) {
 
 // acquireContact takes a contact from the arena free list, or allocates the
 // arena's first-of-a-kind. Recycled contacts keep their transfer-queue
-// backing array, ExchangePlan scratch, and cancelled agenda handles from
-// the previous life; contactUp re-initialises everything else.
+// backing array and cancelled agenda handles from the previous life;
+// contactUp re-initialises everything else.
 func (e *Engine) acquireContact() *contact {
 	if n := len(e.contactPool); n > 0 {
 		c := e.contactPool[n-1]
@@ -733,7 +577,7 @@ func (e *Engine) acquireContact() *contact {
 // (teardownContacts) has already run contactDown, so events are cancelled,
 // transfers released, and the queue reset; only the identity fields are
 // cleared here so the next life starts clean without dropping the warm
-// queue array, plan scratch, or event handles.
+// queue array or event handles.
 func (e *Engine) releaseContact(c *contact) {
 	c.pair = world.Pair{}
 	c.a, c.b = nil, nil
@@ -882,7 +726,7 @@ func (e *Engine) contactDown(c *contact) {
 	if c.gossipEv != nil {
 		c.gossipEv.Cancel()
 	}
-	c.exchangeDue, c.gossipDue, c.planScored = false, false, false
+	c.exchangeDue, c.gossipDue = false, false
 	e.ctrDowns.Inc()
 	if !c.open {
 		return
@@ -924,7 +768,7 @@ func removeContact(list []*contact, c *contact) []*contact {
 			list[i] = list[last]
 			// Nil the vacated tail slot: peersOf slices are reused across
 			// the run, and a dangling pointer there would pin the dead
-			// contact (and its ExchangePlan scratch) for the run's lifetime.
+			// contact (and its queue backing array) for the run's lifetime.
 			list[last] = nil
 			return list[:last]
 		}
@@ -939,11 +783,8 @@ func removeContact(list []*contact, c *contact) []*contact {
 // due round (the cancel wins), and flags are consumed in the same
 // deterministic order the old per-contact poll used.
 func (e *Engine) progressContacts(now time.Duration) {
-	t := time.Now()
 	e.agenda.RunDue(now)
-	t2 := time.Now()
-	e.reg.AddPhase(obs.PhaseEvents, t2.Sub(t))
-	e.scoreExchanges(now)
+	e.chargePhase(obs.PhaseEvents)
 	for _, c := range e.contactList {
 		if !c.open || c.dead {
 			continue
@@ -965,100 +806,8 @@ func (e *Engine) progressContacts(now time.Duration) {
 		}
 		e.progressTransfer(c, now)
 	}
-	e.reg.AddPhase(obs.PhaseExchange, time.Since(t2))
+	e.chargePhase(obs.PhaseExchange)
 }
-
-// scoreExchanges is the parallel half of the exchange rounds: after the
-// agenda has raised this tick's due flags, the rounds due at this instant
-// are coalesced into one batch (in contact-creation order, the canonical
-// apply order) and the expensive read-only RTSR scoring (decay, growth,
-// acquisition — see interest.ExchangePlan) fans out over it. A serial
-// pre-pass gathers each touched node's peer tables once per batch through
-// the gen-checked Node.peerTables cache — two contacts sharing a node read
-// one list instead of rebuilding private copies, and the rebuild never
-// races. Scoring then only reads tables and those shared lists — nothing
-// mutates until the serial contact pass — so contacts sharing a node score
-// concurrently. With regions active the batch is grouped region-major
-// (credited to the lower endpoint's owning tile, the pair-crediting
-// convention) and banded proportionally so a few busy regions still use
-// every worker, each band walking one region's contacts cache-warm. The
-// serial pass then applies each plan in creation order, falling back to the
-// serial exchange when an earlier apply invalidated the plan's reads — so
-// traces stay byte-identical at any worker or region count.
-func (e *Engine) scoreExchanges(now time.Duration) {
-	if e.workers.N() <= 1 {
-		return
-	}
-	due := e.dueScratch[:0]
-	for _, c := range e.contactList {
-		if c.open && !c.dead && c.exchangeDue {
-			due = append(due, c)
-		}
-	}
-	e.dueScratch = due
-	if len(due) == 0 {
-		return
-	}
-	for _, c := range due {
-		e.refreshNodePeers(c.a)
-		e.refreshNodePeers(c.b)
-	}
-	if e.tiling == nil {
-		e.workers.Do(len(due), func(i int) {
-			c := due[i]
-			c.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id,
-				c.a.peerTables, c.b.peerTables, now, now-c.exchangedAt)
-			c.planScored = true
-		})
-		return
-	}
-	// Counting sort by owning region: counts, prefix starts, then a stable
-	// placement pass (regionSizes doubles as the write cursors, and is
-	// restored to per-region counts for the shard plan).
-	for i := range e.regionSizes {
-		e.regionSizes[i] = 0
-	}
-	for _, c := range due {
-		e.regionSizes[e.ownerOf[c.a.id]]++
-	}
-	nr := len(e.regionSizes)
-	if cap(e.dueStarts) < nr+1 {
-		e.dueStarts = make([]int, nr+1)
-	}
-	starts := e.dueStarts[:nr+1]
-	starts[0] = 0
-	for i, n := range e.regionSizes {
-		starts[i+1] = starts[i] + n
-	}
-	if cap(e.dueGrouped) < len(due) {
-		e.dueGrouped = make([]*contact, len(due))
-	}
-	grouped := e.dueGrouped[:len(due)]
-	copy(e.regionSizes, starts[:nr])
-	for _, c := range due {
-		r := e.ownerOf[c.a.id]
-		grouped[e.regionSizes[r]] = c
-		e.regionSizes[r]++
-	}
-	e.dueGrouped = grouped
-	for i := range e.regionSizes {
-		e.regionSizes[i] = starts[i+1] - starts[i]
-	}
-	plan := sim.RegionShards(e.regionPlan[:0], e.regionSizes, e.workers.N())
-	e.regionPlan = plan
-	e.workers.Do(len(plan), func(i int) {
-		s := plan[i]
-		for _, c := range grouped[starts[s.Region]+s.Lo : starts[s.Region]+s.Hi] {
-			c.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id,
-				c.a.peerTables, c.b.peerTables, now, now-c.exchangedAt)
-			c.planScored = true
-		}
-	})
-}
-
-// Workers reports the effective intra-run worker count — Config.Workers
-// after sim.NewWorkers' GOMAXPROCS clamp. 1 means the serial fast paths.
-func (e *Engine) Workers() int { return e.workers.N() }
 
 // KineticContacts reports whether kinetic contact detection is active —
 // false when the configuration disabled it (negative ContactSkin) or a

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +14,10 @@ import (
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
 	"dtnsim/internal/mobility"
+	"dtnsim/internal/obs"
+	"dtnsim/internal/report"
 	"dtnsim/internal/scenario"
+	"dtnsim/internal/sim"
 	"dtnsim/internal/world"
 )
 
@@ -186,6 +191,120 @@ func TestDeterministicRuns(t *testing.T) {
 	if r1.Transfers == r3.Transfers && r1.LedgerVolume == r3.LedgerVolume && r1.Created == r3.Created {
 		t.Error("different seeds produced identical runs (suspicious)")
 	}
+}
+
+// runTrace builds and runs spec — mutate, if set, adjusts the node specs
+// first — and returns the complete event trace. It reports errors rather
+// than failing the test, so it can run off the test goroutine.
+func runTrace(spec scenario.Spec, mutate func([]core.NodeSpec) error) ([]report.Event, error) {
+	cfg, specs, err := scenario.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	if mutate != nil {
+		if err := mutate(specs); err != nil {
+			return nil, err
+		}
+	}
+	var buf report.Buffer
+	cfg.Observers = []obs.Observer{obs.Record(&buf)}
+	eng, err := core.NewEngine(cfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := eng.Run(context.Background()); err != nil {
+		return nil, err
+	}
+	return buf.Events, nil
+}
+
+// requireSideBySideTraces runs spec alone, then as n engines side by side
+// on their own goroutines — the way the experiment pool runs a sweep — and
+// requires every concurrent trace to equal the lone one event for event.
+func requireSideBySideTraces(t *testing.T, spec scenario.Spec, n int, mutate func([]core.NodeSpec) error) {
+	t.Helper()
+	want, err := runTrace(spec, mutate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("lone run produced no events; scenario too sparse to test anything")
+	}
+	traces := make([][]report.Event, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[i], errs[i] = runTrace(spec, mutate)
+		}()
+	}
+	wg.Wait()
+	for i, got := range traces {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		label := fmt.Sprintf("engine %d of %d", i+1, n)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, want %d", label, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s: event %d = %+v, want %+v", label, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestEngineParallelTraceEquality pins the premise the experiment pool
+// rests on: engines share no mutable state, so runs executing side by side
+// on separate goroutines each reproduce the lone run's complete event trace
+// — contacts, exchanges, transfers, payments. Under `go test -race` (core
+// is in the CI race list) it doubles as a probe for state shared between
+// engines.
+func TestEngineParallelTraceEquality(t *testing.T) {
+	spec := scenario.Default(core.SchemeIncentive)
+	spec.Nodes = 40
+	spec.AreaKm2 = 0.4
+	spec.Duration = 20 * time.Minute
+	spec.MeanMessageInterval = 5 * time.Minute
+	spec.SelfishPercent = 20
+	spec.MaliciousPercent = 10
+	spec.Seed = 9
+	requireSideBySideTraces(t, spec, 4, nil)
+}
+
+// TestEngineParallelWithGroupMobility repeats the side-by-side check on a
+// network with group mobility, whose member reads its leader's live
+// position every step: each engine's follower must track its own engine's
+// leader, whatever the other engines are doing.
+func TestEngineParallelWithGroupMobility(t *testing.T) {
+	spec := scenario.Default(core.SchemeIncentive)
+	spec.Nodes = 30
+	spec.AreaKm2 = 0.3
+	spec.Duration = 15 * time.Minute
+	spec.MeanMessageInterval = 5 * time.Minute
+	spec.Seed = 4
+
+	// Node 1 follows node 0. mutate runs once per engine with identical
+	// deterministic inputs, so every engine gets identically built models.
+	mutate := func(specs []core.NodeSpec) error {
+		bounds := world.SquareKm(spec.AreaKm2)
+		rng := sim.NewRNG(spec.Seed).Fork("group-test")
+		leader, err := mobility.NewRandomWaypoint(mobility.DefaultPedestrian(bounds), rng.Fork("leader"))
+		if err != nil {
+			return err
+		}
+		member, err := mobility.NewGroupMember(mobility.DefaultGroup(), leader, bounds, rng.Fork("member"))
+		if err != nil {
+			return err
+		}
+		specs[0].Mobility = leader
+		specs[1].Mobility = member
+		return nil
+	}
+	requireSideBySideTraces(t, spec, 4, mutate)
 }
 
 // TestTokenConservationAcrossRun: payments only move tokens, so the final

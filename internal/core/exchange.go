@@ -14,30 +14,17 @@ import (
 // §2.2: "the ChitChat system first invokes the RTSR module ... then invokes
 // the message routing").
 //
-// The serial path and the parallel pre-scored path are the same code: a
-// contact the parallel pass scored applies directly unless an earlier apply
-// this tick touched the tables the plan read, in which case (and on the
-// serial path) the contact is scored here and applied immediately.
-//
 // grown is the contact age accounted this round (T_c − T_v accrues
 // incrementally across periodic exchanges, see interest.Params.GrowthRate).
 func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 	c.exchangedAt = now
 
-	if c.planScored {
-		c.planScored = false
-		if !c.plan.StillValid() {
-			e.ctrStale.Inc()
-			e.scoreContact(c, now, grown)
-		}
-	} else {
-		e.scoreContact(c, now, grown)
-	}
-	c.plan.Apply()
-	if n := c.plan.Evictions(); n > 0 {
+	e.scoreContact(c, now, grown)
+	e.plan.Apply()
+	if n := e.plan.Evictions(); n > 0 {
 		e.ctrEvict.Add(uint64(n))
 	}
-	if n := c.plan.Sweeps(); n > 0 {
+	if n := e.plan.Sweeps(); n > 0 {
 		e.ctrSweep.Add(uint64(n))
 	}
 
@@ -46,25 +33,22 @@ func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 	e.routeDirection(c, c.b, c.a, now)
 }
 
-// scoreContact scores the contact's RTSR round in place on its reusable
+// scoreContact scores the contact's RTSR round on the engine's reusable
 // plan. The round needs each side's full connected-peer set: an interest
 // shared by any live neighbour holds its weight (Algorithm 1).
 func (e *Engine) scoreContact(c *contact, now, grown time.Duration) {
 	e.refreshNodePeers(c.a)
 	e.refreshNodePeers(c.b)
-	c.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
+	e.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
 }
 
 // refreshNodePeers rebuilds n's cached peer-table list when its peer set
 // changed since the cache was built (Node.peerGen moves on every
 // open-contact raise/teardown touching the node). The list lives on the
-// node, not the contact, so a batch of rounds due at one tick gathers each
-// node's tables once however many contacts touch it. The caching is sound
-// because scoring is insensitive to everything else about the list: the
-// shared-mask OR commutes, and a peer's table mutations are covered by the
-// plan's shape-counter validation, not by rebuilding the list. NOT safe to
-// call concurrently for the same node — the batched scoring pass refreshes
-// serially before fanning out (Engine.scoreExchanges).
+// node, not the contact, so the rounds of every contact touching a node
+// share one list until its peer set changes. The caching is sound because
+// the list holds the peers' live tables: their row mutations are visible
+// through it without a rebuild, and only a change of peers invalidates it.
 func (e *Engine) refreshNodePeers(n *Node) {
 	if n.peerTablesGen != n.peerGen {
 		n.peerTables = peerTablesInto(n.peerTables[:0], e.peersOf[n.id], n)
@@ -99,8 +83,7 @@ func offerBefore(x, y *routing.Offer) bool {
 }
 
 // peerTablesInto appends the interest tables of all of n's contacts to dst
-// (the node's cached scratch slice; both the batched scoring pass and the
-// serial scoreContact fallback gather through it).
+// (the node's cached scratch slice, see refreshNodePeers).
 func peerTablesInto(dst []*interest.Table, contacts []*contact, n *Node) []*interest.Table {
 	for _, c := range contacts {
 		dst = append(dst, c.other(n).table)

@@ -140,8 +140,8 @@ func (e *Engine) receivePower(u, v *Node) float64 {
 	if e.traceCursor != nil {
 		return e.cfg.Radio.ReceivePower(e.cfg.Radio.Range / 2)
 	}
-	pu, okU := e.position(u.id)
-	pv, okV := e.position(v.id)
+	pu, okU := e.grid.Position(u.id)
+	pv, okV := e.grid.Position(v.id)
 	if !okU || !okV {
 		return e.cfg.Radio.ReceivePower(e.cfg.Radio.Range)
 	}

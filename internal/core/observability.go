@@ -19,10 +19,7 @@ import (
 //	contacts_up_open    the subset of raises where both radios opened
 //	contacts_down       contacts torn down (open or refused — symmetric
 //	                    with contacts_up, so up − down = contacts_live)
-//	stale_plans         pre-scored exchange plans discarded as stale
-//	candidate_rebuilds  kinetic candidate-list rebuilds (per region when
-//	                    the world is region-sharded)
-//	region_handoffs     node ownership transfers across region borders
+//	candidate_rebuilds  kinetic candidate-list rebuilds
 //	rating_samples      Figure 5.4 rating samples taken
 //	interest_sweeps     exchange-round eviction sweeps run (deadline reached)
 //	interest_evictions  interest rows evicted by those sweeps
@@ -49,9 +46,7 @@ func (e *Engine) initObservability(cfg Config) {
 	e.ctrUps = e.reg.Counter("contacts_up")
 	e.ctrUpsOpen = e.reg.Counter("contacts_up_open")
 	e.ctrDowns = e.reg.Counter("contacts_down")
-	e.ctrStale = e.reg.Counter("stale_plans")
 	e.ctrRebuild = e.reg.Counter("candidate_rebuilds")
-	e.ctrHandoff = e.reg.Counter("region_handoffs")
 	e.ctrSamples = e.reg.Counter("rating_samples")
 	e.ctrSweep = e.reg.Counter("interest_sweeps")
 	e.ctrEvict = e.reg.Counter("interest_evictions")
@@ -115,14 +110,18 @@ func (e *Engine) record(ev report.Event) {
 	}
 }
 
-// startRun marks the wall-clock origin and fires RunStart exactly once,
-// however the run is driven (Run or interleaved RunFor segments).
+// startRun opens a run segment (Run or one RunFor call). It restarts the
+// phase clock, so time spent outside the engine between segments is
+// charged to no phase, and on the first segment marks the wall-clock
+// origin and fires RunStart — emission the first tick charges to
+// PhaseEvents, like a heartbeat's.
 func (e *Engine) startRun() {
+	e.phaseMark = time.Now()
 	if e.started {
 		return
 	}
 	e.started = true
-	e.wallStart = time.Now()
+	e.wallStart = e.phaseMark
 	e.hbLast = e.wallStart
 	if len(e.observers) == 0 {
 		return
@@ -133,8 +132,6 @@ func (e *Engine) startRun() {
 		Seed:            e.cfg.Seed,
 		StepSeconds:     e.cfg.Step.Seconds(),
 		DurationSeconds: e.cfg.Duration.Seconds(),
-		Workers:         e.workers.N(),
-		Regions:         e.Regions(),
 		Kinetic:         e.kinSkin > 0,
 	}
 	for _, o := range e.observers {
@@ -156,13 +153,24 @@ func (e *Engine) maybeHeartbeat() {
 	if time.Since(e.hbLast) < e.cfg.Heartbeat {
 		return
 	}
-	t := time.Now()
-	e.hbLast = t
+	e.hbLast = time.Now()
 	snap := e.Snapshot()
 	for _, o := range e.observers {
 		o.Heartbeat(snap)
 	}
-	e.reg.AddPhase(obs.PhaseEvents, time.Since(t))
+	e.chargePhase(obs.PhaseEvents)
+}
+
+// chargePhase closes the phase p at the current instant: the wall time
+// since the previous phase boundary accrues to p, and now becomes the next
+// boundary. Boundaries are contiguous within a run segment, so the phase
+// totals cover every instant of it — runner bookkeeping between stages and
+// any time the process spends descheduled included — and the phase sum
+// tracks the wall clock however loaded the host is.
+func (e *Engine) chargePhase(p obs.Phase) {
+	now := time.Now()
+	e.reg.AddPhase(p, now.Sub(e.phaseMark))
+	e.phaseMark = now
 }
 
 // endRun fires RunEnd with the final snapshot; Engine.Run calls it once
@@ -190,14 +198,3 @@ func (e *Engine) Snapshot() obs.Snapshot {
 	}
 	return e.reg.Snapshot(e.runner.Clock().Now(), wall, e.tickNo, e.nEvents)
 }
-
-// StalePlans reports how many pre-scored exchange plans were discarded for
-// staleness over the run so far (zero when running serially). It delegates
-// to Snapshot(); new code should read the "stale_plans" counter there.
-func (e *Engine) StalePlans() uint64 { return e.Snapshot().Counter("stale_plans") }
-
-// ContactRebuilds reports how many times the kinetic candidate list was
-// rebuilt from the grid over the run so far (stationary scenarios rebuild
-// exactly once). It delegates to Snapshot(); new code should read the
-// "candidate_rebuilds" counter there.
-func (e *Engine) ContactRebuilds() uint64 { return e.Snapshot().Counter("candidate_rebuilds") }

@@ -182,6 +182,11 @@ type observerFunc struct {
 
 func (o observerFunc) Event(report.Event) { *o.order = append(*o.order, o.name) }
 
+// TestEngineSnapshotAccessorsDelegate pins the snapshot as the engine's
+// single observability surface: the engine's own position accessor agrees
+// with it, the kinetic rebuild count is read from its counters, and a
+// mobility run accrues time in every phase without the phase sum passing
+// the wall clock.
 func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	cfg, specs := obsTestConfig(t)
 	eng, err := core.NewEngine(cfg, specs)
@@ -192,11 +197,8 @@ func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	if got := eng.StalePlans(); got != snap.Counter("stale_plans") {
-		t.Errorf("StalePlans() = %d, snapshot counter = %d", got, snap.Counter("stale_plans"))
-	}
-	if got := eng.ContactRebuilds(); got != snap.Counter("candidate_rebuilds") {
-		t.Errorf("ContactRebuilds() = %d, snapshot counter = %d", got, snap.Counter("candidate_rebuilds"))
+	if got := eng.Now().Seconds(); got != snap.SimSeconds {
+		t.Errorf("Now() = %vs, snapshot sim position = %vs", got, snap.SimSeconds)
 	}
 	if snap.Counter("candidate_rebuilds") == 0 {
 		t.Error("kinetic detection never rebuilt its candidate list")

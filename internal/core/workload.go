@@ -148,10 +148,9 @@ func (e *Engine) scheduleNextMessage(n *Node) {
 		return
 	}
 	n.workloadEv = e.runner.Schedule(at, func(time.Duration) {
-		t := time.Now()
 		e.originate(n, e.runner.Clock().Now())
 		e.scheduleNextMessage(n)
-		e.reg.AddPhase(obs.PhaseEvents, time.Since(t))
+		e.chargePhase(obs.PhaseEvents)
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/mobility"
+	"dtnsim/internal/obs"
 	"dtnsim/internal/scenario"
 	"dtnsim/internal/sim"
 	"dtnsim/internal/world"
@@ -30,9 +31,6 @@ type ContactBenchPoint struct {
 	// 0.5–1.5 m/s Random Waypoint).
 	Scenario string `json:"scenario"`
 	Nodes    int    `json:"nodes"`
-	Workers  int    `json:"workers"`
-	// EffectiveWorkers is the worker count after the GOMAXPROCS clamp.
-	EffectiveWorkers int `json:"effective_workers"`
 	// Kinetic is false for the forced-off baseline (ContactSkin < 0).
 	Kinetic bool `json:"kinetic"`
 	// SkinM is the engine's resolved skin in metres (0 when disabled).
@@ -45,28 +43,29 @@ type ContactBenchPoint struct {
 	BytesPerSimSecond float64 `json:"bytes_per_sim_second"`
 	// PhaseMsPerSimSecond maps each tick phase (move, detect, contacts,
 	// exchange, events) to wall milliseconds per simulated second over the
-	// measured window (see EngineBenchPoint). The detect column is the one
-	// this bench exists for: kinetic-on vs -off points differ there.
+	// measured window, taken from the engine's obs.Snapshot timers. The
+	// detect column is the one this bench exists for: kinetic-on vs -off
+	// points differ there.
 	PhaseMsPerSimSecond map[string]float64 `json:"phase_ms_per_sim_second"`
 	// CandidateRebuilds counts candidate-list rebuilds over warmup plus the
 	// measured window (0 when kinetic detection is off; exactly 1 for
 	// stationary scenarios).
 	CandidateRebuilds uint64 `json:"candidate_rebuilds"`
-	// GoMaxProcs and GoVersion identify the measurement host (see
-	// EngineBenchPoint).
+	// GoMaxProcs and GoVersion identify the measurement host's schedulable
+	// CPU count and toolchain: grids recorded on different machines are not
+	// comparable, and these fields make a foreign grid recognisable.
 	GoMaxProcs int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 }
 
 // ContactBenchGrid is the default measurement grid: each mobility regime at
-// 2000 nodes, kinetic on and off, serial workers — the axis the optimization
-// is about is scan amortisation, not sharding.
+// 2000 nodes, kinetic on and off.
 func ContactBenchGrid() []ContactBenchPoint {
 	var grid []ContactBenchPoint
 	for _, scenario := range []string{"stationary", "slow", "pedestrian"} {
 		for _, kinetic := range []bool{false, true} {
 			grid = append(grid, ContactBenchPoint{
-				Scenario: scenario, Nodes: 2000, Workers: 1, Kinetic: kinetic,
+				Scenario: scenario, Nodes: 2000, Kinetic: kinetic,
 			})
 		}
 	}
@@ -114,7 +113,6 @@ func ContactBenchEngine(ctx context.Context, pt ContactBenchPoint, skin float64)
 	spec.SelfishPercent = 20
 	spec.MaliciousPercent = 10
 	spec.MeanMessageInterval = 30 * time.Minute
-	spec.Workers = pt.Workers
 	cfg, pop, err := scenario.Build(spec)
 	if err != nil {
 		return nil, err
@@ -132,13 +130,12 @@ func ContactBenchEngine(ctx context.Context, pt ContactBenchPoint, skin float64)
 	return core.NewEngine(cfg, pop)
 }
 
-// ContactBench measures each grid point, mirroring EngineBench's shape:
-// build at paper density, warm up two simulated minutes, then time
-// simSeconds simulated seconds. skin overrides the candidate slack in
-// metres for the kinetic points (0 = the engine's automatic quarter-range).
-// Each point is measured repeat times from a fresh engine and the fastest
-// run is kept — the same min-of-N noise suppression EngineBench uses: the
-// workload is deterministic, so the minimum is the low-noise estimator.
+// ContactBench measures each grid point: build at paper density, warm up
+// two simulated minutes, then time simSeconds simulated seconds. skin
+// overrides the candidate slack in metres for the kinetic points (0 = the
+// engine's automatic quarter-range). Each point is measured repeat times
+// from a fresh engine and the fastest run is kept: the workload is
+// deterministic, so the minimum is the low-noise estimator.
 func ContactBench(ctx context.Context, grid []ContactBenchPoint, simSeconds int, skin float64, repeat int, log io.Writer) ([]ContactBenchPoint, error) {
 	if simSeconds <= 0 {
 		return nil, fmt.Errorf("experiment: bench window must be positive, got %d", simSeconds)
@@ -191,18 +188,28 @@ func contactBenchRun(ctx context.Context, pt ContactBenchPoint, simSeconds int, 
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	window := eng.Snapshot().Sub(warm)
+	end := eng.Snapshot()
+	window := end.Sub(warm)
 
-	pt.EffectiveWorkers = eng.Workers()
 	pt.SkinM = eng.ContactSkin()
 	pt.SimSeconds = float64(simSeconds)
 	pt.MsPerSimSecond = float64(wall) / float64(time.Millisecond) / pt.SimSeconds
 	pt.BytesPerSimSecond = float64(after.TotalAlloc-before.TotalAlloc) / pt.SimSeconds
 	pt.PhaseMsPerSimSecond = phaseColumns(window, pt.SimSeconds)
-	pt.CandidateRebuilds = eng.ContactRebuilds()
+	pt.CandidateRebuilds = end.Counter("candidate_rebuilds")
 	pt.GoMaxProcs = runtime.GOMAXPROCS(0)
 	pt.GoVersion = runtime.Version()
 	return pt, nil
+}
+
+// phaseColumns renders a measured window's per-phase timers as wall
+// milliseconds per simulated second, the unit the bench grid records.
+func phaseColumns(window obs.Snapshot, simSeconds float64) map[string]float64 {
+	cols := make(map[string]float64, len(window.Phases))
+	for _, p := range window.Phases {
+		cols[p.Name] = p.Seconds * 1000 / simSeconds
+	}
+	return cols
 }
 
 // WriteContactBench renders the measured grid as the committed

@@ -1,12 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -41,32 +41,38 @@ func kernelGoldenSpec(scheme core.Scheme) scenario.Spec {
 	return spec
 }
 
-// renderKernelGolden runs one scheme with the given worker count, region
-// count (≤1 = the single flat grid), and contact skin (0 = the automatic
-// kinetic default, negative = kinetic detection off) and formats every
-// figure-feeding observable deterministically. Neither the worker count,
-// the region count, nor the skin appears in the output: any combination
-// must reproduce the same bytes. Extra no-op observers may be attached;
-// they must never change the bytes either.
-func renderKernelGolden(t *testing.T, scheme core.Scheme, workers, regions int, skin float64, extra ...obs.Observer) string {
+// renderKernelGolden runs one scheme with the given contact skin (0 = the
+// automatic kinetic default, negative = kinetic detection off) and formats
+// every figure-feeding observable deterministically. The skin does not
+// appear in the output: any skin must reproduce the same bytes. Extra no-op
+// observers may be attached; they must never change the bytes either.
+func renderKernelGolden(t *testing.T, scheme core.Scheme, skin float64, extra ...obs.Observer) string {
 	t.Helper()
-	spec := kernelGoldenSpec(scheme)
-	cfg, nodes, err := scenario.Build(spec)
+	out, err := kernelGolden(t.Context(), scheme, skin, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = workers
-	cfg.Regions = regions
+	return out
+}
+
+// kernelGolden is renderKernelGolden reporting errors instead of failing
+// the test, so pool jobs off the test goroutine can render too.
+func kernelGolden(ctx context.Context, scheme core.Scheme, skin float64, extra ...obs.Observer) (string, error) {
+	spec := kernelGoldenSpec(scheme)
+	cfg, nodes, err := scenario.Build(spec)
+	if err != nil {
+		return "", err
+	}
 	cfg.ContactSkin = skin
 	var trace report.Buffer
 	cfg.Observers = append([]obs.Observer{obs.Record(&trace)}, extra...)
 	eng, err := core.NewEngine(cfg, nodes)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	res, err := eng.Run(t.Context())
+	res, err := eng.Run(ctx)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 
 	var b strings.Builder
@@ -102,7 +108,7 @@ func renderKernelGolden(t *testing.T, scheme core.Scheme, workers, regions int, 
 			ev.At, ev.Kind, ev.A, ev.B, ev.Msg, ev.Tokens, ev.Keyword, ev.Relevant)
 	}
 	fmt.Fprintf(&b, "events=%d trace-fnv=%016x\n", len(trace.Events), h.Sum64())
-	return b.String()
+	return b.String(), nil
 }
 
 // TestKernelByteIdenticalToPollingSeed is the refactor's determinism guard:
@@ -115,7 +121,7 @@ func TestKernelByteIdenticalToPollingSeed(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-		b.WriteString(renderKernelGolden(t, scheme, 1, 1, 0))
+		b.WriteString(renderKernelGolden(t, scheme, 0))
 	}
 	got := b.String()
 
@@ -139,12 +145,12 @@ func TestKernelByteIdenticalToPollingSeed(t *testing.T) {
 	}
 }
 
-// TestParallelWorkersByteIdentical is the parallel pipeline's determinism
-// guard: running the golden scenario with 2 and 8 workers must reproduce
-// the same recorded golden, byte for byte, that the serial engine produces
-// — sharded mobility, sharded pair detection, and optimistic exchange
-// scoring included. (Both worker counts matter: 2 exercises shard-boundary
-// merging, 8 oversubscribes the 60-node contact set.)
+// TestParallelWorkersByteIdentical is the sweep pool's determinism guard at
+// trace level. Engines share no state, so copies of the golden scenario run
+// side by side on an experiment pool of 2 and of 8 workers — every (copy,
+// scheme) run one pool job, as many jobs as workers — must each reproduce
+// the recorded golden byte for byte. 8 workers oversubscribe a small host,
+// so runs are also preempted mid-step by one another.
 func TestParallelWorkersByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-hour determinism runs skipped in -short mode")
@@ -154,23 +160,29 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (regenerate with -update-kernel-golden): %v", err)
 	}
-	// Lift GOMAXPROCS past the largest worker count so sim.NewWorkers'
-	// clamp doesn't quietly serialize the runs on a small CI host. The
-	// parent's Cleanup runs only after both parallel subtests finish.
-	if prev := runtime.GOMAXPROCS(0); prev < 8 {
-		runtime.GOMAXPROCS(8)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
+	schemes := []core.Scheme{core.SchemeIncentive, core.SchemeChitChat}
 	for _, workers := range []int{2, 8} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
-			var b strings.Builder
-			for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-				b.WriteString(renderKernelGolden(t, scheme, workers, 1, 0))
+			pool := NewPool(workers)
+			t.Cleanup(pool.Close)
+			g := pool.newGroup(t.Context())
+			out := make([]string, workers)
+			for i := range out {
+				scheme := schemes[i%len(schemes)]
+				g.submit(kernelGoldenSpec(scheme).Duration.Seconds(), func(ctx context.Context) error {
+					var err error
+					out[i], err = kernelGolden(ctx, scheme, 0)
+					return err
+				})
 			}
-			if got := b.String(); got != string(want) {
-				t.Errorf("workers=%d output diverged from the serial golden\n--- got ---\n%s\n--- want ---\n%s", workers, got, want)
+			if err := g.wait(); err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < len(out); c += len(schemes) {
+				if got := strings.Join(out[c:c+len(schemes)], ""); got != string(want) {
+					t.Errorf("copy %d of %d diverged from the golden\n--- got ---\n%s\n--- want ---\n%s",
+						c/len(schemes)+1, len(out)/len(schemes), got, want)
+				}
 			}
 		})
 	}
@@ -179,11 +191,10 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 // TestKineticContactsByteIdentical is kinetic contact detection's
 // determinism guard: the golden scenario with the kinetic path forced on
 // (an explicit, non-default 40 m skin) and forced off (negative skin — the
-// historical per-tick scan), each at workers 1, 2, and 8, must reproduce
-// the recorded serial golden byte for byte — all six traces. The candidate
-// list is a conservative superset filtered by the same inclusive distance
-// checks the full scan runs, so no contact-up or contact-down instant may
-// shift by even one tick.
+// historical per-tick scan) must reproduce the recorded golden byte for
+// byte. The candidate list is a conservative superset filtered by the same
+// inclusive distance checks the full scan runs, so no contact-up or
+// contact-down instant may shift by even one tick.
 func TestKineticContactsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-hour determinism runs skipped in -short mode")
@@ -193,10 +204,6 @@ func TestKineticContactsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (regenerate with -update-kernel-golden): %v", err)
 	}
-	if prev := runtime.GOMAXPROCS(0); prev < 8 {
-		runtime.GOMAXPROCS(8)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
 	for _, tc := range []struct {
 		name string
 		skin float64
@@ -204,97 +211,17 @@ func TestKineticContactsByteIdentical(t *testing.T) {
 		{"kinetic-on", 40},
 		{"kinetic-off", -1},
 	} {
-		for _, workers := range []int{1, 2, 8} {
-			tc, workers := tc, workers
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				t.Parallel()
-				var b strings.Builder
-				for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-					b.WriteString(renderKernelGolden(t, scheme, workers, 1, tc.skin))
-				}
-				if got := b.String(); got != string(want) {
-					t.Errorf("%s workers=%d output diverged from the serial golden\n--- got ---\n%s\n--- want ---\n%s",
-						tc.name, workers, got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestRegionShardedByteIdentical is the region-sharded world's determinism
-// guard: the golden scenario partitioned into 2, 4, and 9 region tiles —
-// strip, square, and 3×3 layouts, each at 1 and 4 workers — must reproduce
-// the recorded single-grid golden byte for byte. Every in-range pair is
-// credited to exactly one region and per-region results merge in
-// region-index order before the canonical sort, so no contact, exchange
-// round, or payment may shift by even one tick at any region count.
-func TestRegionShardedByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-hour determinism runs skipped in -short mode")
-	}
-	goldenPath := filepath.Join("testdata", "kernel_default.golden")
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with -update-kernel-golden): %v", err)
-	}
-	if prev := runtime.GOMAXPROCS(0); prev < 8 {
-		runtime.GOMAXPROCS(8)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-	for _, regions := range []int{1, 2, 4, 9} {
-		for _, workers := range []int{1, 4} {
-			regions, workers := regions, workers
-			t.Run(fmt.Sprintf("regions=%d/workers=%d", regions, workers), func(t *testing.T) {
-				t.Parallel()
-				var b strings.Builder
-				for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-					b.WriteString(renderKernelGolden(t, scheme, workers, regions, 0))
-				}
-				if got := b.String(); got != string(want) {
-					t.Errorf("regions=%d workers=%d output diverged from the single-grid golden\n--- got ---\n%s\n--- want ---\n%s",
-						regions, workers, got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestBatchedExchangeByteIdentical is the batched contact-round scoring
-// pass's determinism guard: coalescing every round due at a tick into one
-// per-tick batch — gathered once per node through the shared peer-table
-// caches, grouped region-major when the world is sharded, and scored in
-// parallel — must reproduce the recorded serial golden byte for byte across
-// the worker × region matrix. The batch is only ever *scored* out of order;
-// plans still apply serially in contact-creation order, so no exchange
-// outcome, payment, or transfer may shift by even one tick.
-func TestBatchedExchangeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-hour determinism runs skipped in -short mode")
-	}
-	goldenPath := filepath.Join("testdata", "kernel_default.golden")
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with -update-kernel-golden): %v", err)
-	}
-	if prev := runtime.GOMAXPROCS(0); prev < 8 {
-		runtime.GOMAXPROCS(8)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, regions := range []int{1, 4} {
-			workers, regions := workers, regions
-			t.Run(fmt.Sprintf("workers=%d/regions=%d", workers, regions), func(t *testing.T) {
-				t.Parallel()
-				var b strings.Builder
-				for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-					b.WriteString(renderKernelGolden(t, scheme, workers, regions, 0))
-				}
-				if got := b.String(); got != string(want) {
-					t.Errorf("workers=%d regions=%d output diverged from the serial golden\n--- got ---\n%s\n--- want ---\n%s",
-						workers, regions, got, want)
-				}
-			})
-		}
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var b strings.Builder
+			for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
+				b.WriteString(renderKernelGolden(t, scheme, tc.skin))
+			}
+			if got := b.String(); got != string(want) {
+				t.Errorf("%s output diverged from the golden\n--- got ---\n%s\n--- want ---\n%s", tc.name, got, want)
+			}
+		})
 	}
 }
 
@@ -326,7 +253,7 @@ func TestObserverLeavesGoldenByteIdentical(t *testing.T) {
 	var passive countingObserver
 	var b strings.Builder
 	for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-		b.WriteString(renderKernelGolden(t, scheme, 1, 1, 0, &passive))
+		b.WriteString(renderKernelGolden(t, scheme, 0, &passive))
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("attaching a no-op observer changed the golden output\n--- got ---\n%s\n--- want ---\n%s", got, want)

@@ -39,14 +39,6 @@ type Profile struct {
 	MeanMessageInterval time.Duration
 	// Step is the tick granularity.
 	Step time.Duration
-	// Workers bounds each run's intra-run parallelism (scenario.Spec
-	// Workers); zero or one runs serially. Results are byte-identical
-	// across worker counts, so profiles may raise it freely.
-	Workers int
-	// Regions shards each run's world state (scenario.Spec Regions); zero
-	// or one keeps the single flat grid. Results are byte-identical across
-	// region counts.
-	Regions int
 	// TableCap bounds each node's RTSR interest table to this many live
 	// rows (scenario.Spec TableCap); zero keeps tables unbounded and the
 	// figures bit-identical to historical runs.
@@ -115,8 +107,6 @@ func (p Profile) baseSpec(scheme core.Scheme) scenario.Spec {
 	spec.Duration = p.Duration
 	spec.MeanMessageInterval = p.MeanMessageInterval
 	spec.Step = p.Step
-	spec.Workers = p.Workers
-	spec.Regions = p.Regions
 	spec.TableCap = p.TableCap
 	spec.ContactSkin = p.ContactSkin
 	return spec

@@ -8,6 +8,14 @@ import (
 	"dtnsim/internal/ident"
 )
 
+// exchangeRound runs one pairwise RTSR round on a fresh plan: Score, then
+// Apply — the sequence the engine runs on its reusable plan.
+func exchangeRound(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
+	var p ExchangePlan
+	p.Score(a, b, aID, bID, aPeers, bPeers, now, dt)
+	p.Apply()
+}
+
 // buildPair creates two tables over one interner with a mix of shared,
 // one-sided, direct, and transient interests.
 func buildPair(t *testing.T) (*Table, *Table) {
@@ -30,12 +38,13 @@ func buildPair(t *testing.T) (*Table, *Table) {
 	return a, b
 }
 
-// TestExchangeGrowMatchesSlowPath verifies the fused fast path computes the
-// same weights as the paper's literal three-phase sequence (Decay,
-// Snapshot/exchange, Grow) for a pairwise contact. The fast tables are lazy
-// — unshared rows keep their stored anchor — so the comparison reads them
-// materialized at the exchange time, where they must match the eagerly
-// re-anchored slow tables exactly.
+// TestExchangeGrowMatchesSlowPath verifies the fused exchange-and-grow
+// round (ExchangePlan Score then Apply) computes the same weights as the
+// paper's literal three-phase sequence (Decay, Snapshot/exchange, Grow) for
+// a pairwise contact. The fast tables are lazy — unshared rows keep their
+// stored anchor — so the comparison reads them materialized at the
+// exchange time, where they must match the eagerly re-anchored slow tables
+// exactly.
 func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 	now := 30 * time.Second
 	dt := 10 * time.Second
@@ -43,7 +52,7 @@ func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 	fastA, fastB := buildPair(t)
 	slowA, slowB := buildPair(t)
 
-	ExchangeGrow(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
+	exchangeRound(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
 
 	// Literal sequence: decay both against each other's keyword sets,
 	// exchange decayed snapshots, grow both.
@@ -80,7 +89,7 @@ func keywordSet(t *Table) map[string]bool {
 
 func TestExchangeGrowAcquiresBothWays(t *testing.T) {
 	a, b := buildPair(t)
-	ExchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, 30*time.Second, 10*time.Second)
+	exchangeRound(a, b, 1, 2, []*Table{b}, []*Table{a}, 30*time.Second, 10*time.Second)
 	if !a.Has("b-only") {
 		t.Error("a did not acquire b's interest")
 	}
@@ -100,7 +109,7 @@ func TestExchangeGrowSymmetricForIdenticalTables(t *testing.T) {
 		a.DeclareDirect(kw, 0)
 		b.DeclareDirect(kw, 0)
 	}
-	ExchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, time.Minute, 20*time.Second)
+	exchangeRound(a, b, 1, 2, []*Table{b}, []*Table{a}, time.Minute, 20*time.Second)
 	for _, kw := range []string{"x", "y", "z"} {
 		if a.Weight(kw) != b.Weight(kw) {
 			t.Errorf("identical tables diverged on %q: %v vs %v", kw, a.Weight(kw), b.Weight(kw))

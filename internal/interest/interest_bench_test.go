@@ -31,15 +31,19 @@ func benchTables(b *testing.B, interests int) (*Table, *Table) {
 	return a, t2
 }
 
-// BenchmarkExchangeGrow measures one pairwise RTSR exchange with
-// Table 5.1-sized tables (20 interests per node).
-func BenchmarkExchangeGrow(b *testing.B) {
+// BenchmarkExchange measures one pairwise RTSR exchange round (Score then
+// Apply on a reused plan, as the engine runs it) with Table 5.1-sized
+// tables (20 interests per node).
+func BenchmarkExchange(b *testing.B) {
 	a, t2 := benchTables(b, 40)
+	aPeers, bPeers := []*Table{t2}, []*Table{a}
+	var plan ExchangePlan
 	now := time.Duration(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 10 * time.Second
-		ExchangeGrow(a, t2, 1, 2, []*Table{t2}, []*Table{a}, now, 10*time.Second)
+		plan.Score(a, t2, 1, 2, aPeers, bPeers, now, 10*time.Second)
+		plan.Apply()
 	}
 }
 
@@ -107,11 +111,13 @@ func BenchmarkInterestTable(b *testing.B) {
 			t := benchBigTable(b, in, n, 1, 0)
 			peer := benchBigTable(b, in, n, 2, 0)
 			aPeers, bPeers := []*Table{peer}, []*Table{t}
+			var plan ExchangePlan
 			now := time.Duration(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += 10 * time.Second
-				ExchangeGrow(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
+				plan.Score(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
+				plan.Apply()
 			}
 		})
 	}

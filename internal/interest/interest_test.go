@@ -457,7 +457,7 @@ func TestWeightsAlwaysInRange(t *testing.T) {
 			case 2:
 				tab.Decay(now, nil)
 			default:
-				ExchangeGrow(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, now, time.Duration(rng.Intn(60))*time.Second)
+				exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, now, time.Duration(rng.Intn(60))*time.Second)
 			}
 			for _, kw := range tab.Keywords() {
 				w := tab.Weight(kw)

@@ -11,10 +11,8 @@ import (
 // This file holds the pairwise RTSR exchange round over the lazy
 // struct-of-arrays tables. ExchangePlan.Score computes the full outcome of
 // one round — eviction sweeps, shared-row refreshes, growth, acquisitions —
-// without touching either table; Apply serializes the writes. ExchangeGrow
-// (exchange.go) is now a thin Score+Apply wrapper, so the parallel scored
-// path and the serial fallback are the same implementation by construction
-// and cannot drift apart.
+// without touching either table; Apply then writes it. The engine scores
+// and applies each round back to back, reusing one plan's scratch.
 //
 // Under lazy decay a round never rewrites unshared rows: their stored
 // anchors already encode the decayed value (readers materialize it), so the
@@ -24,32 +22,20 @@ import (
 // The historical eager round rewrote every row of both tables and probed
 // every (row, peer) pair; this one is bitset algebra plus O(touched rows).
 //
-// The concurrency scheme is optimistic and unchanged: Score records a
-// counter for every table it read — the full version counter for the two
-// endpoints (whose weights, anchors, and deadline it read) and only the
-// shape counter for the other connected peers (whose presence masks it
-// read). A plan may be applied only while StillValid reports true;
-// otherwise the engine re-scores the contact serially. Scoring preserves
-// the eager round's ordering asymmetry: side a is scored first, seeing
-// every peer's (including b's) pre-sweep membership; side b is scored
-// second, seeing a's post-sweep membership via a's freshly scored plan.
+// Scoring preserves the eager round's ordering asymmetry: side a is scored
+// first, seeing every peer's (including b's) pre-sweep membership; side b
+// is scored second, seeing a's post-sweep membership via a's freshly
+// scored plan.
 
 // ExchangePlan is a reusable scored-but-unapplied pairwise exchange.
-// Not safe for concurrent use; the engine keeps one per contact.
+// Not safe for concurrent use; the engine owns one and reuses it for every
+// round.
 type ExchangePlan struct {
 	a, b     *Table
 	aID, bID ident.NodeID
 	now      time.Duration
 
 	aPlan, bPlan tablePlan
-
-	// tables/versions snapshot the endpoints' full version counters;
-	// peerTables/peerShapes snapshot the connected peers' shape counters.
-	// Together they cover everything Score read, for StillValid.
-	tables     []*Table
-	versions   []uint64
-	peerTables []*Table
-	peerShapes []uint64
 }
 
 // tablePlan is the pending outcome for one endpoint: the touched-row sets
@@ -78,14 +64,13 @@ type tablePlan struct {
 }
 
 // Score computes the full exchange outcome for a contact that has lasted dt
-// since its previous exchange, reading but never writing the tables. The
-// arguments mirror ExchangeGrow: aPeers/bPeers are the complete
-// connected-peer table lists (each including the partner). Score may run
-// concurrently with other Scores over the same tables, but not with any
-// table mutation.
+// since its previous exchange, reading but never writing the tables.
+// aPeers/bPeers are the complete connected-peer table lists of a and b,
+// each including the partner: an interest held by any connected device
+// holds its weight (Algorithm 1). Both tables must share Params and an
+// Interner (the engine builds every node from one Config).
 func (p *ExchangePlan) Score(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
 	p.a, p.b, p.aID, p.bID, p.now = a, b, aID, bID, now
-	p.captureVersions(a, b, aPeers, bPeers)
 
 	// Sweep/refresh phase, preserving the eager round's ordering asymmetry:
 	// a is scored first, seeing every peer (including b) pre-sweep; b is
@@ -112,50 +97,8 @@ func (p *ExchangePlan) Score(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers 
 	p.bPlan.scoreAcquisitions(b, &p.aPlan, a, now, b.params.GrowthRate, sec)
 }
 
-func (p *ExchangePlan) captureVersions(a, b *Table, aPeers, bPeers []*Table) {
-	p.tables = append(p.tables[:0], a, b)
-	p.versions = append(p.versions[:0], a.version, b.version)
-	p.peerTables = p.peerTables[:0]
-	p.peerShapes = p.peerShapes[:0]
-	for _, t := range aPeers {
-		p.recordPeer(t, b)
-	}
-	for _, t := range bPeers {
-		p.recordPeer(t, a)
-	}
-}
-
-// recordPeer snapshots a peer's shape counter. The partner appears in each
-// side's peer list but is already version-tracked as an endpoint, so it is
-// skipped here.
-func (p *ExchangePlan) recordPeer(t, partner *Table) {
-	if t == partner {
-		return
-	}
-	p.peerTables = append(p.peerTables, t)
-	p.peerShapes = append(p.peerShapes, t.shape)
-}
-
-// StillValid reports whether nothing Score read has changed since: the
-// endpoints' tables are unmutated and the peers' memberships are unchanged
-// (peer weight updates are invisible to a plan and do not invalidate it).
-// A stale plan must be discarded and the contact re-scored.
-func (p *ExchangePlan) StillValid() bool {
-	for i, t := range p.tables {
-		if t.version != p.versions[i] {
-			return false
-		}
-	}
-	for i, t := range p.peerTables {
-		if t.shape != p.peerShapes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Apply writes the scored outcome into both tables. Must only be called
-// while StillValid holds, from the single goroutine that owns the tables.
+// Apply writes the scored outcome into both tables. It must follow Score
+// with no table mutation in between.
 func (p *ExchangePlan) Apply() {
 	p.aPlan.apply(p.a, p.bID, p.now)
 	p.bPlan.apply(p.b, p.aID, p.now)
@@ -396,7 +339,6 @@ func (p *tablePlan) scoreAcquisitions(t *Table, partner *tablePlan, pt *Table, n
 // growth only push true death times later, so it remains a valid
 // conservative bound.
 func (p *tablePlan) apply(t *Table, from ident.NodeID, now time.Duration) {
-	t.version++
 	if p.evicted > 0 {
 		for wi, w := range p.evictSet {
 			for w != 0 {

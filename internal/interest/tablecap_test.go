@@ -52,8 +52,8 @@ func TestTableCapUnlimitedEquivalence(t *testing.T) {
 			}
 		}
 		later := now + 30*time.Second
-		ExchangeGrow(a, b, 1, 2, []*Table{b}, []*Table{a}, later, dt)
-		ExchangeGrow(aCap, bCap, 1, 2, []*Table{bCap}, []*Table{aCap}, later, dt)
+		exchangeRound(a, b, 1, 2, []*Table{b}, []*Table{a}, later, dt)
+		exchangeRound(aCap, bCap, 1, 2, []*Table{bCap}, []*Table{aCap}, later, dt)
 
 		requireTablesEqual(t, fmt.Sprintf("trial %d table a", trial), aCap, a)
 		requireTablesEqual(t, fmt.Sprintf("trial %d table b", trial), bCap, b)

@@ -60,13 +60,7 @@ type ManhattanGrid struct {
 	speed float64
 }
 
-var (
-	_ ParallelAdvance = (*ManhattanGrid)(nil)
-	_ SpeedBounded    = (*ManhattanGrid)(nil)
-)
-
-// ParallelAdvanceSafe implements ParallelAdvance.
-func (w *ManhattanGrid) ParallelAdvanceSafe() {}
+var _ SpeedBounded = (*ManhattanGrid)(nil)
 
 // MaxSpeed implements SpeedBounded: street legs walk at a speed drawn from
 // [MinSpeed, MaxSpeed]; turns redraw within the same range.

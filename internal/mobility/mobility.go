@@ -40,32 +40,13 @@ type SpeedBounded interface {
 	MaxSpeed() float64
 }
 
-// ParallelAdvance marks models whose Advance touches only their own state
-// (position, leg bookkeeping, and their private RNG stream), so the engine
-// may advance different nodes' models concurrently within a step.
-// GroupMember deliberately lacks the marker: its Advance reads the leader's
-// live position, an ordering dependency only the serial ID-order walk
-// preserves — one such model in a network keeps the whole mobility phase
-// serial.
-type ParallelAdvance interface {
-	Model
-	// ParallelAdvanceSafe is a marker; implementations do nothing.
-	ParallelAdvanceSafe()
-}
-
 // Stationary keeps a node at a fixed point (infrastructure nodes, or the
 // pinned devices in the Paper II demo walkthrough).
 type Stationary struct {
 	At world.Point
 }
 
-var (
-	_ ParallelAdvance = (*Stationary)(nil)
-	_ SpeedBounded    = (*Stationary)(nil)
-)
-
-// ParallelAdvanceSafe implements ParallelAdvance.
-func (s *Stationary) ParallelAdvanceSafe() {}
+var _ SpeedBounded = (*Stationary)(nil)
 
 // MaxSpeed implements SpeedBounded: a stationary node never moves.
 func (s *Stationary) MaxSpeed() float64 { return 0 }
@@ -128,13 +109,7 @@ type RandomWaypoint struct {
 	pause time.Duration // remaining pause before picking the next leg
 }
 
-var (
-	_ ParallelAdvance = (*RandomWaypoint)(nil)
-	_ SpeedBounded    = (*RandomWaypoint)(nil)
-)
-
-// ParallelAdvanceSafe implements ParallelAdvance.
-func (w *RandomWaypoint) ParallelAdvanceSafe() {}
+var _ SpeedBounded = (*RandomWaypoint)(nil)
 
 // MaxSpeed implements SpeedBounded: legs walk at a speed drawn from
 // [MinSpeed, MaxSpeed] and pauses don't move, so the configured ceiling
@@ -205,7 +180,9 @@ func (w *RandomWaypoint) Advance(dt time.Duration) world.Point {
 }
 
 // Waypoints replays a fixed list of timed positions; used by tests and the
-// deterministic demo scenario to choreograph exact contact sequences.
+// deterministic demo scenario to choreograph exact contact sequences. It is
+// intentionally not SpeedBounded — crossing a pin jumps the position within
+// one step, so no per-second bound exists (see SpeedBounded).
 type Waypoints struct {
 	steps []TimedPoint
 	at    time.Duration
@@ -216,13 +193,6 @@ type TimedPoint struct {
 	T time.Duration
 	P world.Point
 }
-
-// Waypoints is intentionally not SpeedBounded — crossing a pin jumps the
-// position within one step, so no per-second bound exists (see SpeedBounded).
-var _ ParallelAdvance = (*Waypoints)(nil)
-
-// ParallelAdvanceSafe implements ParallelAdvance.
-func (f *Waypoints) ParallelAdvanceSafe() {}
 
 // NewWaypoints builds a follower; steps must be in increasing time order and
 // non-empty.

@@ -31,12 +31,6 @@ type Meta struct {
 	StepSeconds float64 `json:"step_seconds"`
 	// DurationSeconds is the configured simulated span in seconds.
 	DurationSeconds float64 `json:"duration_seconds"`
-	// Workers is the effective intra-run worker count after the
-	// GOMAXPROCS clamp; 1 means the serial fast paths.
-	Workers int `json:"workers"`
-	// Regions is the world-sharding region count; 1 means the single flat
-	// grid.
-	Regions int `json:"regions"`
 	// Kinetic reports whether kinetic contact detection is active.
 	Kinetic bool `json:"kinetic"`
 }

@@ -143,7 +143,7 @@ func TestJSONLSinkLifecycle(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	r.Counter("contacts_up").Add(3)
-	s.RunStart(obs.Meta{Nodes: 12, Scheme: "incentive", Seed: 7, Workers: 2})
+	s.RunStart(obs.Meta{Nodes: 12, Scheme: "incentive", Seed: 7})
 	s.Heartbeat(r.Snapshot(5*time.Second, time.Second, 5, 9))
 	s.RunEnd(r.Snapshot(10*time.Second, 2*time.Second, 10, 21))
 	if s.Err() != nil {
@@ -214,7 +214,7 @@ func TestLogSinkLines(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	r.AddPhase(obs.PhaseExchange, time.Second)
-	s.RunStart(obs.Meta{Nodes: 9, Scheme: "chitchat", DurationSeconds: 60, Workers: 1})
+	s.RunStart(obs.Meta{Nodes: 9, Scheme: "chitchat", DurationSeconds: 60})
 	s.Heartbeat(r.Snapshot(30*time.Second, time.Second, 30, 12))
 	s.RunEnd(r.Snapshot(60*time.Second, 2*time.Second, 60, 24))
 	out := buf.String()

@@ -124,8 +124,8 @@ func (s *LogSink) Kinds() []report.Kind { return []report.Kind{} }
 func (s *LogSink) RunStart(m Meta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fmt.Fprintf(s.w, "obs: run start: %d nodes, scheme %s, seed %d, %v span, workers %d\n",
-		m.Nodes, m.Scheme, m.Seed, time.Duration(m.DurationSeconds*float64(time.Second)), m.Workers)
+	fmt.Fprintf(s.w, "obs: run start: %d nodes, scheme %s, seed %d, %v span\n",
+		m.Nodes, m.Scheme, m.Seed, time.Duration(m.DurationSeconds*float64(time.Second)))
 }
 
 // Event implements Observer; never called thanks to Kinds.

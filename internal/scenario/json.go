@@ -69,8 +69,6 @@ type specJSON struct {
 	CommanderPercent    int         `json:"commander_percent"`
 	Scheme              core.Scheme `json:"scheme"`
 	Seed                int64       `json:"seed"`
-	Workers             int         `json:"workers"`
-	Regions             int         `json:"regions"`
 	TableCap            int         `json:"table_cap"`
 	ContactSkin         float64     `json:"contact_skin"`
 	Heartbeat           flexDur     `json:"heartbeat"`
@@ -101,8 +99,6 @@ func (s Spec) shadow() specJSON {
 		CommanderPercent:    s.CommanderPercent,
 		Scheme:              s.Scheme,
 		Seed:                s.Seed,
-		Workers:             s.Workers,
-		Regions:             s.Regions,
 		TableCap:            s.TableCap,
 		ContactSkin:         s.ContactSkin,
 		Heartbeat:           flexDur(s.Heartbeat),
@@ -133,8 +129,6 @@ func (s *Spec) fromShadow(w specJSON) {
 	s.CommanderPercent = w.CommanderPercent
 	s.Scheme = w.Scheme
 	s.Seed = w.Seed
-	s.Workers = w.Workers
-	s.Regions = w.Regions
 	s.TableCap = w.TableCap
 	s.ContactSkin = w.ContactSkin
 	s.Heartbeat = time.Duration(w.Heartbeat)

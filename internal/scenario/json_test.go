@@ -19,8 +19,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	orig.ClassSplit = true
 	orig.CommanderPercent = 5
 	orig.Seed = 7
-	orig.Workers = 4
-	orig.Regions = 2
 	orig.TableCap = 64
 	orig.ContactSkin = 12.5
 	orig.Heartbeat = 200 * time.Millisecond
@@ -50,7 +48,9 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 func TestSpecJSONMergesOntoReceiver(t *testing.T) {
 	spec := Default(core.SchemeIncentive)
-	body := []byte(`{"nodes": 50, "duration": "2h", "scheme": "chitchat", "selfish_percent": 30}`)
+	// "workers" and "regions" are retired keys from older specs: bodies
+	// that still carry them must decode, ignoring them.
+	body := []byte(`{"nodes": 50, "duration": "2h", "scheme": "chitchat", "selfish_percent": 30, "workers": 2, "regions": 4}`)
 	if err := json.Unmarshal(body, &spec); err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +125,12 @@ func TestSpecJSONCoversEveryField(t *testing.T) {
 func TestEngineFlagsApply(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	ef := BindEngineFlags(fs)
-	if err := fs.Parse([]string{"-workers", "8", "-regions", "4", "-tablecap", "128", "-skin", "25", "-heartbeat", "5s"}); err != nil {
+	if err := fs.Parse([]string{"-tablecap", "128", "-skin", "25", "-heartbeat", "5s"}); err != nil {
 		t.Fatal(err)
 	}
 	spec := Default(core.SchemeIncentive)
 	ef.Apply(&spec)
-	if spec.Workers != 8 || spec.Regions != 4 || spec.TableCap != 128 || spec.ContactSkin != 25 || spec.Heartbeat != 5*time.Second {
+	if spec.TableCap != 128 || spec.ContactSkin != 25 || spec.Heartbeat != 5*time.Second {
 		t.Errorf("flags not threaded: %+v", spec)
 	}
 }

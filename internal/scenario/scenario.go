@@ -45,14 +45,6 @@ type Spec struct {
 	Scheme core.Scheme
 	// Seed drives population sampling and the run.
 	Seed int64
-	// Workers bounds the engine's intra-run parallelism (core.Config
-	// Workers); zero or one runs serially. Any value produces
-	// byte-identical results.
-	Workers int
-	// Regions shards the world state into this many region tiles
-	// (core.Config Regions); zero or one keeps the single flat grid. Any
-	// value produces byte-identical results.
-	Regions int
 	// TableCap bounds each node's RTSR interest table to this many live
 	// rows, evicting the lowest-weight transient row on overflow
 	// (core.Config TableCap). Zero keeps tables unbounded — bit-identical
@@ -149,8 +141,6 @@ func Build(spec Spec) (core.Config, []core.NodeSpec, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = spec.Seed
-	cfg.Workers = spec.Workers
-	cfg.Regions = spec.Regions
 	cfg.TableCap = spec.TableCap
 	cfg.ContactSkin = spec.ContactSkin
 	cfg.Heartbeat = spec.Heartbeat

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,39 @@ func TestHTTPValidation(t *testing.T) {
 	doJSON(t, http.MethodGet, srv.URL+"/healthz", nil, http.StatusOK, &health)
 	if health.Status != "ok" {
 		t.Fatalf("healthz = %+v", health)
+	}
+}
+
+// TestHTTPStartRejectsOversizedWorld pins the grid-size guard end to end:
+// an area whose contact grid cannot be indexed must fail the start request
+// with a 400 — not a panic that drops the connection — leave the run
+// retryable in "created", and leave no trace spool behind.
+func TestHTTPStartRejectsOversizedWorld(t *testing.T) {
+	dir := t.TempDir()
+	store := NewStore(1, dir)
+	srv := httptest.NewServer(NewServer(store))
+	t.Cleanup(func() {
+		srv.Close()
+		store.Close()
+	})
+
+	var created Status
+	doJSON(t, http.MethodPost, srv.URL+"/runs", map[string]any{
+		"spec":  map[string]any{"area_km2": 1e12},
+		"trace": true,
+	}, http.StatusCreated, &created)
+	doJSON(t, http.MethodPost, srv.URL+"/runs/"+created.ID+"/start", nil, http.StatusBadRequest, nil)
+	var st Status
+	doJSON(t, http.MethodGet, srv.URL+"/runs/"+created.ID, nil, http.StatusOK, &st)
+	if st.State != StateCreated {
+		t.Fatalf("state after a rejected start = %q, want %q", st.State, StateCreated)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("rejected start left %d files in the spool directory: %v", len(left), left)
 	}
 }
 

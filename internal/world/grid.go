@@ -20,8 +20,7 @@ import (
 // probes that previously dominated the step profile. Sparse IDs work but
 // cost O(maxID) memory.
 type Grid struct {
-	origin Point // world coordinate of the grid's lower corner
-	bounds Rect  // extent of the gridded rectangle, relative to origin
+	bounds Rect
 	cell   float64
 	cols   int
 	rows   int
@@ -32,49 +31,36 @@ type Grid struct {
 }
 
 // NewGrid builds a grid over bounds with the given cell size (normally the
-// radio range). Cell size must be positive.
+// radio range). Cell size must be positive, and the cell count must fit the
+// int32 cell indices the grid stores per node: sizes can arrive from outside
+// the program (a run spec's area), so an area too large for its radio range
+// is an error here rather than an allocation panic or a silently wrapped
+// cell count.
 func NewGrid(bounds Rect, cellSize float64) (*Grid, error) {
-	return NewGridAt(Point{}, bounds, cellSize)
-}
-
-// NewGridAt builds a grid over the rectangle [origin, origin+bounds] — a
-// region shard of a larger world keeps its grid over its own ghost-inflated
-// tile instead of the whole area, so cell storage scales with the tile, not
-// the world. Positions passed to and returned from the grid stay in world
-// coordinates; only cell addressing is origin-relative. NewGrid is the
-// origin-zero special case.
-func NewGridAt(origin Point, bounds Rect, cellSize float64) (*Grid, error) {
-	if cellSize <= 0 {
+	if !(cellSize > 0) {
 		return nil, fmt.Errorf("world: cell size must be positive, got %v", cellSize)
 	}
-	if bounds.Width <= 0 || bounds.Height <= 0 {
+	if !(bounds.Width > 0 && bounds.Height > 0) {
 		return nil, fmt.Errorf("world: bounds must have positive area, got %v×%v", bounds.Width, bounds.Height)
 	}
-	cols := int(math.Ceil(bounds.Width/cellSize)) + 1
-	rows := int(math.Ceil(bounds.Height/cellSize)) + 1
+	cols := math.Ceil(bounds.Width/cellSize) + 1
+	rows := math.Ceil(bounds.Height/cellSize) + 1
+	if n := cols * rows; !(n <= math.MaxInt32) {
+		return nil, fmt.Errorf("world: %v×%v bounds at cell size %v need %g cells, more than the %d a grid can index",
+			bounds.Width, bounds.Height, cellSize, n, math.MaxInt32)
+	}
 	return &Grid{
-		origin: origin,
 		bounds: bounds,
 		cell:   cellSize,
-		cols:   cols,
-		rows:   rows,
-		cells:  make([][]ident.NodeID, cols*rows),
+		cols:   int(cols),
+		rows:   int(rows),
+		cells:  make([][]ident.NodeID, int(cols)*int(rows)),
 	}, nil
 }
 
-// Rows returns the number of cell rows; PairsRows shards scan row bands of
-// [0, Rows()).
-func (g *Grid) Rows() int { return g.rows }
-
-// clamp pulls a world-coordinate point into the gridded rectangle.
-func (g *Grid) clamp(p Point) Point {
-	l := g.bounds.Clamp(Point{X: p.X - g.origin.X, Y: p.Y - g.origin.Y})
-	return Point{X: l.X + g.origin.X, Y: l.Y + g.origin.Y}
-}
-
 func (g *Grid) cellIndex(p Point) int {
-	cx := int((p.X - g.origin.X) / g.cell)
-	cy := int((p.Y - g.origin.Y) / g.cell)
+	cx := int(p.X / g.cell)
+	cy := int(p.Y / g.cell)
 	if cx < 0 {
 		cx = 0
 	}
@@ -90,6 +76,34 @@ func (g *Grid) cellIndex(p Point) int {
 	return cy*g.cols + cx
 }
 
+// reach is how many cells a pair scan must look past its own cell:
+// ceil(radius/cell), clamped to the grid's extent before the int
+// conversion. No two cells are farther apart than the grid is wide, so the
+// clamp changes no result, but an unclamped huge radius (a huge kinetic
+// skin) would overflow the conversion to a negative reach — dropping every
+// cross-cell pair — or walk billions of empty offsets.
+func (g *Grid) reach(radius float64) int {
+	r := math.Ceil(radius / g.cell)
+	if ext := float64(max(g.cols, g.rows)); !(r <= ext) {
+		return int(ext)
+	}
+	return int(r)
+}
+
+// cellRange returns the cells [lo, hi] along an axis of n cells that a
+// radius query around coordinate v must scan: v's cell plus
+// ceil(radius/cell) either side, clamped to the grid in float64 before the
+// int conversion so neither a huge radius nor a far-off point overflows.
+// An empty range comes back as lo > hi.
+func (g *Grid) cellRange(v, radius float64, n int) (lo, hi int) {
+	c, r := math.Trunc(v/g.cell), math.Ceil(radius/g.cell)
+	l, h := math.Max(c-r, 0), math.Min(c+r, float64(n-1))
+	if !(l <= h) {
+		return 0, -1
+	}
+	return int(l), int(h)
+}
+
 // ensure grows the dense node slices to cover id.
 func (g *Grid) ensure(id ident.NodeID) {
 	for int(id) >= len(g.cellOf) {
@@ -102,7 +116,7 @@ func (g *Grid) ensure(id ident.NodeID) {
 // matching the mobility models which never leave the area. IDs must be
 // non-negative.
 func (g *Grid) Upsert(id ident.NodeID, p Point) {
-	p = g.clamp(p)
+	p = g.bounds.Clamp(p)
 	g.ensure(id)
 	newCell := int32(g.cellIndex(p))
 	if old := g.cellOf[id]; old >= 0 {
@@ -175,23 +189,14 @@ func (g *Grid) WithinPoint(dst []ident.NodeID, p Point, radius float64) []ident.
 }
 
 func (g *Grid) withinPoint(dst []ident.NodeID, center Point, radius float64, exclude ident.NodeID) []ident.NodeID {
-	if radius <= 0 {
+	if !(radius > 0) {
 		return dst
 	}
-	reach := int(math.Ceil(radius / g.cell))
-	cx := int((center.X - g.origin.X) / g.cell)
-	cy := int((center.Y - g.origin.Y) / g.cell)
+	xLo, xHi := g.cellRange(center.X, radius, g.cols)
+	yLo, yHi := g.cellRange(center.Y, radius, g.rows)
 	r2 := radius * radius
-	for dy := -reach; dy <= reach; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.rows {
-			continue
-		}
-		for dx := -reach; dx <= reach; dx++ {
-			x := cx + dx
-			if x < 0 || x >= g.cols {
-				continue
-			}
+	for y := yLo; y <= yHi; y++ {
+		for x := xLo; x <= xHi; x++ {
 			for _, m := range g.cells[y*g.cols+x] {
 				if m == exclude {
 					continue
@@ -210,33 +215,13 @@ func (g *Grid) withinPoint(dst []ident.NodeID, center Point, radius float64, exc
 // contact-detection primitive: the engine diffs consecutive Pairs results to
 // derive contact-up and contact-down events.
 func (g *Grid) Pairs(dst []Pair, radius float64) []Pair {
-	start := len(dst)
-	dst = g.PairsRows(dst, radius, 0, g.rows)
-	SortPairs(dst[start:])
-	return dst
-}
-
-// PairsRows appends, unsorted, every in-range pair whose anchor cell — the
-// lexicographically lower of the two cells, the one the sequential scan
-// credits the pair to — lies in cell rows [rowLo, rowHi). The union of
-// PairsRows over a partition of [0, Rows()) is exactly the Pairs multiset
-// (sort the concatenation with SortPairs to reproduce Pairs byte for byte),
-// which is what lets the engine shard contact detection across workers:
-// shards only read the grid, so any row partition may be scanned
-// concurrently, each shard appending into its own buffer.
-func (g *Grid) PairsRows(dst []Pair, radius float64, rowLo, rowHi int) []Pair {
-	if radius <= 0 {
+	if !(radius > 0) {
 		return dst
 	}
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	if rowHi > g.rows {
-		rowHi = g.rows
-	}
+	start := len(dst)
 	r2 := radius * radius
-	reach := int(math.Ceil(radius / g.cell))
-	for cy := rowLo; cy < rowHi; cy++ {
+	reach := g.reach(radius)
+	for cy := 0; cy < g.rows; cy++ {
 		for cx := 0; cx < g.cols; cx++ {
 			members := g.cells[cy*g.cols+cx]
 			if len(members) == 0 {
@@ -252,22 +237,14 @@ func (g *Grid) PairsRows(dst []Pair, radius float64, rowLo, rowHi int) []Pair {
 				}
 			}
 			// Pairs against forward-neighbor cells only, so each cell pair
-			// is visited once. The neighbor may lie outside this shard's
-			// rows; that is a read, and the pair is still credited here.
-			for dy := 0; dy <= reach; dy++ {
-				y := cy + dy
-				if y >= g.rows {
-					break
+			// is visited once.
+			xHi := min(cx+reach, g.cols-1)
+			for y := cy; y <= min(cy+reach, g.rows-1); y++ {
+				xLo := max(cx-reach, 0)
+				if y == cy {
+					xLo = cx + 1
 				}
-				minDX := -reach
-				if dy == 0 {
-					minDX = 1
-				}
-				for dx := minDX; dx <= reach; dx++ {
-					x := cx + dx
-					if x < 0 || x >= g.cols {
-						continue
-					}
+				for x := xLo; x <= xHi; x++ {
 					other := g.cells[y*g.cols+x]
 					for _, a := range members {
 						pa := g.pos[a]
@@ -281,6 +258,7 @@ func (g *Grid) PairsRows(dst []Pair, radius float64, rowLo, rowHi int) []Pair {
 			}
 		}
 	}
+	sortPairs(dst[start:])
 	return dst
 }
 
@@ -291,24 +269,13 @@ func (g *Grid) PairsRows(dst []Pair, radius float64, rowLo, rowHi int) []Pair {
 // skin/2 since the scan, so the engine can filter it with exact distance
 // checks for many ticks instead of rescanning the grid (see DESIGN.md
 // "Kinetic contact detection"). A negative skin is treated as zero, making
-// Candidates(r, 0) ≡ Pairs(r).
+// Candidates(r, 0) ≡ Pairs(r). The widened radius may span more than the
+// 3×3 cell block; the scan widens its forward reach accordingly.
 func (g *Grid) Candidates(dst []Pair, radius, skin float64) []Pair {
 	if skin < 0 {
 		skin = 0
 	}
 	return g.Pairs(dst, radius+skin)
-}
-
-// CandidatesRows is to Candidates what PairsRows is to Pairs: it appends,
-// unsorted, every candidate pair anchored in cell rows [rowLo, rowHi), and
-// the union over a row partition sorted with SortPairs reproduces Candidates
-// byte for byte. The widened radius may span more than the 3×3 cell block;
-// the scan widens its forward reach accordingly.
-func (g *Grid) CandidatesRows(dst []Pair, radius, skin float64, rowLo, rowHi int) []Pair {
-	if skin < 0 {
-		skin = 0
-	}
-	return g.PairsRows(dst, radius+skin, rowLo, rowHi)
 }
 
 // InRange reports whether nodes a and b are both present and within radius
@@ -351,8 +318,8 @@ func sortIDs(ids []ident.NodeID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
-// SortPairs orders pairs lexicographically — the canonical order Pairs
+// sortPairs orders pairs lexicographically — the canonical order Pairs
 // returns and the engine's contact diffing relies on.
-func SortPairs(ps []Pair) {
+func sortPairs(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
 }

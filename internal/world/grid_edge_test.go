@@ -1,6 +1,8 @@
 package world
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"dtnsim/internal/ident"
@@ -24,7 +26,7 @@ func pairsFromWithin(g *Grid, ids []ident.NodeID, radius float64) []Pair {
 			}
 		}
 	}
-	SortPairs(out)
+	sortPairs(out)
 	return out
 }
 
@@ -154,10 +156,10 @@ func TestGridClampedOutOfBounds(t *testing.T) {
 	bounds := Rect{Width: 200, Height: 200}
 	g := mustGrid(t, bounds, 50)
 	ids := []ident.NodeID{0, 1, 2, 3}
-	g.Upsert(0, Point{-80, -40})  // clamps to (0, 0)
-	g.Upsert(1, Point{30, -999})  // clamps to (30, 0): 30 m from node 0
-	g.Upsert(2, Point{999, 999})  // clamps to (200, 200)
-	g.Upsert(3, Point{180, 260})  // clamps to (180, 200): 20 m from node 2
+	g.Upsert(0, Point{-80, -40}) // clamps to (0, 0)
+	g.Upsert(1, Point{30, -999}) // clamps to (30, 0): 30 m from node 0
+	g.Upsert(2, Point{999, 999}) // clamps to (200, 200)
+	g.Upsert(3, Point{180, 260}) // clamps to (180, 200): 20 m from node 2
 
 	for _, tc := range []struct {
 		id   ident.NodeID
@@ -174,23 +176,14 @@ func TestGridClampedOutOfBounds(t *testing.T) {
 	want := []Pair{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3}}
 	assertSamePairs(t, "clamped pairs", g.Pairs(nil, 50), want)
 	// The widened candidate scan (radius+skin spans two cells of reach)
-	// must agree with a plain Pairs at the widened radius, sharded or not.
-	cands := g.Candidates(nil, 50, 60)
-	assertSamePairs(t, "clamped candidates", cands, g.Pairs(nil, 110))
-	var sharded []Pair
-	for s := 0; s < 3; s++ {
-		sharded = g.CandidatesRows(sharded, 50, 60, g.Rows()*s/3, g.Rows()*(s+1)/3)
-	}
-	SortPairs(sharded)
-	assertSamePairs(t, "sharded candidates", sharded, cands)
+	// must agree with a plain Pairs at the widened radius.
+	assertSamePairs(t, "clamped candidates", g.Candidates(nil, 50, 60), g.Pairs(nil, 110))
 }
 
-// TestCandidatesRowsMatchesSequential is the candidate-path sharding
-// property test, mirroring TestPairsRowsMatchesSequential at the widened
-// radius: any row partition of CandidatesRows, concatenated and sorted,
-// reproduces Candidates — and Candidates itself equals Pairs at
-// radius+skin.
-func TestCandidatesRowsMatchesSequential(t *testing.T) {
+// TestCandidatesMatchWidenedPairs is the candidate-path property test: for
+// random populations, including points clamped in from outside the bounds,
+// Candidates equals Pairs at radius+skin.
+func TestCandidatesMatchWidenedPairs(t *testing.T) {
 	rng := sim.NewRNG(11)
 	bounds := Rect{Width: 900, Height: 700}
 	const radius, skin = 100, 30
@@ -207,17 +200,37 @@ func TestCandidatesRowsMatchesSequential(t *testing.T) {
 			}
 			g.Upsert(ident.NodeID(i), p)
 		}
-		want := g.Candidates(nil, radius, skin)
-		assertSamePairs(t, "candidates vs widened pairs", want, g.Pairs(nil, radius+skin))
-		for _, shards := range []int{1, 2, 3, 5, g.Rows(), g.Rows() + 4} {
-			var got []Pair
-			for s := 0; s < shards; s++ {
-				lo := g.Rows() * s / shards
-				hi := g.Rows() * (s + 1) / shards
-				got = g.CandidatesRows(got, radius, skin, lo, hi)
-			}
-			SortPairs(got)
-			assertSamePairs(t, "sharded candidates", got, want)
+		assertSamePairs(t, "candidates vs widened pairs", g.Candidates(nil, radius, skin), g.Pairs(nil, radius+skin))
+	}
+}
+
+// TestGridHugeRadiusReachesEveryCell pins the neighbour-reach clamp: a
+// radius far beyond the grid (a huge kinetic skin) must see every pair and
+// every neighbour, however many cells apart, and finish promptly instead of
+// overflowing the cell reach or walking offsets far outside the grid.
+func TestGridHugeRadiusReachesEveryCell(t *testing.T) {
+	bounds := Rect{Width: 1000, Height: 600}
+	g := mustGrid(t, bounds, 100)
+	rng := sim.NewRNG(5)
+	var ids []ident.NodeID
+	for i := 0; i < 30; i++ {
+		g.Upsert(ident.NodeID(i), Point{X: rng.Range(0, bounds.Width), Y: rng.Range(0, bounds.Height)})
+		ids = append(ids, ident.NodeID(i))
+	}
+	var all []Pair
+	for a := range ids {
+		for b := a + 1; b < len(ids); b++ {
+			all = append(all, Pair{Lo: ids[a], Hi: ids[b]})
+		}
+	}
+	for _, radius := range []float64{1e300, 1e12, math.MaxFloat64} {
+		assertSamePairs(t, fmt.Sprintf("pairs at %g", radius), g.Pairs(nil, radius), all)
+		assertSamePairs(t, fmt.Sprintf("candidates at skin %g", radius), g.Candidates(nil, 100, radius), all)
+		if got := g.Within(nil, 0, radius); len(got) != len(ids)-1 {
+			t.Fatalf("Within at %g sees %d nodes, want %d", radius, len(got), len(ids)-1)
+		}
+		if got := g.WithinPoint(nil, Point{X: -1e9, Y: 1e9}, radius); len(got) != len(ids) {
+			t.Fatalf("WithinPoint far outside at %g sees %d nodes, want %d", radius, len(got), len(ids))
 		}
 	}
 }

@@ -58,13 +58,27 @@ func TestRectClampContains(t *testing.T) {
 	}
 }
 
+// TestNewGridValidation covers the inputs NewGrid must reject, including
+// sizes from a run spec whose cell count overflows the int32 cell indices
+// (or int itself): those must be an error, not an allocation panic or a
+// silently wrapped tiny grid.
 func TestNewGridValidation(t *testing.T) {
-	bounds := Rect{Width: 100, Height: 100}
-	if _, err := NewGrid(bounds, 0); err == nil {
-		t.Error("zero cell size must fail")
-	}
-	if _, err := NewGrid(Rect{}, 10); err == nil {
-		t.Error("empty bounds must fail")
+	for _, tc := range []struct {
+		name   string
+		bounds Rect
+		cell   float64
+	}{
+		{"zero cell size", Rect{Width: 100, Height: 100}, 0},
+		{"NaN cell size", Rect{Width: 100, Height: 100}, math.NaN()},
+		{"empty bounds", Rect{}, 10},
+		{"1e12 km2 at 100 m", SquareKm(1e12), 100},
+		{"1e300 km2 at 100 m", SquareKm(1e300), 100},
+		{"infinite width", Rect{Width: math.Inf(1), Height: 100}, 10},
+		{"just past int32", Rect{Width: 65536 * 10, Height: 32768 * 10}, 10},
+	} {
+		if g, err := NewGrid(tc.bounds, tc.cell); err == nil {
+			t.Errorf("%s: got a %d×%d grid, want an error", tc.name, g.cols, g.rows)
+		}
 	}
 }
 
