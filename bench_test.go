@@ -341,101 +341,44 @@ func BenchmarkEngineScale(b *testing.B) {
 	}
 }
 
-// BenchmarkContactDetection isolates the kinetic neighbor-list win: the
-// same engine workload under the mobility regimes contact detection pays
-// for — stationary deployments, slow crowds, the paper's pedestrians — with
-// the kinetic path on (auto skin) and forced off (the historical full
-// per-tick grid scan). Each iteration retires one simulated second, so
-// ns/op reads as nanoseconds per simulated second; the rebuilds metric
-// confirms the skin is amortising scans (stationary rebuilds exactly once).
-// The committed BENCH_contacts.json holds the recorded grid (regenerate
-// with `go run ./cmd/dtnexp -exp bench-contacts`).
-//
-// -short trims the grid to the stationary and pedestrian regimes so the CI
-// race bench smoke exercises both the primed-candidate and rebuild paths
-// cheaply.
-func BenchmarkContactDetection(b *testing.B) {
-	for _, pt := range experiment.ContactBenchGrid() {
-		if testing.Short() && pt.Scenario == "slow" {
-			continue
-		}
-		pt := pt
-		name := fmt.Sprintf("scenario=%s/kinetic=%t", pt.Scenario, pt.Kinetic)
-		b.Run(name, func(b *testing.B) {
-			nodes := pt.Nodes
-			if testing.Short() {
-				nodes = 500
-			}
-			grid := []experiment.ContactBenchPoint{pt}
-			grid[0].Nodes = nodes
-			// Reuse the experiment runner's engine construction but drive
-			// the timing loop through testing.B.
-			eng, err := experiment.ContactBenchEngine(context.Background(), grid[0], 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
-				b.Fatal(err)
-			}
-			if eng.KineticContacts() != pt.Kinetic {
-				b.Fatalf("kinetic = %v, want %v", eng.KineticContacts(), pt.Kinetic)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.RunFor(context.Background(), time.Second); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(eng.Snapshot().Counter("candidate_rebuilds")), "rebuilds")
-		})
-	}
-}
-
 // BenchmarkExchangeRounds isolates the contact-round exchange path (see
-// DESIGN.md "Exchange rounds & bounded tables"): a dense 2000-node workload
-// where many contact rounds come due on the same tick, with unbounded and
-// top-k bounded (cap=64) interest tables. Each iteration retires one
+// DESIGN.md "Exchange rounds"): a dense 2000-node workload where many
+// contact rounds come due on the same tick. Each iteration retires one
 // simulated second, so ns/op reads as nanoseconds per simulated second;
 // b.ReportAllocs pins the alloc-free scratch reuse in the exchange plan,
 // the peer-table gather and the FIFO offer sort.
 //
 // -short trims the workload to 500 nodes so the CI race bench smoke
-// (-benchtime=1x) touches both cap branches cheaply.
+// (-benchtime=1x) touches the exchange path cheaply.
 func BenchmarkExchangeRounds(b *testing.B) {
 	nodes := 2000
 	if testing.Short() {
 		nodes = 500
 	}
-	for _, tablecap := range []int{0, 64} {
-		b.Run(fmt.Sprintf("cap=%d", tablecap), func(b *testing.B) {
-			spec := scenario.Default(core.SchemeIncentive)
-			spec.Nodes = nodes
-			spec.AreaKm2 = float64(nodes) / 100
-			spec.Duration = 24 * time.Hour // never reached; steps driven manually
-			spec.SelfishPercent = 20
-			spec.MeanMessageInterval = 30 * time.Minute
-			spec.TableCap = tablecap
-			cfg, pop, err := scenario.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := core.NewEngine(cfg, pop)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm up: populate tables, contacts, and due exchange rounds.
-			if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.RunFor(context.Background(), time.Second); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	spec := scenario.Default(core.SchemeIncentive)
+	spec.Nodes = nodes
+	spec.AreaKm2 = float64(nodes) / 100
+	spec.Duration = 24 * time.Hour // never reached; steps driven manually
+	spec.SelfishPercent = 20
+	spec.MeanMessageInterval = 30 * time.Minute
+	cfg, pop, err := scenario.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewEngine(cfg, pop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm up: populate tables, contacts, and due exchange rounds.
+	if err := eng.RunFor(context.Background(), 2*time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.RunFor(context.Background(), time.Second); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

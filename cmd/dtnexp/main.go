@@ -28,7 +28,6 @@ import (
 	"dtnsim/internal/experiment"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/prof"
-	"dtnsim/internal/scenario"
 )
 
 func main() {
@@ -38,9 +37,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dtnexp", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id: table5.1, fig5.1 .. fig5.6, ablations, routers, battery, repmodels, sensitivity, bench-contacts, or all")
+	exp := fs.String("exp", "all", "experiment id: table5.1, fig5.1 .. fig5.6, ablations, routers, battery, repmodels, sensitivity, or all")
 	profileName := fs.String("profile", "quick", "scale profile: paper, quick, or bench")
 	timeout := fs.Duration("timeout", 0, "optional wall-clock limit for the whole run")
 	parallel := fs.Int("parallel", 0, "sweep-scheduler workers; 0 means GOMAXPROCS, higher values are capped at GOMAXPROCS")
@@ -48,10 +47,7 @@ func run(args []string) error {
 	obsSpec := fs.String("obs", "", "structured observability export, format jsonl=PATH: one run_start/heartbeat/run_end JSON line per engine run, suite-wide")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
-	benchWindow := fs.Int("benchwindow", 60, "bench-contacts measured window in simulated seconds per grid point")
-	benchRepeat := fs.Int("benchrepeat", 3, "bench-contacts runs per grid point (fresh engine each); the fastest run is recorded, suppressing scheduler noise on shared hosts")
-	contactsOut := fs.String("contactsout", "BENCH_contacts.json", "output path for the bench-contacts measurement grid")
-	engineFlags := scenario.BindEngineFlags(fs)
+	heartbeat := fs.Duration("heartbeat", 0, "wall-clock heartbeat interval between live observer snapshots; 0 disables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,8 +55,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	profile.TableCap = engineFlags.TableCap
-	profile.ContactSkin = engineFlags.Skin
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -95,7 +89,7 @@ func run(args []string) error {
 		defer stop()
 	}
 
-	obsv := experiment.Observation{Heartbeat: engineFlags.Heartbeat}
+	obsv := experiment.Observation{Heartbeat: *heartbeat}
 	if *progress && obsv.Heartbeat == 0 {
 		// Keep the live rate moving during long runs, not only at job ends.
 		obsv.Heartbeat = time.Second
@@ -105,19 +99,21 @@ func run(args []string) error {
 		return err
 	}
 	if jsonlSink != nil {
-		defer jsonlFile.Close()
+		// A failed export write or close fails the command.
+		defer func() {
+			werr := jsonlSink.Err()
+			if cerr := jsonlFile.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil && err == nil {
+				err = fmt.Errorf("obs export: %w", werr)
+			}
+		}()
 		obsv.Observers = append(obsv.Observers, jsonlSink)
 	}
 	if obsv.Heartbeat > 0 || len(obsv.Observers) > 0 {
 		ctx = experiment.WithObservation(ctx, obsv)
 	}
-	defer func() {
-		if jsonlSink != nil {
-			if werr := jsonlSink.Err(); werr != nil {
-				fmt.Fprintln(os.Stderr, "dtnexp: obs export:", werr)
-			}
-		}
-	}()
 
 	runners := map[string]func() error{
 		"table5.1": func() error {
@@ -177,22 +173,6 @@ func run(args []string) error {
 		"sensitivity": func() error {
 			t, _, err := experiment.Sensitivity(ctx, profile)
 			return printTable(t, err)
-		},
-		"bench-contacts": func() error {
-			points, err := experiment.ContactBench(ctx, experiment.ContactBenchGrid(), *benchWindow, engineFlags.Skin, *benchRepeat, os.Stderr)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(*contactsOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiment.WriteContactBench(f, points); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d bench points to %s\n", len(points), *contactsOut)
-			return nil
 		},
 	}
 

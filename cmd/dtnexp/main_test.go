@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +51,20 @@ func TestRunWritesCPUProfile(t *testing.T) {
 	}
 	if fi.Size() == 0 {
 		t.Error("cpu profile is empty")
+	}
+}
+
+// TestRunFailsOnUnwritableObsExport pins that an export the suite could not
+// write fails the command, not just a line on stderr.
+func TestRunFailsOnUnwritableObsExport(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	err := run([]string{"-exp", "repmodels", "-profile", "bench", "-obs", "jsonl=/dev/full"})
+	if err == nil {
+		t.Fatal("run with -obs jsonl=/dev/full succeeded")
+	}
+	if !strings.Contains(err.Error(), "obs export") {
+		t.Errorf("error %q does not name the obs export", err)
 	}
 }

@@ -32,7 +32,34 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// traceRecorder is a trace writer that latches its first write error.
+type traceRecorder interface {
+	report.Recorder
+	Err() error
+}
+
+// output is a file the run writes through a recorder or sink that latches
+// its first write error.
+type output struct {
+	name string
+	file io.Closer
+	err  func() error
+}
+
+// close closes the file and reports the first write error, else the close
+// error.
+func (o output) close() error {
+	err := o.err()
+	if cerr := o.file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.name, err)
+	}
+	return nil
+}
+
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dtnsim", flag.ContinueOnError)
 	var (
 		nodes     = fs.Int("nodes", 100, "number of participants")
@@ -51,10 +78,10 @@ func run(args []string) error {
 		replay    = fs.String("replay", "", "replay connectivity from a ONE-style trace file instead of mobility")
 		battery   = fs.Float64("battery", 0, "per-node radio energy budget in joules (0 = unlimited)")
 		obsSpec   = fs.String("obs", "", "structured observability export, format jsonl=PATH: write run_start/heartbeat/run_end snapshots as JSON lines")
+		heartbeat = fs.Duration("heartbeat", 0, "wall-clock heartbeat interval between live observer snapshots; 0 disables")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
-	engineFlags := scenario.BindEngineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,7 +103,7 @@ func run(args []string) error {
 	spec.Step = *step
 	spec.ClassSplit = *classes
 	spec.BatteryJoules = *battery
-	engineFlags.Apply(&spec)
+	spec.Heartbeat = *heartbeat
 	if *router != "chitchat" {
 		spec.RouterName = *router
 	}
@@ -99,14 +126,22 @@ func run(args []string) error {
 		fmt.Printf("replaying %d recorded contacts (max node %v, span %v)\n",
 			sched.Len(), sched.MaxNode(), sched.Duration().Round(time.Second))
 	}
-	var haveTrace bool
-	var stats *report.ContactStats
+	// Every output file is closed on the way out, and a failed write or
+	// close fails the command.
+	var outputs []output
+	defer func() {
+		for _, o := range outputs {
+			if cerr := o.close(); err == nil {
+				err = cerr
+			}
+		}
+	}()
 	for _, sink := range []struct {
-		path string
-		make func(io.Writer) report.Recorder
+		name, path string
+		make       func(io.Writer) traceRecorder
 	}{
-		{*tracePath, func(w io.Writer) report.Recorder { return report.NewJSONLWriter(w) }},
-		{*connPath, func(w io.Writer) report.Recorder { return report.NewConnTraceWriter(w) }},
+		{"trace", *tracePath, func(w io.Writer) traceRecorder { return report.NewJSONLWriter(w) }},
+		{"conntrace", *connPath, func(w io.Writer) traceRecorder { return report.NewConnTraceWriter(w) }},
 	} {
 		if sink.path == "" {
 			continue
@@ -115,11 +150,12 @@ func run(args []string) error {
 		if ferr != nil {
 			return ferr
 		}
-		defer f.Close()
-		cfg.Observers = append(cfg.Observers, obs.Record(sink.make(f)))
-		haveTrace = true
+		rec := sink.make(f)
+		outputs = append(outputs, output{sink.name, f, rec.Err})
+		cfg.Observers = append(cfg.Observers, obs.Record(rec))
 	}
-	if haveTrace {
+	var stats *report.ContactStats
+	if *tracePath != "" || *connPath != "" {
 		stats = report.NewContactStats()
 		cfg.Observers = append(cfg.Observers, obs.Record(stats))
 	}
@@ -128,10 +164,10 @@ func run(args []string) error {
 		return err
 	}
 	if jsonlSink != nil {
-		defer jsonlFile.Close()
+		outputs = append(outputs, output{"obs export", jsonlFile, jsonlSink.Err})
 		cfg.Observers = append(cfg.Observers, jsonlSink)
 	}
-	if engineFlags.Heartbeat > 0 {
+	if *heartbeat > 0 {
 		cfg.Observers = append(cfg.Observers, obs.NewLogSink(os.Stderr))
 	}
 
@@ -155,11 +191,6 @@ func run(args []string) error {
 	if stats != nil {
 		fmt.Printf("contacts:   %d completed, mean duration %v\n",
 			stats.Completed(), stats.MeanDuration().Round(time.Second))
-	}
-	if jsonlSink != nil {
-		if werr := jsonlSink.Err(); werr != nil {
-			return fmt.Errorf("obs export: %w", werr)
-		}
 	}
 	return nil
 }

@@ -37,6 +37,25 @@ func TestRunTinySimulation(t *testing.T) {
 	}
 }
 
+// TestRunFailsOnUnwritableTrace pins that a trace the run could not write
+// fails the command instead of leaving a silently empty file.
+func TestRunFailsOnUnwritableTrace(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, output := range []string{"trace", "conntrace"} {
+		t.Run(output, func(t *testing.T) {
+			err := run([]string{"-nodes", "15", "-area", "0.15", "-duration", "10m", "-" + output, "/dev/full"})
+			if err == nil {
+				t.Fatalf("run with -%s /dev/full succeeded", output)
+			}
+			if !strings.Contains(err.Error(), output+":") {
+				t.Errorf("error %q does not name the -%s output", err, output)
+			}
+		})
+	}
+}
+
 func TestRunObservabilityExport(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "obs.jsonl")

@@ -92,9 +92,10 @@ func analyseConn(path string, out io.Writer) error {
 	if interContact.N() > 0 {
 		fmt.Fprintf(out, "inter-contact time (s): %s\n", interContact.String())
 	}
+	// Ties go to the lowest ID, so the line does not depend on map order.
 	var busiest, busiestN int
 	for id, n := range perNode {
-		if n > busiestN {
+		if n > busiestN || n == busiestN && id < busiest {
 			busiest, busiestN = id, n
 		}
 	}

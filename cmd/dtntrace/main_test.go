@@ -36,6 +36,30 @@ func TestAnalyseConn(t *testing.T) {
 	}
 }
 
+// TestAnalyseConnBusiestTie pins the busiest-node tie-break: four nodes
+// with two contacts each must name the lowest ID every time, whatever
+// order the per-node map iterates in.
+func TestAnalyseConnBusiestTie(t *testing.T) {
+	path := writeFile(t, "tie.conntrace", `10.0 CONN 0 1 up
+20.0 CONN 0 1 down
+10.0 CONN 2 3 up
+20.0 CONN 2 3 down
+30.0 CONN 1 2 up
+40.0 CONN 1 2 down
+30.0 CONN 0 3 up
+40.0 CONN 0 3 down
+`)
+	for i := 0; i < 20; i++ {
+		var out bytes.Buffer
+		if err := run([]string{"-conn", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "busiest node: n0 with 2 contacts") {
+			t.Fatalf("analysis %d did not name n0:\n%s", i, out.String())
+		}
+	}
+}
+
 func TestAnalyseEvents(t *testing.T) {
 	path := writeFile(t, "run.jsonl", `{"atMillis":1000,"kind":"CREATE","a":1,"msg":"n1-m1"}
 {"atMillis":5000,"kind":"RELAY","a":1,"b":2,"msg":"n1-m1"}

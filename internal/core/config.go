@@ -123,28 +123,6 @@ func (m ReputationModel) String() string {
 type Config struct {
 	// Seed drives every random stream in the run.
 	Seed int64
-	// ContactSkin tunes kinetic contact detection: the conservative slack,
-	// in metres, added to the radio range when the engine snapshots its
-	// candidate pair list. The list stays valid until worst-case node
-	// displacement (2·maxSpeed·elapsed) reaches the skin, so each tick does
-	// only exact distance checks over the candidates instead of a full grid
-	// scan — with byte-identical contact events (see DESIGN.md "Kinetic
-	// contact detection"). Zero picks the automatic default (a quarter of
-	// the radio range); a negative value disables the kinetic path
-	// entirely, restoring the per-tick scan. The path also disables itself
-	// when any node's mobility model is not mobility.SpeedBounded.
-	ContactSkin float64
-	// TableCap bounds each node's RTSR interest table to this many live
-	// rows (top-k): an insert that pushes a table past the cap immediately
-	// evicts its weakest transient row — smallest time-decayed weight, ties
-	// to the lowest interned keyword ID — while user-declared direct rows
-	// are never evicted (a node subscribed to more than TableCap keywords
-	// keeps exactly those). Zero, the default, keeps tables unbounded and is
-	// bit-identical to the historical behaviour; a positive cap models the
-	// bounded per-device state real DTN hardware gives the RTSR scheme and
-	// keeps dense-network tables within a few cache lines. Traces diverge
-	// from the unbounded run only when the cap actually evicts a row.
-	TableCap int
 	// Step is the tick granularity.
 	Step time.Duration
 	// Duration is the simulated time span (Table 5.1: 24 h).
@@ -246,8 +224,6 @@ func DefaultConfig() Config {
 // Validate checks the configuration end to end.
 func (c Config) Validate() error {
 	switch {
-	case c.TableCap < 0:
-		return fmt.Errorf("core: table cap must be non-negative, got %d", c.TableCap)
 	case c.Step <= 0:
 		return fmt.Errorf("core: step must be positive, got %v", c.Step)
 	case c.Duration <= 0:
@@ -289,21 +265,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// resolvedSkin is the kinetic contact-detection skin after defaulting:
-// negative disables the path (zero skin), zero picks the automatic quarter
-// of the radio range. The engine may still force the skin to zero at build
-// time when a mobility model has no speed bound.
-func (c Config) resolvedSkin() float64 {
-	switch {
-	case c.ContactSkin < 0:
-		return 0
-	case c.ContactSkin == 0:
-		return c.Radio.Range / 4
-	default:
-		return c.ContactSkin
-	}
 }
 
 // bufferPolicy maps the config to an eviction policy. Priority-aware

@@ -68,7 +68,8 @@ type Engine struct {
 	// distance checks. kinTraveled accumulates the worst case closing
 	// displacement 2·kinMaxSpeed·step per tick; once it exceeds kinSkin the
 	// candidates can no longer be trusted and the grid is rescanned.
-	// kinSkin == 0 disables the path (full scan every tick).
+	// kinSkin is a quarter of the radio range; 0 disables the path (full
+	// scan every tick) when a mobility model has no speed bound.
 	kinSkin     float64
 	kinMaxSpeed float64
 	kinTraveled float64
@@ -194,10 +195,6 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		// materialize the time-decayed weight instead of relying on eager
 		// per-round sweeps (DESIGN.md "Lazy-decay interest tables").
 		n.table.SetClock(runner.Clock())
-		// Zero cap keeps the table unbounded; a positive cap bounds it to
-		// the top-k rows by materialized weight (DESIGN.md "Exchange rounds
-		// & bounded tables").
-		n.table.SetCap(cfg.TableCap)
 		e.nodes = append(e.nodes, n)
 		n.lastPos = n.model.Position()
 		e.grid.Upsert(id, n.lastPos)
@@ -207,19 +204,17 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 			e.honest = append(e.honest, id)
 		}
 	}
-	e.kinSkin = cfg.resolvedSkin()
-	if e.kinSkin > 0 {
-		for _, n := range e.nodes {
-			sb, ok := n.model.(mobility.SpeedBounded)
-			if !ok {
-				// One unbounded model poisons the displacement bound for
-				// every pair it could participate in; fall back wholesale.
-				e.kinSkin = 0
-				break
-			}
-			if s := sb.MaxSpeed(); s > e.kinMaxSpeed {
-				e.kinMaxSpeed = s
-			}
+	e.kinSkin = cfg.Radio.Range / 4
+	for _, n := range e.nodes {
+		sb, ok := n.model.(mobility.SpeedBounded)
+		if !ok {
+			// One unbounded model poisons the displacement bound for every
+			// pair it could participate in; fall back wholesale.
+			e.kinSkin = 0
+			break
+		}
+		if s := sb.MaxSpeed(); s > e.kinMaxSpeed {
+			e.kinMaxSpeed = s
 		}
 	}
 	if cfg.ContactTrace != nil {
@@ -808,12 +803,3 @@ func (e *Engine) progressContacts(now time.Duration) {
 	}
 	e.chargePhase(obs.PhaseExchange)
 }
-
-// KineticContacts reports whether kinetic contact detection is active —
-// false when the configuration disabled it (negative ContactSkin) or a
-// mobility model without a speed bound forced the per-tick scan.
-func (e *Engine) KineticContacts() bool { return e.kinSkin > 0 }
-
-// ContactSkin reports the resolved kinetic skin in metres; 0 means the
-// kinetic path is disabled.
-func (e *Engine) ContactSkin() float64 { return e.kinSkin }

@@ -16,7 +16,7 @@ import (
 // kineticMixConfig builds a small dense scenario for the per-tick
 // equivalence property: enough nodes and little enough area that contacts
 // churn constantly, with background workload on so the full engine runs.
-func kineticMixConfig(t *testing.T, seed int64, skin float64) Config {
+func kineticMixConfig(t *testing.T, seed int64) Config {
 	t.Helper()
 	vocab, err := enrich.NewVocabulary(20)
 	if err != nil {
@@ -24,7 +24,6 @@ func kineticMixConfig(t *testing.T, seed int64, skin float64) Config {
 	}
 	cfg := DefaultConfig()
 	cfg.Seed = seed
-	cfg.ContactSkin = skin
 	cfg.Area = world.Rect{Width: 600, Height: 600}
 	cfg.Duration = 24 * time.Hour // stepped manually
 	cfg.Workload = DefaultWorkload(vocab)
@@ -99,14 +98,16 @@ func mixSpecs(t *testing.T, mix string, nodes int, bounds world.Rect, seed int64
 // candidate-filter pair set (what updateContacts consumed, left in
 // pairScratch) must equal a fresh full Grid.Pairs scan at every single
 // tick — incremental ≡ full detection, over thousands of ticks, across
-// skins and the disabled fallback.
+// skins and the disabled fallback. The skin is always a quarter of the
+// radio range in a real run; the cases that widen or shrink it set kinSkin
+// directly before the first step.
 func TestKineticMatchesFullDetection(t *testing.T) {
 	const nodes = 40
 	cases := []struct {
 		mix     string
 		seed    int64
-		skin    float64 // Config.ContactSkin: 0 auto, >0 explicit
-		kinetic bool    // expected KineticContacts state
+		skin    float64 // kinSkin override in metres; 0 keeps the engine's
+		kinetic bool    // expected kinetic state as built (kinSkin > 0)
 		ticks   int
 	}{
 		{mix: "stationary-heavy", seed: 1, skin: 0, kinetic: true, ticks: 1200},
@@ -129,14 +130,17 @@ func TestKineticMatchesFullDetection(t *testing.T) {
 		tc := tc
 		name := tc.mix + "/" + map[bool]string{true: "kinetic", false: "fallback"}[tc.kinetic]
 		t.Run(name, func(t *testing.T) {
-			cfg := kineticMixConfig(t, tc.seed, tc.skin)
+			cfg := kineticMixConfig(t, tc.seed)
 			specs := mixSpecs(t, tc.mix, nodes, cfg.Area, tc.seed)
 			eng, err := NewEngine(cfg, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eng.KineticContacts() != tc.kinetic {
-				t.Fatalf("KineticContacts = %v, want %v", eng.KineticContacts(), tc.kinetic)
+			if got := eng.kinSkin > 0; got != tc.kinetic {
+				t.Fatalf("kinetic = %v, want %v", got, tc.kinetic)
+			}
+			if tc.skin > 0 {
+				eng.kinSkin = tc.skin
 			}
 			ctx := context.Background()
 			var want []world.Pair
@@ -171,34 +175,11 @@ func TestKineticMatchesFullDetection(t *testing.T) {
 	}
 }
 
-// TestKineticDisabledBySkin pins the off switch: a negative ContactSkin
-// forces the historical per-tick scan even for fully speed-bounded
-// populations.
-func TestKineticDisabledBySkin(t *testing.T) {
-	cfg := kineticMixConfig(t, 9, -1)
-	eng, err := NewEngine(cfg, mixSpecs(t, "pedestrian", 10, cfg.Area, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.KineticContacts() {
-		t.Fatal("negative ContactSkin must disable kinetic detection")
-	}
-	if eng.ContactSkin() != 0 {
-		t.Fatalf("resolved skin = %v, want 0", eng.ContactSkin())
-	}
-	if err := eng.RunFor(context.Background(), 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if r := eng.Snapshot().Counter("candidate_rebuilds"); r != 0 {
-		t.Fatalf("disabled path recorded %d rebuilds", r)
-	}
-}
-
 // TestKineticStationaryScansOnce pins the optimization's best case: an
 // all-stationary network accumulates no displacement, so the candidate list
 // is built exactly once for the whole run.
 func TestKineticStationaryScansOnce(t *testing.T) {
-	cfg := kineticMixConfig(t, 12, 0)
+	cfg := kineticMixConfig(t, 12)
 	rng := sim.NewRNG(12).Fork("pins")
 	specs := make([]NodeSpec, 30)
 	for i := range specs {
@@ -210,7 +191,7 @@ func TestKineticStationaryScansOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.KineticContacts() {
+	if eng.kinSkin <= 0 {
 		t.Fatal("all-stationary network must run kinetically")
 	}
 	if err := eng.RunFor(context.Background(), 5*time.Minute); err != nil {

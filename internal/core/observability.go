@@ -28,7 +28,6 @@ import (
 // Snapshot.Sub carries the later value through instead of differencing):
 //
 //	table_rows_live      live interest rows summed over every node's table
-//	table_evictions_cap  rows evicted by the TableCap top-k bound
 //	table_compactions    dense-slice compactions after eviction sweeps
 //	contacts_live        contacts currently up (open and refused records)
 //	contact_pool_free    contacts parked in the lifecycle arena free list
@@ -50,20 +49,13 @@ func (e *Engine) initObservability(cfg Config) {
 	e.ctrSamples = e.reg.Counter("rating_samples")
 	e.ctrSweep = e.reg.Counter("interest_sweeps")
 	e.ctrEvict = e.reg.Counter("interest_evictions")
-	// The interest tables own the occupancy and cap/compaction counters;
+	// The interest tables own the occupancy and compaction counters;
 	// the gauges sample them at snapshot time. The closures read e.nodes
 	// live, so registering before the node loop is fine.
 	e.reg.Gauge("table_rows_live", func() uint64 {
 		var sum uint64
 		for _, n := range e.nodes {
 			sum += uint64(n.table.Len())
-		}
-		return sum
-	})
-	e.reg.Gauge("table_evictions_cap", func() uint64 {
-		var sum uint64
-		for _, n := range e.nodes {
-			sum += n.table.CapEvictions()
 		}
 		return sum
 	})

@@ -184,9 +184,10 @@ func (o observerFunc) Event(report.Event) { *o.order = append(*o.order, o.name) 
 
 // TestEngineSnapshotAccessorsDelegate pins the snapshot as the engine's
 // single observability surface: the engine's own position accessor agrees
-// with it, the kinetic rebuild count is read from its counters, and a
-// mobility run accrues time in every phase without the phase sum passing
-// the wall clock.
+// with it, the kinetic rebuild count is read from its counters, the table
+// gauges agree with the interest tables they sample, and a mobility run
+// accrues time in every phase without the phase sum passing the wall
+// clock.
 func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	cfg, specs := obsTestConfig(t)
 	eng, err := core.NewEngine(cfg, specs)
@@ -202,6 +203,17 @@ func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	}
 	if snap.Counter("candidate_rebuilds") == 0 {
 		t.Error("kinetic detection never rebuilt its candidate list")
+	}
+	var rows, compactions uint64
+	for _, n := range eng.Nodes() {
+		rows += uint64(n.Interests().Len())
+		compactions += n.Interests().Compactions()
+	}
+	if got := snap.Counter("table_rows_live"); got != rows || rows == 0 {
+		t.Errorf("table_rows_live gauge = %d, tables hold %d", got, rows)
+	}
+	if got := snap.Counter("table_compactions"); got != compactions {
+		t.Errorf("table_compactions gauge = %d, tables counted %d", got, compactions)
 	}
 	// A mobility run spends time in every phase.
 	for _, name := range obs.PhaseNames() {

@@ -41,14 +41,12 @@ func kernelGoldenSpec(scheme core.Scheme) scenario.Spec {
 	return spec
 }
 
-// renderKernelGolden runs one scheme with the given contact skin (0 = the
-// automatic kinetic default, negative = kinetic detection off) and formats
-// every figure-feeding observable deterministically. The skin does not
-// appear in the output: any skin must reproduce the same bytes. Extra no-op
-// observers may be attached; they must never change the bytes either.
-func renderKernelGolden(t *testing.T, scheme core.Scheme, skin float64, extra ...obs.Observer) string {
+// renderKernelGolden runs one scheme and formats every figure-feeding
+// observable deterministically. Extra no-op observers may be attached;
+// they must never change the bytes.
+func renderKernelGolden(t *testing.T, scheme core.Scheme, extra ...obs.Observer) string {
 	t.Helper()
-	out, err := kernelGolden(t.Context(), scheme, skin, extra...)
+	out, err := kernelGolden(t.Context(), scheme, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +55,12 @@ func renderKernelGolden(t *testing.T, scheme core.Scheme, skin float64, extra ..
 
 // kernelGolden is renderKernelGolden reporting errors instead of failing
 // the test, so pool jobs off the test goroutine can render too.
-func kernelGolden(ctx context.Context, scheme core.Scheme, skin float64, extra ...obs.Observer) (string, error) {
+func kernelGolden(ctx context.Context, scheme core.Scheme, extra ...obs.Observer) (string, error) {
 	spec := kernelGoldenSpec(scheme)
 	cfg, nodes, err := scenario.Build(spec)
 	if err != nil {
 		return "", err
 	}
-	cfg.ContactSkin = skin
 	var trace report.Buffer
 	cfg.Observers = append([]obs.Observer{obs.Record(&trace)}, extra...)
 	eng, err := core.NewEngine(cfg, nodes)
@@ -121,7 +118,7 @@ func TestKernelByteIdenticalToPollingSeed(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-		b.WriteString(renderKernelGolden(t, scheme, 0))
+		b.WriteString(renderKernelGolden(t, scheme))
 	}
 	got := b.String()
 
@@ -171,7 +168,7 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 				scheme := schemes[i%len(schemes)]
 				g.submit(kernelGoldenSpec(scheme).Duration.Seconds(), func(ctx context.Context) error {
 					var err error
-					out[i], err = kernelGolden(ctx, scheme, 0)
+					out[i], err = kernelGolden(ctx, scheme)
 					return err
 				})
 			}
@@ -183,43 +180,6 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 					t.Errorf("copy %d of %d diverged from the golden\n--- got ---\n%s\n--- want ---\n%s",
 						c/len(schemes)+1, len(out)/len(schemes), got, want)
 				}
-			}
-		})
-	}
-}
-
-// TestKineticContactsByteIdentical is kinetic contact detection's
-// determinism guard: the golden scenario with the kinetic path forced on
-// (an explicit, non-default 40 m skin) and forced off (negative skin — the
-// historical per-tick scan) must reproduce the recorded golden byte for
-// byte. The candidate list is a conservative superset filtered by the same
-// inclusive distance checks the full scan runs, so no contact-up or
-// contact-down instant may shift by even one tick.
-func TestKineticContactsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-hour determinism runs skipped in -short mode")
-	}
-	goldenPath := filepath.Join("testdata", "kernel_default.golden")
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with -update-kernel-golden): %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		skin float64
-	}{
-		{"kinetic-on", 40},
-		{"kinetic-off", -1},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			var b strings.Builder
-			for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-				b.WriteString(renderKernelGolden(t, scheme, tc.skin))
-			}
-			if got := b.String(); got != string(want) {
-				t.Errorf("%s output diverged from the golden\n--- got ---\n%s\n--- want ---\n%s", tc.name, got, want)
 			}
 		})
 	}
@@ -253,7 +213,7 @@ func TestObserverLeavesGoldenByteIdentical(t *testing.T) {
 	var passive countingObserver
 	var b strings.Builder
 	for _, scheme := range []core.Scheme{core.SchemeIncentive, core.SchemeChitChat} {
-		b.WriteString(renderKernelGolden(t, scheme, 0, &passive))
+		b.WriteString(renderKernelGolden(t, scheme, &passive))
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("attaching a no-op observer changed the golden output\n--- got ---\n%s\n--- want ---\n%s", got, want)

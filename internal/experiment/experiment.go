@@ -39,15 +39,6 @@ type Profile struct {
 	MeanMessageInterval time.Duration
 	// Step is the tick granularity.
 	Step time.Duration
-	// TableCap bounds each node's RTSR interest table to this many live
-	// rows (scenario.Spec TableCap); zero keeps tables unbounded and the
-	// figures bit-identical to historical runs.
-	TableCap int
-	// ContactSkin sets each run's kinetic contact-detection skin in metres
-	// (scenario.Spec ContactSkin); zero picks the engine default, negative
-	// forces the full per-tick scan. Results are byte-identical at any
-	// value.
-	ContactSkin float64
 }
 
 // The standard profiles. All keep the paper's density of 100 nodes/km².
@@ -107,8 +98,6 @@ func (p Profile) baseSpec(scheme core.Scheme) scenario.Spec {
 	spec.Duration = p.Duration
 	spec.MeanMessageInterval = p.MeanMessageInterval
 	spec.Step = p.Step
-	spec.TableCap = p.TableCap
-	spec.ContactSkin = p.ContactSkin
 	return spec
 }
 

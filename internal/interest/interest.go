@@ -128,15 +128,8 @@ type Table struct {
 	// words of mutually saturated rows without loading their weights.
 	sat bitset
 
-	// capRows bounds the live row count (0 = unlimited): when an insert
-	// pushes count past it, the transient row with the smallest materialized
-	// weight is evicted (ties to the lowest interned ID). Direct rows are
-	// never evicted, so count ≤ max(capRows, direct rows). capEvictions and
-	// compactions count cap-driven removals and dense-tail truncations for
-	// the engine's gauges.
-	capRows      int
-	capEvictions uint64
-	compactions  uint64
+	// compactions counts dense-tail truncations for the engine's gauge.
+	compactions uint64
 
 	// nextDeath is a conservative lower bound on the earliest time any
 	// transient row can decay below PruneBelow. The exchange round sweeps
@@ -183,22 +176,6 @@ func (t *Table) Interner() *Interner { return t.in }
 // eager behaviour.
 func (t *Table) SetClock(c Clock) { t.clock = c }
 
-// SetCap bounds the table to at most n live rows; 0 (the default) keeps the
-// historical unlimited behaviour and is bit-identical to it — the cap path
-// is a single comparison on insert. With a positive cap, any insert that
-// pushes the row count past n immediately evicts the weakest transient row
-// (smallest materialized weight, ties to the lowest interned ID). Direct
-// rows are exempt, so a table whose direct subscriptions alone exceed the
-// cap holds exactly those.
-func (t *Table) SetCap(n int) { t.capRows = n }
-
-// Cap returns the configured row bound (0 = unlimited).
-func (t *Table) Cap() int { return t.capRows }
-
-// CapEvictions returns how many rows the cap has evicted over the table's
-// lifetime (always 0 while unlimited).
-func (t *Table) CapEvictions() uint64 { return t.capEvictions }
-
 // Compactions returns how many times the dense row storage was truncated to
 // its live extent after evictions emptied the tail.
 func (t *Table) Compactions() uint64 { return t.compactions }
@@ -229,9 +206,6 @@ func (t *Table) insertRow(id int32, w float64, direct bool, at time.Duration, fr
 	t.lastShared[id] = at
 	t.source[id] = from
 	t.count++
-	if t.capRows > 0 && t.count > t.capRows {
-		t.evictOverCap(at)
-	}
 }
 
 // removeRow evicts a row, zeroing its payload slots.
@@ -246,33 +220,6 @@ func (t *Table) removeRow(id int32) {
 	t.lastShared[id] = 0
 	t.source[id] = ident.Nobody
 	t.count--
-}
-
-// evictOverCap restores the row-count bound after an insert pushed past it:
-// one walk over the transient rows (the same materialized-weight arithmetic
-// the eviction sweeps use) finds the weakest row — smallest time-decayed
-// weight, ties to the lowest interned ID — and removes it. The freshly
-// inserted row is a candidate like any other, so a weak arrival evicts
-// itself. When every row is direct the cap yields: declared subscriptions
-// are user state the table must not silently drop.
-func (t *Table) evictOverCap(now time.Duration) {
-	victim := int32(-1)
-	best := math.Inf(1)
-	for wi, w := range t.present {
-		m := w &^ t.direct.word(wi)
-		for m != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(m))
-			m &= m - 1
-			if mw := t.materialized(id, now); mw < best {
-				best, victim = mw, id
-			}
-		}
-	}
-	if victim < 0 {
-		return
-	}
-	t.removeRow(victim)
-	t.capEvictions++
 }
 
 // maybeCompact truncates the dense SoA extent after evictions emptied its

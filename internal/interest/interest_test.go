@@ -1,6 +1,7 @@
 package interest
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -466,5 +467,55 @@ func TestWeightsAlwaysInRange(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompactionTruncatesAfterPrune locks the row-compaction path: a sweep
+// that prunes the high-ID tail of a table must shrink the dense slices (the
+// compactions counter moves), and the compacted table must keep serving
+// reads and re-acquisitions of IDs past the truncated extent.
+func TestCompactionTruncatesAfterPrune(t *testing.T) {
+	params := DefaultParams()
+	in := NewInterner()
+	tab, err := NewTable(params, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One durable direct row at interned ID 0, then a long transient tail
+	// spanning several bitset words.
+	tab.DeclareDirect("kept", 0)
+	tab.SetWeight("kept", 0.9)
+	for i := 0; i < 300; i++ {
+		kw := fmt.Sprintf("tail%d", i)
+		tab.Acquire(kw, 1, 0)
+		tab.SetWeight(kw, 0.4)
+	}
+	// Deep decay prunes every transient (direct rows only approach 0.5),
+	// which leaves word 0 as the highest occupied word out of five.
+	tab.Decay(1000*time.Second, nil)
+	if tab.Len() != 1 {
+		t.Fatalf("len after deep decay = %d, want 1", tab.Len())
+	}
+	if tab.Compactions() == 0 {
+		t.Fatal("prune left occupancy at 1/301 rows but no compaction ran")
+	}
+	if !tab.HasDirect("kept") {
+		t.Fatal("compaction lost the surviving direct row")
+	}
+	if w := tab.Weight("kept"); w < 0.5 || w > 0.9 {
+		t.Errorf("surviving weight = %v, want within (0.5, 0.9]", w)
+	}
+	// Reads of truncated-extent IDs are absent, not out-of-range.
+	if tab.Has("tail299") {
+		t.Error("pruned tail row still present after compaction")
+	}
+	// Re-acquiring a high-ID keyword regrows the slices.
+	tab.Acquire("tail299", 2, 1001*time.Second)
+	tab.SetWeight("tail299", 0.7)
+	if !tab.Has("tail299") || tab.Weight("tail299") != 0.7 {
+		t.Error("re-acquisition past the compacted extent failed")
+	}
+	if tab.Len() != 2 {
+		t.Errorf("len after re-acquisition = %d, want 2", tab.Len())
 	}
 }

@@ -26,7 +26,6 @@ func cloneTable(t *Table) *Table {
 		nextDeath:    t.nextDeath,
 		invBeta:      t.invBeta,
 		invBetaTheta: t.invBetaTheta,
-		capRows:      t.capRows,
 	}
 }
 

@@ -29,11 +29,13 @@ func FuzzSpecJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{"area_km2":1e12}`,
 		`{"area_km2":1e300}`,
+		// Huge skins once overflowed the grid's neighbour reach; the key is
+		// retired and must now be ignored.
 		`{"contact_skin":1e300}`,
 		`{"contact_skin":1e12}`,
-		// A body written against older specs, whose parallelism keys are
-		// gone and must be ignored.
-		`{"nodes":50,"area_km2":0.5,"workers":2,"regions":4}`,
+		// A body written against older specs, whose parallelism, table-cap
+		// and skin keys are gone and must be ignored.
+		`{"nodes":50,"area_km2":0.5,"workers":2,"regions":4,"table_cap":64,"contact_skin":12.5}`,
 	} {
 		f.Add([]byte(seed))
 	}

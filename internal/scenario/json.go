@@ -69,8 +69,6 @@ type specJSON struct {
 	CommanderPercent    int         `json:"commander_percent"`
 	Scheme              core.Scheme `json:"scheme"`
 	Seed                int64       `json:"seed"`
-	TableCap            int         `json:"table_cap"`
-	ContactSkin         float64     `json:"contact_skin"`
 	Heartbeat           flexDur     `json:"heartbeat"`
 	Duration            flexDur     `json:"duration"`
 	AreaKm2             float64     `json:"area_km2"`
@@ -99,8 +97,6 @@ func (s Spec) shadow() specJSON {
 		CommanderPercent:    s.CommanderPercent,
 		Scheme:              s.Scheme,
 		Seed:                s.Seed,
-		TableCap:            s.TableCap,
-		ContactSkin:         s.ContactSkin,
 		Heartbeat:           flexDur(s.Heartbeat),
 		Duration:            flexDur(s.Duration),
 		AreaKm2:             s.AreaKm2,
@@ -129,8 +125,6 @@ func (s *Spec) fromShadow(w specJSON) {
 	s.CommanderPercent = w.CommanderPercent
 	s.Scheme = w.Scheme
 	s.Seed = w.Seed
-	s.TableCap = w.TableCap
-	s.ContactSkin = w.ContactSkin
 	s.Heartbeat = time.Duration(w.Heartbeat)
 	s.Duration = time.Duration(w.Duration)
 	s.AreaKm2 = w.AreaKm2
@@ -157,7 +151,9 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler with merge semantics: fields
 // absent from the JSON keep the receiver's current values, so decoding a
-// partial body onto Default(...) layers overrides over defaults.
+// partial body onto Default(...) layers overrides over defaults. Unknown
+// keys are ignored, so bodies carrying retired knobs ("workers",
+// "regions", "table_cap", "contact_skin") still decode.
 func (s *Spec) UnmarshalJSON(b []byte) error {
 	w := s.shadow()
 	if err := json.Unmarshal(b, &w); err != nil {

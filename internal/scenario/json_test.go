@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"encoding/json"
-	"flag"
 	"reflect"
 	"testing"
 	"time"
@@ -19,8 +18,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	orig.ClassSplit = true
 	orig.CommanderPercent = 5
 	orig.Seed = 7
-	orig.TableCap = 64
-	orig.ContactSkin = 12.5
 	orig.Heartbeat = 200 * time.Millisecond
 	orig.Duration = 90 * time.Minute
 	orig.AreaKm2 = 0.5
@@ -48,9 +45,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 func TestSpecJSONMergesOntoReceiver(t *testing.T) {
 	spec := Default(core.SchemeIncentive)
-	// "workers" and "regions" are retired keys from older specs: bodies
-	// that still carry them must decode, ignoring them.
-	body := []byte(`{"nodes": 50, "duration": "2h", "scheme": "chitchat", "selfish_percent": 30, "workers": 2, "regions": 4}`)
+	// "workers", "regions", "table_cap" and "contact_skin" are retired keys
+	// from older specs: bodies that still carry them must decode, ignoring
+	// them.
+	body := []byte(`{"nodes": 50, "duration": "2h", "scheme": "chitchat", "selfish_percent": 30, "workers": 2, "regions": 4, "table_cap": 64, "contact_skin": 12.5}`)
 	if err := json.Unmarshal(body, &spec); err != nil {
 		t.Fatal(err)
 	}
@@ -122,28 +120,14 @@ func TestSpecJSONCoversEveryField(t *testing.T) {
 	_ = missing
 }
 
-func TestEngineFlagsApply(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	ef := BindEngineFlags(fs)
-	if err := fs.Parse([]string{"-tablecap", "128", "-skin", "25", "-heartbeat", "5s"}); err != nil {
-		t.Fatal(err)
-	}
+func TestBuildThreadsHeartbeat(t *testing.T) {
 	spec := Default(core.SchemeIncentive)
-	ef.Apply(&spec)
-	if spec.TableCap != 128 || spec.ContactSkin != 25 || spec.Heartbeat != 5*time.Second {
-		t.Errorf("flags not threaded: %+v", spec)
-	}
-}
-
-func TestBuildThreadsSkinAndHeartbeat(t *testing.T) {
-	spec := Default(core.SchemeIncentive)
-	spec.ContactSkin = 33
 	spec.Heartbeat = 7 * time.Second
 	cfg, _, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ContactSkin != 33 || cfg.Heartbeat != 7*time.Second {
-		t.Errorf("Build dropped skin/heartbeat: skin=%v heartbeat=%v", cfg.ContactSkin, cfg.Heartbeat)
+	if cfg.Heartbeat != 7*time.Second {
+		t.Errorf("Build dropped heartbeat: %v", cfg.Heartbeat)
 	}
 }

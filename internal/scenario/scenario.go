@@ -45,15 +45,6 @@ type Spec struct {
 	Scheme core.Scheme
 	// Seed drives population sampling and the run.
 	Seed int64
-	// TableCap bounds each node's RTSR interest table to this many live
-	// rows, evicting the lowest-weight transient row on overflow
-	// (core.Config TableCap). Zero keeps tables unbounded — bit-identical
-	// to historical runs.
-	TableCap int
-	// ContactSkin sets the kinetic contact-detection skin in metres
-	// (core.Config ContactSkin): zero picks the engine default, negative
-	// disables the kinetic path. Any value produces byte-identical results.
-	ContactSkin float64
 	// Heartbeat sets the wall-clock interval between observer heartbeat
 	// snapshots (core.Config Heartbeat); zero disables them. Heartbeats
 	// never perturb the run itself.
@@ -141,8 +132,6 @@ func Build(spec Spec) (core.Config, []core.NodeSpec, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = spec.Seed
-	cfg.TableCap = spec.TableCap
-	cfg.ContactSkin = spec.ContactSkin
 	cfg.Heartbeat = spec.Heartbeat
 	cfg.Scheme = spec.Scheme
 	cfg.Workload = core.DefaultWorkload(vocab)

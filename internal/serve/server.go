@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"dtnsim/internal/core"
@@ -20,7 +21,7 @@ import (
 //	DELETE /runs/{id}           cancel if active, forget, drop its spool
 //	POST   /runs/{id}/start     queue for execution (409 on double start)
 //	POST   /runs/{id}/cancel    stop a queued or running run
-//	POST   /runs/{id}/workload  {"mean_message_interval": "2m"} mid-run
+//	POST   /runs/{id}/workload  {"mean_message_interval": "2m"} mid-run (required; "0s" pauses)
 //	GET    /runs/{id}/stream    SSE: run_start / heartbeat / run_end / end
 //	GET    /runs/{id}/trace     download the spooled JSONL event trace
 //
@@ -199,10 +200,27 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Decode through Spec so the duration accepts both wire forms; only
-	// mean_message_interval is meaningful here.
+	raw, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeErr(w, fmt.Errorf("serve: bad request body: %w", err))
+		return
+	}
+	// The interval is required: a body without it would decode as 0s,
+	// which pauses generation. An explicit "0s" still does.
+	var present struct {
+		MeanMessageInterval json.RawMessage `json:"mean_message_interval"`
+	}
+	if err := json.Unmarshal(raw, &present); err != nil {
+		writeErr(w, fmt.Errorf("serve: bad request body: %w", err))
+		return
+	}
+	if present.MeanMessageInterval == nil {
+		writeErr(w, fmt.Errorf("serve: bad request body: mean_message_interval is required"))
+		return
+	}
+	// Decode through Spec so the duration accepts both wire forms.
 	var body scenario.Spec
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.Unmarshal(raw, &body); err != nil {
 		writeErr(w, fmt.Errorf("serve: bad request body: %w", err))
 		return
 	}

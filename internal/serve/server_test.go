@@ -340,6 +340,41 @@ func TestHTTPWorkloadBeforeStart(t *testing.T) {
 		map[string]any{"mean_message_interval": "2m"}, http.StatusConflict, nil)
 }
 
+// TestHTTPWorkloadRequiresInterval pins that a workload body without
+// mean_message_interval — empty, or with the key misspelled — is a 400 that
+// leaves a running run's interval alone, instead of reading as 0s and
+// silently halting message generation. An explicit "0s" still pauses.
+func TestHTTPWorkloadRequiresInterval(t *testing.T) {
+	_, srv := newTestServer(t, 1)
+	var created Status
+	doJSON(t, http.MethodPost, srv.URL+"/runs", map[string]any{
+		"spec": map[string]any{
+			"nodes": 120, "keyword_pool": 40, "interests_per_node": 5,
+			"area_km2": 1.5, "duration": "24h", "mean_message_interval": "45m",
+		},
+	}, http.StatusCreated, &created)
+	const want = 45 * time.Minute
+	doJSON(t, http.MethodPost, srv.URL+"/runs/"+created.ID+"/start", nil, http.StatusAccepted, nil)
+	waitHTTPState(t, srv.URL, created.ID, StateRunning)
+
+	url := srv.URL + "/runs/" + created.ID + "/workload"
+	for _, body := range []string{`{}`, `{"mean_interval":"2m"}`} {
+		doJSON(t, http.MethodPost, url, json.RawMessage(body), http.StatusBadRequest, nil)
+	}
+	var st Status
+	doJSON(t, http.MethodGet, srv.URL+"/runs/"+created.ID, nil, http.StatusOK, &st)
+	if st.Spec.MeanMessageInterval != want {
+		t.Fatalf("interval after rejected bodies = %v, want %v", st.Spec.MeanMessageInterval, want)
+	}
+
+	doJSON(t, http.MethodPost, url, json.RawMessage(`{"mean_message_interval":"0s"}`), http.StatusAccepted, &st)
+	if st.Spec.MeanMessageInterval != 0 {
+		t.Fatalf("explicit 0s left the interval at %v", st.Spec.MeanMessageInterval)
+	}
+	doJSON(t, http.MethodPost, srv.URL+"/runs/"+created.ID+"/cancel", nil, http.StatusAccepted, nil)
+	waitHTTPState(t, srv.URL, created.ID, StateCancelled)
+}
+
 func TestHTTPTraceConflictsBeforeFinish(t *testing.T) {
 	_, srv := newTestServer(t, 1)
 	var created Status

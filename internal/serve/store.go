@@ -249,24 +249,22 @@ func (s *Store) start(r *Run) error {
 	if err != nil {
 		return err
 	}
-	var traceFile *os.File
+	var sp *spool
 	if r.trace {
-		traceFile, err = os.CreateTemp(s.dir, "dtnserved-trace-*.jsonl")
+		f, err := os.CreateTemp(s.dir, "dtnserved-trace-*.jsonl")
 		if err != nil {
 			return err
 		}
+		sp = &spool{file: f, w: report.NewJSONLWriter(f)}
 		// The trace recorder is the first observer, exactly where the
 		// dtnsim CLI appends its -trace writer: the spooled JSONL is
 		// byte-identical to a CLI run of the same spec.
-		cfg.Observers = append(cfg.Observers, obs.Record(report.NewJSONLWriter(traceFile)))
+		cfg.Observers = append(cfg.Observers, obs.Record(sp.w))
 	}
 	cfg.Observers = append(cfg.Observers, r.hub)
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
-		if traceFile != nil {
-			traceFile.Close()
-			os.Remove(traceFile.Name())
-		}
+		sp.discard()
 		return err
 	}
 
@@ -275,10 +273,7 @@ func (s *Store) start(r *Run) error {
 	if r.state != StateCreated || r.deleted { // lost a start/delete race
 		r.mu.Unlock()
 		cancel()
-		if traceFile != nil {
-			traceFile.Close()
-			os.Remove(traceFile.Name())
-		}
+		sp.discard()
 		if r.deleted {
 			return ErrNotFound
 		}
@@ -288,12 +283,12 @@ func (s *Store) start(r *Run) error {
 	r.eng = eng
 	r.cancel = cancel
 	r.done = make(chan struct{})
-	if traceFile != nil {
-		r.tracePath = traceFile.Name()
+	if sp != nil {
+		r.tracePath = sp.file.Name()
 	}
 	r.mu.Unlock()
 
-	go s.execute(r, ctx, eng, spec, traceFile)
+	go s.execute(r, ctx, eng, spec, sp)
 	return nil
 }
 
@@ -307,9 +302,11 @@ func (s *Store) Start(id string) error {
 }
 
 // execute owns the run goroutine: it waits for a pool slot, drives the
-// engine to completion or cancellation through a core.RunHandle, records
-// the outcome, and finishes the SSE stream.
-func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scenario.Spec, traceFile *os.File) {
+// engine to completion or cancellation through a core.RunHandle, closes
+// the trace spool, records the outcome, and finishes the SSE stream. A
+// spool that failed to write or close fails a run that otherwise
+// completed.
+func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scenario.Spec, sp *spool) {
 	defer close(r.done)
 	simSeconds := spec.Duration.Seconds()
 	if simSeconds <= 0 {
@@ -327,6 +324,11 @@ func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scen
 		r.mu.Unlock()
 		return h.Err()
 	})
+	if sp != nil {
+		if serr := sp.close(); serr != nil && err == nil {
+			err = fmt.Errorf("serve: trace spool: %w", serr)
+		}
+	}
 
 	r.mu.Lock()
 	switch {
@@ -343,11 +345,34 @@ func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scen
 	r.mu.Unlock()
 
 	r.hub.finish(string(state))
-	if traceFile != nil {
-		traceFile.Close()
-		if removeTrace {
-			os.Remove(traceFile.Name())
-		}
+	if sp != nil && removeTrace {
+		os.Remove(sp.file.Name())
+	}
+}
+
+// spool is a run's trace capture: the temp file and the JSONL writer
+// recording into it.
+type spool struct {
+	file *os.File
+	w    *report.JSONLWriter
+}
+
+// close closes the file and returns the first write error, else the close
+// error.
+func (sp *spool) close() error {
+	err := sp.w.Err()
+	if cerr := sp.file.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// discard closes and removes a spool whose run never started; nil is a
+// no-op.
+func (sp *spool) discard() {
+	if sp != nil {
+		sp.file.Close()
+		os.Remove(sp.file.Name())
 	}
 }
 

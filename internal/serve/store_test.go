@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,6 +346,46 @@ func TestSetWorkloadMeanIntervalStates(t *testing.T) {
 	<-r.Done()
 	if err := r.SetWorkloadMeanInterval(time.Minute); !errors.Is(err, ErrConflict) {
 		t.Fatalf("terminal workload update err = %v, want ErrConflict", err)
+	}
+}
+
+// TestUnwritableSpoolFailsRun pins that a trace the service could not
+// spool ends the run failed, not done with a truncated download. The spool
+// file is closed before execute, so every write and the final close fail.
+func TestUnwritableSpoolFailsRun(t *testing.T) {
+	s := NewStore(1, t.TempDir())
+	defer s.Close()
+	r, err := s.Create(quickSpec(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, specs, err := scenario.Build(r.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp(s.dir, "closed-*.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	sp := &spool{file: f, w: report.NewJSONLWriter(f)}
+	cfg.Observers = append(cfg.Observers, obs.Record(sp.w), r.hub)
+	eng, err := core.NewEngine(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.state, r.eng, r.done, r.tracePath = StateQueued, eng, make(chan struct{}), f.Name()
+
+	s.execute(r, context.Background(), eng, r.Spec(), sp)
+	st := r.Status()
+	if st.State != StateFailed {
+		t.Fatalf("state = %q, want %q", st.State, StateFailed)
+	}
+	if !strings.Contains(st.Error, "trace spool") {
+		t.Errorf("error %q does not name the trace spool", st.Error)
+	}
+	if st.Result == nil {
+		t.Error("the simulation itself completed; its result should still be recorded")
 	}
 }
 

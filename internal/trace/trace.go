@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,11 +168,17 @@ func sortContacts(cs []Contact) {
 	})
 }
 
+// maxConnSeconds bounds trace timestamps so every instant, and the
+// one-second close of a contact still up at the end of the input, fits a
+// Duration.
+const maxConnSeconds = math.MaxInt64/int64(time.Second) - 1
+
 // ParseConn parses the ONE-style connectivity trace format that
 // report.ConnTraceWriter emits:
 //
 //	<seconds> CONN <a> <b> up|down
 //
+// Times must be finite, non-negative and within a Duration's range.
 // Unmatched "down" lines are ignored; contacts still up at the end of the
 // input are closed at the last timestamp seen plus one second.
 func ParseConn(r io.Reader) (*Schedule, error) {
@@ -193,6 +200,9 @@ func ParseConn(r io.Reader) (*Schedule, error) {
 		secs, err := strconv.ParseFloat(fields[0], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad time %q", lineNo, fields[0])
+		}
+		if !(secs >= 0 && secs <= float64(maxConnSeconds)) { // also rejects NaN
+			return nil, fmt.Errorf("trace: line %d: time %q outside [0, %d] seconds", lineNo, fields[0], maxConnSeconds)
 		}
 		a, err := strconv.Atoi(fields[2])
 		if err != nil {

@@ -141,10 +141,20 @@ func TestParseConnErrors(t *testing.T) {
 		"10.0 CONN 1 y up",
 		"10.0 CONN 1 2 sideways",
 		"10.0 CONN 1 2",
+		// Times that are not finite, negative, or past a Duration's range
+		// must not wrap around into a contact at some other instant.
+		"1e300 CONN 0 1 up",
+		"NaN CONN 0 1 up",
+		"+Inf CONN 0 1 up",
+		"-50 CONN 0 1 up",
+		"9223372036 CONN 0 1 up",
 	}
 	for i, c := range cases {
-		if _, err := ParseConn(strings.NewReader(c)); err == nil {
+		_, err := ParseConn(strings.NewReader("# header\n" + c))
+		if err == nil {
 			t.Errorf("case %d accepted: %q", i, c)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("case %d: error %q does not name line 2", i, err)
 		}
 	}
 }
