@@ -257,12 +257,11 @@ func BenchmarkSensitivity(b *testing.B) {
 }
 
 // BenchmarkSweepScheduler pushes the Figure 5.1 sweep through the bounded
-// work-stealing pool at GOMAXPROCS workers (the dtnexp default), measuring
-// end-to-end scheduler throughput — (point × scheme × seed) jobs flattened
-// into one shared queue — in simulated seconds retired per wall second.
+// experiment pool at GOMAXPROCS slots (the dtnexp default), measuring
+// end-to-end scheduler throughput — (point × scheme × seed) jobs sharing
+// one concurrency cap — in simulated seconds retired per wall second.
 func BenchmarkSweepScheduler(b *testing.B) {
 	pool := experiment.NewPool(runtime.GOMAXPROCS(0))
-	defer pool.Close()
 	pr := experiment.NewProgress()
 	pool.SetProgress(pr)
 	ctx := experiment.WithPool(context.Background(), pool)
@@ -285,7 +284,6 @@ func BenchmarkSweepScheduler(b *testing.B) {
 // worker — the sequential baseline for the scheduler's speedup.
 func BenchmarkSweepSchedulerSingleWorker(b *testing.B) {
 	pool := experiment.NewPool(1)
-	defer pool.Close()
 	ctx := experiment.WithPool(context.Background(), pool)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

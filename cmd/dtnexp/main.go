@@ -10,7 +10,7 @@
 // (100 participants per km²): "paper" is Table 5.1 exactly, "quick"
 // completes the full suite in minutes, "bench" matches the testing.B scale.
 //
-// Every sweep runs on one bounded work-stealing pool shared across the
+// Every sweep runs on one bounded pool shared across the
 // suite — independent jobs of (sweep point × scheme × seed) — so the run
 // scales with cores while the printed tables stay byte-identical to the
 // sequential (-parallel 1) output. -progress reports live throughput and
@@ -73,14 +73,13 @@ func run(args []string) (err error) {
 	}()
 
 	// One bounded pool for the whole suite: every sweep's (point × scheme ×
-	// seed) jobs share these workers, so -exp all scales with cores without
+	// seed) jobs share these slots, so -exp all scales with cores without
 	// oversubscribing.
 	workers := runtime.GOMAXPROCS(0)
 	if *parallel > 0 && *parallel < workers {
 		workers = *parallel
 	}
 	pool := experiment.NewPool(workers)
-	defer pool.Close()
 	ctx = experiment.WithPool(ctx, pool)
 	if *progress {
 		pr := experiment.NewProgress()

@@ -20,7 +20,6 @@ import (
 	"dtnsim/internal/message"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/prof"
-	"dtnsim/internal/report"
 	"dtnsim/internal/scenario"
 	"dtnsim/internal/trace"
 )
@@ -32,13 +31,7 @@ func main() {
 	}
 }
 
-// traceRecorder is a trace writer that latches its first write error.
-type traceRecorder interface {
-	report.Recorder
-	Err() error
-}
-
-// output is a file the run writes through a recorder or sink that latches
+// output is a file the run writes through a writer or sink that latches
 // its first write error.
 type output struct {
 	name string
@@ -136,28 +129,28 @@ func run(args []string) (err error) {
 			}
 		}
 	}()
-	for _, sink := range []struct {
-		name, path string
-		make       func(io.Writer) traceRecorder
-	}{
-		{"trace", *tracePath, func(w io.Writer) traceRecorder { return report.NewJSONLWriter(w) }},
-		{"conntrace", *connPath, func(w io.Writer) traceRecorder { return report.NewConnTraceWriter(w) }},
-	} {
-		if sink.path == "" {
-			continue
-		}
-		f, ferr := os.Create(sink.path)
+	if *tracePath != "" {
+		f, ferr := os.Create(*tracePath)
 		if ferr != nil {
 			return ferr
 		}
-		rec := sink.make(f)
-		outputs = append(outputs, output{sink.name, f, rec.Err})
-		cfg.Observers = append(cfg.Observers, obs.Record(rec))
+		w := obs.NewTraceWriter(f)
+		outputs = append(outputs, output{"trace", f, w.Err})
+		cfg.Observers = append(cfg.Observers, w)
 	}
-	var stats *report.ContactStats
+	if *connPath != "" {
+		f, ferr := os.Create(*connPath)
+		if ferr != nil {
+			return ferr
+		}
+		w := obs.NewConnTraceWriter(f)
+		outputs = append(outputs, output{"conntrace", f, w.Err})
+		cfg.Observers = append(cfg.Observers, w)
+	}
+	var stats *obs.ContactStats
 	if *tracePath != "" || *connPath != "" {
-		stats = report.NewContactStats()
-		cfg.Observers = append(cfg.Observers, obs.Record(stats))
+		stats = obs.NewContactStats()
+		cfg.Observers = append(cfg.Observers, stats)
 	}
 	jsonlSink, jsonlFile, err := obs.OpenJSONL(*obsSpec)
 	if err != nil {

@@ -152,6 +152,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-router", "bogus", "-nodes", "5", "-area", "0.1", "-duration", "1m"},
 		{"-nodes", "0"},
 		{"-selfish", "150"},
+		// A negative value is an error, not the Table 5.1 default.
+		{"-nodes", "20", "-area", "0.2", "-duration", "-1h"},
+		{"-nodes", "20", "-area", "-0.2", "-duration", "1m"},
+		{"-nodes", "20", "-area", "0.2", "-duration", "1m", "-tokens", "-5"},
+		{"-nodes", "20", "-area", "0.2", "-duration", "1m", "-step", "-1s"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

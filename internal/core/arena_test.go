@@ -83,7 +83,7 @@ func TestContactArenaAllocFree(t *testing.T) {
 		downs := eng.downsScratch[:0]
 		downs = append(downs, c)
 		eng.downsScratch = downs
-		eng.teardownContacts(downs, true)
+		eng.teardownContacts(downs)
 	}
 	churn()
 	if avg := testing.AllocsPerRun(100, churn); avg != 0 {
@@ -120,7 +120,7 @@ func TestContactArenaReusesHandles(t *testing.T) {
 	}
 	downs := append(eng.downsScratch[:0], c1)
 	eng.downsScratch = downs
-	eng.teardownContacts(downs, true)
+	eng.teardownContacts(downs)
 
 	c2 := eng.contactUp(p, now)
 	if c2 != c1 {
@@ -159,7 +159,7 @@ func TestContactCounterSymmetry(t *testing.T) {
 			}
 			downs := append(eng.downsScratch[:0], c)
 			eng.downsScratch = downs
-			eng.teardownContacts(downs, true)
+			eng.teardownContacts(downs)
 
 			snap := eng.Snapshot()
 			if got := snap.Counter("contacts_up"); got != 1 {

@@ -23,8 +23,8 @@ func TestBaselineTransmitsFIFO(t *testing.T) {
 			{Profile: behavior.CooperativeProfile(), Mobility: stationary(100, 100)},
 			{Profile: behavior.CooperativeProfile(), Mobility: stationary(180, 100), Interests: []string{"kw-0", "kw-1"}},
 		}
-		var buf report.Buffer
-		cfg.Observers = []obs.Observer{obs.Record(&buf)}
+		var buf obs.Buffer
+		cfg.Observers = []obs.Observer{&buf}
 		eng, err := core.NewEngine(cfg, specs)
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/message"
 	"dtnsim/internal/mobility"
-	"dtnsim/internal/routing"
 	"dtnsim/internal/scenario"
 	"dtnsim/internal/world"
 )
@@ -134,16 +133,13 @@ func TestMessageTTLExpiry(t *testing.T) {
 // TestSprayAndWaitIntegration: the incentive layer composes with the spray
 // router; the copy counter splits across handovers and deliveries happen.
 func TestSprayAndWaitIntegration(t *testing.T) {
-	spray, err := routing.NewSprayAndWait(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const budget = 8 // the shipped spray-and-wait copy budget
 	spec := scenario.Default(core.SchemeIncentive)
 	spec.Nodes = 30
 	spec.AreaKm2 = 0.3
 	spec.Duration = 30 * time.Minute
 	spec.MeanMessageInterval = 5 * time.Minute
-	spec.Router = spray
+	spec.RouterName = "spray-and-wait"
 	eng, err := scenario.BuildEngine(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +154,8 @@ func TestSprayAndWaitIntegration(t *testing.T) {
 	// Copy budgets must never go negative or exceed L.
 	for _, n := range eng.Nodes() {
 		for _, m := range n.Buffer().Messages() {
-			if m.CopiesLeft < 0 || m.CopiesLeft > 4 {
-				t.Fatalf("message %s copies = %d, want within [0, 4]", m.ID, m.CopiesLeft)
+			if m.CopiesLeft < 0 || m.CopiesLeft > budget {
+				t.Fatalf("message %s copies = %d, want within [0, %d]", m.ID, m.CopiesLeft, budget)
 			}
 		}
 	}
@@ -168,13 +164,13 @@ func TestSprayAndWaitIntegration(t *testing.T) {
 // TestEpidemicDeliversAtLeastAsMuchAsDirect: the classic ordering between
 // the flooding ceiling and the zero-replication floor on identical worlds.
 func TestEpidemicDeliversAtLeastAsMuchAsDirect(t *testing.T) {
-	run := func(r routing.Router) core.Result {
+	run := func(router string) core.Result {
 		spec := scenario.Default(core.SchemeChitChat)
 		spec.Nodes = 30
 		spec.AreaKm2 = 0.3
 		spec.Duration = 30 * time.Minute
 		spec.MeanMessageInterval = 5 * time.Minute
-		spec.Router = r
+		spec.RouterName = router
 		eng, err := scenario.BuildEngine(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -185,8 +181,8 @@ func TestEpidemicDeliversAtLeastAsMuchAsDirect(t *testing.T) {
 		}
 		return res
 	}
-	epidemic := run(routing.NewEpidemic())
-	direct := run(routing.NewDirect())
+	epidemic := run("epidemic")
+	direct := run("direct")
 	if epidemic.Delivered < direct.Delivered {
 		t.Errorf("epidemic delivered %d < direct %d", epidemic.Delivered, direct.Delivered)
 	}

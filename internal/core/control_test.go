@@ -46,7 +46,13 @@ func TestControlFromAnotherGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := core.StartRun(context.Background(), eng)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(ctx)
+		runErr <- err
+	}()
 	appliedAt := make(chan time.Duration, 1)
 	eng.Control(func(now time.Duration) { appliedAt <- now })
 	select {
@@ -57,9 +63,9 @@ func TestControlFromAnotherGoroutine(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("control never applied")
 	}
-	h.Cancel()
-	if err := h.Wait(context.Background()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait after cancel = %v, want context.Canceled", err)
+	cancel()
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after cancel = %v, want context.Canceled", err)
 	}
 }
 
@@ -150,61 +156,5 @@ func TestSetWorkloadMeanIntervalValidation(t *testing.T) {
 	}
 	if err := eng2.SetWorkloadMeanInterval(0); err != nil {
 		t.Errorf("disabling generation without a vocabulary rejected: %v", err)
-	}
-}
-
-func TestRunHandleCompletes(t *testing.T) {
-	cfg, specs := obsTestConfig(t)
-	eng, err := core.NewEngine(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := core.StartRun(context.Background(), eng)
-	if err := h.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-h.Done():
-	default:
-		t.Fatal("Done not closed after Wait returned")
-	}
-	if got := h.Result().Nodes; got != 25 {
-		t.Errorf("Result().Nodes = %d, want 25", got)
-	}
-	if got := h.Snapshot().SimSeconds; got != cfg.Duration.Seconds() {
-		t.Errorf("final snapshot at %v sim seconds, want %v", got, cfg.Duration.Seconds())
-	}
-}
-
-func TestRunHandleCancelMidRun(t *testing.T) {
-	cfg, specs := obsTestConfig(t)
-	cfg.Duration = 10 * time.Hour
-	eng, err := core.NewEngine(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := core.StartRun(context.Background(), eng)
-	// Let it advance at least one step before pulling the plug.
-	started := make(chan struct{})
-	eng.Control(func(time.Duration) { close(started) })
-	select {
-	case <-started:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run never started stepping")
-	}
-	h.Cancel()
-	h.Cancel() // idempotent
-	if err := h.Wait(context.Background()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	if !errors.Is(h.Err(), context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", h.Err())
-	}
-	snap := h.Snapshot()
-	if snap.SimSeconds <= 0 || snap.SimSeconds >= cfg.Duration.Seconds() {
-		t.Errorf("cancelled run's snapshot at %v sim seconds, want mid-run", snap.SimSeconds)
-	}
-	if got := h.Result().Nodes; got != 25 {
-		t.Errorf("cancelled Result().Nodes = %d, want 25", got)
 	}
 }

@@ -514,9 +514,7 @@ func (e *Engine) updateContacts(now time.Duration) {
 	e.liveSorted, e.liveScratch = next, old
 	e.downsScratch = downs
 	if len(downs) > 0 {
-		// The merge already excluded the lapsed contacts from liveSorted, so
-		// teardown needs no live-set pruning.
-		e.teardownContacts(downs, false)
+		e.teardownContacts(downs)
 	}
 	e.chargePhase(obs.PhaseContacts)
 }
@@ -540,9 +538,7 @@ func (e *Engine) updateTraceContacts(now time.Duration) {
 		}
 		e.downsScratch = downs
 		if len(downs) > 0 {
-			// Trace mode never populates liveSorted, so there is nothing to
-			// prune from it.
-			e.teardownContacts(downs, false)
+			e.teardownContacts(downs)
 		}
 	}
 	for _, ct := range up {
@@ -610,7 +606,7 @@ func (e *Engine) contactUp(p world.Pair, now time.Duration) *contact {
 	// The selfish model: "a selfish node has its communication medium open
 	// one out of ten times when it encounters another node". A node whose
 	// radio energy budget is exhausted cannot open at all.
-	if a.killed || b.killed || a.batteryDead(e.cfg.BatteryJoules) || b.batteryDead(e.cfg.BatteryJoules) {
+	if a.batteryDead(e.cfg.BatteryJoules) || b.batteryDead(e.cfg.BatteryJoules) {
 		c.open = false
 	} else {
 		c.open = a.profile.RadioOpen(a.rng) && b.profile.RadioOpen(b.rng)
@@ -664,10 +660,9 @@ func (e *Engine) contactUp(p world.Pair, now time.Duration) *contact {
 // the arena. The downs slice arrives in arbitrary (pair or cursor) order;
 // sorting the handful of lapses by list index is what preserves the
 // historical teardown order without stamping or sweeping the live set.
-// pruneLive asks for a liveSorted sweep as well — the tick's merge diff
-// excludes lapsed contacts from liveSorted itself, but out-of-band teardown
-// (failure injection) must not leave pooled contacts in the live set.
-func (e *Engine) teardownContacts(downs []*contact, pruneLive bool) {
+// Callers have already excluded the lapsed contacts from liveSorted (the
+// tick's merge diff does; trace replay never populates it).
+func (e *Engine) teardownContacts(downs []*contact) {
 	// Insertion sort by creation order: down batches are tiny (contact
 	// churn per tick), and this avoids a sort.Slice closure allocation.
 	for i := 1; i < len(downs); i++ {
@@ -677,18 +672,6 @@ func (e *Engine) teardownContacts(downs []*contact, pruneLive bool) {
 	}
 	for _, c := range downs {
 		e.contactDown(c)
-	}
-	if pruneLive {
-		live := e.liveSorted[:0]
-		for _, c := range e.liveSorted {
-			if !c.dead {
-				live = append(live, c)
-			}
-		}
-		for i := len(live); i < len(e.liveSorted); i++ {
-			e.liveSorted[i] = nil
-		}
-		e.liveSorted = live
 	}
 	list := e.contactList
 	w := downs[0].listIdx

@@ -206,8 +206,8 @@ func runTrace(spec scenario.Spec, mutate func([]core.NodeSpec) error) ([]report.
 			return nil, err
 		}
 	}
-	var buf report.Buffer
-	cfg.Observers = []obs.Observer{obs.Record(&buf)}
+	var buf obs.Buffer
+	cfg.Observers = []obs.Observer{&buf}
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		return nil, err

@@ -39,11 +39,11 @@ func (s *scripted) Advance(time.Duration) world.Point {
 // contact — even though the arena hands back the recycled object. This is
 // the grid twin of TestTraceChurnReencounterSamePair.
 func TestGridChurnReencounterSamePair(t *testing.T) {
-	rec := &report.Buffer{}
+	rec := &obs.Buffer{}
 	cfg := lineConfig(t, core.SchemeIncentive)
 	cfg.Step = 10 * time.Second
 	cfg.Duration = 60 * time.Second
-	cfg.Observers = []obs.Observer{obs.Record(rec)}
+	cfg.Observers = []obs.Observer{rec}
 	in := world.Point{X: 150, Y: 100}  // 50 m from B: inside the 100 m range
 	out := world.Point{X: 500, Y: 100} // 400 m: far outside
 	mob := &scripted{at: out, script: []world.Point{in, out, in, in, in, in}}

@@ -35,8 +35,8 @@ func TestEconomicInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf report.Buffer
-		cfg.Observers = []obs.Observer{obs.Record(&buf)}
+		var buf obs.Buffer
+		cfg.Observers = []obs.Observer{&buf}
 		eng, err := core.NewEngine(cfg, specs)
 		if err != nil {
 			t.Fatal(err)
@@ -86,9 +86,9 @@ func TestContactEventsBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf report.Buffer
-	stats := report.NewContactStats()
-	cfg.Observers = []obs.Observer{obs.Record(report.Multi{&buf, stats})}
+	var buf obs.Buffer
+	stats := obs.NewContactStats()
+	cfg.Observers = []obs.Observer{&buf, stats}
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +122,8 @@ func TestDeliveredMessagesCarryValidPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf report.Buffer
-	cfg.Observers = []obs.Observer{obs.Record(&buf)}
+	var buf obs.Buffer
+	cfg.Observers = []obs.Observer{&buf}
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,6 @@ type Node struct {
 	rng     *sim.RNG
 	msgSeq  int
 	class   MessageClass
-	killed  bool
 	// lastPos is the position the mobility model returned on the last tick
 	// (unclamped); Engine.moveNodes skips the grid upsert when a new tick
 	// returns the identical point.
@@ -178,10 +177,6 @@ func (n *Node) Energy() radio.Energy { return n.energy }
 func (n *Node) batteryDead(budget float64) bool {
 	return budget > 0 && n.energy.Total() >= budget
 }
-
-// BatteryDead reports whether the node's radio died under the given budget
-// (zero budget = unlimited).
-func (n *Node) BatteryDead(budget float64) bool { return n.batteryDead(budget) }
 
 // nextMessageID mints the node's next message identifier.
 func (n *Node) nextMessageID() ident.MessageID {

@@ -38,8 +38,7 @@ import (
 
 // initObservability builds the registry, the hot-path counter handles, and
 // the per-kind observer dispatch table. Config.Observers is the only
-// subscription surface; legacy report.Recorders attach through the
-// obs.Record adapter at whatever position the caller appends them.
+// subscription surface, event writers included.
 func (e *Engine) initObservability(cfg Config) {
 	e.reg = obs.NewRegistry()
 	e.ctrUps = e.reg.Counter("contacts_up")

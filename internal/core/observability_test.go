@@ -151,8 +151,9 @@ func TestEngineObserverOrderAndRecorderLast(t *testing.T) {
 	mk := func(name string) obs.Observer {
 		return observerFunc{name: name, order: &order}
 	}
-	var legacy report.Buffer
-	cfg.Observers = []obs.Observer{mk("first"), mk("second"), obs.Record(&legacy)}
+	// An event writer attached last still sees the stream.
+	var buf obs.Buffer
+	cfg.Observers = []obs.Observer{mk("first"), mk("second"), &buf}
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +161,8 @@ func TestEngineObserverOrderAndRecorderLast(t *testing.T) {
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.Events) == 0 {
-		t.Fatal("legacy recorder saw nothing through the adapter")
+	if len(buf.Events) == 0 {
+		t.Fatal("the last observer, an event buffer, saw nothing")
 	}
 	if len(order) < 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("first event delivered in order %v, want [first second ...]", order[:min(len(order), 2)])

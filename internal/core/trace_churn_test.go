@@ -29,12 +29,12 @@ func TestTraceChurnReencounterSamePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &report.Buffer{}
+	rec := &obs.Buffer{}
 	cfg := lineConfig(t, core.SchemeIncentive)
 	cfg.Step = 10 * time.Second
 	cfg.ContactTrace = sched
 	cfg.Duration = 40 * time.Second
-	cfg.Observers = []obs.Observer{obs.Record(rec)}
+	cfg.Observers = []obs.Observer{rec}
 	specs := []core.NodeSpec{
 		{Profile: behavior.CooperativeProfile(), Mobility: stationary(0, 0)},
 		{Profile: behavior.CooperativeProfile(), Mobility: stationary(0, 0), Interests: []string{"kw-0"}},

@@ -10,7 +10,6 @@ import (
 	"dtnsim/internal/core"
 	"dtnsim/internal/message"
 	"dtnsim/internal/obs"
-	"dtnsim/internal/report"
 	"dtnsim/internal/trace"
 )
 
@@ -78,11 +77,11 @@ func TestTraceRejectsUnknownNodes(t *testing.T) {
 func TestRecordReplayContactsMatch(t *testing.T) {
 	// Record.
 	var traceBuf bytes.Buffer
-	conn := report.NewConnTraceWriter(&traceBuf)
-	stats := report.NewContactStats()
+	conn := obs.NewConnTraceWriter(&traceBuf)
+	stats := obs.NewContactStats()
 	cfg := lineConfig(t, core.SchemeChitChat)
 	cfg.Duration = 15 * time.Minute
-	cfg.Observers = []obs.Observer{obs.Record(report.Multi{conn, stats})}
+	cfg.Observers = []obs.Observer{conn, stats}
 	eng, err := core.NewEngine(cfg, lineSpecs())
 	if err != nil {
 		t.Fatal(err)
@@ -99,11 +98,11 @@ func TestRecordReplayContactsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayStats := report.NewContactStats()
+	replayStats := obs.NewContactStats()
 	cfg2 := lineConfig(t, core.SchemeChitChat)
 	cfg2.Duration = 16 * time.Minute
 	cfg2.ContactTrace = sched
-	cfg2.Observers = []obs.Observer{obs.Record(replayStats)}
+	cfg2.Observers = []obs.Observer{replayStats}
 	eng2, err := core.NewEngine(cfg2, lineSpecs())
 	if err != nil {
 		t.Fatal(err)

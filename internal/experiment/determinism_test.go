@@ -61,8 +61,8 @@ func kernelGolden(ctx context.Context, scheme core.Scheme, extra ...obs.Observer
 	if err != nil {
 		return "", err
 	}
-	var trace report.Buffer
-	cfg.Observers = append([]obs.Observer{obs.Record(&trace)}, extra...)
+	var trace obs.Buffer
+	cfg.Observers = append([]obs.Observer{&trace}, extra...)
 	eng, err := core.NewEngine(cfg, nodes)
 	if err != nil {
 		return "", err
@@ -160,19 +160,16 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 	schemes := []core.Scheme{core.SchemeIncentive, core.SchemeChitChat}
 	for _, workers := range []int{2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			pool := NewPool(workers)
-			t.Cleanup(pool.Close)
-			g := pool.newGroup(t.Context())
 			out := make([]string, workers)
+			jobs := make([]poolJob, workers)
 			for i := range out {
 				scheme := schemes[i%len(schemes)]
-				g.submit(kernelGoldenSpec(scheme).Duration.Seconds(), func(ctx context.Context) error {
-					var err error
+				jobs[i] = poolJob{simSeconds: kernelGoldenSpec(scheme).Duration.Seconds(), run: func(ctx context.Context) (err error) {
 					out[i], err = kernelGolden(ctx, scheme)
 					return err
-				})
+				}}
 			}
-			if err := g.wait(); err != nil {
+			if err := NewPool(workers).runAll(t.Context(), jobs); err != nil {
 				t.Fatal(err)
 			}
 			for c := 0; c < len(out); c += len(schemes) {

@@ -52,9 +52,10 @@ func applyObservation(ctx context.Context, cfg *core.Config) {
 // live sim-s/wall-s rate and ETA move *during* long runs, not only when a
 // job retires. Each run gets its own instance: on every heartbeat it credits
 // the simulated time advanced since the last one, and at run end it takes
-// the partial credit back — the pool's completion path then credits the
-// job's full duration, exactly as it did before live feeding existed, so
-// finished-job accounting stays identical.
+// the partial credit back — the pool then credits the job's full span, so
+// a finished job counts its span exactly once. A cancelled run never
+// reaches RunEnd: its heartbeat credit stays, because that time was
+// simulated, and the pool credits it nothing more.
 type progressObserver struct {
 	obs.Base
 	pr       *Progress

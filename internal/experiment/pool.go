@@ -16,243 +16,120 @@ import (
 // whole suite, so `dtnexp -exp all` keeps every core busy without
 // oversubscribing when several sweeps queue work back to back.
 //
-// The cap counts *actively executing* jobs: a goroutine blocked in a group
-// wait steals queued work (work-stealing keeps nested submissions
-// deadlock-free), and an executor that blocks in a nested wait releases its
-// slot while it is stalled, so parallelism never exceeds `workers` even
-// with stealing in play — `-parallel 1` really is the sequential baseline.
+// The cap is a counting semaphore: a job holds one of `workers` tokens
+// while it runs, so `-parallel 1` really is the sequential baseline. A job
+// waiting for a token gives up as soon as its context is cancelled. Nested
+// submission is not supported: a job must not submit work to its own pool
+// and wait for it, since the job's token is not released while it waits.
 //
 // Results land in pre-indexed slots owned by the submitter and are
-// aggregated in submission order after the group drains, so every printed
+// aggregated in submission order after the group returns, so every printed
 // table is bit-for-bit identical to the sequential output regardless of the
 // order jobs happen to finish in.
 type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*poolJob // pending jobs; popped LIFO from the tail (leak-free)
-	workers int
-	running int // jobs executing now, including executors blocked in a nested wait
-	stalled int // executors currently blocked in a nested group wait
-	closed  bool
-
+	tokens   chan struct{}
 	progress *Progress
 }
 
-// NewPool starts a pool with the given concurrency cap (minimum 1). Close
-// releases its workers.
+// NewPool returns a pool with the given concurrency cap (minimum 1).
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers}
-	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	return &Pool{tokens: make(chan struct{}, workers)}
 }
 
 // SetProgress attaches an optional live reporter; every subsequent job
 // submission and completion updates it. Call before submitting work.
-func (p *Pool) SetProgress(pr *Progress) {
-	p.mu.Lock()
-	p.progress = pr
-	p.mu.Unlock()
-}
+func (p *Pool) SetProgress(pr *Progress) { p.progress = pr }
 
-// progressRef returns the attached reporter, if any.
-func (p *Pool) progressRef() *Progress {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.progress
-}
+// Close is a no-op: the pool starts no goroutines and holds nothing to
+// release. It remains so callers can keep deferring it.
+func (p *Pool) Close() {}
 
-// Close stops the workers once the queue drains. Jobs already queued still
-// run; submitting after Close is a programming error.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// canRunLocked reports whether a queued job may start without breaching the
-// active-execution cap. Caller holds p.mu.
-func (p *Pool) canRunLocked() bool {
-	return len(p.queue) > 0 && p.running-p.stalled < p.workers
-}
-
-// runOneLocked pops the tail job and executes it outside the lock,
-// maintaining the running count. Caller holds p.mu; the lock is held again
-// on return.
-func (p *Pool) runOneLocked() {
-	n := len(p.queue) - 1
-	j := p.queue[n]
-	p.queue[n] = nil
-	p.queue = p.queue[:n]
-	p.running++
-	p.mu.Unlock()
-	j.exec()
-	p.mu.Lock()
-	p.running--
-	if p.progress != nil {
-		p.progress.complete(j.simSeconds)
-	}
-	p.cond.Broadcast()
-}
-
-func (p *Pool) worker() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		for !p.canRunLocked() {
-			if p.closed && len(p.queue) == 0 {
-				return
-			}
-			p.cond.Wait()
-		}
-		p.runOneLocked()
-	}
-}
-
-// poolJob is one queued engine run plus its owning group.
+// poolJob is one unit of pool work: the function to run and its simulated
+// span, credited to the progress reporter if it succeeds.
 type poolJob struct {
-	g          *group
 	simSeconds float64
 	run        func(ctx context.Context) error
 }
 
-// execMarker tags contexts passed into running jobs, so a group created
-// inside a job (nested submission) knows its waiter holds an execution slot
-// it should release while blocked.
-type execMarker struct{}
-
-func (j *poolJob) exec() {
-	g := j.g
-	err := g.ctx.Err()
+// do runs j once it holds a token, or returns ctx's error if ctx is
+// cancelled first. Every job counts toward the reporter's Done; only a
+// job that succeeded credits its simulated span, because a failed or
+// cancelled one did not simulate it.
+func (p *Pool) do(ctx context.Context, j poolJob) error {
+	err := p.acquire(ctx)
 	if err == nil {
-		err = j.run(context.WithValue(g.ctx, execMarker{}, true))
+		err = j.run(ctx)
+		<-p.tokens
 	}
-	p := g.p
-	p.mu.Lock()
-	if err != nil && g.err == nil {
-		g.err = err
-		g.cancel() // stop the group's remaining jobs promptly
-	}
-	g.pending--
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// group tracks one batch of related jobs (one runJobs call): a derived
-// context cancelled on first failure, a pending count, and the first error.
-type group struct {
-	p        *Pool
-	ctx      context.Context
-	cancel   context.CancelFunc
-	fromExec bool  // created inside a running job; wait() releases its slot
-	pending  int   // guarded by p.mu
-	err      error // first failure, guarded by p.mu
-}
-
-func (p *Pool) newGroup(ctx context.Context) *group {
-	gctx, cancel := context.WithCancel(ctx)
-	return &group{
-		p:        p,
-		ctx:      gctx,
-		cancel:   cancel,
-		fromExec: ctx.Value(execMarker{}) != nil,
-	}
-}
-
-// submit queues one job. simSeconds is the job's simulated span, credited to
-// the progress reporter on completion.
-func (g *group) submit(simSeconds float64, fn func(ctx context.Context) error) {
-	p := g.p
-	p.mu.Lock()
-	g.pending++
-	p.queue = append(p.queue, &poolJob{g: g, simSeconds: simSeconds, run: fn})
 	if p.progress != nil {
-		p.progress.add(1)
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// wait blocks until every job in the group has completed and returns the
-// group's first error. While blocked it steals queued jobs — from any group
-// — whenever a slot is free, so nested submissions (a job submitting a
-// sub-batch and waiting on it) make progress instead of deadlocking. A
-// waiter that is itself a pool executor counts as stalled for the duration,
-// freeing its slot to whoever steals its sub-jobs.
-func (g *group) wait() error {
-	p := g.p
-	// A cancelled group must not wait for execution slots just to skip its
-	// queued jobs one by one: withdraw them the moment the context dies, so
-	// the waiter unblocks as soon as the group's *executing* jobs land.
-	stop := context.AfterFunc(g.ctx, func() { p.withdraw(g) })
-	defer stop()
-	p.mu.Lock()
-	if g.fromExec {
-		p.stalled++
-		p.cond.Broadcast()
-	}
-	for g.pending > 0 {
-		if p.canRunLocked() {
-			p.runOneLocked()
-			continue
+		credit := j.simSeconds
+		if err != nil {
+			credit = 0
 		}
-		p.cond.Wait()
+		p.progress.complete(credit)
 	}
-	if g.fromExec {
-		p.stalled--
-	}
-	err := g.err
-	p.mu.Unlock()
-	g.cancel()
 	return err
 }
 
-// withdraw removes g's still-queued jobs after its context is cancelled,
-// recording the context error as the group's failure. Jobs already
-// executing are untouched — they observe the cancelled context themselves
-// and their completions are what the group's waiter still waits for.
-func (p *Pool) withdraw(g *group) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	kept := p.queue[:0]
-	for _, j := range p.queue {
-		if j.g != g {
-			kept = append(kept, j)
-			continue
-		}
-		g.pending--
-		if g.err == nil {
-			g.err = g.ctx.Err()
-		}
-		if p.progress != nil {
-			p.progress.complete(j.simSeconds)
-		}
+// acquire takes a token, or returns ctx's error if ctx is cancelled first.
+func (p *Pool) acquire(ctx context.Context) error {
+	select {
+	case p.tokens <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	for i := len(kept); i < len(p.queue); i++ {
-		p.queue[i] = nil
+	// Both cases may have been ready: a cancelled context never starts a job.
+	if err := ctx.Err(); err != nil {
+		<-p.tokens
+		return err
 	}
-	p.queue = kept
-	p.cond.Broadcast()
+	return nil
 }
 
-// Run executes fn as one pool job and blocks until it completes,
-// returning fn's error (or ctx's, if it was already cancelled). It is the
-// single-job face of the group machinery, built for callers outside this
-// package that need the pool's discipline — bounded concurrent execution
-// with work-stealing waits — without a sweep: dtnserved submits each
-// simulation run this way, so HTTP-created runs and batch sweeps share
-// one concurrency model. simSeconds is the job's simulated span, credited
-// to the progress reporter.
+// runAll runs every job on its own goroutine and waits for them all. The
+// first failure cancels the rest: jobs still waiting for a token return at
+// once, running ones see the cancelled context. It returns the first error.
+func (p *Pool) runAll(ctx context.Context, jobs []poolJob) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if p.progress != nil {
+		p.progress.add(len(jobs))
+	}
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.do(ctx, j); err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// Run executes fn as one pool job on the caller's goroutine and blocks
+// until it completes, returning fn's error (or ctx's, if it was cancelled
+// before a token was free). dtnserved submits each simulation run this
+// way, so HTTP-created runs and batch sweeps share one concurrency cap.
+// simSeconds is the job's simulated span, credited to the progress
+// reporter if fn succeeds.
 func (p *Pool) Run(ctx context.Context, simSeconds float64, fn func(ctx context.Context) error) error {
-	g := p.newGroup(ctx)
-	g.submit(simSeconds, fn)
-	return g.wait()
+	if p.progress != nil {
+		p.progress.add(1)
+	}
+	return p.do(ctx, poolJob{simSeconds: simSeconds, run: fn})
 }
 
 // poolKey carries the suite-wide Pool through a context.
@@ -297,21 +174,16 @@ func runJobs(ctx context.Context, jobs []runJob) ([]core.Result, error) {
 	p := poolFrom(ctx)
 	if p == nil {
 		p = NewPool(runtime.GOMAXPROCS(0))
-		defer p.Close()
 	}
 	results := make([]core.Result, len(jobs))
-	g := p.newGroup(ctx)
-	for i, job := range jobs {
-		g.submit(job.spec.Duration.Seconds(), func(ctx context.Context) error {
-			res, err := runOne(ctx, job)
-			if err != nil {
-				return err
-			}
-			results[i] = res
-			return nil
-		})
+	work := make([]poolJob, len(jobs))
+	for i, rj := range jobs {
+		work[i] = poolJob{simSeconds: rj.spec.Duration.Seconds(), run: func(ctx context.Context) (err error) {
+			results[i], err = runOne(ctx, rj)
+			return err
+		}}
 	}
-	if err := g.wait(); err != nil {
+	if err := p.runAll(ctx, work); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -329,10 +201,8 @@ func runOne(ctx context.Context, j runJob) (core.Result, error) {
 		j.tweak(&cfg)
 	}
 	applyObservation(ctx, &cfg)
-	if p := poolFrom(ctx); p != nil && cfg.Heartbeat > 0 {
-		if pr := p.progressRef(); pr != nil {
-			cfg.Observers = append(cfg.Observers, &progressObserver{pr: pr})
-		}
+	if p := poolFrom(ctx); p != nil && p.progress != nil && cfg.Heartbeat > 0 {
+		cfg.Observers = append(cfg.Observers, &progressObserver{pr: p.progress})
 	}
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {

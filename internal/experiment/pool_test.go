@@ -9,12 +9,9 @@ import (
 	"dtnsim/internal/core"
 )
 
-// poolCtx wires a fresh pool into a context and cleans it up with the test.
-func poolCtx(t *testing.T, workers int) context.Context {
-	t.Helper()
-	p := NewPool(workers)
-	t.Cleanup(p.Close)
-	return WithPool(context.Background(), p)
+// poolCtx wires a fresh pool into a context.
+func poolCtx(workers int) context.Context {
+	return WithPool(context.Background(), NewPool(workers))
 }
 
 // TestParallelOutputMatchesSequential is the scheduler's core guarantee:
@@ -41,8 +38,8 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 		b.WriteString(tab6.String())
 		return b.String()
 	}
-	sequential := render(poolCtx(t, 1))
-	parallel := render(poolCtx(t, 8))
+	sequential := render(poolCtx(1))
+	parallel := render(poolCtx(8))
 	if sequential != parallel {
 		t.Errorf("parallel tables differ from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", sequential, parallel)
 	}
@@ -52,7 +49,7 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 }
 
 func TestRunJobsAlreadyCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(poolCtx(t, 2))
+	ctx, cancel := context.WithCancel(poolCtx(2))
 	cancel()
 	p := tinyProfile()
 	if _, err := RunAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds); err != context.Canceled {
@@ -64,7 +61,7 @@ func TestRunJobsMidRunCancellation(t *testing.T) {
 	p := tinyProfile()
 	p.Duration = 200 * time.Hour // far longer than the test may run
 	p.Seeds = []int64{1, 2, 3, 4}
-	ctx, cancel := context.WithCancel(poolCtx(t, 2))
+	ctx, cancel := context.WithCancel(poolCtx(2))
 	time.AfterFunc(20*time.Millisecond, cancel)
 	done := make(chan error, 1)
 	go func() {
@@ -87,103 +84,68 @@ func TestRunJobsPropagatesJobError(t *testing.T) {
 	p := tinyProfile()
 	spec := p.baseSpec(core.SchemeChitChat)
 	spec.Nodes = 0 // fails scenario validation inside the job
-	if _, err := RunAveraged(poolCtx(t, 2), spec, []int64{1, 2, 3}); err == nil {
+	if _, err := RunAveraged(poolCtx(2), spec, []int64{1, 2, 3}); err == nil {
 		t.Error("invalid spec must fail the sweep")
 	}
 }
 
-// TestNestedSubmissionDoesNotDeadlock exercises the work-stealing wait: a
-// job running on the pool's only worker submits a sub-batch and waits for
-// it; the waiting worker must steal and run the sub-jobs itself.
-func TestNestedSubmissionDoesNotDeadlock(t *testing.T) {
-	pool := NewPool(1)
-	defer pool.Close()
-	outer := pool.newGroup(context.Background())
-	ran := make([]bool, 4)
-	outer.submit(0, func(ctx context.Context) error {
-		inner := pool.newGroup(ctx)
-		for i := range ran {
-			inner.submit(0, func(context.Context) error {
-				ran[i] = true
-				return nil
-			})
-		}
-		return inner.wait()
-	})
-	done := make(chan error, 1)
-	go func() { done <- outer.wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("nested submission deadlocked a single-worker pool")
-	}
-	for i, ok := range ran {
-		if !ok {
-			t.Errorf("nested job %d never ran", i)
-		}
-	}
-}
-
-// TestCancelledWaitWithdrawsQueuedJobs pins the withdrawal contract: when
-// a group's context dies while its jobs still sit in the queue behind a
-// busy worker, the waiter unblocks immediately — it must not wait for an
-// execution slot just to skip each job — and the queued jobs never run.
+// TestCancelledWaitWithdrawsQueuedJobs pins the cancellation contract: when
+// a job's context dies while it still waits for a token behind a busy
+// slot, it returns immediately — it must not wait for the slot just to
+// skip itself — and its function never runs.
 func TestCancelledWaitWithdrawsQueuedJobs(t *testing.T) {
 	pool := NewPool(1)
-	defer pool.Close()
 
-	// Occupy the only worker until the test ends.
+	// Occupy the only slot until the test ends.
 	holdCtx, release := context.WithCancel(context.Background())
 	defer release()
 	holding := make(chan struct{})
-	hold := pool.newGroup(context.Background())
-	hold.submit(0, func(context.Context) error {
-		close(holding)
-		<-holdCtx.Done()
-		return nil
-	})
+	held := make(chan error, 1)
+	go func() {
+		held <- pool.Run(context.Background(), 0, func(context.Context) error {
+			close(holding)
+			<-holdCtx.Done()
+			return nil
+		})
+	}()
 	<-holding
 
 	ctx, cancel := context.WithCancel(context.Background())
-	g := pool.newGroup(ctx)
 	ran := false
-	g.submit(0, func(context.Context) error {
-		ran = true
-		return nil
-	})
 	time.AfterFunc(10*time.Millisecond, cancel)
 	done := make(chan error, 1)
-	go func() { done <- g.wait() }()
+	go func() {
+		done <- pool.Run(ctx, 0, func(context.Context) error {
+			ran = true
+			return nil
+		})
+	}()
 	select {
 	case err := <-done:
 		if err != context.Canceled {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled wait stayed blocked behind a busy worker")
+		t.Fatal("cancelled wait stayed blocked behind a busy slot")
 	}
 	release()
-	if err := hold.wait(); err != nil {
+	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
 	if ran {
-		t.Error("withdrawn job ran anyway")
+		t.Error("cancelled job ran anyway")
 	}
 }
 
 func TestProgressCounters(t *testing.T) {
 	pr := NewProgress()
 	pool := NewPool(2)
-	defer pool.Close()
 	pool.SetProgress(pr)
-	g := pool.newGroup(context.Background())
-	for i := 0; i < 5; i++ {
-		g.submit(3600, func(context.Context) error { return nil })
+	jobs := make([]poolJob, 5)
+	for i := range jobs {
+		jobs[i] = poolJob{simSeconds: 3600, run: func(context.Context) error { return nil }}
 	}
-	if err := g.wait(); err != nil {
+	if err := pool.runAll(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	s := pr.Snapshot()
@@ -199,6 +161,30 @@ func TestProgressCounters(t *testing.T) {
 	line := s.String()
 	if !strings.Contains(line, "jobs 5/5") || !strings.Contains(line, "sim-s/wall-s") {
 		t.Errorf("status line = %q", line)
+	}
+}
+
+// TestProgressCreditsOnlySimulatedTime pins that a cancelled sweep credits
+// only the simulated time it actually ran: every job still counts as done,
+// but none of the cancelled 200-hour jobs credits its span.
+func TestProgressCreditsOnlySimulatedTime(t *testing.T) {
+	p := tinyProfile()
+	p.Duration = 200 * time.Hour // far longer than the test may run
+	p.Seeds = []int64{1, 2, 3, 4}
+	pr := NewProgress()
+	pool := NewPool(2)
+	pool.SetProgress(pr)
+	ctx, cancel := context.WithCancel(WithPool(context.Background(), pool))
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := RunAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	s := pr.Snapshot()
+	if s.Total != 4 || s.Done != 4 {
+		t.Errorf("snapshot = %d/%d, want 4/4", s.Done, s.Total)
+	}
+	if span := p.Duration.Seconds(); s.SimSeconds >= span {
+		t.Errorf("cancelled sweep credited %v sim seconds, want below one job's span %v", s.SimSeconds, span)
 	}
 }
 

@@ -52,7 +52,9 @@ type Snapshot struct {
 	// as the suite streams new sweeps into the pool, so the ETA covers the
 	// work queued so far, not experiments yet to be submitted.
 	Total, Done int
-	// SimSeconds is the simulated time retired by finished jobs.
+	// SimSeconds is the simulated time the jobs ran: the full span of
+	// every job that succeeded, plus heartbeat credit from runs still
+	// going or cancelled. A failed or cancelled job credits no span.
 	SimSeconds float64
 	// Elapsed is wall-clock time since NewProgress.
 	Elapsed time.Duration

@@ -6,11 +6,12 @@
 //
 // The design mirrors the ONE simulator's pluggable report modules: an
 // Observer subscribes to whatever subset of signals it cares about (embed
-// Base for no-op defaults, implement KindFilter to restrict event kinds),
-// and sinks like JSONLSink and LogSink render the structured Snapshot
-// stream. Attaching no observers costs the engine nothing beyond a nil
-// check per emitted event — the historical Recorder fast path — and golden
-// event traces stay byte-identical with or without observers attached.
+// Base for no-op defaults, implement KindFilter to restrict event kinds).
+// The event writers (TraceWriter, ConnTraceWriter, ContactStats, Buffer)
+// render the event stream; the sinks JSONLSink and LogSink render the
+// structured Snapshot stream. Attaching no observers costs the engine
+// nothing beyond an empty-slice check per emitted event, and golden event
+// traces stay byte-identical with or without observers attached.
 package obs
 
 import (
@@ -43,9 +44,9 @@ type Meta struct {
 // Delivery contract:
 //
 //   - RunStart fires once, when the engine first starts advancing time.
-//   - Event fires for every report.Event the run emits, in emission order
-//     (the same order a legacy report.Recorder saw), filtered by Kinds
-//     when the observer implements KindFilter.
+//   - Event fires for every report.Event the run emits, in emission order,
+//     filtered by Kinds when the observer implements KindFilter. For each
+//     event, observers run in Config.Observers order.
 //   - Heartbeat fires on the configured wall-clock interval
 //     (Config.Heartbeat), after the tick that crossed the interval.
 //   - RunEnd fires once at the end of Engine.Run, with the final snapshot.
@@ -81,20 +82,3 @@ func (Base) Heartbeat(Snapshot) {}
 func (Base) RunEnd(Snapshot) {}
 
 var _ Observer = Base{}
-
-// recorderObserver adapts a legacy report.Recorder to the Observer API:
-// events forward verbatim, lifecycle signals are dropped.
-type recorderObserver struct {
-	Base
-	r report.Recorder
-}
-
-// Event implements Observer by forwarding to the wrapped Recorder.
-func (o recorderObserver) Event(e report.Event) { o.r.Record(e) }
-
-// Record adapts a report.Recorder to the Observer API. It is the
-// compatibility bridge for the report package's writers (ConnTraceWriter,
-// JSONLWriter, ContactStats, …), which remain plain Recorders: the adapter
-// forwards every event in emission order, so a wrapped recorder sees the
-// byte-identical stream it saw before the observer API existed.
-func Record(r report.Recorder) Observer { return recorderObserver{r: r} }

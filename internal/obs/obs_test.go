@@ -228,22 +228,6 @@ func TestLogSinkLines(t *testing.T) {
 	}
 }
 
-func TestRecordAdapterForwardsEventsOnly(t *testing.T) {
-	var buf report.Buffer
-	o := obs.Record(&buf)
-	if _, ok := o.(obs.KindFilter); ok {
-		t.Fatal("Record adapter must not filter kinds: recorders expect the full stream")
-	}
-	ev := report.Event{At: time.Minute, Kind: report.Delivered, A: 1, B: 2, Msg: "m1"}
-	o.RunStart(obs.Meta{})
-	o.Event(ev)
-	o.Heartbeat(obs.Snapshot{})
-	o.RunEnd(obs.Snapshot{})
-	if len(buf.Events) != 1 || buf.Events[0] != ev {
-		t.Fatalf("recorder saw %+v, want exactly the one event", buf.Events)
-	}
-}
-
 // baseOnly embeds Base with no overrides: it must satisfy Observer.
 type baseOnly struct{ obs.Base }
 

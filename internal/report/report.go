@@ -1,8 +1,8 @@
-// Package report provides the simulator's event-trace facility, modelled on
-// the ONE simulator's report modules: the engine emits a typed event stream
-// (contacts, handovers, deliveries, payments, enrichment) and writers
-// render it as a ONE-style connectivity trace, a delivery report, or a
-// JSONL event log for external analysis.
+// Package report is the simulator's event vocabulary, modelled on the ONE
+// simulator's report modules: the engine emits a typed event stream
+// (contacts, handovers, deliveries, payments, enrichment) that observers
+// in internal/obs render as a ONE-style connectivity trace, a JSONL event
+// log, or contact statistics.
 package report
 
 import (
@@ -72,62 +72,4 @@ func AllKinds() []Kind {
 		ContactUp, ContactDown, MessageCreated, Relayed,
 		Delivered, TransferAborted, Payment, TagAdded,
 	}
-}
-
-// Recorder consumes the engine's event stream. Implementations must be
-// cheap — the engine calls Record synchronously from the hot path.
-//
-// Recorder predates the unified observer API in internal/obs and is kept
-// as the rendering interface the report writers (ConnTraceWriter,
-// JSONLWriter, …) implement; attach one to an engine by wrapping it with
-// obs.Record and appending it to Config.Observers. Writing new observation
-// code against Recorder is deprecated — implement obs.Observer instead,
-// which adds the lifecycle signals, per-kind filtering, and snapshot
-// export a plain Recorder cannot see.
-type Recorder interface {
-	Record(Event)
-}
-
-// Multi fans one stream out to several recorders.
-type Multi []Recorder
-
-var _ Recorder = Multi(nil)
-
-// Record implements Recorder.
-func (m Multi) Record(e Event) {
-	for _, r := range m {
-		r.Record(e)
-	}
-}
-
-// Buffer retains every event in memory; tests and small analyses use it.
-type Buffer struct {
-	Events []Event
-}
-
-var _ Recorder = (*Buffer)(nil)
-
-// Record implements Recorder.
-func (b *Buffer) Record(e Event) { b.Events = append(b.Events, e) }
-
-// Count returns how many events of the kind were recorded.
-func (b *Buffer) Count(k Kind) int {
-	n := 0
-	for _, e := range b.Events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// Filter returns the events of the kind, in order.
-func (b *Buffer) Filter(k Kind) []Event {
-	var out []Event
-	for _, e := range b.Events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -1,26 +1,6 @@
 package report
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-	"time"
-
-	"dtnsim/internal/ident"
-)
-
-func sampleEvents() []Event {
-	return []Event{
-		{At: 10 * time.Second, Kind: ContactUp, A: 1, B: 2},
-		{At: 12 * time.Second, Kind: MessageCreated, A: 1, Msg: "n1-m1"},
-		{At: 20 * time.Second, Kind: Relayed, A: 1, B: 2, Msg: "n1-m1"},
-		{At: 25 * time.Second, Kind: TagAdded, A: 2, Msg: "n1-m1", Keyword: "flood", Relevant: true},
-		{At: 30 * time.Second, Kind: Delivered, A: 2, B: 3, Msg: "n1-m1"},
-		{At: 30 * time.Second, Kind: Payment, A: 3, B: 2, Msg: "n1-m1", Tokens: 2.5},
-		{At: 40 * time.Second, Kind: ContactDown, A: 1, B: 2},
-	}
-}
+import "testing"
 
 func TestKindStrings(t *testing.T) {
 	kinds := map[Kind]string{
@@ -31,64 +11,6 @@ func TestKindStrings(t *testing.T) {
 	for k, want := range kinds {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
-func TestBufferRecorder(t *testing.T) {
-	var b Buffer
-	for _, e := range sampleEvents() {
-		b.Record(e)
-	}
-	if len(b.Events) != 7 {
-		t.Fatalf("events = %d", len(b.Events))
-	}
-	if b.Count(ContactUp) != 1 || b.Count(Payment) != 1 {
-		t.Error("Count wrong")
-	}
-	if got := b.Filter(Relayed); len(got) != 1 || got[0].Msg != "n1-m1" {
-		t.Errorf("Filter = %v", got)
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	var a, b Buffer
-	m := Multi{&a, &b}
-	m.Record(Event{Kind: ContactUp})
-	if len(a.Events) != 1 || len(b.Events) != 1 {
-		t.Error("multi did not fan out")
-	}
-}
-
-// orderRecorder appends its tag to a shared log on every event, so a test
-// can observe the exact interleaving Multi produces.
-type orderRecorder struct {
-	tag string
-	log *[]string
-}
-
-func (o orderRecorder) Record(e Event) { *o.log = append(*o.log, o.tag+":"+e.Kind.String()) }
-
-func TestMultiPreservesRecorderAndEventOrder(t *testing.T) {
-	// Every recorder must see every event, events in stream order, and for
-	// each event the recorders must run in slice order — the contract the
-	// trace writers rely on (ContactStats must observe the ContactUp that a
-	// ConnTraceWriter already rendered, not a reordered stream).
-	var log []string
-	m := Multi{orderRecorder{"a", &log}, orderRecorder{"b", &log}, orderRecorder{"c", &log}}
-	events := sampleEvents()
-	for _, e := range events {
-		m.Record(e)
-	}
-	if want := 3 * len(events); len(log) != want {
-		t.Fatalf("log has %d entries, want %d", len(log), want)
-	}
-	for i, e := range events {
-		for j, tag := range []string{"a", "b", "c"} {
-			want := tag + ":" + e.Kind.String()
-			if got := log[3*i+j]; got != want {
-				t.Fatalf("delivery %d = %q, want %q (full log: %v)", 3*i+j, got, want, log)
-			}
 		}
 	}
 }
@@ -113,170 +35,5 @@ func TestAllKindsCoversEveryKind(t *testing.T) {
 		if int(k) != i+1 {
 			t.Errorf("AllKinds[%d] = %d, want %d (declaration order)", i, int(k), i+1)
 		}
-	}
-}
-
-func TestConnTraceWriterFormat(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewConnTraceWriter(&buf)
-	for _, e := range sampleEvents() {
-		w.Record(e)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("trace lines = %d: %q", len(lines), buf.String())
-	}
-	if lines[0] != "10.0 CONN 1 2 up" {
-		t.Errorf("up line = %q", lines[0])
-	}
-	if lines[1] != "40.0 CONN 1 2 down" {
-		t.Errorf("down line = %q", lines[1])
-	}
-}
-
-func TestDeliveryReportWriterLatency(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewDeliveryReportWriter(&buf)
-	for _, e := range sampleEvents() {
-		w.Record(e)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "12.0 C n1-m1 1") {
-		t.Errorf("missing create line:\n%s", out)
-	}
-	if !strings.Contains(out, "20.0 R n1-m1 1 2") {
-		t.Errorf("missing relay line:\n%s", out)
-	}
-	// Latency = 30 − 12 = 18 s.
-	if !strings.Contains(out, "30.0 D n1-m1 2 3 18.0") {
-		t.Errorf("missing delivery line with latency:\n%s", out)
-	}
-}
-
-func TestJSONLWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	for _, e := range sampleEvents() {
-		w.Record(e)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(sampleEvents()) {
-		t.Fatalf("jsonl lines = %d", len(lines))
-	}
-	var decoded struct {
-		Kind    string          `json:"kind"`
-		Tokens  float64         `json:"tokens"`
-		Msg     ident.MessageID `json:"msg"`
-		Keyword string          `json:"keyword"`
-	}
-	if err := json.Unmarshal([]byte(lines[5]), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Kind != "PAY" || decoded.Tokens != 2.5 {
-		t.Errorf("payment line decoded to %+v", decoded)
-	}
-}
-
-func TestJSONLWriterRoundTripsEveryKind(t *testing.T) {
-	// One event of every declared kind, with every payload field that kind
-	// can carry populated, must survive the encode→decode round trip.
-	events := make([]Event, 0, len(AllKinds()))
-	for i, k := range AllKinds() {
-		ev := Event{
-			At:   time.Duration(i+1) * time.Second,
-			Kind: k,
-			A:    ident.NodeID(i + 1),
-			B:    ident.NodeID(i + 2),
-			Msg:  ident.MessageID("n1-m1"),
-		}
-		switch k {
-		case Payment:
-			ev.Tokens = 3.25
-		case TagAdded:
-			ev.Keyword = "flood"
-			ev.Relevant = true
-		}
-		events = append(events, ev)
-	}
-
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	for _, e := range events {
-		w.Record(e)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(events) {
-		t.Fatalf("jsonl lines = %d, want %d", len(lines), len(events))
-	}
-	for i, line := range lines {
-		var got struct {
-			AtMillis int64           `json:"atMillis"`
-			Kind     string          `json:"kind"`
-			A        ident.NodeID    `json:"a"`
-			B        ident.NodeID    `json:"b"`
-			Msg      ident.MessageID `json:"msg"`
-			Tokens   float64         `json:"tokens"`
-			Keyword  string          `json:"keyword"`
-			Relevant bool            `json:"relevant"`
-		}
-		if err := json.Unmarshal([]byte(line), &got); err != nil {
-			t.Fatalf("kind %v line %q: %v", events[i].Kind, line, err)
-		}
-		want := events[i]
-		if got.Kind != want.Kind.String() {
-			t.Errorf("line %d kind = %q, want %q", i, got.Kind, want.Kind)
-		}
-		if got.AtMillis != want.At.Milliseconds() {
-			t.Errorf("%v atMillis = %d, want %d", want.Kind, got.AtMillis, want.At.Milliseconds())
-		}
-		if got.A != want.A || got.B != want.B || got.Msg != want.Msg {
-			t.Errorf("%v endpoints = (%v, %v, %v), want (%v, %v, %v)",
-				want.Kind, got.A, got.B, got.Msg, want.A, want.B, want.Msg)
-		}
-		if got.Tokens != want.Tokens {
-			t.Errorf("%v tokens = %v, want %v", want.Kind, got.Tokens, want.Tokens)
-		}
-		if got.Keyword != want.Keyword || got.Relevant != want.Relevant {
-			t.Errorf("%v tag fields = (%q, %t), want (%q, %t)",
-				want.Kind, got.Keyword, got.Relevant, want.Keyword, want.Relevant)
-		}
-	}
-}
-
-func TestContactStats(t *testing.T) {
-	s := NewContactStats()
-	for _, e := range sampleEvents() {
-		s.Record(e)
-	}
-	if s.Completed() != 1 {
-		t.Fatalf("completed = %d", s.Completed())
-	}
-	if s.MeanDuration() != 30*time.Second {
-		t.Errorf("mean duration = %v, want 30s", s.MeanDuration())
-	}
-	// An unmatched down is ignored.
-	s.Record(Event{At: time.Minute, Kind: ContactDown, A: 7, B: 8})
-	if s.Completed() != 1 {
-		t.Error("unmatched down counted")
-	}
-}
-
-func TestEmptyContactStats(t *testing.T) {
-	s := NewContactStats()
-	if s.MeanDuration() != 0 || s.Completed() != 0 {
-		t.Error("empty stats must be zero")
 	}
 }

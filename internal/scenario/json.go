@@ -20,10 +20,6 @@ import (
 //     current values. Decoding a partial body onto scenario.Default(...)
 //     yields defaults-plus-overrides, mirroring how the CLIs layer flags
 //     over the same defaults.
-//
-// The Router field (a live routing.Router instance) has no JSON form;
-// router selection travels as the "router" name (RouterName), which Build
-// instantiates freshly per run.
 
 // flexDur is a time.Duration that marshals as a Go duration string and
 // unmarshals from either a string or a nanosecond count.
@@ -53,8 +49,8 @@ func (d *flexDur) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// specJSON is Spec's wire shadow: every Spec field except the
-// non-serialisable Router instance, with durations widened to flexDur.
+// specJSON is Spec's wire shadow: every Spec field, with durations
+// widened to flexDur.
 // TestSpecJSONCoversEveryField enforces the field-for-field parity, so
 // adding a Spec knob without a wire form fails fast.
 type specJSON struct {
@@ -140,12 +136,8 @@ func (s *Spec) fromShadow(w specJSON) {
 	s.BetaReputation = w.BetaReputation
 }
 
-// MarshalJSON implements json.Marshaler. A Spec carrying a live Router
-// instance without a RouterName cannot round-trip and is rejected.
+// MarshalJSON implements json.Marshaler.
 func (s Spec) MarshalJSON() ([]byte, error) {
-	if s.Router != nil && s.RouterName == "" {
-		return nil, fmt.Errorf("scenario: a Router instance has no JSON form; set RouterName instead")
-	}
 	return json.Marshal(s.shadow())
 }
 

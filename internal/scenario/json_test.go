@@ -80,22 +80,9 @@ func TestSpecJSONDurationForms(t *testing.T) {
 	}
 }
 
-func TestSpecJSONRejectsBareRouterInstance(t *testing.T) {
-	spec := Default(core.SchemeIncentive)
-	spec.Router = BaselineRouters()[0]
-	if _, err := json.Marshal(spec); err == nil {
-		t.Error("marshalling a live Router instance must fail")
-	}
-	spec.RouterName = "chitchat"
-	if _, err := json.Marshal(spec); err != nil {
-		t.Errorf("RouterName-carrying spec failed to marshal: %v", err)
-	}
-}
-
 // TestSpecJSONCoversEveryField pins the wire shadow to the Spec struct:
-// every Spec field except the non-serialisable Router must have a
-// same-named counterpart in specJSON, so a new knob cannot silently miss
-// the HTTP/config surface.
+// every Spec field must have a same-named counterpart in specJSON, so a
+// new knob cannot silently miss the HTTP/config surface.
 func TestSpecJSONCoversEveryField(t *testing.T) {
 	shadow := reflect.TypeOf(specJSON{})
 	shadowFields := make(map[string]bool, shadow.NumField())
@@ -106,16 +93,13 @@ func TestSpecJSONCoversEveryField(t *testing.T) {
 	missing := 0
 	for i := 0; i < spec.NumField(); i++ {
 		name := spec.Field(i).Name
-		if name == "Router" {
-			continue // a live instance; travels as RouterName
-		}
 		if !shadowFields[name] {
 			t.Errorf("Spec field %s has no specJSON counterpart", name)
 			missing++
 		}
 	}
-	if want := spec.NumField() - 1; shadow.NumField() != want {
-		t.Errorf("specJSON has %d fields, Spec has %d serialisable fields", shadow.NumField(), want)
+	if shadow.NumField() != spec.NumField() {
+		t.Errorf("specJSON has %d fields, Spec has %d", shadow.NumField(), spec.NumField())
 	}
 	_ = missing
 }

@@ -49,23 +49,21 @@ type Spec struct {
 	// snapshots (core.Config Heartbeat); zero disables them. Heartbeats
 	// never perturb the run itself.
 	Heartbeat time.Duration
-	// Duration overrides the 24 h default when positive.
+	// Duration overrides the 24 h default when positive; zero keeps the
+	// default and a negative value is invalid.
 	Duration time.Duration
-	// AreaKm2 overrides the 5 km² default when positive.
+	// AreaKm2 overrides the 5 km² default when positive (zero keeps it).
 	AreaKm2 float64
-	// InitialTokens overrides Table 5.1's 200 when positive (Figure 5.3).
+	// InitialTokens overrides Table 5.1's 200 when positive (Figure 5.3;
+	// zero keeps it).
 	InitialTokens float64
-	// MeanMessageInterval overrides the workload default when positive.
+	// MeanMessageInterval overrides the workload default when positive
+	// (zero keeps it).
 	MeanMessageInterval time.Duration
-	// Router overrides the routing algorithm (nil = ChitChat); the
-	// incentive layer composes with any router. The instance is shared by
-	// every engine built from this spec — when runs execute concurrently
-	// (experiment.RunAveraged) or the router is stateful (PRoPHET), use
-	// RouterName instead so each Build gets a fresh instance.
-	Router routing.Router
-	// RouterName, when non-empty, builds a fresh shipped router per Build
-	// call (required for stateful routers like PRoPHET when one Spec runs
-	// several seeds). Takes precedence over Router.
+	// RouterName selects a shipped routing algorithm (RouterNames); empty
+	// means ChitChat. The incentive layer composes with any router. Build
+	// makes a fresh instance per call, so stateful routers (PRoPHET) are
+	// never shared between runs.
 	RouterName string
 	// DisableReputation ablates the DRM within SchemeIncentive.
 	DisableReputation bool
@@ -76,7 +74,8 @@ type Spec struct {
 	// NoPrepay ablates the relay-threshold prepayment.
 	NoPrepay bool
 	// Step overrides the tick granularity when positive (coarser steps
-	// trade contact-detection precision for speed in quick profiles).
+	// trade contact-detection precision for speed in quick profiles; zero
+	// keeps the default).
 	Step time.Duration
 	// BatteryJoules sets each node's radio energy budget; zero means
 	// unlimited (the paper's setting).
@@ -117,6 +116,16 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: commander percent %d outside [0, 100]", s.CommanderPercent)
 	case s.SelfishOpenProb < 0 || s.SelfishOpenProb > 1:
 		return fmt.Errorf("scenario: selfish open probability %v outside [0, 1]", s.SelfishOpenProb)
+	case s.Duration < 0:
+		return fmt.Errorf("scenario: duration %v is negative", s.Duration)
+	case s.AreaKm2 < 0:
+		return fmt.Errorf("scenario: area %v km² is negative", s.AreaKm2)
+	case s.InitialTokens < 0:
+		return fmt.Errorf("scenario: initial tokens %v is negative", s.InitialTokens)
+	case s.MeanMessageInterval < 0:
+		return fmt.Errorf("scenario: mean message interval %v is negative", s.MeanMessageInterval)
+	case s.Step < 0:
+		return fmt.Errorf("scenario: step %v is negative", s.Step)
 	}
 	return nil
 }
@@ -150,7 +159,6 @@ func Build(spec Spec) (core.Config, []core.NodeSpec, error) {
 	if spec.Step > 0 {
 		cfg.Step = spec.Step
 	}
-	cfg.Router = spec.Router
 	if spec.RouterName != "" {
 		r, rerr := NewRouter(spec.RouterName)
 		if rerr != nil {
@@ -253,24 +261,6 @@ func NewRouter(name string) (routing.Router, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown router %q", name)
 	}
-}
-
-// BaselineRouters returns fresh instances of the six shipped routing
-// algorithms, ready to be composed with the incentive layer via
-// Spec.Router: ChitChat (the paper's substrate), Epidemic (flooding
-// ceiling), Direct (zero-replication floor), binary Spray-and-Wait with an
-// 8-copy budget, PRoPHET, and Two-Hop Relay.
-func BaselineRouters() []routing.Router {
-	out := make([]routing.Router, 0, len(RouterNames()))
-	for _, name := range RouterNames() {
-		r, err := NewRouter(name)
-		if err != nil {
-			// Every canonical name constructs by definition.
-			panic(err)
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // BuildEngine is the one-call convenience: Build then core.NewEngine.

@@ -36,6 +36,13 @@ func TestValidation(t *testing.T) {
 		{"populations over 100", func(s *Spec) { s.SelfishPercent = 60; s.MaliciousPercent = 60 }},
 		{"commander over 100", func(s *Spec) { s.CommanderPercent = 200 }},
 		{"open prob over 1", func(s *Spec) { s.SelfishOpenProb = 1.5 }},
+		// Zero keeps the Table 5.1 default; a negative value is an error,
+		// not the default.
+		{"negative duration", func(s *Spec) { s.Duration = -time.Hour }},
+		{"negative area", func(s *Spec) { s.AreaKm2 = -0.5 }},
+		{"negative initial tokens", func(s *Spec) { s.InitialTokens = -1 }},
+		{"negative message interval", func(s *Spec) { s.MeanMessageInterval = -time.Minute }},
+		{"negative step", func(s *Spec) { s.Step = -time.Second }},
 	}
 	for _, tt := range tests {
 		s := Default(core.SchemeIncentive)
@@ -139,22 +146,6 @@ func TestBuildOverrides(t *testing.T) {
 	}
 	if cfg.Area.Area() < 1.9e6 || cfg.Area.Area() > 2.1e6 {
 		t.Errorf("area = %v m²", cfg.Area.Area())
-	}
-}
-
-func TestBaselineRouters(t *testing.T) {
-	routers := BaselineRouters()
-	if len(routers) != len(RouterNames()) {
-		t.Fatalf("routers = %d, want %d", len(routers), len(RouterNames()))
-	}
-	names := map[string]bool{}
-	for _, r := range routers {
-		names[r.Name()] = true
-	}
-	for _, want := range RouterNames() {
-		if !names[want] {
-			t.Errorf("missing router %q", want)
-		}
 	}
 }
 

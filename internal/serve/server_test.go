@@ -160,6 +160,10 @@ func TestHTTPValidation(t *testing.T) {
 	doJSON(t, http.MethodPost, srv.URL+"/runs", map[string]any{
 		"spec": map[string]any{"duration": "yesterday"},
 	}, http.StatusBadRequest, nil)
+	// Negative duration: invalid, not the 24 h default.
+	doJSON(t, http.MethodPost, srv.URL+"/runs", map[string]any{
+		"spec": map[string]any{"duration": "-1h"},
+	}, http.StatusBadRequest, nil)
 	// Unknown run.
 	doJSON(t, http.MethodGet, srv.URL+"/runs/r404", nil, http.StatusNotFound, nil)
 	doJSON(t, http.MethodPost, srv.URL+"/runs/r404/start", nil, http.StatusNotFound, nil)

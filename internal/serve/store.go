@@ -13,7 +13,6 @@ import (
 	"dtnsim/internal/core"
 	"dtnsim/internal/experiment"
 	"dtnsim/internal/obs"
-	"dtnsim/internal/report"
 	"dtnsim/internal/scenario"
 )
 
@@ -51,7 +50,8 @@ var (
 const defaultHeartbeat = time.Second
 
 // Run is one managed simulation: the canonical spec, its lifecycle
-// state, the SSE hub, and — once started — the engine and its handle.
+// state, the SSE hub, and — once started — the engine and the cancel
+// function that stops it.
 type Run struct {
 	ID  string
 	seq int
@@ -74,8 +74,8 @@ type Run struct {
 
 // Store is the concurrent run registry. Execution rides on an
 // experiment.Pool, so at most maxConcurrent simulations execute at once
-// — the same bounded work-stealing discipline the batch sweeps use —
-// and further started runs wait in StateQueued until a slot frees.
+// — the same bounded pool the batch sweeps use — and further started
+// runs wait in StateQueued until a slot frees.
 type Store struct {
 	pool *experiment.Pool
 	dir  string // spool directory for trace captures
@@ -99,8 +99,7 @@ func NewStore(maxConcurrent int, dir string) *Store {
 	}
 }
 
-// Close cancels every active run, waits for their goroutines to land,
-// and releases the pool workers.
+// Close cancels every active run and waits for their goroutines to land.
 func (s *Store) Close() {
 	s.mu.Lock()
 	runs := make([]*Run, 0, len(s.runs))
@@ -119,7 +118,6 @@ func (s *Store) Close() {
 			<-r.done
 		}
 	}
-	s.pool.Close()
 }
 
 // Create registers a new run in StateCreated. The spec must validate;
@@ -255,11 +253,11 @@ func (s *Store) start(r *Run) error {
 		if err != nil {
 			return err
 		}
-		sp = &spool{file: f, w: report.NewJSONLWriter(f)}
-		// The trace recorder is the first observer, exactly where the
+		sp = &spool{file: f, w: obs.NewTraceWriter(f)}
+		// The trace writer is the first observer, exactly where the
 		// dtnsim CLI appends its -trace writer: the spooled JSONL is
 		// byte-identical to a CLI run of the same spec.
-		cfg.Observers = append(cfg.Observers, obs.Record(sp.w))
+		cfg.Observers = append(cfg.Observers, sp.w)
 	}
 	cfg.Observers = append(cfg.Observers, r.hub)
 	eng, err := core.NewEngine(cfg, specs)
@@ -301,11 +299,11 @@ func (s *Store) Start(id string) error {
 	return s.start(r)
 }
 
-// execute owns the run goroutine: it waits for a pool slot, drives the
-// engine to completion or cancellation through a core.RunHandle, closes
-// the trace spool, records the outcome, and finishes the SSE stream. A
-// spool that failed to write or close fails a run that otherwise
-// completed.
+// execute owns the run goroutine: it waits for a pool slot, runs the
+// engine to completion or cancellation, closes the trace spool, records
+// the outcome, and finishes the SSE stream. A cancelled run keeps the
+// result and snapshot it accumulated so far. A spool that failed to write
+// or close fails a run that otherwise completed.
 func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scenario.Spec, sp *spool) {
 	defer close(r.done)
 	simSeconds := spec.Duration.Seconds()
@@ -316,13 +314,17 @@ func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scen
 		r.mu.Lock()
 		r.state = StateRunning
 		r.mu.Unlock()
-		h := core.StartRun(ctx, eng)
-		<-h.Done()
-		res, snap := h.Result(), h.Snapshot()
+		res, err := eng.Run(ctx)
+		if err != nil {
+			// Engine.Run returns an empty Result when cancelled; the
+			// engine state is intact, so summarise what the run reached.
+			res = eng.Result()
+		}
+		snap := eng.Snapshot()
 		r.mu.Lock()
 		r.result, r.final = &res, &snap
 		r.mu.Unlock()
-		return h.Err()
+		return err
 	})
 	if sp != nil {
 		if serr := sp.close(); serr != nil && err == nil {
@@ -354,7 +356,7 @@ func (s *Store) execute(r *Run, ctx context.Context, eng *core.Engine, spec scen
 // recording into it.
 type spool struct {
 	file *os.File
-	w    *report.JSONLWriter
+	w    *obs.TraceWriter
 }
 
 // close closes the file and returns the first write error, else the close
@@ -376,8 +378,8 @@ func (sp *spool) discard() {
 	}
 }
 
-// Cancel stops the run. A queued run never executes (its slot request is
-// withdrawn); a running one stops at the next step boundary. Cancelling
+// Cancel stops the run. A queued run never executes (it stops waiting for
+// a slot); a running one stops at the next step boundary. Cancelling
 // a created or finished run is a no-op.
 func (r *Run) Cancel() {
 	r.mu.Lock()

@@ -12,7 +12,6 @@ import (
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/obs"
-	"dtnsim/internal/report"
 	"dtnsim/internal/scenario"
 )
 
@@ -95,6 +94,51 @@ func TestDoubleStartRejected(t *testing.T) {
 	<-r.Done()
 	if got := r.Status().State; got != StateCancelled {
 		t.Fatalf("state after cancel = %q, want %q", got, StateCancelled)
+	}
+}
+
+// TestCancelledRunKeepsPartialResult pins what a cancelled run reports: the
+// result it accumulated so far and a final snapshot taken mid-run, not an
+// empty result.
+func TestCancelledRunKeepsPartialResult(t *testing.T) {
+	s := NewStore(1, t.TempDir())
+	defer s.Close()
+
+	spec := longSpec()
+	r, err := s.Create(spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(r.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, r, StateRunning)
+	// Let the engine advance at least one step before pulling the plug.
+	r.mu.Lock()
+	eng := r.eng
+	r.mu.Unlock()
+	stepped := make(chan struct{})
+	eng.Control(func(time.Duration) { close(stepped) })
+	select {
+	case <-stepped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never started stepping")
+	}
+	r.Cancel()
+	<-r.Done()
+
+	st := r.Status()
+	if st.State != StateCancelled {
+		t.Fatalf("state = %q (err %q), want %q", st.State, st.Error, StateCancelled)
+	}
+	if st.Result == nil || st.Result.Nodes != spec.Nodes {
+		t.Fatalf("cancelled run result = %+v, want a partial result over %d nodes", st.Result, spec.Nodes)
+	}
+	if st.Final == nil {
+		t.Fatal("cancelled run has no final snapshot")
+	}
+	if sim := st.Final.SimSeconds; sim <= 0 || sim >= spec.Duration.Seconds() {
+		t.Errorf("final snapshot at %v sim seconds, want mid-run", sim)
 	}
 }
 
@@ -368,8 +412,8 @@ func TestUnwritableSpoolFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	sp := &spool{file: f, w: report.NewJSONLWriter(f)}
-	cfg.Observers = append(cfg.Observers, obs.Record(sp.w), r.hub)
+	sp := &spool{file: f, w: obs.NewTraceWriter(f)}
+	cfg.Observers = append(cfg.Observers, sp.w, r.hub)
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -396,13 +440,13 @@ func TestUnwritableSpoolFailsRun(t *testing.T) {
 func TestHTTPTraceMatchesDirectRun(t *testing.T) {
 	spec := quickSpec()
 
-	// Direct path: scenario.Build + a JSONL recorder, the dtnsim wiring.
+	// Direct path: scenario.Build + a JSONL trace writer, the dtnsim wiring.
 	cfg, specs, err := scenario.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer
-	cfg.Observers = append(cfg.Observers, obs.Record(report.NewJSONLWriter(&direct)))
+	cfg.Observers = append(cfg.Observers, obs.NewTraceWriter(&direct))
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		t.Fatal(err)

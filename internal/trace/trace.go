@@ -1,6 +1,6 @@
 // Package trace parses and represents external contact traces, letting the
 // engine replay real-world connectivity (Haggle/Infocom-style datasets, or
-// traces recorded from earlier runs via report.ConnTraceWriter) instead of
+// traces recorded from earlier runs via obs.ConnTraceWriter) instead of
 // synthetic mobility. This is the standard methodology split in DTN
 // research: synthetic Random Waypoint for parameter sweeps, recorded
 // contact traces for realism checks.
@@ -174,7 +174,7 @@ func sortContacts(cs []Contact) {
 const maxConnSeconds = math.MaxInt64/int64(time.Second) - 1
 
 // ParseConn parses the ONE-style connectivity trace format that
-// report.ConnTraceWriter emits:
+// obs.ConnTraceWriter emits:
 //
 //	<seconds> CONN <a> <b> up|down
 //
