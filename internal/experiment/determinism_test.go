@@ -56,25 +56,38 @@ func renderKernelGolden(t *testing.T, scheme core.Scheme, extra ...obs.Observer)
 // kernelGolden is renderKernelGolden reporting errors instead of failing
 // the test, so pool jobs off the test goroutine can render too.
 func kernelGolden(ctx context.Context, scheme core.Scheme, extra ...obs.Observer) (string, error) {
-	spec := kernelGoldenSpec(scheme)
+	out, _, err := runGolden(ctx, kernelGoldenSpec(scheme), nil, extra...)
+	return out, err
+}
+
+// runGolden builds spec, applies edit (when non-nil) to the built
+// configuration, runs it, and formats every figure-feeding observable plus
+// the event-trace hash. It also returns the finished engine so callers can
+// check state the rendering does not cover.
+func runGolden(ctx context.Context, spec scenario.Spec, edit func(*core.Config) error, extra ...obs.Observer) (string, *core.Engine, error) {
 	cfg, nodes, err := scenario.Build(spec)
 	if err != nil {
-		return "", err
+		return "", nil, err
+	}
+	if edit != nil {
+		if err := edit(&cfg); err != nil {
+			return "", nil, err
+		}
 	}
 	var trace obs.Buffer
 	cfg.Observers = append([]obs.Observer{&trace}, extra...)
 	eng, err := core.NewEngine(cfg, nodes)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	res, err := eng.Run(ctx)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "scheme=%s nodes=%d duration=%s step=%s seed=%d\n",
-		scheme, spec.Nodes, cfg.Duration, cfg.Step, cfg.Seed)
+		spec.Scheme, spec.Nodes, cfg.Duration, cfg.Step, cfg.Seed)
 	fmt.Fprintf(&b, "created=%d delivered=%d mdr=%.6f latency=%s\n",
 		res.Created, res.Delivered, res.MDR, res.MeanLatency)
 	fmt.Fprintf(&b, "transfers=%d relay=%d aborted=%d\n",
@@ -105,7 +118,7 @@ func kernelGolden(ctx context.Context, scheme core.Scheme, extra ...obs.Observer
 			ev.At, ev.Kind, ev.A, ev.B, ev.Msg, ev.Tokens, ev.Keyword, ev.Relevant)
 	}
 	fmt.Fprintf(&b, "events=%d trace-fnv=%016x\n", len(trace.Events), h.Sum64())
-	return b.String(), nil
+	return b.String(), eng, nil
 }
 
 // TestKernelByteIdenticalToPollingSeed is the refactor's determinism guard:
