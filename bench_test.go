@@ -1,297 +1,21 @@
-// Package dtnsim_test holds the benchmark harness: one testing.B benchmark
-// per table and figure in the paper's evaluation (Paper I §5), plus the
-// ablation and router-comparison benches DESIGN.md calls out. Each
-// benchmark iteration regenerates the artifact at the bench profile (60
-// nodes / 0.6 km² / 2 h — the paper's 100 nodes/km² density at laptop
-// scale; figure-axis sweeps are thinned where noted) and reports the
-// headline metric via b.ReportMetric, so `go test -bench=.` doubles as a
-// shape check against the paper.
-//
-// Full-scale regeneration (Table 5.1's 500 nodes / 5 km² / 24 h, five
-// seeds) is cmd/dtnexp's job: `go run ./cmd/dtnexp -exp all -profile paper`.
+// Package dtnsim_test holds the engine microbenchmarks: warm-window costs
+// of one simulated second at and beyond paper scale, of the contact-round
+// exchange path, and of contact churn. They are the benchmarks CI runs
+// under the race detector. Whole-run engine and figure-suite cost is
+// measured by the repository benchmark in perfbench/, and the paper's
+// tables and figures are regenerated by cmd/dtnexp:
+// `go run ./cmd/dtnexp -exp all -profile paper`.
 package dtnsim_test
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"dtnsim/internal/core"
-	"dtnsim/internal/experiment"
 	"dtnsim/internal/scenario"
 )
-
-func benchProfile() experiment.Profile { return experiment.BenchProfile }
-
-// BenchmarkTable51Defaults regenerates Table 5.1 (the simulation-parameter
-// table) and verifies the default configuration builds a paper-scale
-// network spec.
-func BenchmarkTable51Defaults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiment.Table51(benchProfile())
-		if len(tab.Rows) != 11 {
-			b.Fatalf("Table 5.1 rows = %d", len(tab.Rows))
-		}
-		spec := scenario.Default(core.SchemeIncentive)
-		if _, _, err := scenario.Build(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig51MDRVsSelfish regenerates Figure 5.1 (MDR vs % selfish
-// nodes, ChitChat vs incentive) over a thinned selfish axis {0, 40, 80}.
-func BenchmarkFig51MDRVsSelfish(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		points, err := experiment.SelfishSweep(ctx, benchProfile(), []int{0, 40, 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSweep(b, points)
-	}
-}
-
-// BenchmarkFig52TrafficReduction regenerates Figure 5.2 (% relay traffic
-// reduced over ChitChat) over the same thinned axis.
-func BenchmarkFig52TrafficReduction(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		points, err := experiment.SelfishSweep(ctx, benchProfile(), []int{0, 40, 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for _, p := range points {
-			sum += p.TrafficReduction()
-		}
-		b.ReportMetric(sum/float64(len(points)), "mean-reduced-%")
-	}
-}
-
-// BenchmarkFig53InitialTokens regenerates Figure 5.3 (MDR vs the initial
-// token allowance at several selfish percentages).
-func BenchmarkFig53InitialTokens(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, points, err := experiment.Fig53(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: MDR gain from quadrupling the allowance at 20% selfish.
-		var low, high float64
-		for _, p := range points {
-			if p.SelfishPercent != 20 {
-				continue
-			}
-			switch p.InitialTokens {
-			case 50:
-				low = p.Incentive.MDR
-			case 400:
-				high = p.Incentive.MDR
-			}
-		}
-		b.ReportMetric(high-low, "mdr-gain-50to400")
-	}
-}
-
-// BenchmarkFig54MaliciousRecognition regenerates Figure 5.4 (average rating
-// of malicious nodes held by honest nodes over time, 10–40% malicious).
-func BenchmarkFig54MaliciousRecognition(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, series, err := experiment.Fig54(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var finalSum float64
-		for _, s := range series {
-			finalSum += s.Final()
-		}
-		b.ReportMetric(finalSum/float64(len(series)), "final-malicious-rating")
-	}
-}
-
-// BenchmarkFig55MDRVsUsers regenerates Figure 5.5 (MDR vs the number of
-// users in a fixed area, both schemes).
-func BenchmarkFig55MDRVsUsers(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, points, err := experiment.Fig55(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: the ChitChat/incentive MDR gap at the largest network
-		// — the paper reports it "almost fades away".
-		last := points[len(points)-1]
-		b.ReportMetric(last.ChitChat.MDR-last.Incentive.MDR, "mdr-gap-at-3x-users")
-	}
-}
-
-// BenchmarkFig56PriorityMDR regenerates Figure 5.6 (priority-segmented
-// deliveries at 20% and 40% selfish with the 50/30/20 generator split).
-func BenchmarkFig56PriorityMDR(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, points, err := experiment.Fig56(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Headline: high-priority deliveries, incentive minus ChitChat,
-		// averaged over the two selfish levels (paper: positive).
-		var delta float64
-		for _, p := range points {
-			delta += p.Incentive.DeliveredHigh - p.ChitChat.DeliveredHigh
-		}
-		b.ReportMetric(delta/float64(len(points)), "extra-high-prio-delivered")
-	}
-}
-
-// BenchmarkAblationReputation measures the DRM on/off (DESIGN.md ablation:
-// without reputation, forged tags earn full awards).
-func BenchmarkAblationReputation(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiment.AblationReputation(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Ablated.MDR-res.Full.MDR, "mdr-delta-ablated")
-	}
-}
-
-// BenchmarkAblationEnrichment measures content enrichment on/off.
-func BenchmarkAblationEnrichment(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiment.AblationEnrichment(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Full.Transfers-res.Ablated.Transfers, "extra-transfers-with-enrichment")
-	}
-}
-
-// BenchmarkAblationPrepay measures the relay-threshold prepayment on/off.
-func BenchmarkAblationPrepay(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiment.AblationPrepay(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Full.MDR-res.Ablated.MDR, "mdr-delta-prepay")
-	}
-}
-
-// BenchmarkAblationPriorityBuffers measures priority-aware eviction against
-// drop-oldest under the Figure 5.6 generator split.
-func BenchmarkAblationPriorityBuffers(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiment.AblationPriorityBuffers(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Full.PriorityMDRs[0]-res.Ablated.PriorityMDRs[0], "high-mdr-delta")
-	}
-}
-
-// BenchmarkRouterComparison runs the four shipped routers under the
-// incentive layer (epidemic ceiling, direct floor — the thesis intro's
-// trade-off).
-func BenchmarkRouterComparison(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, avgs, err := experiment.BaselineComparison(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(avgs["epidemic"].MDR, "epidemic-mdr")
-		b.ReportMetric(avgs["direct"].MDR, "direct-mdr")
-		b.ReportMetric(avgs["chitchat"].MDR, "chitchat-mdr")
-	}
-}
-
-// BenchmarkBatterySweep measures delivery against radio energy budgets
-// (the battery-scarcity extension; zero budget = the paper's unlimited
-// setting).
-func BenchmarkBatterySweep(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, avgs, err := experiment.BatterySweep(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(avgs[0].MDR-avgs[0.5].MDR, "mdr-cost-of-tiny-battery")
-	}
-}
-
-// BenchmarkReputationModels compares the paper's DRM with the REPSYS-style
-// Beta comparator on the malicious-recognition task.
-func BenchmarkReputationModels(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, series, err := experiment.ReputationModelComparison(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(series["drm"].Final(), "drm-final-rating")
-		b.ReportMetric(series["beta"].Final(), "beta-final-rating")
-	}
-}
-
-// BenchmarkSensitivity runs the one-at-a-time design-parameter sweep
-// (α, relay threshold, prepay fraction, tag reward, I_m).
-func BenchmarkSensitivity(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		_, points, err := experiment.Sensitivity(ctx, benchProfile())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(points)), "settings")
-	}
-}
-
-// BenchmarkSweepScheduler pushes the Figure 5.1 sweep through the bounded
-// experiment pool at GOMAXPROCS slots (the dtnexp default), measuring
-// end-to-end scheduler throughput — (point × scheme × seed) jobs sharing
-// one concurrency cap — in simulated seconds retired per wall second.
-func BenchmarkSweepScheduler(b *testing.B) {
-	pool := experiment.NewPool(runtime.GOMAXPROCS(0))
-	pr := experiment.NewProgress()
-	pool.SetProgress(pr)
-	ctx := experiment.WithPool(context.Background(), pool)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		points, err := experiment.SelfishSweep(ctx, benchProfile(), []int{0, 40, 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(points) != 3 {
-			b.Fatalf("points = %d", len(points))
-		}
-	}
-	s := pr.Snapshot()
-	b.ReportMetric(s.Throughput(), "sim-s/wall-s")
-	b.ReportMetric(float64(s.Done)/float64(b.N), "jobs/op")
-}
-
-// BenchmarkSweepSchedulerSingleWorker is the same sweep pinned to one
-// worker — the sequential baseline for the scheduler's speedup.
-func BenchmarkSweepSchedulerSingleWorker(b *testing.B) {
-	pool := experiment.NewPool(1)
-	ctx := experiment.WithPool(context.Background(), pool)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.SelfishSweep(ctx, benchProfile(), []int{0, 40, 80}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkEngineScale measures raw kernel throughput at and beyond paper
 // scale: 500, 2000, and 5000 nodes at the paper's 100 nodes/km² density,
@@ -429,15 +153,4 @@ func BenchmarkContactChurn(b *testing.B) {
 	snap := eng.Snapshot().Sub(before)
 	b.ReportMetric(float64(snap.Counter("contacts_up"))/float64(b.N), "ups/sim-s")
 	b.ReportMetric(float64(snap.Counter("contacts_down"))/float64(b.N), "downs/sim-s")
-}
-
-func reportSweep(b *testing.B, points []experiment.Fig51Point) {
-	b.Helper()
-	if len(points) == 0 {
-		b.Fatal("empty sweep")
-	}
-	first, last := points[0], points[len(points)-1]
-	b.ReportMetric(first.Incentive.MDR, "mdr-at-0-selfish")
-	b.ReportMetric(last.Incentive.MDR, "mdr-at-80-selfish")
-	b.ReportMetric(first.Incentive.MDR-last.Incentive.MDR, "mdr-drop")
 }

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -12,65 +14,140 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// TestEconomicInvariants drives randomised small networks and checks,
-// through the event stream, the bounds the incentive design guarantees:
+// TestEconomicInvariants is the token and reputation property test across
+// scheme × router × reputation model. Each combination runs a small network
+// for 30 simulated minutes under its own seeded behaviour mix (selfish and
+// malicious shares, low-quality malicious content) and checks at run end:
 //
-//   - every single payment is at most I_m + I_c (a capped award) — the
-//     normalised award factor means nobody ever overpays;
-//   - no wallet ever goes negative (ledger atomicity);
-//   - transfers observed as events equal the metrics counters.
+//   - tokens are conserved: Σ wallets = nodes × initial tokens;
+//   - no wallet is negative (ledger atomicity);
+//   - every rating any node holds lies in [0, MaxRating];
+//   - every payment is positive and at most I_m + I_c (the normalised award
+//     factor means nobody ever overpays);
+//   - event counts equal the Result counters.
+//
+// The ChitChat scheme runs no reputation model, so it runs once per router.
 func TestEconomicInvariants(t *testing.T) {
 	rng := sim.NewRNG(77)
-	for trial := 0; trial < 5; trial++ {
-		spec := scenario.Default(core.SchemeIncentive)
-		spec.Nodes = 25 + rng.Intn(15)
-		spec.AreaKm2 = float64(spec.Nodes) / 100
-		spec.Duration = 30 * time.Minute
-		spec.SelfishPercent = rng.Intn(40)
-		spec.MaliciousPercent = rng.Intn(20)
-		spec.MeanMessageInterval = 5 * time.Minute
-		spec.Seed = rng.Int63()
-
-		cfg, specs, err := scenario.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf obs.Buffer
-		cfg.Observers = []obs.Observer{&buf}
-		eng, err := core.NewEngine(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		maxPayment := cfg.Incentive.MaxIncentive + cfg.Incentive.TagRewardCap
-		for _, e := range buf.Filter(report.Payment) {
-			if e.Tokens <= 0 {
-				t.Fatalf("trial %d: non-positive payment %v", trial, e.Tokens)
+	paid := 0
+	for _, scheme := range []core.Scheme{core.SchemeChitChat, core.SchemeIncentive} {
+		for _, router := range scenario.RouterNames() {
+			for _, beta := range []bool{false, true} {
+				if beta && scheme == core.SchemeChitChat {
+					continue
+				}
+				spec := scenario.Default(scheme)
+				spec.RouterName = router
+				spec.BetaReputation = beta
+				spec.Nodes = 20 + rng.Intn(15)
+				spec.AreaKm2 = float64(spec.Nodes) / 100
+				spec.Duration = 30 * time.Minute
+				spec.SelfishPercent = rng.Intn(40)
+				spec.MaliciousPercent = rng.Intn(20)
+				spec.MaliciousLowQuality = rng.Intn(2) == 0
+				spec.MeanMessageInterval = 5 * time.Minute
+				spec.Seed = rng.Int63()
+				model := "drm"
+				if beta {
+					model = "beta"
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", scheme, router, model), func(t *testing.T) {
+					paid += checkEconomicInvariants(t, spec)
+				})
 			}
-			if e.Tokens > maxPayment+1e-9 {
-				t.Fatalf("trial %d: payment %v exceeds I_m + I_c = %v", trial, e.Tokens, maxPayment)
-			}
-		}
-		if res.TokensMin < 0 {
-			t.Fatalf("trial %d: negative balance %v", trial, res.TokensMin)
-		}
-		relays := buf.Count(report.Relayed)
-		delivers := buf.Count(report.Delivered)
-		if relays != res.RelayTransfers {
-			t.Fatalf("trial %d: relay events %d != metric %d", trial, relays, res.RelayTransfers)
-		}
-		if relays+delivers != res.Transfers {
-			t.Fatalf("trial %d: events %d+%d != transfers metric %d",
-				trial, relays, delivers, res.Transfers)
-		}
-		if created := buf.Count(report.MessageCreated); created != res.Created {
-			t.Fatalf("trial %d: create events %d != metric %d", trial, created, res.Created)
 		}
 	}
+	if paid == 0 {
+		t.Error("no run made a payment; the invariants were checked on an idle economy")
+	}
+}
+
+// checkEconomicInvariants runs spec, checks the invariants at run end, and
+// returns how many payments the run made.
+func checkEconomicInvariants(t *testing.T, spec scenario.Spec) int {
+	cfg, specs, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf obs.Buffer
+	cfg.Observers = []obs.Observer{&buf}
+	eng, err := core.NewEngine(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := eng.Nodes()
+
+	var sum float64
+	for _, n := range nodes {
+		b := n.Wallet().Balance()
+		if b < 0 {
+			t.Errorf("node %v: negative balance %v", n.ID(), b)
+		}
+		sum += b
+	}
+	want := float64(len(nodes)) * cfg.Incentive.InitialTokens
+	if math.Abs(sum-want) > 1e-9*want {
+		t.Errorf("Σ wallets = %v, want %v (nodes × initial tokens)", sum, want)
+	}
+	maxRating := cfg.Reputation.MaxRating
+	for _, n := range nodes {
+		for _, m := range nodes {
+			if r := n.Reputation().Rating(m.ID()); !(r >= 0 && r <= maxRating) {
+				t.Fatalf("node %v rates %v at %v, outside [0, %v]", n.ID(), m.ID(), r, maxRating)
+			}
+		}
+	}
+
+	maxPayment := cfg.Incentive.MaxIncentive + cfg.Incentive.TagRewardCap
+	var volume float64
+	payments := buf.Filter(report.Payment)
+	for _, e := range payments {
+		if e.Tokens <= 0 || e.Tokens > maxPayment+1e-9 {
+			t.Fatalf("payment %v outside (0, I_m + I_c = %v]", e.Tokens, maxPayment)
+		}
+		volume += e.Tokens
+	}
+	if len(payments) != res.LedgerTransfers {
+		t.Errorf("payment events %d != ledger transfers %d", len(payments), res.LedgerTransfers)
+	}
+	if math.Abs(volume-res.LedgerVolume) > 1e-9*math.Max(1, volume) {
+		t.Errorf("payment event volume %v != ledger volume %v", volume, res.LedgerVolume)
+	}
+
+	relays := buf.Count(report.Relayed)
+	delivered := buf.Filter(report.Delivered)
+	firsts := map[core.MessageID]bool{}
+	for _, e := range delivered {
+		firsts[e.Msg] = true
+	}
+	relevant := 0
+	tags := buf.Filter(report.TagAdded)
+	for _, e := range tags {
+		if e.Relevant {
+			relevant++
+		}
+	}
+	for _, c := range []struct {
+		name          string
+		events, count int
+	}{
+		{"created", buf.Count(report.MessageCreated), res.Created},
+		{"relayed", relays, res.RelayTransfers},
+		{"transfers", relays + len(delivered), res.Transfers},
+		{"delivered messages", len(firsts), res.Delivered},
+		{"aborted", buf.Count(report.TransferAborted), res.AbortedTransfers},
+		{"tags", len(tags), res.TagsAdded},
+		{"relevant tags", relevant, res.RelevantTags},
+	} {
+		if c.events != c.count {
+			t.Errorf("%s: %d events != Result counter %d", c.name, c.events, c.count)
+		}
+	}
+	return len(payments)
 }
 
 // TestContactEventsBalance checks that every recorded ContactDown matches a

@@ -88,15 +88,19 @@ func TestTableFormatting(t *testing.T) {
 func TestTable51ListsEveryParameter(t *testing.T) {
 	tab := Table51(tinyProfile())
 	out := tab.String()
-	for _, param := range []string{
+	params := []string{
 		"Number of Participants", "Pool of Social Interest Keywords",
-		"Transmission speed", "Transmission radius", "Buffer capacity",
-		"Message Size", "Area", "Simulated time", "Threshold for relay",
-		"Number of initial tokens",
-	} {
+		"No of Defined Social Interests", "Transmission speed",
+		"Transmission radius", "Buffer capacity", "Message Size", "Area",
+		"Simulated time", "Threshold for relay", "Number of initial tokens",
+	}
+	for _, param := range params {
 		if !strings.Contains(out, param) {
 			t.Errorf("Table 5.1 missing row %q", param)
 		}
+	}
+	if len(tab.Rows) != len(params) {
+		t.Errorf("Table 5.1 rows = %d, want %d", len(tab.Rows), len(params))
 	}
 }
 
@@ -199,6 +203,13 @@ func TestSensitivityCoversEveryKnob(t *testing.T) {
 	}
 	if len(knobs) != len(SensitivityKnobs()) {
 		t.Errorf("knobs covered = %v", knobs)
+	}
+	settings := 0
+	for _, k := range SensitivityKnobs() {
+		settings += len(k.Values)
+	}
+	if len(points) != settings {
+		t.Errorf("points = %d, want one per knob setting (%d)", len(points), settings)
 	}
 	if len(tab.Rows) != len(points) {
 		t.Errorf("table rows = %d, points = %d", len(tab.Rows), len(points))
