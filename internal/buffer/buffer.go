@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
 )
@@ -17,30 +18,40 @@ import (
 // ErrTooLarge is returned when a message is bigger than the whole buffer.
 var ErrTooLarge = errors.New("buffer: message exceeds buffer capacity")
 
-// ErrDuplicate is returned when the buffer already holds the message ID; the
+// ErrDuplicate is returned when the buffer already holds the message; the
 // paper's UUID "makes sure that the message does not get duplicated in any
 // device".
 var ErrDuplicate = errors.New("buffer: duplicate message")
 
 // Policy selects eviction victims. Given the resident messages (in insertion
-// order) and the number of bytes that must be freed, it returns the IDs to
-// evict. Implementations must return enough bytes or the insert fails.
+// order) and the number of bytes that must be freed, it returns the
+// messages to evict. Implementations must return enough bytes or the insert
+// fails.
 type Policy interface {
 	// Victims picks messages to evict to free at least need bytes.
-	Victims(resident []*message.Message, need int64) []ident.MessageID
+	Victims(resident []*message.Message, need int64) []*message.Message
 	// Name identifies the policy in reports.
 	Name() string
 }
 
-// Store is a capacity-bounded message buffer. It is not safe for concurrent
-// use; the simulation engine is single-threaded per run.
+// Store is a capacity-bounded message buffer. It identifies messages by
+// handle: the copies of one message share its handle, creation time and
+// TTL, and the store holds at most one of them. It is not safe for
+// concurrent use; the simulation engine is single-threaded per run.
 type Store struct {
 	capacity int64
 	used     int64
 	policy   Policy
-	byID     map[ident.MessageID]*message.Message
 	order    []*message.Message // insertion order, for deterministic iteration
 	dropped  int                // messages evicted before delivery
+
+	// resident marks the handles of the messages in order; held marks every
+	// handle the store has ever accepted. Add sets both bits, and eviction,
+	// expiry and Remove clear only resident, so held answers "was this node
+	// ever a custodian of the message" with one bit test (see Held). Each
+	// costs one bit per handle up to the largest handle the store has held.
+	resident bitset.Set
+	held     bitset.Set
 
 	// expiry is a deadline-ordered index over TTL-carrying residents, so
 	// NextExpiry and ExpireAt cost O(log n) instead of a full-buffer scan.
@@ -55,7 +66,7 @@ type Store struct {
 type expiryEntry struct {
 	at  time.Duration
 	seq uint64
-	id  ident.MessageID
+	h   message.Handle
 }
 
 // expiryHeap is a hand-rolled binary min-heap; container/heap would box an
@@ -126,11 +137,7 @@ func New(capacity int64, policy Policy) (*Store, error) {
 	if policy == nil {
 		policy = DropOldest{}
 	}
-	return &Store{
-		capacity: capacity,
-		policy:   policy,
-		byID:     make(map[ident.MessageID]*message.Message),
-	}, nil
+	return &Store{capacity: capacity, policy: policy}, nil
 }
 
 // Capacity returns the byte capacity.
@@ -143,34 +150,42 @@ func (s *Store) Used() int64 { return s.used }
 func (s *Store) Free() int64 { return s.capacity - s.used }
 
 // Len returns the number of resident messages.
-func (s *Store) Len() int { return len(s.byID) }
+func (s *Store) Len() int { return len(s.order) }
 
 // Dropped returns how many messages have been evicted so far.
 func (s *Store) Dropped() int { return s.dropped }
 
-// Has reports whether the message ID is resident.
-func (s *Store) Has(id ident.MessageID) bool {
-	_, ok := s.byID[id]
-	return ok
+// Has reports whether the message with handle h is resident.
+func (s *Store) Has(h message.Handle) bool { return s.resident.Has(int(h)) }
+
+// Held reports whether the store has ever accepted the message with handle
+// h, whether or not it is still resident.
+func (s *Store) Held(h message.Handle) bool { return s.held.Has(int(h)) }
+
+// Get returns the resident message with the given ID, or nil. It scans the
+// buffer: lookups by ID are for operator calls and tests, not the hot path.
+func (s *Store) Get(id ident.MessageID) *message.Message {
+	for _, m := range s.order {
+		if m.ID == id {
+			return m
+		}
+	}
+	return nil
 }
 
-// Get returns a resident message, or nil.
-func (s *Store) Get(id ident.MessageID) *message.Message { return s.byID[id] }
-
 // Add inserts a message, evicting per policy if needed. It returns
-// ErrDuplicate if the ID is resident and ErrTooLarge if the message can
-// never fit.
+// ErrDuplicate if the message is resident and ErrTooLarge if it can never
+// fit.
 func (s *Store) Add(m *message.Message) error {
 	if m.Size > s.capacity {
 		return ErrTooLarge
 	}
-	if s.Has(m.ID) {
+	if s.Has(m.Handle) {
 		return ErrDuplicate
 	}
 	if need := m.Size - s.Free(); need > 0 {
-		victims := s.policy.Victims(s.Messages(), need)
-		for _, id := range victims {
-			if s.remove(id) {
+		for _, v := range s.policy.Victims(s.Messages(), need) {
+			if s.remove(v.Handle) {
 				s.dropped++
 			}
 		}
@@ -178,33 +193,33 @@ func (s *Store) Add(m *message.Message) error {
 			return fmt.Errorf("buffer: policy %s freed too little for %d bytes", s.policy.Name(), m.Size)
 		}
 	}
-	s.byID[m.ID] = m
 	s.order = append(s.order, m)
 	s.used += m.Size
+	s.resident.Add(int(m.Handle))
+	s.held.Add(int(m.Handle))
 	if m.TTL > 0 {
 		s.expirySeq++
-		s.pushExpiry(expiryEntry{at: m.CreatedAt + m.TTL, seq: s.expirySeq, id: m.ID})
+		s.pushExpiry(expiryEntry{at: m.CreatedAt + m.TTL, seq: s.expirySeq, h: m.Handle})
 	}
 	return nil
 }
 
-// Remove deletes a message (e.g. after TTL expiry). It reports whether the
-// message was resident.
-func (s *Store) Remove(id ident.MessageID) bool { return s.remove(id) }
+// Remove deletes the message with handle h (e.g. after TTL expiry). It
+// reports whether the message was resident.
+func (s *Store) Remove(h message.Handle) bool { return s.remove(h) }
 
-func (s *Store) remove(id ident.MessageID) bool {
-	m, ok := s.byID[id]
-	if !ok {
+func (s *Store) remove(h message.Handle) bool {
+	if !s.Has(h) {
 		return false
 	}
-	delete(s.byID, id)
-	s.used -= m.Size
-	for i, om := range s.order {
-		if om == m {
+	for i, m := range s.order {
+		if m.Handle == h {
+			s.used -= m.Size
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}
 	}
+	s.resident.Remove(int(h))
 	return true
 }
 
@@ -217,13 +232,10 @@ func (s *Store) Messages() []*message.Message {
 }
 
 // staleHead reports whether the expiry index's head entry no longer matches
-// a resident message (removed, or replaced under the same ID with a
-// different deadline) and should be discarded.
-func (s *Store) staleHead() bool {
-	head := s.expiry[0]
-	m, ok := s.byID[head.id]
-	return !ok || m.TTL <= 0 || m.CreatedAt+m.TTL != head.at
-}
+// a resident message and should be discarded. A resident message with the
+// entry's handle has the entry's deadline, because copies share creation
+// time and TTL.
+func (s *Store) staleHead() bool { return !s.Has(s.expiry[0].h) }
 
 // NextExpiry returns the earliest TTL deadline among resident messages; ok
 // is false when no resident message carries a TTL. Stale index entries are
@@ -250,11 +262,11 @@ func (s *Store) ExpireAt(now time.Duration) int {
 			continue
 		}
 		head := s.expiry[0]
-		if !s.byID[head.id].Expired(now) {
+		if now <= head.at { // Message.Expired is strict
 			break
 		}
 		s.popExpiry()
-		s.remove(head.id)
+		s.remove(head.h)
 		expired++
 	}
 	return expired
@@ -270,7 +282,7 @@ var _ Policy = DropOldest{}
 func (DropOldest) Name() string { return "drop-oldest" }
 
 // Victims implements Policy.
-func (DropOldest) Victims(resident []*message.Message, need int64) []ident.MessageID {
+func (DropOldest) Victims(resident []*message.Message, need int64) []*message.Message {
 	ordered := make([]*message.Message, len(resident))
 	copy(ordered, resident)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -292,7 +304,7 @@ var _ Policy = DropLowPriority{}
 func (DropLowPriority) Name() string { return "drop-low-priority" }
 
 // Victims implements Policy.
-func (DropLowPriority) Victims(resident []*message.Message, need int64) []ident.MessageID {
+func (DropLowPriority) Victims(resident []*message.Message, need int64) []*message.Message {
 	ordered := make([]*message.Message, len(resident))
 	copy(ordered, resident)
 	sort.SliceStable(ordered, func(i, j int) bool {
@@ -308,15 +320,15 @@ func (DropLowPriority) Victims(resident []*message.Message, need int64) []ident.
 	return takeUntil(ordered, need)
 }
 
-func takeUntil(ordered []*message.Message, need int64) []ident.MessageID {
-	var out []ident.MessageID
+// takeUntil returns the shortest prefix of ordered that frees need bytes
+// (all of it when the whole buffer is too small).
+func takeUntil(ordered []*message.Message, need int64) []*message.Message {
 	var freed int64
-	for _, m := range ordered {
+	for i, m := range ordered {
 		if freed >= need {
-			break
+			return ordered[:i]
 		}
-		out = append(out, m.ID)
 		freed += m.Size
 	}
-	return out
+	return ordered
 }

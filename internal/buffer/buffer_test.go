@@ -11,9 +11,23 @@ import (
 	"dtnsim/internal/sim"
 )
 
+// handles gives every message ID the tests use its own handle, as the
+// engine's single minting point does.
+var handles = map[string]message.Handle{}
+
+// h returns the handle of the message with the given ID.
+func h(id string) message.Handle {
+	hd, ok := handles[id]
+	if !ok {
+		hd = message.Handle(len(handles))
+		handles[id] = hd
+	}
+	return hd
+}
+
 func msg(t *testing.T, id string, size int64, prio message.Priority, quality float64, created time.Duration) *message.Message {
 	t.Helper()
-	m, err := message.New(ident.MessageID(id), 1, ident.RoleOperator, created, size, prio, quality)
+	m, err := message.New(ident.MessageID(id), h(id), 1, ident.RoleOperator, created, size, prio, quality)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,20 +53,57 @@ func TestAddGetRemove(t *testing.T) {
 	if err := s.Add(m); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has("a") || s.Get("a") != m || s.Len() != 1 || s.Used() != 100 || s.Free() != 900 {
+	if !s.Has(h("a")) || s.Get("a") != m || s.Len() != 1 || s.Used() != 100 || s.Free() != 900 {
 		t.Error("store state wrong after Add")
 	}
 	if err := s.Add(m); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("duplicate add error = %v", err)
 	}
-	if !s.Remove("a") {
+	if !s.Remove(h("a")) {
 		t.Error("Remove returned false")
 	}
-	if s.Remove("a") {
+	if s.Remove(h("a")) {
 		t.Error("second Remove returned true")
 	}
 	if s.Used() != 0 || s.Len() != 0 {
 		t.Error("store not empty after Remove")
+	}
+}
+
+// TestHeldOutlivesResidency pins the two bits per handle: Add sets both
+// resident and ever-held, and every way out of the buffer — Remove,
+// eviction, expiry — clears only residency.
+func TestHeldOutlivesResidency(t *testing.T) {
+	s, _ := New(200, DropOldest{})
+	if s.Held(h("removed")) {
+		t.Fatal("empty store reports a held message")
+	}
+	s.Add(msg(t, "removed", 100, message.PriorityHigh, 0.5, 1*time.Second))
+	evicted := msg(t, "evicted", 100, message.PriorityHigh, 0.5, 2*time.Second)
+	s.Add(evicted)
+	expired := msg(t, "expired", 150, message.PriorityHigh, 0.5, 3*time.Second)
+	expired.TTL = time.Minute
+	for _, id := range []string{"removed", "evicted"} {
+		if !s.Has(h(id)) || !s.Held(h(id)) {
+			t.Fatalf("%s: Has %v Held %v after Add, want both", id, s.Has(h(id)), s.Held(h(id)))
+		}
+	}
+	s.Remove(h("removed"))
+	if err := s.Add(expired); err != nil { // evicts "evicted"
+		t.Fatal(err)
+	}
+	s.ExpireAt(time.Hour)
+	for _, id := range []string{"removed", "evicted", "expired"} {
+		if s.Has(h(id)) || !s.Held(h(id)) {
+			t.Errorf("%s: Has %v Held %v after leaving, want false true", id, s.Has(h(id)), s.Held(h(id)))
+		}
+	}
+	if s.Held(h("never")) {
+		t.Error("a handle the store never accepted reads as held")
+	}
+	// A copy of a message the store once held is accepted again.
+	if err := s.Add(evicted.CopyFor(2)); err != nil || !s.Has(evicted.Handle) {
+		t.Errorf("re-adding a dropped message: err %v, resident %v", err, s.Has(evicted.Handle))
 	}
 }
 
@@ -71,10 +122,10 @@ func TestEvictionDropOldest(t *testing.T) {
 	if err := s.Add(msg(t, "incoming", 150, message.PriorityLow, 0.1, 4*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has("old") || s.Has("mid") {
+	if s.Has(h("old")) || s.Has(h("mid")) {
 		t.Error("oldest messages should have been evicted")
 	}
-	if !s.Has("new") || !s.Has("incoming") {
+	if !s.Has(h("new")) || !s.Has(h("incoming")) {
 		t.Error("wrong victims evicted")
 	}
 	if s.Dropped() != 2 {
@@ -90,10 +141,10 @@ func TestEvictionDropLowPriority(t *testing.T) {
 	if err := s.Add(msg(t, "incoming", 100, message.PriorityHigh, 0.5, 4*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has("low") {
+	if s.Has(h("low")) {
 		t.Error("low priority message should be the victim")
 	}
-	if !s.Has("high") || !s.Has("med") || !s.Has("incoming") {
+	if !s.Has(h("high")) || !s.Has(h("med")) || !s.Has(h("incoming")) {
 		t.Error("wrong victims evicted")
 	}
 }
@@ -105,7 +156,7 @@ func TestDropLowPriorityTiebreaksOnQuality(t *testing.T) {
 	if err := s.Add(msg(t, "incoming", 100, message.PriorityHigh, 0.5, 3*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has("lowq") || !s.Has("highq") {
+	if s.Has(h("lowq")) || !s.Has(h("highq")) {
 		t.Error("same priority: lower quality should be evicted first")
 	}
 }
@@ -134,7 +185,7 @@ func TestExpireAt(t *testing.T) {
 	if n := s.ExpireAt(30 * time.Minute); n != 1 {
 		t.Errorf("expired %d, want 1", n)
 	}
-	if s.Has("short") || !s.Has("long") || !s.Has("forever") {
+	if s.Has(h("short")) || !s.Has(h("long")) || !s.Has(h("forever")) {
 		t.Error("wrong messages expired")
 	}
 }
@@ -151,14 +202,14 @@ func TestUsedMatchesContents(t *testing.T) {
 			id := ident.MessageID("m" + string(rune('a'+local.Intn(26))))
 			if local.Coin(0.7) {
 				size := int64(local.Intn(400) + 1)
-				m, err := message.New(id, 1, ident.RoleOperator,
+				m, err := message.New(id, h(string(id)), 1, ident.RoleOperator,
 					time.Duration(op)*time.Second, size, message.PriorityHigh, 0.5)
 				if err != nil {
 					return false
 				}
 				s.Add(m)
 			} else {
-				s.Remove(id)
+				s.Remove(h(string(id)))
 			}
 			var sum int64
 			for _, m := range s.Messages() {
@@ -186,7 +237,7 @@ func TestEvictionAlwaysFrees(t *testing.T) {
 		for op := 0; op < 100; op++ {
 			size := int64(local.Intn(500) + 1)
 			prio := message.Priority(local.Intn(3) + 1)
-			m, err := message.New(ident.MessageID(ident.NewMessageID(1, op)), 1, ident.RoleOperator,
+			m, err := message.New(ident.NewMessageID(1, op), message.Handle(op), 1, ident.RoleOperator,
 				time.Duration(op)*time.Second, size, prio, 0.5)
 			if err != nil {
 				return false

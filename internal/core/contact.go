@@ -111,11 +111,11 @@ func (c *contact) other(n *Node) *Node {
 
 // hasTransfer reports whether msg is already queued or active toward dst.
 func (c *contact) hasTransfer(m *message.Message, dst *Node) bool {
-	if c.active != nil && c.active.msg.ID == m.ID && c.active.to == dst {
+	if c.active != nil && c.active.msg.Handle == m.Handle && c.active.to == dst {
 		return true
 	}
 	for _, t := range c.pending() {
-		if t.msg.ID == m.ID && t.to == dst {
+		if t.msg.Handle == m.Handle && t.to == dst {
 			return true
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"dtnsim/internal/incentive"
 	"dtnsim/internal/interest"
 	"dtnsim/internal/message"
-	"dtnsim/internal/report"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
 )
@@ -46,26 +45,8 @@ func (d *Device) ID() ident.NodeID { return d.node.id }
 // and the labels the user saves. Keywords get the ChitChat initial weight
 // via the message's annotations; the message lands in the device's buffer.
 func (d *Device) Annotate(trueKeywords, labels []string, size int64, prio message.Priority, quality float64) (*message.Message, error) {
-	now := d.engine.Now()
-	m, err := message.New(d.node.nextMessageID(), d.node.id, d.node.role, now, size, prio, quality)
-	if err != nil {
-		return nil, err
-	}
-	m.TTL = d.engine.cfg.MessageTTL
-	m.TrueKeywords = append([]string(nil), trueKeywords...)
-	for _, kw := range labels {
-		m.Annotate(kw, d.node.id, now)
-	}
-	if d.engine.spray != nil {
-		m.CopiesLeft = d.engine.spray.L
-	}
-	if err := d.node.buf.Add(m); err != nil {
-		return nil, err
-	}
-	d.engine.armExpiry(d.node)
-	d.engine.collector.MessageCreated(m)
-	d.engine.record(report.Event{At: now, Kind: report.MessageCreated, A: d.node.id, Msg: m.ID})
-	return m, nil
+	truth := append([]string(nil), trueKeywords...)
+	return d.engine.mint(d.node, d.engine.Now(), size, prio, quality, truth, labels)
 }
 
 // Subscribe implements operator function 2: add keyword-based interests

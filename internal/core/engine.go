@@ -10,6 +10,7 @@ import (
 	"dtnsim/internal/ident"
 	"dtnsim/internal/incentive"
 	"dtnsim/internal/interest"
+	"dtnsim/internal/message"
 	"dtnsim/internal/metrics"
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/obs"
@@ -35,6 +36,10 @@ type Engine struct {
 	judge     *enrich.Judge
 	collector *metrics.Collector
 	interner  *interest.Interner
+
+	// nextHandle is the handle the next minted message gets (see mint):
+	// handles count from 0 per engine.
+	nextHandle message.Handle
 
 	// Contact lifecycle state (see DESIGN.md "Contact lifecycle arena &
 	// merge-diff"). contactList is the creation-order iteration set the
@@ -244,6 +249,33 @@ func (e *Engine) scheduleSample(due time.Duration) {
 		e.scheduleSample(nextDeadline(at, e.cfg.RatingSampleInterval, e.runner.Clock().Now()))
 		e.chargePhase(obs.PhaseEvents)
 	})
+}
+
+// mint creates a message at n: the one place messages come from. It gives
+// the message the engine's next handle and n's next ID, the ground truth,
+// the source's tags, the configured TTL and the spray budget, buffers it,
+// and records its creation. A message the buffer refuses is never created.
+func (e *Engine) mint(n *Node, now time.Duration, size int64, prio message.Priority, quality float64, truth, tags []string) (*message.Message, error) {
+	m, err := message.New(n.nextMessageID(), e.nextHandle, n.id, n.role, now, size, prio, quality)
+	if err != nil {
+		return nil, err
+	}
+	e.nextHandle++
+	m.TTL = e.cfg.MessageTTL
+	m.TrueKeywords = truth
+	for _, kw := range tags {
+		m.Annotate(kw, n.id, now)
+	}
+	if e.spray != nil {
+		m.CopiesLeft = e.spray.L
+	}
+	if err := n.buf.Add(m); err != nil {
+		return nil, err
+	}
+	e.armExpiry(n)
+	e.collector.MessageCreated(m)
+	e.record(report.Event{At: now, Kind: report.MessageCreated, A: n.id, Msg: m.ID})
+	return m, nil
 }
 
 // armExpiry keeps n's TTL event aligned with its buffer's earliest message

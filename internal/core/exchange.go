@@ -129,11 +129,13 @@ func (e *Engine) gossipReputation(src, dst *Node) {
 	}
 	initial := e.cfg.Reputation.InitialRating
 	shared := 0
-	for _, id := range src.rep.Known() {
+	// The store is read in place in ascending ID order; the limit makes
+	// that order part of the trace.
+	for i, known := 0, src.rep.Len(); i < known; i++ {
+		id, r := src.rep.Opinion(i)
 		if id == dst.id || id == src.id {
 			continue
 		}
-		r := src.rep.Rating(id)
 		if diff := r - initial; diff < 0.25 && diff > -0.25 {
 			continue
 		}

@@ -150,6 +150,53 @@ func checkEconomicInvariants(t *testing.T, spec scenario.Spec) int {
 	return len(payments)
 }
 
+// TestPathNodesHeldEveryCopy checks the invariant that makes offer
+// eligibility's fast path exact: a node appears on a copy's path only if its
+// buffer once accepted the message. Small buffers force eviction, so nodes
+// drop copies they held. At run end, for every buffered copy, every node on
+// its path has the ever-held bit for the copy's handle.
+func TestPathNodesHeldEveryCopy(t *testing.T) {
+	for _, router := range []string{"chitchat", "epidemic"} {
+		t.Run(router, func(t *testing.T) {
+			spec := scenario.Default(core.SchemeIncentive)
+			spec.RouterName = router
+			spec.Nodes = 40
+			spec.AreaKm2 = 0.4
+			spec.Duration = 30 * time.Minute
+			spec.ClassSplit = true
+			spec.MeanMessageInterval = 5 * time.Minute
+			cfg, specs, err := scenario.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.BufferCapacity = 4 << 20
+			eng, err := core.NewEngine(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			dropped, hops := 0, 0
+			for _, n := range eng.Nodes() {
+				dropped += n.Buffer().Dropped()
+				for _, m := range n.Buffer().Messages() {
+					for _, hop := range m.Path {
+						hops++
+						if !eng.Node(hop).Buffer().Held(m.Handle) {
+							t.Fatalf("%s at node %v: path %v includes %v, which never held handle %d",
+								m.ID, n.ID(), m.Path, hop, m.Handle)
+						}
+					}
+				}
+			}
+			if dropped == 0 || hops == 0 {
+				t.Fatalf("dropped %d, path hops checked %d: the run did not exercise eviction", dropped, hops)
+			}
+		})
+	}
+}
+
 // TestContactEventsBalance checks that every recorded ContactDown matches a
 // prior ContactUp, and that the live-contact bookkeeping never leaks: after
 // the run, ups − downs equals the number of contacts still open.

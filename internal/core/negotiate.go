@@ -23,7 +23,7 @@ import (
 // Under SchemeChitChat all gating is skipped — routing alone decides.
 func (e *Engine) negotiate(u, v *Node, offer routing.Offer, now time.Duration) (*transfer, bool) {
 	m := offer.Msg
-	if offer.Role == routing.RoleDestination && e.collector.WasDelivered(m.ID, v.id) {
+	if offer.Role == routing.RoleDestination && e.collector.WasDelivered(m.Handle, v.id) {
 		// Another copy already served this destination; the first
 		// deliverer collected, nobody else will ("a relay ... only
 		// receives the promised incentive ... if it is a first deliverer").

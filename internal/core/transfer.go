@@ -53,10 +53,11 @@ func (e *Engine) popValid(c *contact) *transfer {
 }
 
 func (e *Engine) stillValid(t *transfer) bool {
-	if !t.from.buf.Has(t.msg.ID) || t.to.buf.Has(t.msg.ID) {
+	h := t.msg.Handle
+	if !t.from.buf.Has(h) || t.to.buf.Has(h) {
 		return false
 	}
-	if t.role == routing.RoleDestination && e.collector.WasDelivered(t.msg.ID, t.to.id) {
+	if t.role == routing.RoleDestination && e.collector.WasDelivered(h, t.to.id) {
 		return false
 	}
 	return true

@@ -8,7 +8,6 @@ import (
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/message"
 	"dtnsim/internal/obs"
-	"dtnsim/internal/report"
 )
 
 // MessageClass assigns a node to one of the Figure 5.6 generator
@@ -154,43 +153,29 @@ func (e *Engine) scheduleNextMessage(n *Node) {
 	})
 }
 
-// originate creates one message at node n, annotates it, and buffers it.
+// originate draws one message's class, ground truth and source tags for
+// node n and mints it. A message that cannot be minted (a drawClass bug,
+// or a buffer that refuses it) is dropped rather than corrupting the run.
 func (e *Engine) originate(n *Node, now time.Duration) {
 	w := e.cfg.Workload
 	prio, quality, size := e.drawClass(n)
-	m, err := message.New(n.nextMessageID(), n.id, n.role, now, size, prio, quality)
-	if err != nil {
-		// Only reachable through a bug in drawClass; drop the message
-		// rather than corrupt the run.
-		return
-	}
-	m.TTL = e.cfg.MessageTTL
-	m.TrueKeywords = w.Vocab.Sample(e.workloadRNG, w.TrueKeywords)
-	tagIdx := e.workloadRNG.Sample(len(m.TrueKeywords), w.SourceTags)
-	for _, i := range tagIdx {
-		m.Annotate(m.TrueKeywords[i], n.id, now)
+	truth := w.Vocab.Sample(e.workloadRNG, w.TrueKeywords)
+	tagIdx := e.workloadRNG.Sample(len(truth), w.SourceTags)
+	tags := make([]string, len(tagIdx), len(tagIdx)+3)
+	for j, i := range tagIdx {
+		tags[j] = truth[i]
 	}
 	if n.profile.Kind == behavior.Malicious {
 		// Malicious sources mis-tag at creation in pursuit of paying
 		// destinations ("a source might annotate this message with a
 		// keyword 'parking lot' but there is no parking lot in the image").
-		exclude := make(map[string]bool, len(m.TrueKeywords))
-		for _, kw := range m.TrueKeywords {
+		exclude := make(map[string]bool, len(truth))
+		for _, kw := range truth {
 			exclude[kw] = true
 		}
-		for _, kw := range w.Vocab.SampleExcluding(e.workloadRNG, 3, exclude) {
-			m.Annotate(kw, n.id, now)
-		}
+		tags = append(tags, w.Vocab.SampleExcluding(e.workloadRNG, 3, exclude)...)
 	}
-	if e.spray != nil {
-		m.CopiesLeft = e.spray.L
-	}
-	if err := n.buf.Add(m); err != nil {
-		return
-	}
-	e.armExpiry(n)
-	e.collector.MessageCreated(m)
-	e.record(report.Event{At: now, Kind: report.MessageCreated, A: n.id, Msg: m.ID})
+	e.mint(n, now, size, prio, quality, truth, tags)
 }
 
 // drawClass maps the node's generator class (and malicious low-quality

@@ -20,7 +20,7 @@ func vocab(t *testing.T, n int) *Vocabulary {
 
 func testMessage(t *testing.T, trueKW []string, srcTags []string) *message.Message {
 	t.Helper()
-	m, err := message.New("m1", ident.NodeID(1), ident.RoleOperator, 0, 100, message.PriorityHigh, 0.8)
+	m, err := message.New("m1", 0, ident.NodeID(1), ident.RoleOperator, 0, 100, message.PriorityHigh, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}

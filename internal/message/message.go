@@ -69,6 +69,13 @@ type PathRating struct {
 	Rating float64
 }
 
+// Handle is a message's dense index within one run: the engine assigns
+// handles from 0 in creation order, and every copy of a message carries its
+// handle. Per-message state on the hot path (buffer residency, the
+// first-deliverer record) is indexed by handle; the ID string stays for
+// events, traces and reports.
+type Handle int32
+
 // Message is a single DTN bundle. Messages are passed by pointer and owned
 // by node buffers; the engine copies per-node mutable state (path, ratings,
 // annotations) when a message is replicated to another node, since each copy
@@ -76,6 +83,8 @@ type PathRating struct {
 type Message struct {
 	// ID is the network-wide unique identifier (the paper's UUID).
 	ID ident.MessageID
+	// Handle is the message's dense index, shared by all its copies.
+	Handle Handle
 	// Source is the originating node.
 	Source ident.NodeID
 	// SourceRole is the originator's rank, used by the software-factor
@@ -128,9 +137,9 @@ type Message struct {
 	KwIDs []int32
 }
 
-// New creates a source message with the given identity and payload
+// New creates a source message with the given identity, handle and payload
 // metadata. The source is recorded as the first custodian.
-func New(id ident.MessageID, src ident.NodeID, role ident.Role, now time.Duration, size int64, prio Priority, quality float64) (*Message, error) {
+func New(id ident.MessageID, h Handle, src ident.NodeID, role ident.Role, now time.Duration, size int64, prio Priority, quality float64) (*Message, error) {
 	if !prio.Valid() {
 		return nil, fmt.Errorf("message: invalid priority %d", int(prio))
 	}
@@ -142,6 +151,7 @@ func New(id ident.MessageID, src ident.NodeID, role ident.Role, now time.Duratio
 	}
 	return &Message{
 		ID:         id,
+		Handle:     h,
 		Source:     src,
 		SourceRole: role,
 		CreatedAt:  now,
@@ -262,9 +272,10 @@ func (m *Message) Expired(now time.Duration) bool {
 	return m.TTL > 0 && now > m.CreatedAt+m.TTL
 }
 
-// CopyFor clones the message for handover to a new custodian. The clone gets
-// independent annotation, path, and rating slices (each copy evolves on its
-// own from here) while sharing the immutable ground-truth keyword slice.
+// CopyFor clones the message for handover to a new custodian. The clone keeps
+// the ID and handle and gets independent annotation, path, and rating slices
+// (each copy evolves on its own from here) while sharing the immutable
+// ground-truth keyword slice.
 func (m *Message) CopyFor(next ident.NodeID) *Message {
 	clone := *m
 	clone.kwCache = nil

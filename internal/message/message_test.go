@@ -9,7 +9,7 @@ import (
 
 func newTestMessage(t *testing.T) *Message {
 	t.Helper()
-	m, err := New(ident.NewMessageID(1, 1), ident.NodeID(1), ident.RoleOperator, 0, 1<<20, PriorityHigh, 0.8)
+	m, err := New(ident.NewMessageID(1, 1), 7, ident.NodeID(1), ident.RoleOperator, 0, 1<<20, PriorityHigh, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestNewValidation(t *testing.T) {
 		{"zero size", PriorityHigh, 0.5, 0},
 	}
 	for _, tt := range tests {
-		if _, err := New("m", 1, ident.RoleOperator, 0, tt.size, tt.prio, tt.quality); err == nil {
+		if _, err := New("m", 0, 1, ident.RoleOperator, 0, tt.size, tt.prio, tt.quality); err == nil {
 			t.Errorf("%s: New should fail", tt.name)
 		}
 	}
@@ -118,6 +118,9 @@ func TestCopyForIndependence(t *testing.T) {
 	m.Annotate("tree", m.Source, 0)
 	clone := m.CopyFor(ident.NodeID(2))
 
+	if clone.ID != m.ID || clone.Handle != m.Handle {
+		t.Errorf("clone is %s/%d, want the original's %s/%d", clone.ID, clone.Handle, m.ID, m.Handle)
+	}
 	if clone.Holder() != ident.NodeID(2) {
 		t.Errorf("clone holder = %v", clone.Holder())
 	}

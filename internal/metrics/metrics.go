@@ -8,6 +8,7 @@ package metrics
 import (
 	"time"
 
+	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
 )
@@ -18,9 +19,12 @@ type Collector struct {
 	created           int
 	createdByPriority map[message.Priority]int
 
-	deliveredMessages   map[ident.MessageID]bool
+	// deliveredTo is the first-deliverer record, indexed by message
+	// handle: the destinations the message has reached, or nil before its
+	// first delivery. The set is allocated on that first delivery.
+	deliveredTo         []bitset.Set
+	delivered           int // messages delivered to at least one destination
 	deliveredByPriority map[message.Priority]int
-	deliveredPairs      map[deliveryKey]bool
 	latencySum          time.Duration
 
 	transfers       int // every completed message handover (the traffic metric)
@@ -38,11 +42,6 @@ type Collector struct {
 	ratingSamples []RatingSample
 }
 
-type deliveryKey struct {
-	msg  ident.MessageID
-	dest ident.NodeID
-}
-
 // RatingSample is one point of the Figure 5.4 time series.
 type RatingSample struct {
 	At time.Duration
@@ -55,9 +54,7 @@ type RatingSample struct {
 func NewCollector() *Collector {
 	return &Collector{
 		createdByPriority:   make(map[message.Priority]int),
-		deliveredMessages:   make(map[ident.MessageID]bool),
 		deliveredByPriority: make(map[message.Priority]int),
-		deliveredPairs:      make(map[deliveryKey]bool),
 	}
 }
 
@@ -82,23 +79,26 @@ func (c *Collector) Transferred(toRelay bool) {
 // first-deliverer-only payment rule. It reports whether this (message,
 // destination) pair is new.
 func (c *Collector) Delivered(m *message.Message, dest ident.NodeID, now time.Duration) bool {
-	key := deliveryKey{msg: m.ID, dest: dest}
-	if c.deliveredPairs[key] {
+	if c.WasDelivered(m.Handle, dest) {
 		return false
 	}
-	c.deliveredPairs[key] = true
-	if !c.deliveredMessages[m.ID] {
-		c.deliveredMessages[m.ID] = true
+	for int(m.Handle) >= len(c.deliveredTo) {
+		c.deliveredTo = append(c.deliveredTo, nil)
+	}
+	dests := &c.deliveredTo[m.Handle]
+	if *dests == nil {
+		c.delivered++
 		c.deliveredByPriority[m.Priority]++
 		c.latencySum += now - m.CreatedAt
 	}
+	dests.Add(int(dest))
 	return true
 }
 
-// WasDelivered reports whether the (message, destination) pair has already
-// been served — the engine's first-deliverer check.
-func (c *Collector) WasDelivered(id ident.MessageID, dest ident.NodeID) bool {
-	return c.deliveredPairs[deliveryKey{msg: id, dest: dest}]
+// WasDelivered reports whether the message with handle h has already
+// reached dest — the engine's first-deliverer check.
+func (c *Collector) WasDelivered(h message.Handle, dest ident.NodeID) bool {
+	return int(h) < len(c.deliveredTo) && c.deliveredTo[h].Has(int(dest))
 }
 
 // TransferAborted records a contact dropping mid-transfer.
@@ -153,7 +153,7 @@ type Report struct {
 func (c *Collector) Snapshot() Report {
 	r := Report{
 		Created:             c.created,
-		Delivered:           len(c.deliveredMessages),
+		Delivered:           c.delivered,
 		Transfers:           c.transfers,
 		RelayTransfers:      c.relayTransfers,
 		AbortedTransfers:    c.abortedTransfer,
@@ -174,10 +174,10 @@ func (c *Collector) Snapshot() Report {
 		r.DeliveredByPriority[k] = v
 	}
 	if c.created > 0 {
-		r.MDR = float64(len(c.deliveredMessages)) / float64(c.created)
+		r.MDR = float64(c.delivered) / float64(c.created)
 	}
-	if n := len(c.deliveredMessages); n > 0 {
-		r.MeanLatency = c.latencySum / time.Duration(n)
+	if c.delivered > 0 {
+		r.MeanLatency = c.latencySum / time.Duration(c.delivered)
 	}
 	return r
 }

@@ -8,9 +8,13 @@ import (
 	"dtnsim/internal/message"
 )
 
+// nextHandle numbers the test messages densely, as the engine does.
+var nextHandle message.Handle
+
 func msg(t *testing.T, id string, prio message.Priority) *message.Message {
 	t.Helper()
-	m, err := message.New(ident.MessageID(id), 1, ident.RoleOperator, time.Minute, 100, prio, 0.5)
+	nextHandle++
+	m, err := message.New(ident.MessageID(id), nextHandle, 1, ident.RoleOperator, time.Minute, 100, prio, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +64,12 @@ func TestDeliveredDeduplicatesPairs(t *testing.T) {
 	if r.Delivered != 1 {
 		t.Errorf("Delivered (unique messages) = %d, want 1", r.Delivered)
 	}
-	if !c.WasDelivered("a", 5) || c.WasDelivered("a", 7) {
+	if !c.WasDelivered(m.Handle, 5) || !c.WasDelivered(m.Handle, 6) || c.WasDelivered(m.Handle, 7) {
 		t.Error("WasDelivered wrong")
+	}
+	// Handles past every delivered one, and below it, read as undelivered.
+	if c.WasDelivered(m.Handle+1, 5) || c.WasDelivered(m.Handle-1, 5) {
+		t.Error("WasDelivered reports an undelivered handle")
 	}
 }
 

@@ -2,7 +2,7 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -67,11 +67,13 @@ func (p BetaParams) Validate() error {
 // each observed message contributes positive evidence proportional to its
 // rating and negative evidence for the remainder; the opinion is the
 // posterior mean α/(α+β) with a Beta(1,1) uniform prior, scaled to the
-// 0–MaxRating scale.
+// 0–MaxRating scale. Rows are held like the DRM Store's: sorted by node ID
+// in parallel slices, for the nodes the store has heard of.
 type BetaStore struct {
 	params BetaParams
 	self   ident.NodeID
-	rows   map[ident.NodeID]*betaRow
+	ids    []ident.NodeID
+	rows   []betaRow
 }
 
 type betaRow struct {
@@ -86,20 +88,26 @@ func NewBetaStore(self ident.NodeID, params BetaParams) (*BetaStore, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &BetaStore{
-		params: params,
-		self:   self,
-		rows:   make(map[ident.NodeID]*betaRow),
-	}, nil
+	return &BetaStore{params: params, self: self}, nil
 }
 
-func (s *BetaStore) rowFor(v ident.NodeID) *betaRow {
-	r, ok := s.rows[v]
-	if !ok {
-		r = &betaRow{}
-		s.rows[v] = r
+// find returns v's row, or nil when the store has never heard of v.
+func (s *BetaStore) find(v ident.NodeID) *betaRow {
+	if i, ok := slices.BinarySearch(s.ids, v); ok {
+		return &s.rows[i]
 	}
-	return r
+	return nil
+}
+
+// rowFor returns v's row, inserting an empty one when missing. The pointer
+// is valid until the next insert.
+func (s *BetaStore) rowFor(v ident.NodeID) *betaRow {
+	i, ok := slices.BinarySearch(s.ids, v)
+	if !ok {
+		s.ids = slices.Insert(s.ids, i, v)
+		s.rows = slices.Insert(s.rows, i, betaRow{})
+	}
+	return &s.rows[i]
 }
 
 func (s *BetaStore) clamp01(x float64) float64 {
@@ -164,16 +172,21 @@ func (s *BetaStore) MergeSecondHand(v ident.NodeID, theirRating float64) {
 // 0–MaxRating scale. With no evidence the prior mean is the scale midpoint,
 // matching the DRM's neutral InitialRating.
 func (s *BetaStore) Rating(v ident.NodeID) float64 {
-	r, ok := s.rows[v]
-	if !ok {
+	r := s.find(v)
+	if r == nil {
 		return s.params.MaxRating / 2
 	}
+	return s.posterior(r)
+}
+
+// posterior is the row's Beta posterior mean on the 0–MaxRating scale.
+func (s *BetaStore) posterior(r *betaRow) float64 {
 	return s.params.MaxRating * (r.pos + 1) / (r.pos + r.neg + 2)
 }
 
 // Observations implements Model.
 func (s *BetaStore) Observations(v ident.NodeID) int {
-	if r, ok := s.rows[v]; ok {
+	if r := s.find(v); r != nil {
 		return r.firstN
 	}
 	return 0
@@ -184,11 +197,11 @@ func (s *BetaStore) ShouldAvoid(v ident.NodeID) bool {
 	if s.params.AvoidBelow <= 0 {
 		return false
 	}
-	r, ok := s.rows[v]
-	if !ok {
+	r := s.find(v)
+	if r == nil {
 		return false
 	}
-	return r.firstN >= s.params.MinObservations && s.Rating(v) < s.params.AvoidBelow
+	return r.firstN >= s.params.MinObservations && s.posterior(r) < s.params.AvoidBelow
 }
 
 // AwardFactor implements Model with the DRM award shape, using the Beta
@@ -207,12 +220,10 @@ func (s *BetaStore) AwardFactor(deliverer ident.NodeID, pathRatings []float64) f
 	return (1-a)*mean + a*own
 }
 
-// Known implements Model.
-func (s *BetaStore) Known() []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(s.rows))
-	for id := range s.rows {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Len implements Model.
+func (s *BetaStore) Len() int { return len(s.ids) }
+
+// Opinion implements Model.
+func (s *BetaStore) Opinion(i int) (ident.NodeID, float64) {
+	return s.ids[i], s.posterior(&s.rows[i])
 }

@@ -155,8 +155,13 @@ func TestBetaImplementsModelLikeDRM(t *testing.T) {
 		if m.AwardFactor(1, nil) <= m.AwardFactor(2, nil) {
 			t.Error("award ordering violated")
 		}
-		if len(m.Known()) != 2 {
-			t.Errorf("Known = %v", m.Known())
+		if m.Len() != 2 {
+			t.Errorf("Len = %d, want 2", m.Len())
+		}
+		for i := 0; i < m.Len(); i++ {
+			if id, r := m.Opinion(i); id != ident.NodeID(i+1) || r != m.Rating(id) {
+				t.Errorf("Opinion(%d) = %v, %v; want %v, %v", i, id, r, i+1, m.Rating(ident.NodeID(i+1)))
+			}
 		}
 	}
 	if math.Abs(drm.Rating(1)-5) > 0.5 && math.Abs(beta.Rating(1)-5) > 1.2 {

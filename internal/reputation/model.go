@@ -28,8 +28,12 @@ type Model interface {
 	// AwardFactor returns the incentive multiplier in [0, 1] for a
 	// delivery by the given node carrying the given path ratings.
 	AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64
-	// Known returns the IDs this node holds opinions about, sorted.
-	Known() []ident.NodeID
+	// Len returns how many nodes this node holds opinions about.
+	Len() int
+	// Opinion returns the i-th held opinion, 0 ≤ i < Len(), in ascending
+	// node-ID order: the node and this node's rating of it. Gossip reads
+	// a store through Len and Opinion in place, without allocating.
+	Opinion(i int) (ident.NodeID, float64)
 }
 
 var _ Model = (*Store)(nil)

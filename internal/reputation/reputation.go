@@ -18,7 +18,7 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -93,10 +93,15 @@ type MessageRatingInputs struct {
 }
 
 // Store is one node's reputation state: its opinion of every other node.
+// Rows are kept sorted by node ID in two parallel slices, and only for the
+// nodes the store has heard of, so a store in a 20 000-node run stays as
+// small as the opinions it holds. Gossip reads them in place, in ID order,
+// through Len and Opinion.
 type Store struct {
 	params Params
 	self   ident.NodeID
-	rows   map[ident.NodeID]*row
+	ids    []ident.NodeID
+	rows   []row
 }
 
 type row struct {
@@ -112,23 +117,29 @@ func NewStore(self ident.NodeID, params Params) (*Store, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Store{
-		params: params,
-		self:   self,
-		rows:   make(map[ident.NodeID]*row),
-	}, nil
+	return &Store{params: params, self: self}, nil
 }
 
 // Params returns the store's configuration.
 func (s *Store) Params() Params { return s.params }
 
-func (s *Store) rowFor(v ident.NodeID) *row {
-	r, ok := s.rows[v]
-	if !ok {
-		r = &row{current: s.params.InitialRating}
-		s.rows[v] = r
+// find returns v's row, or nil when the store has never heard of v.
+func (s *Store) find(v ident.NodeID) *row {
+	if i, ok := slices.BinarySearch(s.ids, v); ok {
+		return &s.rows[i]
 	}
-	return r
+	return nil
+}
+
+// rowFor returns v's row, inserting it at the prior when missing. The
+// pointer is valid until the next insert.
+func (s *Store) rowFor(v ident.NodeID) *row {
+	i, ok := slices.BinarySearch(s.ids, v)
+	if !ok {
+		s.ids = slices.Insert(s.ids, i, v)
+		s.rows = slices.Insert(s.rows, i, row{current: s.params.InitialRating})
+	}
+	return &s.rows[i]
 }
 
 // RateSourceMessage computes the message rating R_i for a source:
@@ -192,7 +203,7 @@ func (s *Store) MergeSecondHand(v ident.NodeID, theirRating float64) {
 // Rating returns this node's current opinion of v (InitialRating when v was
 // never observed).
 func (s *Store) Rating(v ident.NodeID) float64 {
-	if r, ok := s.rows[v]; ok {
+	if r := s.find(v); r != nil {
 		return r.current
 	}
 	return s.params.InitialRating
@@ -201,7 +212,7 @@ func (s *Store) Rating(v ident.NodeID) float64 {
 // Observations returns how many first-hand message ratings back the opinion
 // of v.
 func (s *Store) Observations(v ident.NodeID) int {
-	if r, ok := s.rows[v]; ok {
+	if r := s.find(v); r != nil {
 		return r.msgN
 	}
 	return 0
@@ -213,22 +224,19 @@ func (s *Store) ShouldAvoid(v ident.NodeID) bool {
 	if s.params.AvoidBelow <= 0 {
 		return false
 	}
-	r, ok := s.rows[v]
-	if !ok {
+	r := s.find(v)
+	if r == nil {
 		return false
 	}
 	return r.msgN >= s.params.MinObservations && r.current < s.params.AvoidBelow
 }
 
-// Known returns the IDs this store holds opinions about, sorted.
-func (s *Store) Known() []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(s.rows))
-	for id := range s.rows {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Len returns how many nodes this store holds opinions about.
+func (s *Store) Len() int { return len(s.ids) }
+
+// Opinion returns the i-th held opinion in ascending node-ID order: the node
+// and this store's rating of it.
+func (s *Store) Opinion(i int) (ident.NodeID, float64) { return s.ids[i], s.rows[i].current }
 
 // AwardFactor computes the reputation multiplier in the award formula
 //

@@ -174,9 +174,15 @@ func TestKnownSorted(t *testing.T) {
 	for _, id := range []ident.NodeID{9, 3, 7} {
 		s.RateRelayMessage(id, MessageRatingInputs{TagRating: 3, Confidence: 1})
 	}
-	known := s.Known()
-	if len(known) != 3 || known[0] != 3 || known[1] != 7 || known[2] != 9 {
-		t.Errorf("Known = %v", known)
+	s.MergeSecondHand(5, 4)
+	if s.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", s.Len())
+	}
+	for i, want := range []ident.NodeID{3, 5, 7, 9} {
+		id, r := s.Opinion(i)
+		if id != want || r != s.Rating(id) {
+			t.Errorf("Opinion(%d) = %v, %v; want %v, %v", i, id, r, want, s.Rating(want))
+		}
 	}
 }
 

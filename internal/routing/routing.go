@@ -131,15 +131,28 @@ func sortOffers(offers []Offer) {
 
 // eligible reports the common offer preconditions: v does not already hold
 // the message and v is not already in the message's path (loop avoidance —
-// the UUID dedup makes re-offering to past custodians pure overhead). The
-// cheap path scan runs before the map probe.
+// the UUID dedup makes re-offering to past custodians pure overhead).
+//
+// Two bit tests on v's buffer settle almost every call. A resident message
+// is not eligible. A message v never held is: a node enters a copy's path
+// only through Message.CopyFor, and the engine keeps that clone only when
+// the node's buffer accepts it, so a node off the ever-held set is off
+// every path of the message. Only when v held the message once and dropped
+// it (evicted or expired) does the path scan run, to tell whether this
+// copy passed through v or came down another lineage.
 func (v peerCheck) eligible(m *message.Message) bool {
+	if v.buf.Has(m.Handle) {
+		return false
+	}
+	if !v.buf.Held(m.Handle) {
+		return true
+	}
 	for _, hop := range m.Path {
 		if hop == v.id {
 			return false
 		}
 	}
-	return !v.buf.Has(m.ID)
+	return true
 }
 
 // peerCheck caches the receiver fields the per-message eligibility test

@@ -49,7 +49,7 @@ func (h *harness) node(t *testing.T, id int, directs ...string) *fakeNode {
 func (h *harness) msg(t *testing.T, src *fakeNode, prio message.Priority, quality float64, created time.Duration, kws ...string) *message.Message {
 	t.Helper()
 	h.next++
-	m, err := message.New(ident.NewMessageID(src.id, h.next), src.id, ident.RoleOperator, created, 100, prio, quality)
+	m, err := message.New(ident.NewMessageID(src.id, h.next), message.Handle(h.next), src.id, ident.RoleOperator, created, 100, prio, quality)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +132,49 @@ func TestChitChatSkipsAlreadyHeld(t *testing.T) {
 	}
 }
 
+// TestChitChatSkipsPastCustodians builds, through buffer operations the
+// engine performs, a copy whose path runs through v after v has dropped its
+// own copy: the message reached u via v, then v removed it. v is a past
+// custodian of u's copy, so the message must not go back to it.
 func TestChitChatSkipsPastCustodians(t *testing.T) {
 	h := newHarness()
+	src := h.node(t, 3)
 	u := h.node(t, 1)
 	v := h.node(t, 2, "wanted")
-	m := h.msg(t, u, message.PriorityHigh, 0.5, 0, "wanted")
-	// v already carried this message earlier in its path.
-	m.Path = append(m.Path, v.id, u.id)
+	m := h.msg(t, src, message.PriorityHigh, 0.5, 0, "wanted")
+	atV := m.CopyFor(v.id)
+	if err := v.buf.Add(atV); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.buf.Add(atV.CopyFor(u.id)); err != nil {
+		t.Fatal(err)
+	}
+	v.buf.Remove(m.Handle)
 	if offers := NewChitChat().SelectOffers(u, v); len(offers) != 0 {
 		t.Errorf("offered a message back to a past custodian: %v", offers)
+	}
+}
+
+// TestChitChatReoffersDroppedMessageFromOtherLineage is the case the
+// path-scan fallback exists for: v held a copy and dropped it, but u's copy
+// came straight from the source and never passed through v. v is not on
+// that copy's path, so the message is offered again.
+func TestChitChatReoffersDroppedMessageFromOtherLineage(t *testing.T) {
+	h := newHarness()
+	src := h.node(t, 3)
+	u := h.node(t, 1)
+	v := h.node(t, 2, "wanted")
+	m := h.msg(t, src, message.PriorityHigh, 0.5, 0, "wanted")
+	if err := v.buf.Add(m.CopyFor(v.id)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.buf.Add(m.CopyFor(u.id)); err != nil {
+		t.Fatal(err)
+	}
+	v.buf.Remove(m.Handle)
+	offers := NewChitChat().SelectOffers(u, v)
+	if len(offers) != 1 || offers[0].Msg.Handle != m.Handle || offers[0].Role != RoleDestination {
+		t.Errorf("offers = %v, want the dropped message offered to its destination", offers)
 	}
 }
 
