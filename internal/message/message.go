@@ -275,11 +275,12 @@ func (m *Message) Expired(now time.Duration) bool {
 // CopyFor clones the message for handover to a new custodian. The clone keeps
 // the ID and handle and gets independent annotation, path, and rating slices
 // (each copy evolves on its own from here) while sharing the immutable
-// ground-truth keyword slice.
+// ground-truth keyword slice. The tag set is unchanged by the copy, so the
+// clone also shares the memoised Keywords and KwIDs slices; those are only
+// ever replaced, never written in place, and Annotate drops them from the
+// copy it changes.
 func (m *Message) CopyFor(next ident.NodeID) *Message {
 	clone := *m
-	clone.kwCache = nil
-	clone.KwIDs = nil
 	clone.Annotations = make([]Annotation, len(m.Annotations))
 	copy(clone.Annotations, m.Annotations)
 	clone.Path = make([]ident.NodeID, len(m.Path), len(m.Path)+1)

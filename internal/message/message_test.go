@@ -116,6 +116,7 @@ func TestCopyForIndependence(t *testing.T) {
 	m := newTestMessage(t)
 	m.TrueKeywords = []string{"tree"}
 	m.Annotate("tree", m.Source, 0)
+	m.Keywords() // memoise before copying: the clone shares the cache
 	clone := m.CopyFor(ident.NodeID(2))
 
 	if clone.ID != m.ID || clone.Handle != m.Handle {
@@ -130,6 +131,12 @@ func TestCopyForIndependence(t *testing.T) {
 	clone.Annotate("car", 2, 0)
 	if m.HasKeyword("car") {
 		t.Error("clone annotation leaked into original")
+	}
+	if kws := m.Keywords(); len(kws) != 1 || kws[0] != "tree" {
+		t.Errorf("original keywords = %v after the clone was tagged, want [tree]", kws)
+	}
+	if kws := clone.Keywords(); len(kws) != 2 || kws[1] != "car" {
+		t.Errorf("clone keywords = %v, want [tree car]", kws)
 	}
 	clone.AttachRating(PathRating{Rater: 2, Subject: 1, Rating: 3})
 	if len(m.PathRatings) != 0 {
