@@ -185,7 +185,7 @@ func (s *Store) Add(m *message.Message) error {
 	}
 	if need := m.Size - s.Free(); need > 0 {
 		for _, v := range s.policy.Victims(s.Messages(), need) {
-			if s.remove(v.Handle) {
+			if s.Remove(v.Handle) {
 				s.dropped++
 			}
 		}
@@ -206,9 +206,7 @@ func (s *Store) Add(m *message.Message) error {
 
 // Remove deletes the message with handle h (e.g. after TTL expiry). It
 // reports whether the message was resident.
-func (s *Store) Remove(h message.Handle) bool { return s.remove(h) }
-
-func (s *Store) remove(h message.Handle) bool {
+func (s *Store) Remove(h message.Handle) bool {
 	if !s.Has(h) {
 		return false
 	}
@@ -266,7 +264,7 @@ func (s *Store) ExpireAt(now time.Duration) int {
 			break
 		}
 		s.popExpiry()
-		s.remove(head.h)
+		s.Remove(head.h)
 		expired++
 	}
 	return expired
