@@ -158,50 +158,8 @@ func TestBetaImplementsModelLikeDRM(t *testing.T) {
 		if m.Len() != 2 {
 			t.Errorf("Len = %d, want 2", m.Len())
 		}
-		for i := 0; i < m.Len(); i++ {
-			if id, r := m.Opinion(i); id != ident.NodeID(i+1) || r != m.Rating(id) {
-				t.Errorf("Opinion(%d) = %v, %v; want %v, %v", i, id, r, i+1, m.Rating(ident.NodeID(i+1)))
-			}
-		}
 	}
 	if math.Abs(drm.Rating(1)-5) > 0.5 && math.Abs(beta.Rating(1)-5) > 1.2 {
 		t.Error("neither model converged toward the top of the scale")
-	}
-}
-
-// TestOpinionReadsInPlace checks the read path gossip uses on both models:
-// rows stay sorted by node ID whatever order nodes are first heard of in,
-// each opinion equals Rating, and walking every opinion through the Model
-// interface allocates nothing.
-func TestOpinionReadsInPlace(t *testing.T) {
-	for _, m := range []Model{store(t), betaStore(t)} {
-		for _, id := range []ident.NodeID{40, 3, 17, 9, 25} {
-			m.RateRelayMessage(id, MessageRatingInputs{TagRating: 4, Confidence: 1})
-		}
-		m.MergeSecondHand(12, 1)
-		if m.Len() != 6 {
-			t.Fatalf("%T: Len = %d, want 6", m, m.Len())
-		}
-		prev := ident.Nobody
-		for i := 0; i < m.Len(); i++ {
-			id, r := m.Opinion(i)
-			if id <= prev {
-				t.Errorf("%T: Opinion(%d) is node %v after %v, want ascending IDs", m, i, id, prev)
-			}
-			if r != m.Rating(id) {
-				t.Errorf("%T: Opinion(%d) rating %v != Rating %v", m, i, r, m.Rating(id))
-			}
-			prev = id
-		}
-		var sum float64
-		allocs := testing.AllocsPerRun(100, func() {
-			for i := 0; i < m.Len(); i++ {
-				_, r := m.Opinion(i)
-				sum += r
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%T: reading every opinion allocated %v times", m, allocs)
-		}
 	}
 }

@@ -169,19 +169,35 @@ func TestShouldAvoidDisabled(t *testing.T) {
 	}
 }
 
+// TestKnownSorted checks the read path gossip uses, on both models: the
+// opinions a store holds come out in ascending node-ID order whatever order
+// the nodes were first heard of in, each equals Rating, and the walk
+// allocates nothing.
 func TestKnownSorted(t *testing.T) {
-	s := store(t)
-	for _, id := range []ident.NodeID{9, 3, 7} {
-		s.RateRelayMessage(id, MessageRatingInputs{TagRating: 3, Confidence: 1})
-	}
-	s.MergeSecondHand(5, 4)
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	for i, want := range []ident.NodeID{3, 5, 7, 9} {
-		id, r := s.Opinion(i)
-		if id != want || r != s.Rating(id) {
-			t.Errorf("Opinion(%d) = %v, %v; want %v, %v", i, id, r, want, s.Rating(want))
+	for _, m := range []Model{store(t), betaStore(t)} {
+		for _, id := range []ident.NodeID{9, 3, 7} {
+			m.RateRelayMessage(id, MessageRatingInputs{TagRating: 3, Confidence: 1})
+		}
+		m.MergeSecondHand(5, 4)
+		if m.Len() != 4 {
+			t.Fatalf("%T: Len = %d, want 4", m, m.Len())
+		}
+		for i, want := range []ident.NodeID{3, 5, 7, 9} {
+			if id, r := m.Opinion(i); id != want || r != m.Rating(want) {
+				t.Errorf("%T: Opinion(%d) = %v, %v; want %v, %v", m, i, id, r, want, m.Rating(want))
+			}
+		}
+		// Gossip walks every opinion through the interface; that read
+		// must not allocate.
+		var sum float64
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < m.Len(); i++ {
+				_, r := m.Opinion(i)
+				sum += r
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%T: reading every opinion allocated %v times", m, allocs)
 		}
 	}
 }
