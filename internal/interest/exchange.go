@@ -24,7 +24,7 @@ func (t *Table) DecayAgainst(now time.Duration, peers ...*Table) {
 			m &= m - 1
 			shared := false
 			for _, peer := range peers {
-				if peer.present.test(id) {
+				if peer.present.Has(int(id)) {
 					shared = true
 					break
 				}

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
 )
 
@@ -115,8 +116,8 @@ type Table struct {
 	weights    []float64
 	lastShared []time.Duration
 	source     []ident.NodeID
-	present    bitset
-	direct     bitset
+	present    bitset.Set
+	direct     bitset.Set
 	count      int
 
 	// sat marks present rows whose stored anchor weight is exactly MaxWeight
@@ -126,7 +127,7 @@ type Table struct {
 	// that must happen. Every weight write therefore keeps the bit exact
 	// (set iff the written weight == MaxWeight), and scoreGrowth masks whole
 	// words of mutually saturated rows without loading their weights.
-	sat bitset
+	sat bitset.Set
 
 	// compactions counts dense-tail truncations for the engine's gauge.
 	compactions uint64
@@ -192,15 +193,15 @@ func (t *Table) ensure(id int32) {
 // insertRow adds a row; the caller guarantees id is absent.
 func (t *Table) insertRow(id int32, w float64, direct bool, at time.Duration, from ident.NodeID) {
 	t.ensure(id)
-	t.present.set(id)
+	t.present.Add(int(id))
 	if direct {
-		t.direct.set(id)
+		t.direct.Add(int(id))
 	} else {
-		t.direct.clear(id)
+		t.direct.Remove(int(id))
 		t.mergeDeath(w, at)
 	}
 	if w == MaxWeight {
-		t.sat.set(id)
+		t.sat.Add(int(id))
 	}
 	t.weights[id] = w
 	t.lastShared[id] = at
@@ -210,12 +211,12 @@ func (t *Table) insertRow(id int32, w float64, direct bool, at time.Duration, fr
 
 // removeRow evicts a row, zeroing its payload slots.
 func (t *Table) removeRow(id int32) {
-	if !t.present.test(id) {
+	if !t.present.Has(int(id)) {
 		return
 	}
-	t.present.clear(id)
-	t.direct.clear(id)
-	t.sat.clear(id)
+	t.present.Remove(int(id))
+	t.direct.Remove(int(id))
+	t.sat.Remove(int(id))
 	t.weights[id] = 0
 	t.lastShared[id] = 0
 	t.source[id] = ident.Nobody
@@ -227,7 +228,7 @@ func (t *Table) removeRow(id int32) {
 // every table sharing the interner), so compaction keeps ID order and drops
 // only trailing all-absent words — present, direct, and sat shrink to the
 // highest live word, the payload slices to the matching row count. Reads
-// past the extent are already well-defined (bitset.word and test treat
+// past the extent are already well-defined (bitset.Set.Word and Has treat
 // out-of-range as absent) and re-growth reuses the retained backing arrays,
 // so truncation is invisible to every consumer while hot low-ID tables walk
 // and reset a fraction of the words. Only triggered when at least half the
@@ -285,7 +286,7 @@ func decayedWeight(params Params, w float64, direct bool, elapsed time.Duration)
 // over the gap since its anchor — Algorithm 1 as a pure function of elapsed
 // time rather than of how often a sweep happened to run.
 func (t *Table) materialized(id int32, now time.Duration) float64 {
-	w, _ := decayedWeight(t.params, t.weights[id], t.direct.test(id), now-t.lastShared[id])
+	w, _ := decayedWeight(t.params, t.weights[id], t.direct.Has(int(id)), now-t.lastShared[id])
 	return w
 }
 
@@ -343,7 +344,7 @@ func (t *Table) mergeDeath(w float64, at time.Duration) {
 // collapsing the weight bonus toward 0.5 on the next decay).
 func (t *Table) DeclareDirect(kw string, now time.Duration) {
 	id := t.in.ID(kw)
-	if t.present.test(id) {
+	if t.present.Has(int(id)) {
 		w := t.weights[id]
 		if t.clock != nil {
 			w = t.materialized(id, now)
@@ -352,13 +353,13 @@ func (t *Table) DeclareDirect(kw string, now time.Duration) {
 			w = InitialWeight
 		}
 		if w == MaxWeight {
-			t.sat.set(id)
+			t.sat.Add(int(id))
 		} else {
-			t.sat.clear(id)
+			t.sat.Remove(int(id))
 		}
 		t.weights[id] = w
 		t.lastShared[id] = now
-		t.direct.set(id)
+		t.direct.Add(int(id))
 		t.source[id] = ident.Nobody
 		return
 	}
@@ -369,7 +370,7 @@ func (t *Table) DeclareDirect(kw string, now time.Duration) {
 // weight zero (growth will raise it while the contact lasts).
 func (t *Table) Acquire(kw string, from ident.NodeID, now time.Duration) {
 	id := t.in.ID(kw)
-	if t.present.test(id) {
+	if t.present.Has(int(id)) {
 		return
 	}
 	t.insertRow(id, 0, false, now, from)
@@ -395,12 +396,12 @@ func (t *Table) Keywords() []string {
 // Row returns a value copy of kw's row; ok is false when absent.
 func (t *Table) Row(kw string) (Row, bool) {
 	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.test(id) {
+	if !ok || !t.present.Has(int(id)) {
 		return Row{}, false
 	}
 	return Row{
 		Weight:       t.weights[id],
-		Direct:       t.direct.test(id),
+		Direct:       t.direct.Has(int(id)),
 		LastShared:   t.lastShared[id],
 		AcquiredFrom: t.source[id],
 	}, true
@@ -411,16 +412,16 @@ func (t *Table) Row(kw string) (Row, bool) {
 // states. It is a no-op for absent keywords.
 func (t *Table) SetWeight(kw string, w float64) {
 	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.test(id) {
+	if !ok || !t.present.Has(int(id)) {
 		return
 	}
 	if w == MaxWeight {
-		t.sat.set(id)
+		t.sat.Add(int(id))
 	} else {
-		t.sat.clear(id)
+		t.sat.Remove(int(id))
 	}
 	t.weights[id] = w
-	if !t.direct.test(id) {
+	if !t.direct.Has(int(id)) {
 		t.mergeDeath(w, t.lastShared[id])
 	}
 }
@@ -429,11 +430,11 @@ func (t *Table) SetWeight(kw string, w float64) {
 // and demos). It is a no-op for absent keywords.
 func (t *Table) SetLastShared(kw string, at time.Duration) {
 	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.test(id) {
+	if !ok || !t.present.Has(int(id)) {
 		return
 	}
 	t.lastShared[id] = at
-	if !t.direct.test(id) {
+	if !t.direct.Has(int(id)) {
 		t.mergeDeath(t.weights[id], at)
 	}
 }
@@ -441,7 +442,7 @@ func (t *Table) SetLastShared(kw string, at time.Duration) {
 // Has reports whether the table holds kw (direct or transient).
 func (t *Table) Has(kw string) bool {
 	id, ok := t.in.Lookup(kw)
-	return ok && t.present.test(id)
+	return ok && t.present.Has(int(id))
 }
 
 // Weight returns the current weight for kw (zero when absent): the
@@ -452,7 +453,7 @@ func (t *Table) Weight(kw string) float64 {
 		return t.WeightAt(kw, t.clock.Now())
 	}
 	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.test(id) {
+	if !ok || !t.present.Has(int(id)) {
 		return 0
 	}
 	return t.weights[id]
@@ -462,7 +463,7 @@ func (t *Table) Weight(kw string) float64 {
 // when absent), regardless of any attached clock.
 func (t *Table) WeightAt(kw string, now time.Duration) float64 {
 	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.test(id) {
+	if !ok || !t.present.Has(int(id)) {
 		return 0
 	}
 	return t.materialized(id, now)
@@ -471,7 +472,7 @@ func (t *Table) WeightAt(kw string, now time.Duration) float64 {
 // HasDirect reports whether kw is a user-declared interest.
 func (t *Table) HasDirect(kw string) bool {
 	id, ok := t.in.Lookup(kw)
-	return ok && t.direct.test(id)
+	return ok && t.direct.Has(int(id))
 }
 
 // SumWeights returns S: the sum of weights over the given keywords, the
@@ -492,7 +493,7 @@ func (t *Table) SumWeightsIDs(ids []int32) float64 {
 	}
 	var s float64
 	for _, id := range ids {
-		if t.present.test(id) {
+		if t.present.Has(int(id)) {
 			s += t.weights[id]
 		}
 	}
@@ -503,7 +504,7 @@ func (t *Table) SumWeightsIDs(ids []int32) float64 {
 func (t *Table) SumWeightsIDsAt(ids []int32, now time.Duration) float64 {
 	var s float64
 	for _, id := range ids {
-		if t.present.test(id) {
+		if t.present.Has(int(id)) {
 			s += t.materialized(id, now)
 		}
 	}
@@ -514,7 +515,7 @@ func (t *Table) SumWeightsIDsAt(ids []int32, now time.Duration) float64 {
 // ChitChat destination test.
 func (t *Table) HasDirectAnyID(ids []int32) bool {
 	for _, id := range ids {
-		if t.direct.test(id) {
+		if t.direct.Has(int(id)) {
 			return true
 		}
 	}
@@ -578,15 +579,15 @@ func (t *Table) Decay(now time.Duration, connected map[string]bool) {
 // reanchor materializes one row at now and re-anchors it there, reporting
 // whether the (transient) row is dead instead of writing it.
 func (t *Table) reanchor(id int32, now time.Duration) bool {
-	direct := t.direct.test(id)
+	direct := t.direct.Has(int(id))
 	w, dead := decayedWeight(t.params, t.weights[id], direct, now-t.lastShared[id])
 	if dead {
 		return true
 	}
 	if w == MaxWeight {
-		t.sat.set(id)
+		t.sat.Add(int(id))
 	} else {
-		t.sat.clear(id)
+		t.sat.Remove(int(id))
 	}
 	t.weights[id] = w
 	t.lastShared[id] = now
@@ -642,7 +643,7 @@ func (t *Table) Grow(now time.Duration, peers []PeerView) {
 					continue
 				}
 				shared = true
-				psi := psiCase(t.direct.test(id), pw.Direct)
+				psi := psiCase(t.direct.Has(int(id)), pw.Direct)
 				delta += pw.Weight * t.params.GrowthRate * pv.ConnectedFor.Seconds() / float64(psi)
 			}
 			if shared {
@@ -653,9 +654,9 @@ func (t *Table) Grow(now time.Duration, peers []PeerView) {
 				nw = MaxWeight
 			}
 			if nw == MaxWeight {
-				t.sat.set(id)
+				t.sat.Add(int(id))
 			} else {
-				t.sat.clear(id)
+				t.sat.Remove(int(id))
 			}
 			t.weights[id] = nw
 		}
@@ -679,7 +680,7 @@ func (t *Table) Snapshot() map[string]PeerWeight {
 			if lazy {
 				wt = t.materialized(id, now)
 			}
-			out[t.in.Word(id)] = PeerWeight{Weight: wt, Direct: t.direct.test(id)}
+			out[t.in.Word(id)] = PeerWeight{Weight: wt, Direct: t.direct.Has(int(id))}
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"time"
 
+	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
 )
 
@@ -43,14 +44,14 @@ type ExchangePlan struct {
 type tablePlan struct {
 	// shared marks the rows held by at least one connected peer; Apply
 	// refreshes their anchor time to now.
-	shared bitset
+	shared bitset.Set
 	// evictSet marks the transient rows the sweep found dead; swept is
 	// whether the sweep ran (the table's nextDeath deadline had passed) and
 	// evicted counts the marked rows. sweepDeath is the min death bound of
 	// the sweep's surviving candidates, folded into the fresh table deadline
 	// by apply — the sweep walk computes it in passing so no separate
 	// recompute pass over the table is needed.
-	evictSet   bitset
+	evictSet   bitset.Set
 	evicted    int
 	swept      bool
 	sweepDeath time.Duration
@@ -127,8 +128,8 @@ func (p *ExchangePlan) Sweeps() int {
 // rows wherever the peer list names the partner.
 func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, partner *Table, partnerPlan *tablePlan) {
 	nw := len(t.present)
-	p.shared = p.shared.reset(nw)
-	p.evictSet = p.evictSet.reset(nw)
+	p.shared = p.shared.Reset(nw)
+	p.evictSet = p.evictSet.Reset(nw)
 	p.evicted = 0
 	p.growIDs = p.growIDs[:0]
 	p.growW = p.growW[:0]
@@ -141,9 +142,9 @@ func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, part
 	for wi := 0; wi < nw; wi++ {
 		var u uint64
 		for _, peer := range peers {
-			pw := peer.present.word(wi)
+			pw := peer.present.Word(wi)
 			if peer == partner {
-				pw &^= partnerPlan.evictSet.word(wi)
+				pw &^= partnerPlan.evictSet.Word(wi)
 			}
 			u |= pw
 		}
@@ -161,7 +162,7 @@ func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, part
 	}
 	p.sweepDeath = noDeath
 	for wi := 0; wi < nw; wi++ {
-		m := t.present[wi] &^ t.direct.word(wi) &^ p.shared[wi]
+		m := t.present[wi] &^ t.direct.Word(wi) &^ p.shared[wi]
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			m &= m - 1
@@ -203,12 +204,12 @@ func scoreGrowth(aPlan, bPlan *tablePlan, a, b *Table, dt time.Duration) {
 		// per-bit skip below); the sat bitsets mark exactly those rows, so
 		// whole words of them drop here without loading a single weight —
 		// the dominant case once a dense network's tables have converged.
-		g &^= a.sat.word(wi) & b.sat.word(wi)
+		g &^= a.sat.Word(wi) & b.sat.Word(wi)
 		if aEv {
-			g &^= aPlan.evictSet.word(wi)
+			g &^= aPlan.evictSet.Word(wi)
 		}
 		if bEv {
-			g &^= bPlan.evictSet.word(wi)
+			g &^= bPlan.evictSet.Word(wi)
 		}
 		n += bits.OnesCount64(g)
 	}
@@ -220,17 +221,17 @@ func scoreGrowth(aPlan, bPlan *tablePlan, a, b *Table, dt time.Duration) {
 	aRate, bRate := a.params.GrowthRate, b.params.GrowthRate
 	for wi := 0; wi < nw; wi++ {
 		g := a.present[wi] & b.present[wi]
-		g &^= a.sat.word(wi) & b.sat.word(wi)
+		g &^= a.sat.Word(wi) & b.sat.Word(wi)
 		if aEv {
-			g &^= aPlan.evictSet.word(wi)
+			g &^= aPlan.evictSet.Word(wi)
 		}
 		if bEv {
-			g &^= bPlan.evictSet.word(wi)
+			g &^= bPlan.evictSet.Word(wi)
 		}
 		if g == 0 {
 			continue
 		}
-		aDirW, bDirW := a.direct.word(wi), b.direct.word(wi)
+		aDirW, bDirW := a.direct.Word(wi), b.direct.Word(wi)
 		base := int32(wi << 6)
 		for g != 0 {
 			bit := uint(bits.TrailingZeros64(g))
@@ -284,11 +285,11 @@ func (p *tablePlan) scoreAcquisitions(t *Table, partner *tablePlan, pt *Table, n
 	for wi := 0; wi < len(pt.present); wi++ {
 		m := pt.present[wi]
 		if ptEv {
-			m &^= partner.evictSet.word(wi)
+			m &^= partner.evictSet.Word(wi)
 		}
-		held := t.present.word(wi)
+		held := t.present.Word(wi)
 		if pEv {
-			held &^= p.evictSet.word(wi)
+			held &^= p.evictSet.Word(wi)
 		}
 		m &^= held
 		n += bits.OnesCount64(m)
@@ -300,17 +301,17 @@ func (p *tablePlan) scoreAcquisitions(t *Table, partner *tablePlan, pt *Table, n
 	for wi := 0; wi < len(pt.present); wi++ {
 		m := pt.present[wi]
 		if ptEv {
-			m &^= partner.evictSet.word(wi)
+			m &^= partner.evictSet.Word(wi)
 		}
-		held := t.present.word(wi)
+		held := t.present.Word(wi)
 		if pEv {
-			held &^= p.evictSet.word(wi)
+			held &^= p.evictSet.Word(wi)
 		}
 		m &^= held
 		if m == 0 {
 			continue
 		}
-		dirW, sharedW := pt.direct.word(wi), partner.shared.word(wi)
+		dirW, sharedW := pt.direct.Word(wi), partner.shared.Word(wi)
 		base := int32(wi << 6)
 		for m != 0 {
 			bit := uint(bits.TrailingZeros64(m))
@@ -362,7 +363,7 @@ func (p *tablePlan) apply(t *Table, from ident.NodeID, now time.Duration) {
 			// Grown rows were unsaturated at score time (mutually saturated
 			// pairs are masked out of the growth lists), so only the clear→set
 			// transition can happen here.
-			t.sat.set(id)
+			t.sat.Add(int(id))
 		}
 	}
 	if p.swept {
@@ -374,7 +375,7 @@ func (p *tablePlan) apply(t *Table, from ident.NodeID, now time.Duration) {
 		// at the end.
 		minW := math.Inf(1)
 		for wi, w := range p.shared {
-			m := w &^ t.direct.word(wi)
+			m := w &^ t.direct.Word(wi)
 			for m != 0 {
 				id := int32(wi<<6 + bits.TrailingZeros64(m))
 				m &= m - 1

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/sim"
 )
@@ -19,9 +20,9 @@ func cloneTable(t *Table) *Table {
 		weights:      append([]float64(nil), t.weights...),
 		lastShared:   append([]time.Duration(nil), t.lastShared...),
 		source:       append([]ident.NodeID(nil), t.source...),
-		present:      append(bitset(nil), t.present...),
-		direct:       append(bitset(nil), t.direct...),
-		sat:          append(bitset(nil), t.sat...),
+		present:      append(bitset.Set(nil), t.present...),
+		direct:       append(bitset.Set(nil), t.direct...),
+		sat:          append(bitset.Set(nil), t.sat...),
 		count:        t.count,
 		nextDeath:    t.nextDeath,
 		invBeta:      t.invBeta,
@@ -63,17 +64,17 @@ func requireTablesEqual(t *testing.T, label string, got, want *Table) {
 		for w != 0 {
 			id := int32(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
-			if !got.present.test(id) {
+			if !got.present.Has(int(id)) {
 				t.Fatalf("%s: row %q missing", label, want.in.Word(id))
 			}
 			if got.weights[id] != want.weights[id] ||
-				got.direct.test(id) != want.direct.test(id) ||
+				got.direct.Has(int(id)) != want.direct.Has(int(id)) ||
 				got.lastShared[id] != want.lastShared[id] ||
 				got.source[id] != want.source[id] {
 				t.Fatalf("%s: row %q = (w=%v d=%v t=%v from=%v), want (w=%v d=%v t=%v from=%v)",
 					label, want.in.Word(id),
-					got.weights[id], got.direct.test(id), got.lastShared[id], got.source[id],
-					want.weights[id], want.direct.test(id), want.lastShared[id], want.source[id])
+					got.weights[id], got.direct.Has(int(id)), got.lastShared[id], got.source[id],
+					want.weights[id], want.direct.Has(int(id)), want.lastShared[id], want.source[id])
 			}
 		}
 	}
