@@ -24,6 +24,9 @@ type scenarioGolden struct {
 	spec scenario.Spec
 	// edit adjusts the built configuration (nil: none).
 	edit func(*core.Config) error
+	// baseline also renders the spec under the ChitChat baseline, after
+	// the spec's own run, as kernel_default.golden does.
+	baseline bool
 	// evicts marks a run that must drop buffered messages, so the golden
 	// keeps covering eviction.
 	evicts bool
@@ -50,6 +53,12 @@ func scenarioGoldens() []scenarioGolden {
 		spec.RouterName = name
 		out = append(out, scenarioGolden{file: "golden_router_" + name + ".golden", spec: spec})
 	}
+	// A 7 s step divides none of the 10 s exchange, 5 min gossip and
+	// 30 min sampling intervals, so this golden pins the drift rules: a
+	// round re-arms from the tick that ran it, samples stay on their grid.
+	step7 := kernelGoldenSpec(core.SchemeIncentive)
+	step7.Step = 7 * time.Second
+	out = append(out, scenarioGolden{file: "golden_step7s.golden", spec: step7, baseline: true})
 	replay := kernelGoldenSpec(core.SchemeIncentive)
 	out = append(out, scenarioGolden{
 		file: "golden_trace_replay.golden",
@@ -106,20 +115,30 @@ func TestScenarioGoldens(t *testing.T) {
 			if g.paperScale && raceEnabled {
 				t.Skip("paper-scale golden skipped under the race detector")
 			}
-			got, eng, err := runGolden(t.Context(), g.spec, g.edit)
-			if err != nil {
-				t.Fatal(err)
+			specs := []scenario.Spec{g.spec}
+			if g.baseline {
+				chitchat := g.spec
+				chitchat.Scheme = core.SchemeChitChat
+				specs = append(specs, chitchat)
 			}
-			if g.evicts {
-				dropped := 0
-				for _, n := range eng.Nodes() {
-					dropped += n.Buffer().Dropped()
+			var got strings.Builder
+			for _, spec := range specs {
+				out, eng, err := runGolden(t.Context(), spec, g.edit)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if dropped == 0 {
-					t.Error("run evicted nothing; the golden no longer covers eviction")
+				if g.evicts {
+					dropped := 0
+					for _, n := range eng.Nodes() {
+						dropped += n.Buffer().Dropped()
+					}
+					if dropped == 0 {
+						t.Error("run evicted nothing; the golden no longer covers eviction")
+					}
 				}
+				got.WriteString(out)
 			}
-			checkGolden(t, filepath.Join("testdata", g.file), got)
+			checkGolden(t, filepath.Join("testdata", g.file), got.String())
 		})
 	}
 }
