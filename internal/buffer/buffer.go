@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
@@ -35,9 +34,9 @@ type Policy interface {
 }
 
 // Store is a capacity-bounded message buffer. It identifies messages by
-// handle: the copies of one message share its handle, creation time and
-// TTL, and the store holds at most one of them. It is not safe for
-// concurrent use; the simulation engine is single-threaded per run.
+// handle: the copies of one message share its handle, and the store holds
+// at most one of them. It is not safe for concurrent use; the simulation
+// engine is single-threaded per run.
 type Store struct {
 	capacity int64
 	used     int64
@@ -46,86 +45,12 @@ type Store struct {
 	dropped  int                // messages evicted before delivery
 
 	// resident marks the handles of the messages in order; held marks every
-	// handle the store has ever accepted. Add sets both bits, and eviction,
-	// expiry and Remove clear only resident, so held answers "was this node
+	// handle the store has ever accepted. Add sets both bits, and eviction
+	// and Remove clear only resident, so held answers "was this node
 	// ever a custodian of the message" with one bit test (see Held). Each
 	// costs one bit per handle up to the largest handle the store has held.
 	resident bitset.Set
 	held     bitset.Set
-
-	// expiry is a deadline-ordered index over TTL-carrying residents, so
-	// NextExpiry and ExpireAt cost O(log n) instead of a full-buffer scan.
-	// Entries are invalidated lazily: a removed message's entry is skipped
-	// when it surfaces at the head.
-	expiry    expiryHeap
-	expirySeq uint64
-}
-
-// expiryEntry is one (deadline, message) pair in the expiry index. seq makes
-// same-deadline expiry follow insertion order, keeping removal deterministic.
-type expiryEntry struct {
-	at  time.Duration
-	seq uint64
-	h   message.Handle
-}
-
-// expiryHeap is a hand-rolled binary min-heap; container/heap would box an
-// entry on every Push/Pop, and inserts are per-message. Entries carry unique
-// (at, seq) keys, so pop order is fully determined by less.
-type expiryHeap []expiryEntry
-
-func (h expiryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h expiryHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h expiryHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// pushExpiry adds one entry to the deadline index.
-func (s *Store) pushExpiry(e expiryEntry) {
-	s.expiry = append(s.expiry, e)
-	s.expiry.up(len(s.expiry) - 1)
-}
-
-// popExpiry removes the earliest entry from the deadline index.
-func (s *Store) popExpiry() {
-	h := s.expiry
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	s.expiry = h[:n]
-	if n > 0 {
-		s.expiry.down(0)
-	}
 }
 
 // New creates a store with the given byte capacity and eviction policy. A
@@ -197,15 +122,11 @@ func (s *Store) Add(m *message.Message) error {
 	s.used += m.Size
 	s.resident.Add(int(m.Handle))
 	s.held.Add(int(m.Handle))
-	if m.TTL > 0 {
-		s.expirySeq++
-		s.pushExpiry(expiryEntry{at: m.CreatedAt + m.TTL, seq: s.expirySeq, h: m.Handle})
-	}
 	return nil
 }
 
-// Remove deletes the message with handle h (e.g. after TTL expiry). It
-// reports whether the message was resident.
+// Remove deletes the message with handle h. It reports whether the message
+// was resident.
 func (s *Store) Remove(h message.Handle) bool {
 	if !s.Has(h) {
 		return false
@@ -227,47 +148,6 @@ func (s *Store) Remove(h message.Handle) bool {
 // exchange round, so handing out copies dominated early profiles.)
 func (s *Store) Messages() []*message.Message {
 	return s.order
-}
-
-// staleHead reports whether the expiry index's head entry no longer matches
-// a resident message and should be discarded. A resident message with the
-// entry's handle has the entry's deadline, because copies share creation
-// time and TTL.
-func (s *Store) staleHead() bool { return !s.Has(s.expiry[0].h) }
-
-// NextExpiry returns the earliest TTL deadline among resident messages; ok
-// is false when no resident message carries a TTL. Stale index entries are
-// discarded on the way, so the cost is amortised O(log n).
-func (s *Store) NextExpiry() (at time.Duration, ok bool) {
-	for len(s.expiry) > 0 {
-		if s.staleHead() {
-			s.popExpiry()
-			continue
-		}
-		return s.expiry[0].at, true
-	}
-	return 0, false
-}
-
-// ExpireAt removes all messages whose TTL has lapsed at virtual time now and
-// returns how many were removed. Only lapsed messages are visited: the
-// deadline index replaces the historical full-buffer scan.
-func (s *Store) ExpireAt(now time.Duration) int {
-	expired := 0
-	for len(s.expiry) > 0 {
-		if s.staleHead() {
-			s.popExpiry()
-			continue
-		}
-		head := s.expiry[0]
-		if now <= head.at { // Message.Expired is strict
-			break
-		}
-		s.popExpiry()
-		s.Remove(head.h)
-		expired++
-	}
-	return expired
 }
 
 // DropOldest evicts the earliest-created messages first (the ONE simulator's

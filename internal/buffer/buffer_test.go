@@ -71,8 +71,8 @@ func TestAddGetRemove(t *testing.T) {
 }
 
 // TestHeldOutlivesResidency pins the two bits per handle: Add sets both
-// resident and ever-held, and every way out of the buffer — Remove,
-// eviction, expiry — clears only residency.
+// resident and ever-held, and both ways out of the buffer — Remove and
+// eviction — clear only residency.
 func TestHeldOutlivesResidency(t *testing.T) {
 	s, _ := New(200, DropOldest{})
 	if s.Held(h("removed")) {
@@ -81,19 +81,16 @@ func TestHeldOutlivesResidency(t *testing.T) {
 	s.Add(msg(t, "removed", 100, message.PriorityHigh, 0.5, 1*time.Second))
 	evicted := msg(t, "evicted", 100, message.PriorityHigh, 0.5, 2*time.Second)
 	s.Add(evicted)
-	expired := msg(t, "expired", 150, message.PriorityHigh, 0.5, 3*time.Second)
-	expired.TTL = time.Minute
 	for _, id := range []string{"removed", "evicted"} {
 		if !s.Has(h(id)) || !s.Held(h(id)) {
 			t.Fatalf("%s: Has %v Held %v after Add, want both", id, s.Has(h(id)), s.Held(h(id)))
 		}
 	}
 	s.Remove(h("removed"))
-	if err := s.Add(expired); err != nil { // evicts "evicted"
+	if err := s.Add(msg(t, "incoming", 150, message.PriorityHigh, 0.5, 3*time.Second)); err != nil { // evicts "evicted"
 		t.Fatal(err)
 	}
-	s.ExpireAt(time.Hour)
-	for _, id := range []string{"removed", "evicted", "expired"} {
+	for _, id := range []string{"removed", "evicted"} {
 		if s.Has(h(id)) || !s.Held(h(id)) {
 			t.Errorf("%s: Has %v Held %v after leaving, want false true", id, s.Has(h(id)), s.Held(h(id)))
 		}
@@ -169,24 +166,6 @@ func TestMessagesInsertionOrder(t *testing.T) {
 	got := s.Messages()
 	if len(got) != 3 || got[0].ID != "c" || got[1].ID != "a" || got[2].ID != "b" {
 		t.Errorf("order = %v", []ident.MessageID{got[0].ID, got[1].ID, got[2].ID})
-	}
-}
-
-func TestExpireAt(t *testing.T) {
-	s, _ := New(1000, nil)
-	m1 := msg(t, "short", 10, message.PriorityHigh, 0.5, 0)
-	m1.TTL = time.Minute
-	m2 := msg(t, "long", 10, message.PriorityHigh, 0.5, 0)
-	m2.TTL = time.Hour
-	m3 := msg(t, "forever", 10, message.PriorityHigh, 0.5, 0)
-	s.Add(m1)
-	s.Add(m2)
-	s.Add(m3)
-	if n := s.ExpireAt(30 * time.Minute); n != 1 {
-		t.Errorf("expired %d, want 1", n)
-	}
-	if s.Has(h("short")) || !s.Has(h("long")) || !s.Has(h("forever")) {
-		t.Error("wrong messages expired")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // White-box tests for the contact-lifecycle arena (DESIGN.md "Contact
 // lifecycle arena & merge-diff"): steady-state contact churn must be
-// allocation-free, recycled contacts must reuse their agenda event handles,
-// and the up/down counters must stay symmetric.
+// allocation-free, recycled contacts must come back as the same object with
+// fresh state, and the up/down counters must stay symmetric.
 
 // arenaConfig is a two-node scenario with no background workload; the
 // profile of the second node is the caller's choice so tests can pick
@@ -98,9 +98,10 @@ func TestContactArenaAllocFree(t *testing.T) {
 }
 
 // TestContactArenaReusesHandles asserts that a recycled contact is the same
-// object as its previous life and keeps its agenda event handle, so churny
-// pairs re-raise their periodic exchange round via Reschedule instead of
-// allocating a fresh heap entry per encounter.
+// object as its previous life, so churny pairs allocate nothing per
+// encounter, and that the re-raise resets its state: the exchange and
+// gossip deadlines count from the new encounter, and the teardown marks and
+// transfers of the old one are gone.
 func TestContactArenaReusesHandles(t *testing.T) {
 	cfg, specs := arenaConfig(t, behavior.CooperativeProfile())
 	eng, err := NewEngine(cfg, specs)
@@ -114,23 +115,21 @@ func TestContactArenaReusesHandles(t *testing.T) {
 	if !c1.open {
 		t.Fatal("cooperative pair raised a closed contact")
 	}
-	ev1 := c1.exchangeEv
-	if ev1 == nil {
-		t.Fatal("open contact has no scheduled exchange round")
-	}
 	downs := append(eng.downsScratch[:0], c1)
 	eng.downsScratch = downs
 	eng.teardownContacts(downs)
 
-	c2 := eng.contactUp(p, now)
+	later := now + time.Minute
+	c2 := eng.contactUp(p, later)
 	if c2 != c1 {
 		t.Error("re-raised contact is a fresh allocation, want the recycled arena object")
 	}
-	if c2.exchangeEv != ev1 {
-		t.Error("recycled contact did not reuse its exchange event handle")
+	if c2.exchangedAt != later || c2.nextGossip != later+gossipInterval {
+		t.Errorf("recycled contact kept stale deadlines: exchangedAt=%v nextGossip=%v, want %v and %v",
+			c2.exchangedAt, c2.nextGossip, later, later+gossipInterval)
 	}
-	if c2.startedAt != now || c2.exchangedAt != now {
-		t.Errorf("recycled contact kept stale times: startedAt=%v exchangedAt=%v", c2.startedAt, c2.exchangedAt)
+	if c2.dead || c2.active != nil || len(c2.pending()) != 0 {
+		t.Errorf("recycled contact kept stale state: dead=%v active=%v pending=%d", c2.dead, c2.active, len(c2.pending()))
 	}
 }
 

@@ -157,19 +157,9 @@ type Config struct {
 	// PriorityBuffers selects the DropLowPriority eviction policy instead
 	// of DropOldest.
 	PriorityBuffers bool
-	// ExchangeInterval is how often connected pairs re-run the RTSR
-	// exchange and routing round while a contact lasts.
-	ExchangeInterval time.Duration
-	// GossipLimit caps how many reputation rows are shared per contact.
-	GossipLimit int
-	// GossipInterval re-shares reputations over long-lived contacts (the
-	// contact-up gossip covers the common short-encounter case).
-	GossipInterval time.Duration
 	// RatingSampleInterval is the Figure 5.4 sampling period; zero
 	// disables sampling.
 	RatingSampleInterval time.Duration
-	// MessageTTL expires undelivered messages; zero disables expiry.
-	MessageTTL time.Duration
 	// BatteryJoules is each node's radio energy budget; once a node's
 	// cumulative transmit+receive energy reaches it, its radio dies for
 	// the rest of the run. Zero means unlimited (the paper's evaluation
@@ -213,11 +203,7 @@ func DefaultConfig() Config {
 		EnrichmentEnabled:    true,
 		ReputationEnabled:    true,
 		PriorityBuffers:      true,
-		ExchangeInterval:     10 * time.Second,
-		GossipLimit:          64,
-		GossipInterval:       5 * time.Minute,
 		RatingSampleInterval: 30 * time.Minute,
-		MessageTTL:           0,
 	}
 }
 
@@ -232,16 +218,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: buffer capacity must be positive, got %d", c.BufferCapacity)
 	case c.Scheme != SchemeChitChat && c.Scheme != SchemeIncentive:
 		return fmt.Errorf("core: unknown scheme %d", int(c.Scheme))
-	case c.ExchangeInterval <= 0:
-		return fmt.Errorf("core: exchange interval must be positive, got %v", c.ExchangeInterval)
-	case c.GossipLimit < 0:
-		return fmt.Errorf("core: gossip limit must be non-negative, got %d", c.GossipLimit)
-	case c.GossipInterval < 0:
-		return fmt.Errorf("core: gossip interval must be non-negative, got %v", c.GossipInterval)
 	case c.RatingSampleInterval < 0:
 		return fmt.Errorf("core: rating sample interval must be non-negative, got %v", c.RatingSampleInterval)
-	case c.MessageTTL < 0:
-		return fmt.Errorf("core: message TTL must be non-negative, got %v", c.MessageTTL)
 	case c.Heartbeat < 0:
 		return fmt.Errorf("core: heartbeat interval must be non-negative, got %v", c.Heartbeat)
 	case c.Area.Width <= 0 || c.Area.Height <= 0:

@@ -5,7 +5,6 @@ import (
 
 	"dtnsim/internal/message"
 	"dtnsim/internal/routing"
-	"dtnsim/internal/sim"
 	"dtnsim/internal/world"
 )
 
@@ -16,15 +15,13 @@ import (
 //
 // Contacts are arena objects: Engine.acquireContact hands them out of a
 // free list and Engine.releaseContact returns them after teardown, keeping
-// the transfer-queue backing array and the agenda event handles warm across
-// encounters so steady-state contact churn allocates nothing (DESIGN.md
-// "Contact lifecycle arena & merge-diff").
+// the transfer-queue backing array warm across encounters so steady-state
+// contact churn allocates nothing (DESIGN.md "Contact lifecycle arena &
+// merge-diff").
 //
-// Periodic per-contact work (the RTSR exchange round, reputation gossip) is
-// event-scheduled on the engine's agenda: contact-up schedules the events,
-// contact-down cancels them, and a due event marks the flag consumed by the
-// next tick's contact pass — the tick touches only contacts with something
-// to do instead of re-deriving dueness from timestamps every step.
+// Periodic per-contact work (the RTSR exchange round, reputation gossip)
+// runs on deadlines the tick's contact pass checks as it walks the live
+// contacts (Engine.progressContacts).
 type contact struct {
 	pair world.Pair
 	a, b *Node
@@ -33,15 +30,13 @@ type contact struct {
 	// listIdx is the contact's current slot in Engine.contactList (creation
 	// order); teardown uses it to compact the list from the first vacated
 	// slot instead of sweeping the whole list.
-	listIdx   int
-	startedAt time.Duration
+	listIdx int
 	// exchangedAt is when the last RTSR round ran, feeding the T_c − T_v
-	// growth accounting of the next round (interest.Params.GrowthRate).
+	// growth accounting of the next round (interest.Params.GrowthRate); the
+	// next round is due exchangeInterval after it.
 	exchangedAt time.Duration
-	exchangeEv  *sim.Handle
-	gossipEv    *sim.Handle
-	exchangeDue bool
-	gossipDue   bool
+	// nextGossip is when the next periodic reputation gossip is due.
+	nextGossip time.Duration
 	// queue[queueHead:] are the pending transfers. Dequeuing advances
 	// queueHead instead of reslicing from the front, so a long-lived
 	// contact releases its consumed prefix (see pop) rather than pinning
@@ -50,13 +45,6 @@ type contact struct {
 	queueHead int
 	active    *transfer
 }
-
-// markExchangeDue and markGossipDue are the agenda callbacks: a due event
-// only raises a flag; the tick's contact pass consumes it in deterministic
-// contact-creation order.
-func (c *contact) markExchangeDue(time.Duration) { c.exchangeDue = true }
-
-func (c *contact) markGossipDue(time.Duration) { c.gossipDue = true }
 
 // pending returns the not-yet-started transfers in negotiation order.
 func (c *contact) pending() []*transfer { return c.queue[c.queueHead:] }

@@ -56,10 +56,6 @@ type Node struct {
 	// (unclamped); Engine.moveNodes skips the grid upsert when a new tick
 	// returns the identical point.
 	lastPos world.Point
-	// expiryEv is the node's pending TTL-expiry event, kept aligned with the
-	// buffer's earliest deadline by Engine.armExpiry. Nil until the first
-	// TTL-carrying message lands in the buffer.
-	expiryEv *sim.Handle
 	// workloadEv is the node's pending Poisson message-origination event
 	// (Engine.scheduleNextMessage). Holding the handle lets a mid-run
 	// workload-rate control re-arm or disarm generation without leaving a

@@ -236,7 +236,6 @@ func TestConfigValidateRejectsNegativeIntervals(t *testing.T) {
 		errWant string
 	}{
 		{"rating sample interval", func(c *core.Config) { c.RatingSampleInterval = -time.Second }, "rating sample interval must be non-negative"},
-		{"message TTL", func(c *core.Config) { c.MessageTTL = -time.Minute }, "message TTL must be non-negative"},
 		{"heartbeat", func(c *core.Config) { c.Heartbeat = -time.Second }, "heartbeat interval must be non-negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"dtnsim/internal/behavior"
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/message"
-	"dtnsim/internal/obs"
 )
 
 // MessageClass assigns a node to one of the Figure 5.6 generator
@@ -149,7 +148,6 @@ func (e *Engine) scheduleNextMessage(n *Node) {
 	n.workloadEv = e.runner.Schedule(at, func(time.Duration) {
 		e.originate(n, e.runner.Clock().Now())
 		e.scheduleNextMessage(n)
-		e.chargePhase(obs.PhaseEvents)
 	})
 }
 

@@ -119,9 +119,6 @@ type Message struct {
 	// this copy (Paper II §3.3: the message travels "along with the
 	// promised value of reward").
 	PromisedTokens float64
-	// TTL is how long past CreatedAt the message stays useful; zero means
-	// no expiry within the run.
-	TTL time.Duration
 	// CopiesLeft is router-private replication state used by
 	// Spray-and-Wait (the L counter); other routers ignore it.
 	CopiesLeft int
@@ -265,11 +262,6 @@ func (m *Message) HopCount() int {
 		return 0
 	}
 	return len(m.Path) - 1
-}
-
-// Expired reports whether the message's TTL has lapsed at time now.
-func (m *Message) Expired(now time.Duration) bool {
-	return m.TTL > 0 && now > m.CreatedAt+m.TTL
 }
 
 // CopyFor clones the message for handover to a new custodian. The clone keeps

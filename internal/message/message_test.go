@@ -160,20 +160,6 @@ func TestRatingValues(t *testing.T) {
 	}
 }
 
-func TestExpiry(t *testing.T) {
-	m := newTestMessage(t)
-	if m.Expired(time.Hour * 1000) {
-		t.Error("zero TTL must never expire")
-	}
-	m.TTL = time.Hour
-	if m.Expired(30 * time.Minute) {
-		t.Error("expired before TTL")
-	}
-	if !m.Expired(2 * time.Hour) {
-		t.Error("not expired after TTL")
-	}
-}
-
 func TestHolderEmptyPath(t *testing.T) {
 	m := &Message{}
 	if m.Holder() != ident.Nobody {

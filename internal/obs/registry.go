@@ -20,13 +20,12 @@ const (
 	// PhaseContacts is contact-set maintenance: diffing the pair set
 	// against live contacts, raising and tearing down contacts.
 	PhaseContacts
-	// PhaseExchange is the contact pass: parallel RTSR plan scoring plus
-	// the serial walk over live contacts — exchange, gossip, and routing
-	// rounds, and transfer progression.
+	// PhaseExchange is the contact pass: the walk over live contacts —
+	// the deadline checks, the exchange, gossip and routing rounds that
+	// come due, and transfer progression.
 	PhaseExchange
-	// PhaseEvents is scheduled-event work: the per-contact agenda drain
-	// plus the runner-lane events the engine schedules (workload
-	// injection, TTL expiry, rating sampling).
+	// PhaseEvents is the work around the pass: the runner's workload
+	// arrivals, the control drain, rating sampling and heartbeats.
 	PhaseEvents
 	// NumPhases is the phase count; valid phases are [0, NumPhases).
 	NumPhases

@@ -1,6 +1,7 @@
 // Package sim provides the discrete-time simulation kernel used by the DTN
 // engine: a virtual clock, a deterministic random source, a scheduled event
-// queue, and a run loop that advances registered tickers step by step.
+// queue, and a run loop that fires due events and calls one tick function
+// step by step.
 //
 // The kernel is deliberately unaware of networking concepts; the DTN engine
 // in internal/core composes it with the world, mobility, and radio
@@ -41,9 +42,6 @@ func (c *Clock) Advance() time.Duration {
 	c.now += c.step
 	return c.now
 }
-
-// Reset rewinds the clock to zero, keeping the step.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Seconds returns the current virtual time in seconds as a float. Several of
 // the paper's formulas (decay, growth, energy) are stated over raw seconds.

@@ -17,40 +17,19 @@ type Event func(at time.Duration)
 type Handle struct {
 	q    *EventQueue
 	fire Event
-	at   time.Duration
-	gen  uint64 // generation of the live heap entry; bumped to invalidate
-	live bool
+	gen  uint64 // generation of the pending heap entry; bumped to invalidate
 }
-
-// Active reports whether the event is still pending (not yet fired and not
-// cancelled).
-func (h *Handle) Active() bool { return h.live }
-
-// At returns the time the event is (or was last) scheduled to fire.
-func (h *Handle) At() time.Duration { return h.at }
 
 // Cancel withdraws a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
-func (h *Handle) Cancel() {
-	if !h.live {
-		return
-	}
-	h.live = false
-	h.gen++
-	h.q.live--
-}
+func (h *Handle) Cancel() { h.gen++ }
 
 // Reschedule moves the event to a new fire time, reviving it if it has
 // already fired or been cancelled. The event keeps its callback but counts
 // as freshly scheduled for same-instant FIFO ordering.
 func (h *Handle) Reschedule(at time.Duration) {
 	h.gen++
-	if h.live {
-		h.q.live--
-	}
-	h.at = at
-	h.live = true
-	h.q.push(h)
+	h.q.push(h, at)
 }
 
 type scheduledEvent struct {
@@ -108,9 +87,8 @@ func (h eventHeap) down(i int) {
 // times fire in scheduling order (rescheduling counts as a fresh schedule),
 // which keeps runs deterministic.
 type EventQueue struct {
-	h    eventHeap
-	seq  uint64
-	live int
+	h   eventHeap
+	seq uint64
 }
 
 // NewEventQueue returns an empty queue.
@@ -121,16 +99,15 @@ func NewEventQueue() *EventQueue {
 // ScheduleAt enqueues fire to run at the absolute virtual time at and
 // returns a handle for cancellation or rescheduling.
 func (q *EventQueue) ScheduleAt(at time.Duration, fire Event) *Handle {
-	h := &Handle{q: q, fire: fire, at: at, live: true}
-	q.push(h)
+	h := &Handle{q: q, fire: fire}
+	q.push(h, at)
 	return h
 }
 
-// push appends a heap entry for the handle's current (at, gen) state.
-func (q *EventQueue) push(h *Handle) {
+// push appends a heap entry firing h at at under its current generation.
+func (q *EventQueue) push(h *Handle, at time.Duration) {
 	q.seq++
-	q.live++
-	q.h = append(q.h, scheduledEvent{at: h.at, seq: q.seq, gen: h.gen, h: h})
+	q.h = append(q.h, scheduledEvent{at: at, seq: q.seq, gen: h.gen, h: h})
 	q.h.up(len(q.h) - 1)
 }
 
@@ -149,24 +126,6 @@ func (q *EventQueue) pop() scheduledEvent {
 	return ev
 }
 
-// Len returns the number of pending (live) events.
-func (q *EventQueue) Len() int { return q.live }
-
-// NextAt returns the fire time of the earliest pending event; ok is false
-// when the queue is empty. Stale entries left behind by Cancel/Reschedule
-// are discarded on the way.
-func (q *EventQueue) NextAt() (at time.Duration, ok bool) {
-	for len(q.h) > 0 {
-		head := q.h[0]
-		if head.gen != head.h.gen || !head.h.live {
-			q.pop()
-			continue
-		}
-		return head.at, true
-	}
-	return 0, false
-}
-
 // RunDue fires every event scheduled at or before now, in time order. Events
 // may schedule further events; newly scheduled events that are also due are
 // fired in the same call. It returns the number of events fired.
@@ -174,11 +133,9 @@ func (q *EventQueue) RunDue(now time.Duration) int {
 	fired := 0
 	for len(q.h) > 0 && q.h[0].at <= now {
 		ev := q.pop()
-		if ev.gen != ev.h.gen || !ev.h.live {
+		if ev.gen != ev.h.gen {
 			continue // cancelled or rescheduled since this entry was pushed
 		}
-		ev.h.live = false
-		q.live--
 		ev.h.fire(ev.at)
 		fired++
 	}

@@ -6,52 +6,31 @@ import (
 	"time"
 )
 
-// Ticker is a component that advances once per simulation step. The engine's
-// movement, contact detection, and transfer subsystems all implement Ticker.
-type Ticker interface {
-	// Tick advances the component to virtual time now. The step size is
-	// fixed for the run and available from the Runner's clock.
-	Tick(now time.Duration)
-}
-
-// TickerFunc adapts a plain function to the Ticker interface.
-type TickerFunc func(now time.Duration)
-
-// Tick implements Ticker.
-func (f TickerFunc) Tick(now time.Duration) { f(now) }
-
-var _ Ticker = TickerFunc(nil)
-
-// Runner drives a hybrid event/step simulation. Each step it advances the
-// clock, fires due scheduled events, ticks every registered component in
-// registration order, and finally fires due observer events. Deterministic
+// Runner drives a hybrid event/step simulation: a clock, one event queue
+// and one tick function. Each step it advances the clock, fires the events
+// due at or before the new time, then calls the tick. Deterministic
 // ordering is a correctness requirement — the paper's results are averages
 // over seeded runs, and reproducing a run must reproduce its exact event
 // interleaving. The rules are:
 //
-//   - events due at or before a step fire before that step's tickers,
-//     in (time, FIFO-at-equal-time) order;
-//   - tickers run in registration order;
-//   - observer events (SchedulePost) fire after the step's tickers, seeing
-//     the completed step — samplers and probes belong here.
+//   - events due at or before a step fire before that step's tick, in
+//     (time, FIFO-at-equal-time) order;
+//   - the tick owns everything else, periodic work included: it checks its
+//     own deadlines against the time it is given.
 type Runner struct {
-	clock   *Clock
-	pre     *EventQueue
-	post    *EventQueue
-	tickers []Ticker
+	clock  *Clock
+	events *EventQueue
+	tick   func(now time.Duration)
 }
 
-// NewRunner returns a runner with the given tick granularity.
-func NewRunner(step time.Duration) (*Runner, error) {
+// NewRunner returns a runner with the given tick granularity that calls
+// tick once per step.
+func NewRunner(step time.Duration, tick func(now time.Duration)) (*Runner, error) {
 	clock, err := NewClock(step)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{
-		clock: clock,
-		pre:   NewEventQueue(),
-		post:  NewEventQueue(),
-	}, nil
+	return &Runner{clock: clock, events: NewEventQueue(), tick: tick}, nil
 }
 
 // Clock exposes the virtual clock.
@@ -59,37 +38,16 @@ func (r *Runner) Clock() *Clock { return r.clock }
 
 // Schedule enqueues an event at an absolute virtual time and returns its
 // handle for cancellation or rescheduling. Events scheduled in the past fire
-// on the next step, before that step's tickers.
+// on the next step, before that step's tick.
 func (r *Runner) Schedule(at time.Duration, fire Event) *Handle {
-	return r.pre.ScheduleAt(at, fire)
+	return r.events.ScheduleAt(at, fire)
 }
 
-// ScheduleAfter enqueues an event delay after the current virtual time.
-func (r *Runner) ScheduleAfter(delay time.Duration, fire Event) *Handle {
-	return r.pre.ScheduleAt(r.clock.Now()+delay, fire)
-}
-
-// SchedulePost enqueues an observer event: it fires after the tickers of the
-// step that reaches at, so it sees the step's completed state. Samplers that
-// must observe "the world as of time t" belong in this lane.
-func (r *Runner) SchedulePost(at time.Duration, fire Event) *Handle {
-	return r.post.ScheduleAt(at, fire)
-}
-
-// step advances one tick: clock, due events, tickers, due observers.
+// step advances one tick: clock, due events, tick.
 func (r *Runner) step() {
 	now := r.clock.Advance()
-	r.pre.RunDue(now)
-	for _, t := range r.tickers {
-		t.Tick(now)
-	}
-	r.post.RunDue(now)
-}
-
-// AddTicker registers a per-step component. Tickers run in registration
-// order after the step's due events have fired.
-func (r *Runner) AddTicker(t Ticker) {
-	r.tickers = append(r.tickers, t)
+	r.events.RunDue(now)
+	r.tick(now)
 }
 
 // Run advances the simulation until the clock reaches d (inclusive of the

@@ -12,12 +12,11 @@ import (
 // stop queued work promptly after a failure.
 
 func TestRunnerAlreadyCancelledReturnsCtxErr(t *testing.T) {
-	r, err := NewRunner(time.Second)
+	ticks := 0
+	r, err := NewRunner(time.Second, func(time.Duration) { ticks++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := 0
-	r.AddTicker(TickerFunc(func(time.Duration) { ticks++ }))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	steps, err := r.Run(ctx, time.Hour)
@@ -30,18 +29,17 @@ func TestRunnerAlreadyCancelledReturnsCtxErr(t *testing.T) {
 }
 
 func TestRunnerMidRunCancellation(t *testing.T) {
-	r, err := NewRunner(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ticks := 0
-	r.AddTicker(TickerFunc(func(time.Duration) {
+	r, err := NewRunner(time.Second, func(time.Duration) {
 		ticks++
 		if ticks == 5 {
 			cancel()
 		}
-	}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	steps, err := r.Run(ctx, time.Hour)
 	if err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)

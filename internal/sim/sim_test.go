@@ -32,10 +32,6 @@ func TestClockAdvance(t *testing.T) {
 	if c.Seconds() != 5 {
 		t.Errorf("Seconds() = %v, want 5", c.Seconds())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("after Reset Now() = %v, want 0", c.Now())
-	}
 }
 
 func TestRNGDeterminism(t *testing.T) {
@@ -184,8 +180,32 @@ func TestEventQueueOnlyDueEventsFire(t *testing.T) {
 	if n := q.RunDue(2 * time.Second); n != 1 || fired != 1 {
 		t.Errorf("RunDue(2s) fired %d (counter %d), want 1", n, fired)
 	}
-	if at, ok := q.NextAt(); !ok || at != 3*time.Second {
-		t.Errorf("NextAt = %v, %v; want 3s, true", at, ok)
+	if n := q.RunDue(3 * time.Second); n != 1 || fired != 2 {
+		t.Errorf("RunDue(3s) fired %d (counter %d), want the pending 3s event", n, fired)
+	}
+}
+
+func TestHandleCancelAndReschedule(t *testing.T) {
+	q := NewEventQueue()
+	var fired []time.Duration
+	record := func(at time.Duration) { fired = append(fired, at) }
+	cancelled := q.ScheduleAt(time.Second, record)
+	moved := q.ScheduleAt(time.Second, record)
+	cancelled.Cancel()
+	moved.Reschedule(2 * time.Second)
+	if n := q.RunDue(time.Second); n != 0 {
+		t.Fatalf("RunDue(1s) fired %d events, want the cancelled and moved ones to stay silent", n)
+	}
+	// A cancelled handle revives on Reschedule, as freshly scheduled: at
+	// an instant shared with an earlier schedule it fires second.
+	cancelled.Reschedule(2 * time.Second)
+	q.RunDue(2 * time.Second)
+	if len(fired) != 2 || fired[0] != 2*time.Second || fired[1] != 2*time.Second {
+		t.Fatalf("fired at %v, want both at 2s", fired)
+	}
+	cancelled.Cancel() // cancelling a fired event is a no-op
+	if n := q.RunDue(time.Hour); n != 0 {
+		t.Errorf("RunDue(1h) fired %d stale events", n)
 	}
 }
 
@@ -223,36 +243,36 @@ func TestEventQueuePropertyOrdered(t *testing.T) {
 }
 
 func TestRunnerTickersRunEachStep(t *testing.T) {
-	r, err := NewRunner(time.Second)
+	var ticks []time.Duration
+	var order []string
+	r, err := NewRunner(time.Second, func(now time.Duration) {
+		ticks = append(ticks, now)
+		order = append(order, "tick")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	r.AddTicker(TickerFunc(func(now time.Duration) { count++ }))
+	// An event due at a step fires before that step's tick.
+	r.Schedule(3*time.Second, func(time.Duration) { order = append(order, "event") })
 	steps, err := r.Run(context.Background(), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != 10 || count != 10 {
-		t.Errorf("steps=%d ticks=%d, want 10 each", steps, count)
+	if steps != 10 || len(ticks) != 10 {
+		t.Fatalf("steps=%d ticks=%d, want 10 each", steps, len(ticks))
 	}
-}
-
-func TestRunnerScheduleAfter(t *testing.T) {
-	r, err := NewRunner(time.Second)
-	if err != nil {
-		t.Fatal(err)
+	for i, now := range ticks {
+		if want := time.Duration(i+1) * time.Second; now != want {
+			t.Errorf("tick %d saw %v, want %v", i, now, want)
+		}
 	}
-	var firedAt time.Duration
-	r.ScheduleAfter(3*time.Second, func(at time.Duration) { firedAt = at })
-	r.RunSteps(5)
-	if firedAt != 3*time.Second {
-		t.Errorf("event fired at %v, want 3s", firedAt)
+	if order[1] != "tick" || order[2] != "event" || order[3] != "tick" {
+		t.Errorf("order around the 3s step = %v, want tick, event, tick", order[1:4])
 	}
 }
 
 func TestRunnerContextCancellation(t *testing.T) {
-	r, err := NewRunner(time.Second)
+	r, err := NewRunner(time.Second, func(time.Duration) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +284,7 @@ func TestRunnerContextCancellation(t *testing.T) {
 }
 
 func TestRunnerRejectsNegativeDuration(t *testing.T) {
-	r, err := NewRunner(time.Second)
+	r, err := NewRunner(time.Second, func(time.Duration) {})
 	if err != nil {
 		t.Fatal(err)
 	}
