@@ -83,13 +83,14 @@ func (d *Device) IncrementWeights(dt time.Duration) {
 }
 
 // GetMessagesToForward implements operator function 5: the messages this
-// device would offer the given connected peer under the active router.
+// device would offer the given connected peer under the active router, in
+// the order the engine would transmit them.
 func (d *Device) GetMessagesToForward(peer ident.NodeID) ([]*message.Message, error) {
 	p := d.engine.Node(peer)
 	if p == nil {
 		return nil, fmt.Errorf("core: unknown peer %s", peer)
 	}
-	offers := d.engine.router.SelectOffers(d.node, p)
+	offers := d.engine.offersFor(d.node, p)
 	out := make([]*message.Message, len(offers))
 	for i, o := range offers {
 		out[i] = o.Msg

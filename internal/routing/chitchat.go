@@ -33,6 +33,5 @@ func (ChitChat) SelectOffers(u, v NodeView) []Offer {
 		}
 		offers = append(offers, Offer{Msg: m, Role: role})
 	}
-	sortOffers(offers)
 	return offers
 }

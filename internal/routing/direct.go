@@ -26,6 +26,5 @@ func (Direct) SelectOffers(u, v NodeView) []Offer {
 		}
 		offers = append(offers, Offer{Msg: m, Role: RoleDestination})
 	}
-	sortOffers(offers)
 	return offers
 }

@@ -29,6 +29,5 @@ func (Epidemic) SelectOffers(u, v NodeView) []Offer {
 		}
 		offers = append(offers, Offer{Msg: m, Role: role})
 	}
-	sortOffers(offers)
 	return offers
 }

@@ -172,7 +172,6 @@ func (p *Prophet) SelectOffers(u, v NodeView) []Offer {
 			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
 		}
 	}
-	sortOffers(offers)
 	return offers
 }
 

@@ -8,7 +8,6 @@
 package routing
 
 import (
-	"sort"
 	"time"
 
 	"dtnsim/internal/buffer"
@@ -67,7 +66,8 @@ type Offer struct {
 type Router interface {
 	// Name identifies the algorithm in reports.
 	Name() string
-	// SelectOffers returns the messages u offers v, most urgent first.
+	// SelectOffers returns the messages u offers v, in u's buffer order;
+	// the engine puts them in transmission order.
 	SelectOffers(u, v NodeView) []Offer
 }
 
@@ -103,30 +103,6 @@ func ClassifyPeer(m *message.Message, u, v NodeView) PeerRole {
 		return RoleRelay
 	}
 	return RoleNone
-}
-
-// sortOffers orders offers by priority (high first), then quality (best
-// first), then creation time (oldest first), then ID for determinism. This
-// is the transmission-order half of the paper's priority preference
-// (Figure 5.6): when a contact is short, high-priority messages go first.
-func sortOffers(offers []Offer) {
-	sort.SliceStable(offers, func(i, j int) bool {
-		a, b := offers[i].Msg, offers[j].Msg
-		if offers[i].Role != offers[j].Role {
-			// Destinations before relays: deliveries beat replication.
-			return offers[i].Role > offers[j].Role
-		}
-		if a.Priority != b.Priority {
-			return a.Priority < b.Priority
-		}
-		if a.Quality != b.Quality {
-			return a.Quality > b.Quality
-		}
-		if a.CreatedAt != b.CreatedAt {
-			return a.CreatedAt < b.CreatedAt
-		}
-		return a.ID < b.ID
-	})
 }
 
 // eligible reports the common offer preconditions: v does not already hold

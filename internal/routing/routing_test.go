@@ -258,39 +258,6 @@ func TestSplitCopies(t *testing.T) {
 	}
 }
 
-func TestOfferOrderingPriorityFirst(t *testing.T) {
-	h := newHarness()
-	u := h.node(t, 1)
-	v := h.node(t, 2, "a", "b", "c", "d")
-	low := h.msg(t, u, message.PriorityLow, 0.9, 0, "a")
-	high := h.msg(t, u, message.PriorityHigh, 0.3, time.Second, "b")
-	med := h.msg(t, u, message.PriorityMedium, 0.5, 0, "c")
-	offers := NewChitChat().SelectOffers(u, v)
-	if len(offers) != 3 {
-		t.Fatalf("offers = %d", len(offers))
-	}
-	if offers[0].Msg.ID != high.ID || offers[1].Msg.ID != med.ID || offers[2].Msg.ID != low.ID {
-		t.Errorf("order = %v, %v, %v; want high, med, low", offers[0].Msg.ID, offers[1].Msg.ID, offers[2].Msg.ID)
-	}
-}
-
-func TestOfferOrderingDestinationsBeforeRelays(t *testing.T) {
-	h := newHarness()
-	u := h.node(t, 1)
-	v := h.node(t, 2, "wanted")
-	v.table.Acquire("other", 9, 0)
-	v.table.SetWeight("other", 0.5)
-	relayMsg := h.msg(t, u, message.PriorityHigh, 0.9, 0, "other")
-	destMsg := h.msg(t, u, message.PriorityLow, 0.1, time.Second, "wanted")
-	offers := NewChitChat().SelectOffers(u, v)
-	if len(offers) != 2 {
-		t.Fatalf("offers = %d", len(offers))
-	}
-	if offers[0].Msg.ID != destMsg.ID || offers[1].Msg.ID != relayMsg.ID {
-		t.Error("destination offers must precede relay offers")
-	}
-}
-
 func TestKeywordIDsCaching(t *testing.T) {
 	h := newHarness()
 	u := h.node(t, 1)

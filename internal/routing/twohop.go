@@ -32,6 +32,5 @@ func (TwoHop) SelectOffers(u, v NodeView) []Offer {
 			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
 		}
 	}
-	sortOffers(offers)
 	return offers
 }
