@@ -92,14 +92,23 @@ func KeywordIDs(m *message.Message, in *interest.Interner) []int32 {
 // destination if v holds a *direct* interest in any of the message's
 // keywords; otherwise relay if v's interest-weight sum strictly exceeds
 // u's ("If S_v > S_u for message M, then forward message M to device v").
+//
+// S_u is summed first because it usually settles the relay test alone.
+// No weight exceeds interest.MaxWeight, which is 1, so each partial sum of
+// S_v's k = len(ids) terms stays at or below its integer bound (rounding
+// is monotone and small integers are exact): S_v ≤ k. A sender already at
+// that ceiling, as saturated senders are on almost every round, cannot be
+// beaten, and S_v is not summed.
 func ClassifyPeer(m *message.Message, u, v NodeView) PeerRole {
 	ids := KeywordIDs(m, u.Interests().Interner())
 	if v.Interests().HasDirectAnyID(ids) {
 		return RoleDestination
 	}
 	su := u.Interests().SumWeightsIDs(ids)
-	sv := v.Interests().SumWeightsIDs(ids)
-	if sv > su {
+	if su >= float64(len(ids))*interest.MaxWeight {
+		return RoleNone
+	}
+	if v.Interests().SumWeightsIDs(ids) > su {
 		return RoleRelay
 	}
 	return RoleNone
