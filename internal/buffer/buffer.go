@@ -51,6 +51,17 @@ type Store struct {
 	// costs one bit per handle up to the largest handle the store has held.
 	resident bitset.Set
 	held     bitset.Set
+
+	// maxSize and maxQuality are the largest Size and the best Quality
+	// among the resident messages, and nMaxSize and nMaxQuality count the
+	// residents at them; all four are zero for an empty store. Add folds
+	// each message in and Remove counts it out. When the last resident at
+	// a maximum leaves, maxStale defers the rescan to the next Maxima call.
+	maxSize     int64
+	maxQuality  float64
+	nMaxSize    int
+	nMaxQuality int
+	maxStale    bool
 }
 
 // New creates a store with the given byte capacity and eviction policy. A
@@ -120,6 +131,7 @@ func (s *Store) Add(m *message.Message) error {
 	}
 	s.order = append(s.order, m)
 	s.used += m.Size
+	s.foldMax(m)
 	s.resident.Add(int(m.Handle))
 	s.held.Add(int(m.Handle))
 	return nil
@@ -135,6 +147,7 @@ func (s *Store) Remove(h message.Handle) bool {
 		if m.Handle == h {
 			s.used -= m.Size
 			s.order = append(s.order[:i], s.order[i+1:]...)
+			s.dropMax(m)
 			break
 		}
 	}
@@ -148,6 +161,56 @@ func (s *Store) Remove(h message.Handle) bool {
 // exchange round, so handing out copies dominated early profiles.)
 func (s *Store) Messages() []*message.Message {
 	return s.order
+}
+
+// Maxima returns the largest Size and the best Quality among the resident
+// messages, S_m and Q_m in Algorithm 3, or zeros when the store is empty.
+// They are kept as messages come and go, so a call costs a rescan only
+// after the last resident at a maximum has left.
+func (s *Store) Maxima() (int64, float64) {
+	if s.maxStale {
+		s.maxSize, s.nMaxSize = 0, 0
+		s.maxQuality, s.nMaxQuality = 0, 0
+		s.maxStale = false
+		for _, m := range s.order {
+			s.foldMax(m)
+		}
+	}
+	return s.maxSize, s.maxQuality
+}
+
+// foldMax counts a new resident into the running maxima.
+func (s *Store) foldMax(m *message.Message) {
+	if s.maxStale {
+		return
+	}
+	switch {
+	case s.nMaxSize == 0 || m.Size > s.maxSize:
+		s.maxSize, s.nMaxSize = m.Size, 1
+	case m.Size == s.maxSize:
+		s.nMaxSize++
+	}
+	switch {
+	case s.nMaxQuality == 0 || m.Quality > s.maxQuality:
+		s.maxQuality, s.nMaxQuality = m.Quality, 1
+	case m.Quality == s.maxQuality:
+		s.nMaxQuality++
+	}
+}
+
+// dropMax counts a departing resident out of the running maxima, marking
+// them stale when it was the last at either one.
+func (s *Store) dropMax(m *message.Message) {
+	if s.maxStale {
+		return
+	}
+	if m.Size == s.maxSize {
+		s.nMaxSize--
+	}
+	if m.Quality == s.maxQuality {
+		s.nMaxQuality--
+	}
+	s.maxStale = s.nMaxSize == 0 || s.nMaxQuality == 0
 }
 
 // DropOldest evicts the earliest-created messages first (the ONE simulator's

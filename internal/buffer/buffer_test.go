@@ -231,3 +231,51 @@ func TestEvictionAlwaysFrees(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMaximaMatchRescan checks the running maxima against a rescan of the
+// residents after every Add and Remove. Sizes and qualities come from small
+// sets, so maxima are often shared and the last holder of one often
+// leaves; small capacities make Add evict under both policies. The last two
+// trials read the maxima only now and then, so adds and removes also pile
+// up behind a pending rescan.
+func TestMaximaMatchRescan(t *testing.T) {
+	rng := sim.NewRNG(29)
+	sizes := []int64{100, 200, 300}
+	qualities := []float64{0.2, 0.5, 0.9, 1}
+	for trial, policy := range []Policy{DropOldest{}, DropLowPriority{}, DropOldest{}, DropLowPriority{}} {
+		s, _ := New(int64(300+rng.Intn(900)), policy)
+		for op := 0; op < 400; op++ {
+			hd := message.Handle(rng.Intn(12))
+			if rng.Coin(0.6) {
+				q := qualities[rng.Intn(len(qualities))]
+				if rng.Coin(0.2) {
+					q = rng.Range(0.01, 1)
+				}
+				m, err := message.New(ident.NewMessageID(1, int(hd)), hd, 1, ident.RoleOperator,
+					time.Duration(op)*time.Second, sizes[rng.Intn(len(sizes))], message.Priority(rng.Intn(3)+1), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Add(m)
+			} else {
+				s.Remove(hd)
+			}
+			if trial >= 2 && !rng.Coin(0.3) {
+				continue
+			}
+			var wantSize int64
+			var wantQ float64
+			for _, m := range s.Messages() {
+				wantSize = max(wantSize, m.Size)
+				wantQ = max(wantQ, m.Quality)
+			}
+			if gotSize, gotQ := s.Maxima(); gotSize != wantSize || gotQ != wantQ {
+				t.Fatalf("trial %d op %d (%d resident): Maxima = %d, %v; rescan %d, %v",
+					trial, op, s.Len(), gotSize, gotQ, wantSize, wantQ)
+			}
+		}
+		if s.Dropped() == 0 {
+			t.Fatalf("trial %d evicted nothing", trial)
+		}
+	}
+}

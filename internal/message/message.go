@@ -108,7 +108,9 @@ type Message struct {
 	// TrueKeywords is the hidden ground truth of what the payload actually
 	// depicts. It stands in for the human judgement the deployed system
 	// gets from users: a tag is "relevant" iff it appears here. The slice
-	// is shared between copies (ground truth never changes).
+	// is shared between copies (ground truth never changes). It is set
+	// when the message is created, before any relay tags it: Annotate
+	// judges each relay tag as it is added (see RelevantTags).
 	TrueKeywords []string
 	// Path is the sequence of custodians, starting with the source. The
 	// last element is the current holder.
@@ -132,6 +134,9 @@ type Message struct {
 	// whenever the tag set changes; other packages must treat it as
 	// opaque.
 	KwIDs []int32
+	// relevantTags counts the enrichment annotations (Hop > 0) whose
+	// keyword is in TrueKeywords; see RelevantTags.
+	relevantTags int
 }
 
 // New creates a source message with the given identity, handle and payload
@@ -140,7 +145,7 @@ func New(id ident.MessageID, h Handle, src ident.NodeID, role ident.Role, now ti
 	if !prio.Valid() {
 		return nil, fmt.Errorf("message: invalid priority %d", int(prio))
 	}
-	if quality <= 0 || quality > 1 {
+	if !(quality > 0 && quality <= 1) {
 		return nil, fmt.Errorf("message: quality must be in (0, 1], got %v", quality)
 	}
 	if size <= 0 {
@@ -202,12 +207,16 @@ func (m *Message) Annotate(kw string, by ident.NodeID, at time.Duration) bool {
 	if kw == "" || m.HasKeyword(kw) {
 		return false
 	}
+	hop := len(m.Path) - 1
 	m.Annotations = append(m.Annotations, Annotation{
 		Keyword: kw,
 		AddedBy: by,
-		Hop:     len(m.Path) - 1,
+		Hop:     hop,
 		At:      at,
 	})
+	if hop > 0 && m.Relevant(kw) {
+		m.relevantTags++
+	}
 	m.kwCache = nil
 	m.KwIDs = nil
 	return true
@@ -223,6 +232,12 @@ func (m *Message) Relevant(kw string) bool {
 	}
 	return false
 }
+
+// RelevantTags returns how many enrichment tags on the message, those
+// added after it left its source (Hop > 0), the ground truth marks
+// relevant: the count a destination pays I_t for. Annotate keeps it, and
+// copies carry it.
+func (m *Message) RelevantTags() int { return m.relevantTags }
 
 // TagsAddedBy returns the enrichment tags contributed by a given node.
 func (m *Message) TagsAddedBy(id ident.NodeID) []Annotation {

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -27,6 +29,7 @@ func TestNewValidation(t *testing.T) {
 		{"bad priority high", Priority(4), 0.5, 100},
 		{"zero quality", PriorityHigh, 0, 100},
 		{"quality above one", PriorityHigh, 1.5, 100},
+		{"NaN quality", PriorityHigh, math.NaN(), 100},
 		{"zero size", PriorityHigh, 0.5, 0},
 	}
 	for _, tt := range tests {
@@ -109,6 +112,60 @@ func TestEnrichmentProvenance(t *testing.T) {
 	enrichers := clone2.Enrichers()
 	if len(enrichers) != 2 || enrichers[0] != ident.NodeID(2) || enrichers[1] != ident.NodeID(3) {
 		t.Errorf("Enrichers = %v", enrichers)
+	}
+}
+
+// TestRelevantTagsMatchAnnotations checks the kept relevant-tag count
+// against a count over the annotations after every Annotate and CopyFor,
+// on random lineages where source tags (hop 0), relay tags, relevant and
+// irrelevant keywords, and duplicates all occur, and where an original
+// keeps being tagged after it was copied.
+func TestRelevantTagsMatchAnnotations(t *testing.T) {
+	words := []string{"tree", "garden", "car", "bike", "lake", "road"}
+	count := func(m *Message) int {
+		n := 0
+		for _, a := range m.Annotations {
+			if a.Hop > 0 && m.Relevant(a.Keyword) {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(3))
+	var sourceRelevant, relayRelevant int
+	for trial := 0; trial < 50; trial++ {
+		m := newTestMessage(t)
+		m.TrueKeywords = words[:3]
+		copies := []*Message{m}
+		for op := 0; op < 30; op++ {
+			c := copies[rng.Intn(len(copies))]
+			if rng.Intn(3) == 0 {
+				c = c.CopyFor(ident.NodeID(10 + op))
+				copies = append(copies, c)
+			} else {
+				kw := words[rng.Intn(len(words))]
+				if c.Annotate(kw, c.Holder(), time.Duration(op)*time.Second) && c.Relevant(kw) {
+					if c.HopCount() == 0 {
+						sourceRelevant++
+					} else {
+						relayRelevant++
+					}
+				}
+			}
+			if got, want := c.RelevantTags(), count(c); got != want {
+				t.Fatalf("trial %d op %d: RelevantTags = %d, annotations hold %d (%v at hop %d)",
+					trial, op, got, want, c.Annotations, c.HopCount())
+			}
+		}
+		for i, c := range copies {
+			if got, want := c.RelevantTags(), count(c); got != want {
+				t.Fatalf("trial %d copy %d: RelevantTags = %d, annotations hold %d", trial, i, got, want)
+			}
+		}
+	}
+	if sourceRelevant == 0 || relayRelevant == 0 {
+		t.Fatalf("relevant tags added at the source %d times and by relays %d times; both must occur",
+			sourceRelevant, relayRelevant)
 	}
 }
 
