@@ -141,8 +141,7 @@ func (d *Device) ComputeIncentive(m *message.Message, peer ident.NodeID) (float6
 	if p == nil {
 		return 0, fmt.Errorf("core: unknown peer %s", peer)
 	}
-	role := routing.ClassifyPeer(m, d.node, p)
-	return d.engine.promiseFor(d.node, p, routing.Offer{Msg: m, Role: role}), nil
+	return d.engine.promiseFor(d.node, p, m), nil
 }
 
 // RateMessage implements operator function 9: compute and record the

@@ -180,19 +180,18 @@ func (n *Node) nextMessageID() ident.MessageID {
 	return ident.NewMessageID(n.id, n.msgSeq)
 }
 
-// maxBufferStats returns S_m and Q_m: the largest size and best quality
-// among buffered messages (Algorithm 3 normalises against these). Falls
-// back to the probe message's own values when the buffer is empty.
-func (n *Node) maxBufferStats(fallbackSize int64, fallbackQuality float64) (int64, float64) {
-	maxSize := fallbackSize
-	maxQ := fallbackQuality
-	for _, m := range n.buf.Messages() {
-		if m.Size > maxSize {
-			maxSize = m.Size
-		}
-		if m.Quality > maxQ {
-			maxQ = m.Quality
-		}
+// maxBufferStats returns S_m and Q_m for a message n offers: the largest
+// size and best quality among n's buffered messages and the offered
+// message's own (Algorithm 3 normalises against these). The offered
+// message's values always take part, so S ≤ S_m and Q ≤ Q_m hold even for
+// a message the buffer no longer holds.
+func (n *Node) maxBufferStats(size int64, quality float64) (int64, float64) {
+	bufSize, bufQ := n.buf.Maxima()
+	if bufSize > size {
+		size = bufSize
 	}
-	return maxSize, maxQ
+	if bufQ > quality {
+		quality = bufQ
+	}
+	return size, quality
 }

@@ -139,10 +139,7 @@ func (e *Engine) settleDelivery(t *transfer, now time.Duration) {
 	clone.PromisedTokens = t.promise
 
 	if e.cfg.incentiveActive() {
-		award := t.promise + e.pendingTagReward(t)
-		if e.cfg.reputationActive() {
-			award *= v.rep.AwardFactor(u.id, m.RatingValues())
-		}
+		award := e.award(e.awardFactor(u, v, m), t.promise, m)
 		if err := e.ledger.Pay(v.wallet, u.wallet, award); err != nil {
 			// Zero-token rule: the destination cannot pay, so it does not
 			// receive ("unless the node participates in relaying and gains

@@ -61,11 +61,8 @@ func (c *Calculator) Params() Params { return c.params }
 // defines no P_u, and the worked battlefield example and the factor-of-I_m
 // bound only hold with P_s (the source priority), so P_s is used here.
 func (c *Calculator) Software(f SoftwareFactors) (float64, error) {
-	if !f.SenderRole.Valid() || !f.ReceiverRole.Valid() {
-		return 0, fmt.Errorf("incentive: invalid roles R_u=%d R_v=%d", f.SenderRole, f.ReceiverRole)
-	}
-	if !f.Priority.Valid() {
-		return 0, fmt.Errorf("incentive: invalid priority %d", f.Priority)
+	if err := f.validate(); err != nil {
+		return 0, err
 	}
 	if f.SumWeights == 0 {
 		if f.SenderRole < f.ReceiverRole && f.Priority == message.PriorityHigh {
@@ -78,6 +75,42 @@ func (c *Calculator) Software(f SoftwareFactors) (float64, error) {
 	if f.MaxSumWeights > 0 {
 		pv = f.SumWeights / f.MaxSumWeights
 	}
+	is := (f.contentTerm() + 0.5*pv/(float64(f.SenderRole)*float64(f.Priority))) * c.params.MaxIncentive
+	return is, nil
+}
+
+// SoftwareFloor is Software without its P_v term: ¼·(S/S_m + Q/Q_m)·I_m,
+// which reads neither weight sum. It validates like Software and is zero
+// on error.
+//
+// With S ≤ S_m, Q ≤ Q_m and non-negative weight sums it never exceeds
+// Software. The floor is ½·I_m at most, below the special case's I_m;
+// otherwise it evaluates the same content term with the same operations
+// and only drops a non-negative addend, and rounding is monotone. The
+// engine refuses a destination that cannot pay even the award this floor
+// implies before it sums any weights (DESIGN.md "Exact early exits in the
+// contact round").
+func (c *Calculator) SoftwareFloor(f SoftwareFactors) (float64, error) {
+	if err := f.validate(); err != nil {
+		return 0, err
+	}
+	return f.contentTerm() * c.params.MaxIncentive, nil
+}
+
+// validate rejects roles and priorities outside their defined levels.
+func (f SoftwareFactors) validate() error {
+	if !f.SenderRole.Valid() || !f.ReceiverRole.Valid() {
+		return fmt.Errorf("incentive: invalid roles R_u=%d R_v=%d", f.SenderRole, f.ReceiverRole)
+	}
+	if !f.Priority.Valid() {
+		return fmt.Errorf("incentive: invalid priority %d", f.Priority)
+	}
+	return nil
+}
+
+// contentTerm is Algorithm 3's ¼·(S/S_m + Q/Q_m); a zero maximum drops its
+// ratio.
+func (f SoftwareFactors) contentTerm() float64 {
 	var sizeTerm, qualTerm float64
 	if f.MaxSize > 0 {
 		sizeTerm = float64(f.Size) / float64(f.MaxSize)
@@ -85,8 +118,7 @@ func (c *Calculator) Software(f SoftwareFactors) (float64, error) {
 	if f.MaxQuality > 0 {
 		qualTerm = f.Quality / f.MaxQuality
 	}
-	is := (0.25*(sizeTerm+qualTerm) + 0.5*pv/(float64(f.SenderRole)*float64(f.Priority))) * c.params.MaxIncentive
-	return is, nil
+	return 0.25 * (sizeTerm + qualTerm)
 }
 
 // HardwareSource computes I_h = c·P_t·t for a source delivering directly to

@@ -226,6 +226,39 @@ func TestSoftwareRejectsInvalidInputs(t *testing.T) {
 	}
 }
 
+// TestSoftwareFloor checks the floor is Algorithm 3's content term alone,
+// that it validates like Software, and that it sits under the special
+// case's I_m.
+func TestSoftwareFloor(t *testing.T) {
+	c := calc(t)
+	f := SoftwareFactors{
+		SumWeights: 0, MaxSumWeights: 1.2,
+		Size: 50, MaxSize: 100,
+		Quality: 0.4, MaxQuality: 0.8,
+		SenderRole:   ident.RoleCommander,
+		ReceiverRole: ident.RoleOperator,
+		Priority:     message.PriorityHigh,
+	}
+	floor, err := c.SoftwareFloor(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.25 * (0.5 + 0.5) * c.Params().MaxIncentive; floor != want {
+		t.Errorf("SoftwareFloor = %v, want %v", floor, want)
+	}
+	if is, _ := c.Software(f); is != c.Params().MaxIncentive || floor > is {
+		t.Errorf("special case I_s = %v, floor %v: want I_m above the floor", is, floor)
+	}
+	for _, bad := range []SoftwareFactors{
+		{SenderRole: 0, ReceiverRole: 1, Priority: message.PriorityHigh, Size: 1, MaxSize: 1},
+		{SenderRole: 1, ReceiverRole: 1, Priority: 0, Size: 1, MaxSize: 1},
+	} {
+		if floor, err := c.SoftwareFloor(bad); err == nil || floor != 0 {
+			t.Errorf("SoftwareFloor(%+v) = %v, %v; want 0 and an error", bad, floor, err)
+		}
+	}
+}
+
 func TestHardwareFormulas(t *testing.T) {
 	c := calc(t)
 	ihSrc := c.HardwareSource(0.1, 10*time.Second)
