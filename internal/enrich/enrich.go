@@ -235,7 +235,10 @@ func (j *Judge) JudgeSource(m *message.Message, rng *sim.RNG) reputation.Message
 // only the tags that relay added.
 func (j *Judge) JudgeEnricher(m *message.Message, relay ident.NodeID, rng *sim.RNG) (reputation.MessageRatingInputs, int) {
 	var relevant, total int
-	for _, a := range m.TagsAddedBy(relay) {
+	for _, a := range m.Annotations {
+		if a.AddedBy != relay || a.Hop <= 0 {
+			continue
+		}
 		total++
 		if m.Relevant(a.Keyword) {
 			relevant++
