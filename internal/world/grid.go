@@ -1,9 +1,10 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -176,7 +177,7 @@ func (g *Grid) Within(dst []ident.NodeID, id ident.NodeID, radius float64) []ide
 	}
 	start := len(dst)
 	dst = g.withinPoint(dst, center, radius, id)
-	sortIDs(dst[start:])
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -184,7 +185,7 @@ func (g *Grid) Within(dst []ident.NodeID, id ident.NodeID, radius float64) []ide
 func (g *Grid) WithinPoint(dst []ident.NodeID, p Point, radius float64) []ident.NodeID {
 	start := len(dst)
 	dst = g.withinPoint(dst, p, radius, ident.Nobody)
-	sortIDs(dst[start:])
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -314,12 +315,17 @@ func orderedPair(a, b ident.NodeID) Pair {
 	return Pair{Lo: b, Hi: a}
 }
 
-func sortIDs(ids []ident.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// sortPairs orders pairs lexicographically — the canonical order Pairs
+// returns and the engine's contact diffing relies on. Pairs are unique, so
+// the order does not depend on the sort algorithm.
+func sortPairs(ps []Pair) {
+	slices.SortFunc(ps, comparePairs)
 }
 
-// sortPairs orders pairs lexicographically — the canonical order Pairs
-// returns and the engine's contact diffing relies on.
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
+// comparePairs is Less as a three-way comparison.
+func comparePairs(p, q Pair) int {
+	if c := cmp.Compare(p.Lo, q.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Hi, q.Hi)
 }
