@@ -24,6 +24,8 @@ import (
 //   - every rating any node holds lies in [0, MaxRating];
 //   - every payment is positive and at most I_m + I_c (the normalised award
 //     factor means nobody ever overpays);
+//   - no delivery reaches an empty wallet (the zero-token rule), with each
+//     wallet replayed from the initial tokens through the payment events;
 //   - event counts equal the Result counters.
 //
 // The ChitChat scheme runs no reputation model, so it runs once per router.
@@ -52,7 +54,11 @@ func TestEconomicInvariants(t *testing.T) {
 					model = "beta"
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", scheme, router, model), func(t *testing.T) {
-					paid += checkEconomicInvariants(t, spec)
+					cfg, specs, err := scenario.Build(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					paid += checkEconomicInvariants(t, cfg, specs).LedgerTransfers
 				})
 			}
 		}
@@ -60,15 +66,30 @@ func TestEconomicInvariants(t *testing.T) {
 	if paid == 0 {
 		t.Error("no run made a payment; the invariants were checked on an idle economy")
 	}
+	// Wallets in the runs above never reach exactly zero, so the
+	// empty-wallet check also runs on an economy that starts empty: the
+	// zero-token rule must then refuse every delivery.
+	t.Run("incentive/chitchat/empty-wallets", func(t *testing.T) {
+		spec := scenario.Default(core.SchemeIncentive)
+		spec.Nodes = 30
+		spec.AreaKm2 = 0.3
+		spec.Duration = 30 * time.Minute
+		spec.MaliciousPercent = 20
+		spec.MeanMessageInterval = 5 * time.Minute
+		cfg, specs, err := scenario.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Incentive.InitialTokens = 0
+		if res := checkEconomicInvariants(t, cfg, specs); res.RefusedNoTokens == 0 {
+			t.Error("no delivery was refused for want of tokens; the empty economy offered none")
+		}
+	})
 }
 
-// checkEconomicInvariants runs spec, checks the invariants at run end, and
-// returns how many payments the run made.
-func checkEconomicInvariants(t *testing.T, spec scenario.Spec) int {
-	cfg, specs, err := scenario.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkEconomicInvariants runs the configured network, checks the
+// invariants at run end, and returns the run's result.
+func checkEconomicInvariants(t *testing.T, cfg core.Config, specs []core.NodeSpec) core.Result {
 	var buf obs.Buffer
 	cfg.Observers = []obs.Observer{&buf}
 	eng, err := core.NewEngine(cfg, specs)
@@ -118,6 +139,38 @@ func checkEconomicInvariants(t *testing.T, spec scenario.Spec) int {
 		t.Errorf("payment event volume %v != ledger volume %v", volume, res.LedgerVolume)
 	}
 
+	// Replay every wallet through the payment events in order. A
+	// delivery's own payment, when it pays anything, is the event just
+	// before its Delivered event; the zero-token rule reads the balance
+	// before that payment, so a destination may spend its last token on
+	// the delivery itself.
+	balance := make(map[core.NodeID]float64, len(nodes))
+	for _, n := range nodes {
+		balance[n.ID()] = cfg.Incentive.InitialTokens
+	}
+	var prev report.Event
+	for _, e := range buf.Events {
+		switch e.Kind {
+		case report.Payment:
+			balance[e.A] -= e.Tokens
+			balance[e.B] += e.Tokens
+		case report.Delivered:
+			before := balance[e.B]
+			if prev.Kind == report.Payment && prev.A == e.B && prev.B == e.A && prev.Msg == e.Msg {
+				before += prev.Tokens
+			}
+			if before <= 0 {
+				t.Errorf("%v: %s delivered by %v to %v, whose wallet held %v", e.At, e.Msg, e.A, e.B, before)
+			}
+		}
+		prev = e
+	}
+	for _, n := range nodes {
+		if got := n.Wallet().Balance(); got != balance[n.ID()] {
+			t.Errorf("node %v: balance %v, payment events replay to %v", n.ID(), got, balance[n.ID()])
+		}
+	}
+
 	relays := buf.Count(report.Relayed)
 	delivered := buf.Filter(report.Delivered)
 	firsts := map[core.MessageID]bool{}
@@ -147,7 +200,7 @@ func checkEconomicInvariants(t *testing.T, spec scenario.Spec) int {
 			t.Errorf("%s: %d events != Result counter %d", c.name, c.events, c.count)
 		}
 	}
-	return len(payments)
+	return res
 }
 
 // TestPathNodesHeldEveryCopy checks the invariant that makes offer
