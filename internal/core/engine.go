@@ -61,10 +61,9 @@ type Engine struct {
 	pairScratch  []world.Pair
 	tickNo       uint64
 
-	// plan is the reusable RTSR exchange scratch: every round is scored and
-	// applied back to back on the sim goroutine, so one plan serves every
-	// contact (see runExchange).
-	plan interest.ExchangePlan
+	// exchange is the reusable RTSR round scratch: every round runs on the
+	// sim goroutine, so one serves every contact (see runExchange).
+	exchange interest.Exchange
 
 	// Kinetic contact detection (see DESIGN.md "Kinetic contact
 	// detection"): while every mobility model is speed-bounded, the engine

@@ -18,39 +18,33 @@ const (
 	gossipLimit      = 64
 )
 
-// runExchange performs one RTSR + routing round over a contact: score the
-// round over both tables (eviction sweeps, shared-row refreshes, growth,
-// acquisitions — see interest.ExchangePlan), apply it, then run the routing
-// module in both directions and enqueue the negotiated transfers (Paper I
-// §2.2: "the ChitChat system first invokes the RTSR module ... then invokes
-// the message routing").
+// runExchange performs one RTSR + routing round over a contact: run the
+// RTSR round in place over both tables (eviction sweeps, shared-row
+// refreshes, growth, acquisitions — see interest.Exchange), then run the
+// routing module in both directions and enqueue the negotiated transfers
+// (Paper I §2.2: "the ChitChat system first invokes the RTSR module ...
+// then invokes the message routing"). The RTSR round needs each side's full
+// connected-peer set: an interest shared by any live neighbour holds its
+// weight (Algorithm 1).
 //
 // grown is the contact age accounted this round (T_c − T_v accrues
 // incrementally across periodic exchanges, see interest.Params.GrowthRate).
 func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 	c.exchangedAt = now
 
-	e.scoreContact(c, now, grown)
-	e.plan.Apply()
-	if n := e.plan.Evictions(); n > 0 {
-		e.ctrEvict.Add(uint64(n))
+	e.refreshNodePeers(c.a)
+	e.refreshNodePeers(c.b)
+	sweeps, evictions := e.exchange.Run(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
+	if evictions > 0 {
+		e.ctrEvict.Add(uint64(evictions))
 	}
-	if n := e.plan.Sweeps(); n > 0 {
-		e.ctrSweep.Add(uint64(n))
+	if sweeps > 0 {
+		e.ctrSweep.Add(uint64(sweeps))
 	}
 
 	// Routing phase, both directions.
 	e.routeDirection(c, c.a, c.b, now)
 	e.routeDirection(c, c.b, c.a, now)
-}
-
-// scoreContact scores the contact's RTSR round on the engine's reusable
-// plan. The round needs each side's full connected-peer set: an interest
-// shared by any live neighbour holds its weight (Algorithm 1).
-func (e *Engine) scoreContact(c *contact, now, grown time.Duration) {
-	e.refreshNodePeers(c.a)
-	e.refreshNodePeers(c.b)
-	e.plan.Score(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
 }
 
 // refreshNodePeers rebuilds n's cached peer-table list when its peer set

@@ -4,8 +4,8 @@ import "testing"
 
 // TestRemoveContactNilsVacatedSlot guards the peersOf swap-remove: the
 // vacated tail slot must be nilled, or the backing array — reused for the
-// whole run — pins the dead contact and its ExchangePlan scratch forever,
-// the same leak class the contact queue's pop once had.
+// whole run — pins the dead contact and its transfer queue forever, the
+// same leak class the contact queue's pop once had.
 func TestRemoveContactNilsVacatedSlot(t *testing.T) {
 	c0, c1, c2 := &contact{}, &contact{}, &contact{}
 	list := []*contact{c0, c1, c2}

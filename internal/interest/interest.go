@@ -125,8 +125,9 @@ type Table struct {
 	// one-sided: a clear bit on a saturated row only costs the per-bit
 	// weight check, but a set bit on an unsaturated row would skip growth
 	// that must happen. Every weight write therefore keeps the bit exact
-	// (set iff the written weight == MaxWeight), and scoreGrowth masks whole
-	// words of mutually saturated rows without loading their weights.
+	// (set iff the written weight == MaxWeight), and the exchange round's
+	// growth masks whole words of mutually saturated rows without loading
+	// their weights.
 	sat bitset.Set
 
 	// compactions counts dense-tail truncations for the engine's gauge.
@@ -144,8 +145,8 @@ type Table struct {
 	invBeta      float64
 	invBetaTheta float64
 
-	// pruneScratch backs the legacy Decay/DecayAgainst prune list. Tables
-	// are single-goroutine, like the engine that owns them.
+	// pruneScratch backs the eager decay's prune list. Tables are
+	// single-goroutine, like the engine that owns them.
 	pruneScratch []int32
 }
 
@@ -264,7 +265,7 @@ func (t *Table) maybeCompact() {
 // decayedWeight applies Algorithm 1's decay formula to a weight anchored
 // elapsed ago, returning the materialized value and whether a transient row
 // is dead (below the prune threshold). This one function backs the legacy
-// eager sweeps, the lazy read paths, and the exchange scoring, so every
+// eager sweeps, the lazy read paths, and the exchange round, so every
 // consumer sees bit-identical arithmetic.
 //
 // Edge-case guard (documented in DESIGN.md): the printed divisor β·(T_c-T_l)
@@ -554,8 +555,8 @@ func (t *Table) MeanWeightIDs(ids []int32) float64 {
 // so back-to-back sweeps compounded: total decay depended on how often the
 // caller happened to run, not on elapsed time.)
 //
-// The engine's exchange path no longer calls this — rounds go through
-// ExchangePlan and reads materialize lazily — but the operator façade
+// The engine's exchange path no longer calls this — rounds run through
+// Exchange.Run and reads materialize lazily — but the operator façade
 // (Device.DecayWeights) and the equivalence tests keep the eager form.
 func (t *Table) Decay(now time.Duration, connected map[string]bool) {
 	prune := t.pruneScratch[:0]

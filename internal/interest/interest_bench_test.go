@@ -31,19 +31,18 @@ func benchTables(b *testing.B, interests int) (*Table, *Table) {
 	return a, t2
 }
 
-// BenchmarkExchange measures one pairwise RTSR exchange round (Score then
-// Apply on a reused plan, as the engine runs it) with Table 5.1-sized
-// tables (20 interests per node).
+// BenchmarkExchange measures one pairwise RTSR exchange round (Exchange.Run
+// on reused scratch, as the engine runs it) with Table 5.1-sized tables (20
+// interests per node).
 func BenchmarkExchange(b *testing.B) {
 	a, t2 := benchTables(b, 40)
 	aPeers, bPeers := []*Table{t2}, []*Table{a}
-	var plan ExchangePlan
+	var x Exchange
 	now := time.Duration(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 10 * time.Second
-		plan.Score(a, t2, 1, 2, aPeers, bPeers, now, 10*time.Second)
-		plan.Apply()
+		x.Run(a, t2, 1, 2, aPeers, bPeers, now, 10*time.Second)
 	}
 }
 
@@ -111,13 +110,12 @@ func BenchmarkInterestTable(b *testing.B) {
 			t := benchBigTable(b, in, n, 1, 0)
 			peer := benchBigTable(b, in, n, 2, 0)
 			aPeers, bPeers := []*Table{peer}, []*Table{t}
-			var plan ExchangePlan
+			var x Exchange
 			now := time.Duration(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += 10 * time.Second
-				plan.Score(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
-				plan.Apply()
+				x.Run(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
 			}
 		})
 	}

@@ -10,10 +10,7 @@ import (
 )
 
 // This file holds the pairwise RTSR exchange round over the lazy
-// struct-of-arrays tables. ExchangePlan.Score computes the full outcome of
-// one round — eviction sweeps, shared-row refreshes, growth, acquisitions —
-// without touching either table; Apply then writes it. The engine scores
-// and applies each round back to back, reusing one plan's scratch.
+// struct-of-arrays tables, run in place by Exchange.Run.
 //
 // Under lazy decay a round never rewrites unshared rows: their stored
 // anchors already encode the decayed value (readers materialize it), so the
@@ -22,212 +19,136 @@ import (
 // plus the eviction sweep when the table's nextDeath deadline has passed.
 // The historical eager round rewrote every row of both tables and probed
 // every (row, peer) pair; this one is bitset algebra plus O(touched rows).
-//
-// Scoring preserves the eager round's ordering asymmetry: side a is scored
-// first, seeing every peer's (including b's) pre-sweep membership; side b
-// is scored second, seeing a's post-sweep membership via a's freshly
-// scored plan.
 
-// ExchangePlan is a reusable scored-but-unapplied pairwise exchange.
-// Not safe for concurrent use; the engine owns one and reuses it for every
-// round.
-type ExchangePlan struct {
-	a, b     *Table
-	aID, bID ident.NodeID
-	now      time.Duration
-
-	aPlan, bPlan tablePlan
+// Exchange is the reusable scratch of the pairwise exchange round. Not safe
+// for concurrent use; the engine owns one and runs every round on it.
+type Exchange struct {
+	// aShared and bShared mark the rows of a and b that a connected peer
+	// holds; a swept table's deadline rebuild walks them after growth.
+	aShared, bShared bitset.Set
 }
 
-// tablePlan is the pending outcome for one endpoint: the touched-row sets
-// of the round, as bitsets and ID lists over the table's interned IDs.
-type tablePlan struct {
-	// shared marks the rows held by at least one connected peer; Apply
-	// refreshes their anchor time to now.
-	shared bitset.Set
-	// evictSet marks the transient rows the sweep found dead; swept is
-	// whether the sweep ran (the table's nextDeath deadline had passed) and
-	// evicted counts the marked rows. sweepDeath is the min death bound of
-	// the sweep's surviving candidates, folded into the fresh table deadline
-	// by apply — the sweep walk computes it in passing so no separate
-	// recompute pass over the table is needed.
-	evictSet   bitset.Set
-	evicted    int
-	swept      bool
-	sweepDeath time.Duration
-	// growIDs/growW are the mutually-held rows and their post-growth
-	// anchor weights; acqIDs/acqW the partner-only rows acquired this
-	// round with their first-growth weights. Both ascending by ID.
-	growIDs []int32
-	growW   []float64
-	acqIDs  []int32
-	acqW    []float64
-}
-
-// Score computes the full exchange outcome for a contact that has lasted dt
-// since its previous exchange, reading but never writing the tables.
-// aPeers/bPeers are the complete connected-peer table lists of a and b,
-// each including the partner: an interest held by any connected device
-// holds its weight (Algorithm 1). Both tables must share Params and an
-// Interner (the engine builds every node from one Config).
-func (p *ExchangePlan) Score(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
-	p.a, p.b, p.aID, p.bID, p.now = a, b, aID, bID, now
-
-	// Sweep/refresh phase, preserving the eager round's ordering asymmetry:
-	// a is scored first, seeing every peer (including b) pre-sweep; b is
-	// scored second, seeing a's membership post-sweep via a's plan, and
-	// every other peer pre-sweep.
-	p.aPlan.scoreRound(a, now, aPeers, nil, nil)
-	if p.aPlan.evicted > 0 {
-		p.bPlan.scoreRound(b, now, bPeers, a, &p.aPlan)
-	} else {
-		// a's post-sweep membership equals its live membership, so b's
-		// round needs no partner substitution.
-		p.bPlan.scoreRound(b, now, bPeers, nil, nil)
+// Run performs one RTSR exchange round between a and b for a contact that
+// has lasted dt since its previous exchange, writing each step straight
+// into both tables, and returns how many of the two tables ran an eviction
+// sweep (0–2) and how many rows the sweeps evicted. aPeers/bPeers are the
+// complete connected-peer table lists of a and b, each including the
+// partner: an interest held by any connected device holds its weight
+// (Algorithm 1). Acquired rows record aID or bID as their source. Both
+// tables must share Params and an Interner (the engine builds every node
+// from one Config).
+func (x *Exchange) Run(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) (sweeps, evictions int) {
+	// Each peer list holds the partner, so neither sweep evicts a row the
+	// other side holds or shares: the two sweeps commute.
+	aSwept, aEvicted := a.refreshAndSweep(&x.aShared, aPeers, now)
+	bSwept, bEvicted := b.refreshAndSweep(&x.bShared, bPeers, now)
+	grow(a, b, dt)
+	if aSwept {
+		a.foldSharedDeath(x.aShared, now)
+		sweeps++
 	}
-
-	// Growth phase: both deltas read the other side's anchor weights —
-	// mutually-held rows are shared on both sides, so their anchors are
-	// exactly the eager round's decayed-and-refreshed values.
-	scoreGrowth(&p.aPlan, &p.bPlan, a, b, dt)
-
-	// Acquisition phase: each side acquires the rows only the partner
-	// holds post-sweep, at the partner's observed (materialized) weight.
+	if bSwept {
+		b.foldSharedDeath(x.bShared, now)
+		sweeps++
+	}
 	sec := dt.Seconds()
-	p.aPlan.scoreAcquisitions(a, &p.bPlan, b, now, a.params.GrowthRate, sec)
-	p.bPlan.scoreAcquisitions(b, &p.aPlan, a, now, b.params.GrowthRate, sec)
-}
-
-// Apply writes the scored outcome into both tables. It must follow Score
-// with no table mutation in between.
-func (p *ExchangePlan) Apply() {
-	p.aPlan.apply(p.a, p.bID, p.now)
-	p.bPlan.apply(p.b, p.aID, p.now)
-}
-
-// Evictions reports how many rows the plan's sweeps evicted; valid after
-// Score until the next Score.
-func (p *ExchangePlan) Evictions() int { return p.aPlan.evicted + p.bPlan.evicted }
-
-// Sweeps reports how many of the two endpoints ran an eviction sweep this
-// round (0–2); valid after Score until the next Score.
-func (p *ExchangePlan) Sweeps() int {
-	n := 0
-	if p.aPlan.swept {
-		n++
+	a.acquireFrom(b, bID, now, sec)
+	b.acquireFrom(a, aID, now, sec)
+	if aEvicted > 0 {
+		a.maybeCompact()
 	}
-	if p.bPlan.swept {
-		n++
+	if bEvicted > 0 {
+		b.maybeCompact()
 	}
-	return n
+	return sweeps, aEvicted + bEvicted
 }
 
-// scoreRound computes one endpoint's shared mask and, when the table's
-// eviction deadline has passed, its dead-row sweep. partner/partnerPlan,
-// when non-nil, substitute the partner's post-sweep membership for its live
-// rows wherever the peer list names the partner.
-func (p *tablePlan) scoreRound(t *Table, now time.Duration, peers []*Table, partner *Table, partnerPlan *tablePlan) {
-	nw := len(t.present)
-	p.shared = p.shared.Reset(nw)
-	p.evictSet = p.evictSet.Reset(nw)
-	p.evicted = 0
-	p.growIDs = p.growIDs[:0]
-	p.growW = p.growW[:0]
-	p.acqIDs = p.acqIDs[:0]
-	p.acqW = p.acqW[:0]
-
-	// shared = t.present ∩ (∪ peers.present), 64 rows per word. Algorithm
-	// 1's "if a device with I is connected": these rows hold their weight
-	// and refresh T_l; everything else keeps decaying lazily.
-	for wi := 0; wi < nw; wi++ {
+// refreshAndSweep marks in *shared the rows of t that a connected peer
+// holds and re-anchors them at now — Algorithm 1's "if a device with I is
+// connected": these rows hold their weight and refresh T_l, everything else
+// keeps decaying lazily. When t's eviction deadline has passed it then
+// sweeps the other transient rows and sets the deadline to the earliest
+// death bound of the survivors; foldSharedDeath adds the refreshed rows
+// once growth has written their weights. It reports whether the sweep ran
+// and how many rows it evicted.
+func (t *Table) refreshAndSweep(shared *bitset.Set, peers []*Table, now time.Duration) (swept bool, evicted int) {
+	s := shared.Reset(len(t.present))
+	*shared = s
+	for wi := range s {
 		var u uint64
 		for _, peer := range peers {
-			pw := peer.present.Word(wi)
-			if peer == partner {
-				pw &^= partnerPlan.evictSet.Word(wi)
-			}
-			u |= pw
+			u |= peer.present.Word(wi)
 		}
-		p.shared[wi] = t.present[wi] & u
+		s[wi] = t.present[wi] & u
+		for m := s[wi]; m != 0; m &= m - 1 {
+			t.lastShared[wi<<6+bits.TrailingZeros64(m)] = now
+		}
 	}
 
-	// Eviction sweep, only when a transient row could have died since the
-	// last sweep. Candidates are unshared transient rows — shared rows are
-	// held regardless of weight, exactly as the eager round held them —
-	// and deadRow is the same formula the eager prune used, so the sweep
-	// evicts exactly the rows the eager per-round pass would have.
-	p.swept = t.params.PruneBelow > 0 && now >= t.nextDeath
-	if !p.swept {
-		return
+	if t.params.PruneBelow <= 0 || now < t.nextDeath {
+		return false, 0
 	}
-	p.sweepDeath = noDeath
-	for wi := 0; wi < nw; wi++ {
-		m := t.present[wi] &^ t.direct.Word(wi) &^ p.shared[wi]
+	// Candidates are the unshared transient rows — shared rows are held
+	// regardless of weight, exactly as the eager round held them — and
+	// deadRow is the eager prune test, so the sweep evicts exactly the rows
+	// the eager per-round pass would have. Survivors are unshared, so the
+	// rest of the round neither grows nor re-anchors them, and their bounds
+	// are final here.
+	t.nextDeath = noDeath
+	for wi, w := range s {
+		m := t.present[wi] &^ t.direct.Word(wi) &^ w
 		for m != 0 {
-			b := bits.TrailingZeros64(m)
+			id := int32(wi<<6 + bits.TrailingZeros64(m))
 			m &= m - 1
-			id := int32(wi<<6 + b)
 			if t.deadRow(id, now) {
-				p.evictSet[wi] |= 1 << uint(b)
-				p.evicted++
-			} else if d := t.deathBound(t.weights[id], t.lastShared[id]); d < p.sweepDeath {
-				// Survivors keep their stored (w, T_l) through Apply — they
-				// are by construction unshared, not grown, not acquired — so
-				// their bounds can be folded into the new deadline here, in
-				// the walk that already visits them.
-				p.sweepDeath = d
+				t.removeRow(id)
+				evicted++
+			} else if d := t.deathBound(t.weights[id], t.lastShared[id]); d < t.nextDeath {
+				t.nextDeath = d
 			}
 		}
+	}
+	return true, evicted
+}
+
+// foldSharedDeath folds the refreshed transient rows of a swept table into
+// its deadline, reading their post-growth weights as a full recompute
+// would. They all share the anchor now, and the death bound is monotone
+// non-decreasing in the weight at a fixed anchor, so their minimum bound is
+// the bound of their minimum weight — found with plain compares, one bound
+// conversion at the end. Acquisitions merge their own bounds on insert.
+func (t *Table) foldSharedDeath(shared bitset.Set, now time.Duration) {
+	minW := math.Inf(1)
+	for wi, w := range shared {
+		m := w &^ t.direct.Word(wi)
+		for m != 0 {
+			id := int32(wi<<6 + bits.TrailingZeros64(m))
+			m &= m - 1
+			if w := t.weights[id]; w < minW {
+				minW = w
+			}
+		}
+	}
+	if !math.IsInf(minW, 1) {
+		t.mergeDeath(minW, now)
 	}
 }
 
-// scoreGrowth fills both plans' growth lists: every row alive on both sides
-// post-sweep grows from the other side's anchor weight, reproducing the
-// eager growthDeltas+applyDeltas arithmetic bit for bit.
-func scoreGrowth(aPlan, bPlan *tablePlan, a, b *Table, dt time.Duration) {
+// grow applies Algorithm 2 to every row both tables hold, each side growing
+// from the other's pre-growth anchor weight, reproducing the eager Grow's
+// arithmetic bit for bit. Such a row is shared on both sides, so the
+// refresh left its anchor weight in place and set T_l = now: the anchors
+// are exactly the decayed-and-refreshed weights the eager round grew from.
+func grow(a, b *Table, dt time.Duration) {
 	sec := dt.Seconds()
-	nw := len(a.present)
-	if n := len(b.present); n < nw {
-		nw = n
-	}
-	// Evicted rows must not grow, but an empty eviction set (the common
-	// round: no sweep ran, or it found nothing) masks nothing — skip the
-	// word loads entirely then.
-	aEv, bEv := aPlan.evicted > 0, bPlan.evicted > 0
-	// Count the mutually-held rows first so one reservation covers every
-	// append target; a freshly created contact's plan otherwise climbs a
-	// growslice ladder on each of the four slices.
-	n := 0
-	for wi := 0; wi < nw; wi++ {
-		g := a.present[wi] & b.present[wi]
-		// Rows saturated on both sides can only stay at MaxWeight (the
-		// per-bit skip below); the sat bitsets mark exactly those rows, so
-		// whole words of them drop here without loading a single weight —
-		// the dominant case once a dense network's tables have converged.
-		g &^= a.sat.Word(wi) & b.sat.Word(wi)
-		if aEv {
-			g &^= aPlan.evictSet.Word(wi)
-		}
-		if bEv {
-			g &^= bPlan.evictSet.Word(wi)
-		}
-		n += bits.OnesCount64(g)
-	}
-	if n == 0 {
-		return
-	}
-	aPlan.growIDs, aPlan.growW = reserveRows(aPlan.growIDs, aPlan.growW, n)
-	bPlan.growIDs, bPlan.growW = reserveRows(bPlan.growIDs, bPlan.growW, n)
 	aRate, bRate := a.params.GrowthRate, b.params.GrowthRate
+	nw := min(len(a.present), len(b.present))
 	for wi := 0; wi < nw; wi++ {
-		g := a.present[wi] & b.present[wi]
-		g &^= a.sat.Word(wi) & b.sat.Word(wi)
-		if aEv {
-			g &^= aPlan.evictSet.Word(wi)
-		}
-		if bEv {
-			g &^= bPlan.evictSet.Word(wi)
-		}
+		// Rows saturated on both sides can only stay at MaxWeight; the sat
+		// bitsets mark exactly those rows, so whole words of them drop here
+		// without loading a single weight — the dominant case once a dense
+		// network's tables have converged.
+		g := a.present[wi] & b.present[wi] &^ (a.sat.Word(wi) & b.sat.Word(wi))
 		if g == 0 {
 			continue
 		}
@@ -238,187 +159,67 @@ func scoreGrowth(aPlan, bPlan *tablePlan, a, b *Table, dt time.Duration) {
 			g &= g - 1
 			id := base + int32(bit)
 			aw, bw := a.weights[id], b.weights[id]
-			// A row exactly at MaxWeight can only stay there: deltas are
-			// ≥ 0 and clamped, so clampWeight(MaxWeight+Δ) == MaxWeight and
-			// the write would be a no-op. Skipping it drops the dominant
-			// per-row cost (two float divisions) once the weight-saturation
-			// dynamic (DESIGN.md) has pushed dense-network tables to 1.0.
-			// Out-of-range weights (!= rather than >=) still take the full
-			// compute-and-clamp path, matching the eager arithmetic.
-			if aw == MaxWeight && bw == MaxWeight {
-				continue
-			}
 			aDirBit, bDirBit := aDirW>>bit&1, bDirW>>bit&1
+			// A side exactly at MaxWeight can only stay there: deltas are
+			// ≥ 0 and clamped, so the write would be a no-op, and skipping
+			// it drops two float divisions once the weight-saturation
+			// dynamic (DESIGN.md) has pushed dense-network tables to 1.0.
+			// A grown weight was below MaxWeight, so only the sat bit's
+			// clear→set transition can happen.
 			if aw != MaxWeight {
-				aDelta := growthDeltaIdx(bw*aRate*sec, aDirBit<<1|bDirBit)
-				aPlan.growIDs = append(aPlan.growIDs, id)
-				aPlan.growW = append(aPlan.growW, clampWeight(aw+aDelta))
+				w := clampWeight(aw + growthDeltaIdx(bw*aRate*sec, aDirBit<<1|bDirBit))
+				a.weights[id] = w
+				if w == MaxWeight {
+					a.sat.Add(int(id))
+				}
 			}
 			if bw != MaxWeight {
-				bDelta := growthDeltaIdx(aw*bRate*sec, bDirBit<<1|aDirBit)
-				bPlan.growIDs = append(bPlan.growIDs, id)
-				bPlan.growW = append(bPlan.growW, clampWeight(bw+bDelta))
+				w := clampWeight(bw + growthDeltaIdx(aw*bRate*sec, bDirBit<<1|aDirBit))
+				b.weights[id] = w
+				if w == MaxWeight {
+					b.sat.Add(int(id))
+				}
 			}
 		}
 	}
 }
 
-// reserveRows guarantees capacity for n more rows in an (ids, weights)
-// slice pair without changing their contents.
-func reserveRows(ids []int32, ws []float64, n int) ([]int32, []float64) {
-	if need := len(ids) + n; cap(ids) < need {
-		ids = append(make([]int32, 0, need), ids...)
-		ws = append(make([]float64, 0, need), ws...)
-	}
-	return ids, ws
-}
-
-// scoreAcquisitions collects the rows alive in the partner's table
-// post-sweep that this side will not hold post-sweep, at first-growth
-// weight. The source weight is the partner's observed value this round:
-// its anchor when the partner's plan refreshes the row (some device shares
-// it with the partner), its materialized decayed value otherwise — exactly
-// the post-decay weight the eager round exposed to acquisition.
-func (p *tablePlan) scoreAcquisitions(t *Table, partner *tablePlan, pt *Table, now time.Duration, rate, sec float64) {
-	pEv, ptEv := p.evicted > 0, partner.evicted > 0
-	n := 0
-	for wi := 0; wi < len(pt.present); wi++ {
-		m := pt.present[wi]
-		if ptEv {
-			m &^= partner.evictSet.Word(wi)
-		}
-		held := t.present.Word(wi)
-		if pEv {
-			held &^= p.evictSet.Word(wi)
-		}
-		m &^= held
-		n += bits.OnesCount64(m)
-	}
-	if n == 0 {
-		return
-	}
-	p.acqIDs, p.acqW = reserveRows(p.acqIDs, p.acqW, n)
-	for wi := 0; wi < len(pt.present); wi++ {
-		m := pt.present[wi]
-		if ptEv {
-			m &^= partner.evictSet.Word(wi)
-		}
-		held := t.present.Word(wi)
-		if pEv {
-			held &^= p.evictSet.Word(wi)
-		}
-		m &^= held
+// acquireFrom inserts, as transient rows learned from the partner, every
+// row the partner p holds that t does not, at its first growth from zero:
+// Δ over p's observed weight, with t's side transient. p's rows are read
+// materialized at now; a row p refreshed this round is anchored at now and
+// materializes to its anchor, so the refresh needs no lookup here. The rows
+// p acquired from t this round are ones t holds, so they are skipped.
+func (t *Table) acquireFrom(p *Table, from ident.NodeID, now time.Duration, sec float64) {
+	rate := t.params.GrowthRate
+	for wi, w := range p.present {
+		m := w &^ t.present.Word(wi)
 		if m == 0 {
 			continue
 		}
-		dirW, sharedW := pt.direct.Word(wi), partner.shared.Word(wi)
+		dirW := p.direct.Word(wi)
 		base := int32(wi << 6)
 		for m != 0 {
 			bit := uint(bits.TrailingZeros64(m))
 			m &= m - 1
 			id := base + int32(bit)
 			dirBit := dirW >> bit & 1
-			src := pt.weights[id]
-			if sharedW>>bit&1 == 0 {
-				src, _ = decayedWeight(pt.params, src, dirBit != 0, now-pt.lastShared[id])
-			}
-			w := growthDeltaIdx(src*rate*sec, dirBit)
-			p.acqIDs = append(p.acqIDs, id)
-			p.acqW = append(p.acqW, clampWeight(w))
+			src, _ := decayedWeight(p.params, p.weights[id], dirBit != 0, now-p.lastShared[id])
+			t.insertRow(id, clampWeight(growthDeltaIdx(src*rate*sec, dirBit)), false, now, from)
 		}
 	}
 }
 
-// apply writes one endpoint's plan into its table: evictions, anchor
-// refreshes, growth weights, then acquisitions. When a sweep ran, the table
-// deadline is rebuilt piecewise to the value a full recompute would give:
-// the surviving candidates' min bound was collected during the sweep walk
-// (sweepDeath), the refreshed shared transient rows are folded in by the
-// walk below (after the growth writes, so their bounds use the post-growth
-// weights the recompute would have seen), and acquisitions merge themselves
-// via insertRow. Without a sweep the old deadline stays — refreshes and
-// growth only push true death times later, so it remains a valid
-// conservative bound.
-func (p *tablePlan) apply(t *Table, from ident.NodeID, now time.Duration) {
-	if p.evicted > 0 {
-		for wi, w := range p.evictSet {
-			for w != 0 {
-				id := int32(wi<<6 + bits.TrailingZeros64(w))
-				w &= w - 1
-				t.removeRow(id)
-			}
-		}
-	}
-	for wi, w := range p.shared {
-		for w != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			t.lastShared[id] = now
-		}
-	}
-	for i, id := range p.growIDs {
-		w := p.growW[i]
-		t.weights[id] = w
-		if w == MaxWeight {
-			// Grown rows were unsaturated at score time (mutually saturated
-			// pairs are masked out of the growth lists), so only the clear→set
-			// transition can happen here.
-			t.sat.Add(int(id))
-		}
-	}
-	if p.swept {
-		t.nextDeath = p.sweepDeath
-		// All refreshed rows share the anchor time now, and the death bound
-		// is monotone non-decreasing in the weight at a fixed anchor, so the
-		// min bound over the shared transient rows is the bound of their
-		// minimum weight — found with plain compares, one bound conversion
-		// at the end.
-		minW := math.Inf(1)
-		for wi, w := range p.shared {
-			m := w &^ t.direct.Word(wi)
-			for m != 0 {
-				id := int32(wi<<6 + bits.TrailingZeros64(m))
-				m &= m - 1
-				if w := t.weights[id]; w < minW {
-					minW = w
-				}
-			}
-		}
-		if !math.IsInf(minW, 1) {
-			t.mergeDeath(minW, now)
-		}
-	}
-	for i, id := range p.acqIDs {
-		t.insertRow(id, p.acqW[i], false, now, from)
-	}
-	if p.evicted > 0 {
-		t.maybeCompact()
-	}
-}
-
-// psiInv holds 1/ψ for the exactly-representable cases. Dividing by 1, 2,
-// or 4 is an exact power-of-two scaling, so multiplying by the reciprocal
-// yields the bit-identical IEEE754 result; only ψ = 3 needs a true divide.
-var psiInv = [5]float64{0, 1, 0.5, 0, 0.25}
-
-// growthDelta computes x/ψ with the division strength-reduced to a multiply
-// wherever that is exact. ψ = 3 (local transient, peer direct) keeps the
-// divide: 1/3 is not representable and the product would round differently.
-func growthDelta(x float64, psi int) float64 {
-	if psi == 3 {
-		return x / 3
-	}
-	return x * psiInv[psi]
-}
-
-// psiInvIdx is psiInv reindexed by the direct-bit pair localDirect<<1 |
-// peerDirect, so the growth inner loop maps raw mask bits straight to the
-// multiplier without materializing bools or running psiCase's switch:
-// 0b11→ψ1, 0b10→ψ2, 0b01→ψ3 (true divide, slot unused), 0b00→ψ4.
+// psiInvIdx holds 1/ψ indexed by the direct-bit pair localDirect<<1 |
+// peerDirect: 0b11→ψ1, 0b10→ψ2, 0b01→ψ3 (true divide, slot unused),
+// 0b00→ψ4. Dividing by 1, 2 or 4 is an exact power-of-two scaling, so
+// multiplying by the reciprocal yields the bit-identical IEEE754 result.
 var psiInvIdx = [4]float64{0.25, 0, 0.5, 1}
 
-// growthDeltaIdx is growthDelta over the direct-bit pair index; identical
-// arithmetic, cheaper dispatch.
+// growthDeltaIdx computes x/ψ for the direct-bit pair index k, the division
+// strength-reduced to a multiply wherever that is exact. ψ = 3 (local
+// transient, peer direct) keeps the divide: 1/3 is not representable and
+// the product would round differently.
 func growthDeltaIdx(x float64, k uint64) float64 {
 	if k == 0b01 {
 		return x / 3

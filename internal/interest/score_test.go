@@ -80,14 +80,14 @@ func requireTablesEqual(t *testing.T, label string, got, want *Table) {
 	}
 }
 
-// TestExchangePlanReuseMatchesFreshPlan pins that a single ExchangePlan
-// reused across many rounds (the engine reuses one plan for every round)
-// computes the same result as a fresh plan — scratch state must not leak
-// between rounds.
-func TestExchangePlanReuseMatchesFreshPlan(t *testing.T) {
+// TestExchangeReuseMatchesFreshScratch pins that a single Exchange reused
+// across many rounds (the engine reuses one for every round) computes the
+// same result as fresh scratch — scratch state must not leak between
+// rounds.
+func TestExchangeReuseMatchesFreshScratch(t *testing.T) {
 	rng := sim.NewRNG(42)
 	params := DefaultParams()
-	var plan ExchangePlan // reused across trials, like the engine's plan
+	var x Exchange // reused across trials, like the engine's
 	for trial := 0; trial < 200; trial++ {
 		in := NewInterner()
 		now := 10 * time.Minute
@@ -117,8 +117,7 @@ func TestExchangePlanReuseMatchesFreshPlan(t *testing.T) {
 
 		exchangeRound(aFresh, bFresh, 1, 2, aPeersFresh, bPeersFresh, now, dt)
 
-		plan.Score(a, b, 1, 2, aPeers, bPeers, now, dt)
-		plan.Apply()
+		x.Run(a, b, 1, 2, aPeers, bPeers, now, dt)
 
 		requireTablesEqual(t, fmt.Sprintf("trial %d table a", trial), a, aFresh)
 		requireTablesEqual(t, fmt.Sprintf("trial %d table b", trial), b, bFresh)
@@ -126,7 +125,7 @@ func TestExchangePlanReuseMatchesFreshPlan(t *testing.T) {
 }
 
 // TestLazyExchangeMatchesEagerReference is the tentpole equivalence lock:
-// one lazy Score+Apply round, starting from a freshly anchored population,
+// one lazy in-place round, starting from a freshly anchored population,
 // must be bit-identical to the historical eager sequence — DecayAgainst
 // both sides (a first, exactly as the eager round ordered them), exchange
 // decayed snapshots, Grow both — on membership, direct flags, provenance,
@@ -135,10 +134,17 @@ func TestExchangePlanReuseMatchesFreshPlan(t *testing.T) {
 // exactly. 250 randomized trials cover decay, the div < 1 clamp,
 // prune-at-threshold eviction, re-acquisition of just-pruned rows, growth
 // clamping, and multi-peer refresh holds.
+//
+// It also pins each table's eviction deadline: after a round that swept a
+// side, its nextDeath is exactly the earliest death bound of its transient
+// rows (a deadline folded from pre-growth weights would be earlier and only
+// cost extra sweeps, which no other check sees); otherwise it is no later
+// than that bound.
 func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 	rng := sim.NewRNG(7)
 	params := DefaultParams()
-	var plan ExchangePlan
+	var x Exchange
+	swept := 0
 	for trial := 0; trial < 250; trial++ {
 		in := NewInterner()
 		now := 10 * time.Minute
@@ -166,8 +172,9 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 			bPeersRef = append(bPeersRef, cloneTable(p))
 		}
 
-		// Eager reference: decay a first (so b's sweep sees a post-prune,
-		// matching the scored round's ordering), exchange snapshots, grow.
+		// Eager reference: decay a first (so b's decay sees a post-prune,
+		// as the in-place round's sweep of b does), exchange snapshots,
+		// grow.
 		aRef.DecayAgainst(now, aPeersRef...)
 		bRef.DecayAgainst(now, bPeersRef...)
 		snapA := aRef.Snapshot()
@@ -175,8 +182,20 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 		aRef.Grow(now, []PeerView{{Peer: 2, ConnectedFor: dt, Weights: snapB}})
 		bRef.Grow(now, []PeerView{{Peer: 1, ConnectedFor: dt, Weights: snapA}})
 
-		plan.Score(a, b, 1, 2, aPeers, bPeers, now, dt)
-		plan.Apply()
+		// DefaultParams prunes, so a side sweeps once its deadline is due.
+		aSwept, bSwept := now >= a.nextDeath, now >= b.nextDeath
+		want := 0
+		if aSwept {
+			want++
+		}
+		if bSwept {
+			want++
+		}
+		sweeps, _ := x.Run(a, b, 1, 2, aPeers, bPeers, now, dt)
+		if sweeps != want {
+			t.Fatalf("trial %d: %d sweeps, want %d", trial, sweeps, want)
+		}
+		swept += sweeps
 
 		check := func(label string, lazy, ref *Table) {
 			t.Helper()
@@ -203,5 +222,35 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 		}
 		check("table a", a, aRef)
 		check("table b", b, bRef)
+		checkDeadline(t, fmt.Sprintf("trial %d table a", trial), a, aSwept)
+		checkDeadline(t, fmt.Sprintf("trial %d table b", trial), b, bSwept)
+	}
+	if swept == 0 {
+		t.Fatal("no trial swept a table; the deadline check is vacuous")
+	}
+	t.Logf("%d swept sides", swept)
+}
+
+// checkDeadline compares t's eviction deadline with the earliest death
+// bound of its transient rows: equal after a sweep rebuilt it, no later
+// otherwise.
+func checkDeadline(t *testing.T, label string, tab *Table, swept bool) {
+	t.Helper()
+	want := noDeath
+	for wi, w := range tab.present {
+		m := w &^ tab.direct.Word(wi)
+		for m != 0 {
+			id := int32(wi<<6 + bits.TrailingZeros64(m))
+			m &= m - 1
+			if d := tab.deathBound(tab.weights[id], tab.lastShared[id]); d < want {
+				want = d
+			}
+		}
+	}
+	if swept && tab.nextDeath != want {
+		t.Fatalf("%s: swept deadline %v, want the earliest death bound %v", label, tab.nextDeath, want)
+	}
+	if !swept && tab.nextDeath > want {
+		t.Fatalf("%s: deadline %v later than the earliest death bound %v", label, tab.nextDeath, want)
 	}
 }
