@@ -16,6 +16,7 @@ import (
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/report"
+	"dtnsim/internal/reputation"
 	"dtnsim/internal/scenario"
 	"dtnsim/internal/sim"
 	"dtnsim/internal/world"
@@ -151,6 +152,42 @@ func TestZeroTokenRuleBarsBrokeDestination(t *testing.T) {
 	}
 	if res.Delivered != 0 {
 		t.Errorf("delivered = %d, want 0 under the zero-token rule", res.Delivered)
+	}
+	if res.RefusedNoTokens == 0 {
+		t.Error("expected zero-token refusals to be recorded")
+	}
+}
+
+// TestZeroTokenRuleBarsZeroAward: an empty wallet cannot act as a
+// destination even when the award it would pay is zero. The destination
+// rates the source's one message 0, too few ratings for the avoid bar to
+// apply, so its award factor, and with it the award, is 0.
+func TestZeroTokenRuleBarsZeroAward(t *testing.T) {
+	cfg := lineConfig(t, core.SchemeIncentive)
+	cfg.Incentive.InitialTokens = 0
+	eng, err := core.NewEngine(cfg, []core.NodeSpec{
+		{Profile: behavior.CooperativeProfile(), Mobility: stationary(100, 100)},
+		{Profile: behavior.CooperativeProfile(), Mobility: stationary(180, 100), Interests: []string{"kw-0"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := eng.Device(0)
+	m, err := src.Annotate([]string{"kw-0"}, []string{"kw-0"}, 1<<20, message.PriorityHigh, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := eng.Device(1)
+	dst.RateMessage(m, reputation.MessageRatingInputs{Confidence: 1})
+	if f := eng.Node(1).Reputation().AwardFactor(0, m.RatingValues()); f != 0 {
+		t.Fatalf("award factor = %v, want 0", f)
+	}
+	res, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != 0 {
+		t.Errorf("delivered = %d to an empty wallet, want 0", res.Delivered)
 	}
 	if res.RefusedNoTokens == 0 {
 		t.Error("expected zero-token refusals to be recorded")

@@ -44,20 +44,21 @@ func (e *Engine) negotiate(u, v *Node, offer routing.Offer, now time.Duration) (
 	}
 	switch offer.Role {
 	case routing.RoleDestination:
-		// The floor settles almost every no-token refusal without the
-		// weight sums the full promise needs; it never exceeds the award,
-		// so it refuses only offers the award would refuse.
+		// Zero-token rule: an empty wallet cannot act as a destination,
+		// even for an award of zero. Past it, the floor settles almost
+		// every no-token refusal without the weight sums the full promise
+		// needs; it never exceeds the award, so it refuses only offers the
+		// award would refuse.
+		if v.wallet.Balance() <= 0 {
+			return e.refuseNoTokens(t)
+		}
 		factor := e.awardFactor(u, v, m)
 		if !v.wallet.CanPay(e.awardFloor(u, v, m, factor)) {
-			e.collector.RefusedNoTokens()
-			e.releaseTransfer(t)
-			return nil, false
+			return e.refuseNoTokens(t)
 		}
 		t.promise = e.promiseFor(u, v, m)
 		if !v.wallet.CanPay(e.award(factor, t.promise, m)) {
-			e.collector.RefusedNoTokens()
-			e.releaseTransfer(t)
-			return nil, false
+			return e.refuseNoTokens(t)
 		}
 	case routing.RoleRelay:
 		t.promise = e.promiseFor(u, v, m)
@@ -67,14 +68,19 @@ func (e *Engine) negotiate(u, v *Node, offer routing.Offer, now time.Duration) (
 			if !v.wallet.CanPay(prepay) {
 				// "If v has that many tokens left, they are awarded to u
 				// and the message is received" — without them it is not.
-				e.collector.RefusedNoTokens()
-				e.releaseTransfer(t)
-				return nil, false
+				return e.refuseNoTokens(t)
 			}
 			t.prepay = prepay
 		}
 	}
 	return t, true
+}
+
+// refuseNoTokens drops the negotiated transfer t as a no-token refusal.
+func (e *Engine) refuseNoTokens(t *transfer) (*transfer, bool) {
+	e.collector.RefusedNoTokens()
+	e.releaseTransfer(t)
+	return nil, false
 }
 
 // promiseFor computes the incentive attached to u handing m to v:

@@ -140,11 +140,11 @@ func (e *Engine) settleDelivery(t *transfer, now time.Duration) {
 
 	if e.cfg.incentiveActive() {
 		award := e.award(e.awardFactor(u, v, m), t.promise, m)
-		if err := e.ledger.Pay(v.wallet, u.wallet, award); err != nil {
-			// Zero-token rule: the destination cannot pay, so it does not
-			// receive ("unless the node participates in relaying and gains
-			// more tokens ... the node will not be able to receive the
-			// interesting content").
+		// Zero-token rule: a destination that cannot pay, or whose wallet
+		// is empty even for an award of zero, does not receive ("unless
+		// the node participates in relaying and gains more tokens ... the
+		// node will not be able to receive the interesting content").
+		if v.wallet.Balance() <= 0 || e.ledger.Pay(v.wallet, u.wallet, award) != nil {
 			e.collector.RefusedNoTokens()
 			return
 		}
