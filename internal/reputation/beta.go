@@ -137,7 +137,7 @@ func (s *BetaStore) observe(v ident.NodeID, fraction, weight float64, firstHand 
 // evidence fraction.
 func (s *BetaStore) RateSourceMessage(src ident.NodeID, in MessageRatingInputs) float64 {
 	conf := s.clamp01(in.Confidence / s.params.MaxConfidence)
-	ri := 0.5*(s.clampRating(in.TagRating)*conf) + 0.5*s.clampRating(in.QualityRating)
+	ri := 0.5*(clampRating(in.TagRating, s.params.MaxRating)*conf) + 0.5*clampRating(in.QualityRating, s.params.MaxRating)
 	s.observe(src, ri/s.params.MaxRating, 1, true)
 	return ri
 }
@@ -145,19 +145,9 @@ func (s *BetaStore) RateSourceMessage(src ident.NodeID, in MessageRatingInputs) 
 // RateRelayMessage implements Model.
 func (s *BetaStore) RateRelayMessage(relay ident.NodeID, in MessageRatingInputs) float64 {
 	conf := s.clamp01(in.Confidence / s.params.MaxConfidence)
-	ri := s.clampRating(in.TagRating) * conf
+	ri := clampRating(in.TagRating, s.params.MaxRating) * conf
 	s.observe(relay, ri/s.params.MaxRating, 1, true)
 	return ri
-}
-
-func (s *BetaStore) clampRating(r float64) float64 {
-	if r < 0 {
-		return 0
-	}
-	if r > s.params.MaxRating {
-		return s.params.MaxRating
-	}
-	return r
 }
 
 // MergeSecondHand implements Model: gossip arrives as discounted evidence.
@@ -165,7 +155,7 @@ func (s *BetaStore) MergeSecondHand(v ident.NodeID, theirRating float64) {
 	if v == s.self {
 		return
 	}
-	s.observe(v, s.clampRating(theirRating)/s.params.MaxRating, s.params.GossipWeight, false)
+	s.observe(v, clampRating(theirRating, s.params.MaxRating)/s.params.MaxRating, s.params.GossipWeight, false)
 }
 
 // Rating implements Model: the Beta posterior mean (uniform prior) on the
@@ -207,17 +197,7 @@ func (s *BetaStore) ShouldAvoid(v ident.NodeID) bool {
 // AwardFactor implements Model with the DRM award shape, using the Beta
 // posterior as the own-opinion term.
 func (s *BetaStore) AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64 {
-	a := s.params.Alpha
-	own := s.Rating(deliverer) / s.params.MaxRating
-	if len(pathRatings) == 0 {
-		return own
-	}
-	var sum float64
-	for _, r := range pathRatings {
-		sum += s.clampRating(r)
-	}
-	mean := sum / float64(len(pathRatings)) / s.params.MaxRating
-	return (1-a)*mean + a*own
+	return awardFactor(s.params.Alpha, s.params.MaxRating, s.Rating(deliverer), pathRatings)
 }
 
 // Len implements Model.

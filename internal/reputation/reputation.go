@@ -146,7 +146,7 @@ func (s *Store) rowFor(v ident.NodeID) *row {
 // R_i = ½·(R_t·C/C_m) + ½·R_q, records it first-hand against the source, and
 // returns it.
 func (s *Store) RateSourceMessage(src ident.NodeID, in MessageRatingInputs) float64 {
-	ri := 0.5*(in.TagRating*s.clampConf(in.Confidence)/s.params.MaxConfidence) + 0.5*s.clampRating(in.QualityRating)
+	ri := 0.5*(in.TagRating*s.clampConf(in.Confidence)/s.params.MaxConfidence) + 0.5*clampRating(in.QualityRating, s.params.MaxRating)
 	s.recordMessageRating(src, ri)
 	return ri
 }
@@ -154,17 +154,19 @@ func (s *Store) RateSourceMessage(src ident.NodeID, in MessageRatingInputs) floa
 // RateRelayMessage computes the message rating R_i for an enriching relay:
 // R_i = R_t·C/C_m, records it first-hand, and returns it.
 func (s *Store) RateRelayMessage(relay ident.NodeID, in MessageRatingInputs) float64 {
-	ri := s.clampRating(in.TagRating) * s.clampConf(in.Confidence) / s.params.MaxConfidence
+	ri := clampRating(in.TagRating, s.params.MaxRating) * s.clampConf(in.Confidence) / s.params.MaxConfidence
 	s.recordMessageRating(relay, ri)
 	return ri
 }
 
-func (s *Store) clampRating(r float64) float64 {
+// clampRating clamps r into the rating scale [0, maxRating]; both models
+// use it.
+func clampRating(r, maxRating float64) float64 {
 	if r < 0 {
 		return 0
 	}
-	if r > s.params.MaxRating {
-		return s.params.MaxRating
+	if r > maxRating {
+		return maxRating
 	}
 	return r
 }
@@ -183,7 +185,7 @@ func (s *Store) clampConf(c float64) float64 {
 // of all message ratings received from v: r_{v,u} = Σ r_{m_v} / N.
 func (s *Store) recordMessageRating(v ident.NodeID, ri float64) {
 	r := s.rowFor(v)
-	r.msgSum += s.clampRating(ri)
+	r.msgSum += clampRating(ri, s.params.MaxRating)
 	r.msgN++
 	r.current = r.msgSum / float64(r.msgN)
 }
@@ -197,7 +199,7 @@ func (s *Store) MergeSecondHand(v ident.NodeID, theirRating float64) {
 	}
 	r := s.rowFor(v)
 	a := s.params.Alpha
-	r.current = (1-a)*s.clampRating(theirRating) + a*r.current
+	r.current = (1-a)*clampRating(theirRating, s.params.MaxRating) + a*r.current
 }
 
 // Rating returns this node's current opinion of v (InitialRating when v was
@@ -249,15 +251,21 @@ func (s *Store) Opinion(i int) (ident.NodeID, float64) { return s.ids[i], s.rows
 // normalisation keeps I_v ≤ I + I_t, which the token economy requires).
 // With no path ratings the deliverer's own reputation carries full weight.
 func (s *Store) AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64 {
-	a := s.params.Alpha
-	own := s.Rating(deliverer) / s.params.MaxRating
+	return awardFactor(s.params.Alpha, s.params.MaxRating, s.Rating(deliverer), pathRatings)
+}
+
+// awardFactor is the award multiplier both models share (see
+// Store.AwardFactor), given α, r_m, the deliverer's rating r_{v,u} and the
+// path ratings.
+func awardFactor(alpha, maxRating, rating float64, pathRatings []float64) float64 {
+	own := rating / maxRating
 	if len(pathRatings) == 0 {
 		return own
 	}
 	var sum float64
 	for _, r := range pathRatings {
-		sum += s.clampRating(r)
+		sum += clampRating(r, maxRating)
 	}
-	mean := sum / float64(len(pathRatings)) / s.params.MaxRating
-	return (1-a)*mean + a*own
+	mean := sum / float64(len(pathRatings)) / maxRating
+	return (1-alpha)*mean + alpha*own
 }
