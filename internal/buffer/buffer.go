@@ -79,9 +79,6 @@ func New(capacity int64, policy Policy) (*Store, error) {
 // Capacity returns the byte capacity.
 func (s *Store) Capacity() int64 { return s.capacity }
 
-// Used returns the bytes currently occupied.
-func (s *Store) Used() int64 { return s.used }
-
 // Free returns the bytes available without eviction.
 func (s *Store) Free() int64 { return s.capacity - s.used }
 

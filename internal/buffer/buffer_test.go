@@ -53,7 +53,7 @@ func TestAddGetRemove(t *testing.T) {
 	if err := s.Add(m); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(h("a")) || s.Get("a") != m || s.Len() != 1 || s.Used() != 100 || s.Free() != 900 {
+	if !s.Has(h("a")) || s.Get("a") != m || s.Len() != 1 || s.used != 100 || s.Free() != 900 {
 		t.Error("store state wrong after Add")
 	}
 	if err := s.Add(m); !errors.Is(err, ErrDuplicate) {
@@ -65,7 +65,7 @@ func TestAddGetRemove(t *testing.T) {
 	if s.Remove(h("a")) {
 		t.Error("second Remove returned true")
 	}
-	if s.Used() != 0 || s.Len() != 0 {
+	if s.used != 0 || s.Len() != 0 {
 		t.Error("store not empty after Remove")
 	}
 }
@@ -194,7 +194,7 @@ func TestUsedMatchesContents(t *testing.T) {
 			for _, m := range s.Messages() {
 				sum += m.Size
 			}
-			if sum != s.Used() || s.Used() > s.Capacity() {
+			if sum != s.used || s.used > s.Capacity() {
 				return false
 			}
 		}

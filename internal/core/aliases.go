@@ -9,13 +9,4 @@ type (
 	NodeID = ident.NodeID
 	// MessageID identifies a message network-wide.
 	MessageID = ident.MessageID
-	// Role is a user's rank in the deployment hierarchy.
-	Role = ident.Role
-)
-
-// Re-exported role constants.
-const (
-	RoleCommander = ident.RoleCommander
-	RoleOperator  = ident.RoleOperator
-	RoleCivilian  = ident.RoleCivilian
 )

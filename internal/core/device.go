@@ -7,7 +7,6 @@ import (
 
 	"dtnsim/internal/ident"
 	"dtnsim/internal/incentive"
-	"dtnsim/internal/interest"
 	"dtnsim/internal/message"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
@@ -59,27 +58,30 @@ func (d *Device) Subscribe(interests ...string) {
 }
 
 // DecayWeights implements operator function 3: run the decay phase against
-// the currently connected peers.
+// the currently connected peers — the refresh-and-sweep step of an exchange
+// round (interest.Exchange.Decay). The interests a connected peer holds
+// keep their weight and refresh T_l, the others keep decaying lazily, and
+// transient interests past their death bound are evicted.
 func (d *Device) DecayWeights() {
-	now := d.engine.Now()
-	connected := make(map[string]bool)
-	for _, c := range d.engine.peersOf[d.node.id] {
-		for _, kw := range c.other(d.node).table.Keywords() {
-			connected[kw] = true
-		}
-	}
-	d.node.table.Decay(now, connected)
+	e := d.engine
+	e.refreshNodePeers(d.node)
+	e.countSweeps(e.exchange.Decay(d.node.table, d.node.peerTables, e.Now()))
 }
 
 // IncrementWeights implements operator function 4: run the growth phase
-// against the currently connected peers, accounting dt of contact time.
+// against the currently connected peers, crediting dt of contact time to
+// each. Growth reads the anchors the round's refresh sets, so this runs one
+// full exchange round (interest.Exchange.Run) with each open contact in
+// peer-ID order: both ends grow, as in every engine round.
 func (d *Device) IncrementWeights(dt time.Duration) {
-	now := d.engine.Now()
-	views := d.engine.peerViews(d.node, dt)
-	if len(views) == 0 {
-		return
+	e := d.engine
+	now := e.Now()
+	e.refreshNodePeers(d.node)
+	for _, id := range d.Neighbors() {
+		p := e.nodes[id]
+		e.refreshNodePeers(p)
+		e.countSweeps(e.exchange.Run(d.node.table, p.table, d.node.id, p.id, d.node.peerTables, p.peerTables, now, dt))
 	}
-	d.node.table.Grow(now, views)
 }
 
 // GetMessagesToForward implements operator function 5: the messages this
@@ -229,21 +231,4 @@ func (d *Device) Neighbors() []ident.NodeID {
 // received-messages grid).
 func (d *Device) ReceivedMessages() []*message.Message {
 	return d.node.buf.Messages()
-}
-
-// peerViews builds the growth-phase inputs for all of n's open contacts,
-// crediting dt of contact time to each.
-func (e *Engine) peerViews(n *Node, dt time.Duration) []interest.PeerView {
-	contacts := e.peersOf[n.id]
-	views := make([]interest.PeerView, 0, len(contacts))
-	for _, c := range contacts {
-		peer := c.other(n)
-		views = append(views, interest.PeerView{
-			Peer:         peer.id,
-			ConnectedFor: dt,
-			Weights:      peer.table.Snapshot(),
-		})
-	}
-	sort.Slice(views, func(i, j int) bool { return views[i].Peer < views[j].Peer })
-	return views
 }

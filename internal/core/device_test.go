@@ -202,42 +202,54 @@ func TestDeviceEnrich(t *testing.T) {
 	}
 }
 
+// TestDeviceDecayAndGrowOperators pins operators 3 and 4 on the in-place
+// RTSR round. A and B are connected; rows staged at t=0 cover each case of
+// Algorithm 1, and rows both ends hold directly cover Algorithm 2.
 func TestDeviceDecayAndGrowOperators(t *testing.T) {
-	eng, a, _, _ := deviceHarness(t)
-	a.Subscribe("kw-7")
-	n := eng.Node(0)
-	n.Interests().SetWeight("kw-7", 0.9)
+	eng, a, b, _ := deviceHarness(t)
 	if err := eng.RunFor(context.Background(), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Probe the decay operator with a direct interest A's neighbour has
-	// never seen, anchored back at t=0. (kw-7 itself has been shared with B
-	// since the first exchange round, and Algorithm 1 holds shared
-	// interests, so it cannot demonstrate decay.) The eager operator must
-	// re-anchor the row at the decayed value.
-	tab := n.Interests()
-	a.Subscribe("kw-19")
-	tab.SetWeight("kw-19", 0.9)
-	tab.SetLastShared("kw-19", 0)
+	now := eng.Now()
+	tab, peer := eng.Node(0).Interests(), eng.Node(1).Interests()
+	// kw-17 is held by the connected B, kw-18 by A alone and alive at now
+	// (0.9/(2·30) is above the 0.01 prune threshold), kw-19 by A alone and
+	// past its death bound (0.4/(2·30) is below it).
+	tab.Acquire("kw-17", 9, 0)
+	tab.SetWeight("kw-17", 0.6)
+	peer.Acquire("kw-17", 9, 0)
+	tab.Acquire("kw-18", 9, 0)
+	tab.SetWeight("kw-18", 0.9)
+	tab.Acquire("kw-19", 9, 0)
+	tab.SetWeight("kw-19", 0.4)
+
 	a.DecayWeights()
-	r, ok := tab.Row("kw-19")
-	if !ok {
-		t.Fatal("kw-19 missing after decay")
+	if r, _ := tab.Row("kw-17"); r.Weight != 0.6 || r.LastShared != now {
+		t.Errorf("shared row after decay = %+v, want weight 0.6 held and T_l = %v", r, now)
 	}
-	if r.Weight >= 0.9 {
-		t.Errorf("anchor after decay = %v, want < 0.9", r.Weight)
+	if r, _ := tab.Row("kw-18"); r.Weight != 0.9 || r.LastShared != 0 {
+		t.Errorf("unshared row after decay = %+v, want its anchor (0.9 at 0) kept", r)
 	}
-	if r.LastShared != eng.Now() {
-		t.Errorf("anchor time after decay = %v, want re-anchored at %v", r.LastShared, eng.Now())
+	if got, want := tab.Weight("kw-18"), 0.9/(2*now.Seconds()); got != want {
+		t.Errorf("unshared row observed at %v = %v, want %v", now, got, want)
 	}
-	// Growth against connected peer B (which holds kw-7 only if acquired;
-	// subscribe B directly to make the case deterministic).
-	w := tab.Weight("kw-7")
-	bDev, _ := eng.Device(1)
-	bDev.Subscribe("kw-7")
-	a.IncrementWeights(time.Minute)
-	if got := tab.Weight("kw-7"); got <= w {
-		t.Errorf("weight after growth = %v, want > %v", got, w)
+	if tab.Has("kw-19") {
+		t.Error("transient row past its death bound survived the decay")
+	}
+
+	// Growth: both ends hold kw-7 directly (ψ = 1), so each side grows by
+	// the other's weight · r · dt.
+	a.Subscribe("kw-7")
+	b.Subscribe("kw-7")
+	tab.SetWeight("kw-7", 0.6)
+	r := eng.Config().Interest.GrowthRate
+	dt := 10 * time.Second
+	a.IncrementWeights(dt)
+	if got, want := tab.Weight("kw-7"), 0.6+0.5*r*dt.Seconds(); got != want {
+		t.Errorf("A's weight after growth = %v, want %v", got, want)
+	}
+	if got, want := peer.Weight("kw-7"), 0.5+0.6*r*dt.Seconds(); got != want {
+		t.Errorf("B's weight after growth = %v, want %v", got, want)
 	}
 }
 
@@ -246,7 +258,7 @@ func TestDeviceBalanceMatchesWallet(t *testing.T) {
 	if a.Balance() != eng.Config().Incentive.InitialTokens {
 		t.Errorf("balance = %v", a.Balance())
 	}
-	if a.Wallet().Owner() != a.ID() {
-		t.Error("wallet owner mismatch")
+	if a.Wallet() != eng.Node(a.ID()).Wallet() {
+		t.Error("device wallet is not its node's wallet")
 	}
 }

@@ -184,14 +184,13 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		if spec.Tagger == nil {
 			spec.Tagger = e.defaultTagger(spec.Profile)
 		}
-		n, nerr := newNode(id, spec, cfg, nodeRNG, e.interner)
-		if nerr != nil {
-			return nil, nerr
-		}
 		// Interest tables decay lazily against the kernel clock: reads
 		// materialize the time-decayed weight instead of relying on eager
 		// per-round sweeps (DESIGN.md "Lazy-decay interest tables").
-		n.table.SetClock(e.runner.Clock())
+		n, nerr := newNode(id, spec, cfg, nodeRNG, e.interner, e.runner.Clock())
+		if nerr != nil {
+			return nil, nerr
+		}
 		e.nodes = append(e.nodes, n)
 		n.lastPos = n.model.Position()
 		e.grid.Upsert(id, n.lastPos)
@@ -284,12 +283,6 @@ func (e *Engine) Node(id ident.NodeID) *Node {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.runner.Clock().Now() }
-
-// Collector exposes the live metrics (examples print from it mid-run).
-func (e *Engine) Collector() *metrics.Collector { return e.collector }
-
-// Ledger exposes the token ledger.
-func (e *Engine) Ledger() *incentive.Ledger { return e.ledger }
 
 // Run executes the configured duration and returns the run result. It
 // fires RunStart on the first call that advances time and RunEnd (with the

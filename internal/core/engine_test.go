@@ -18,7 +18,6 @@ import (
 	"dtnsim/internal/report"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/scenario"
-	"dtnsim/internal/sim"
 	"dtnsim/internal/world"
 )
 
@@ -179,7 +178,7 @@ func TestZeroTokenRuleBarsZeroAward(t *testing.T) {
 	}
 	dst, _ := eng.Device(1)
 	dst.RateMessage(m, reputation.MessageRatingInputs{Confidence: 1})
-	if f := eng.Node(1).Reputation().AwardFactor(0, m.RatingValues()); f != 0 {
+	if f := eng.Node(1).Reputation().AwardFactor(0, m.PathRatings); f != 0 {
 		t.Fatalf("award factor = %v, want 0", f)
 	}
 	res, err := eng.Run(context.Background())
@@ -191,6 +190,69 @@ func TestZeroTokenRuleBarsZeroAward(t *testing.T) {
 	}
 	if res.RefusedNoTokens == 0 {
 		t.Error("expected zero-token refusals to be recorded")
+	}
+}
+
+// TestRTSRClosedFormOverOneContact checks the engine's RTSR rounds against
+// Algorithms 1–2 in closed form. Two ChitChat nodes 80 m apart both
+// subscribe kw-0; the second leaves at 75 s. The rounds run at contact-up
+// (1 s, crediting one 1 s step) and every 10 s after (11 s … 71 s,
+// crediting 10 s each), so at each round both observed weights are
+// w₁ = 0.5 + 0.5·r·1 and w_{k+1} = min(1, w_k + w_k·r·10), saturating at
+// 51 s. Once the contact is over, node 0 observes the last round's weight
+// decaying from T_l = 71 s: (w − 0.5)/(β·(t − 71 s)) + 0.5. Reads between
+// two rounds of the live contact are not checked: there the connected
+// peer's rows decay until the next round refreshes them.
+func TestRTSRClosedFormOverOneContact(t *testing.T) {
+	cfg := lineConfig(t, core.SchemeChitChat)
+	leave, err := mobility.NewWaypoints([]mobility.TimedPoint{
+		{T: 0, P: world.Point{X: 180, Y: 100}},
+		{T: 75 * time.Second, P: world.Point{X: 900, Y: 900}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(cfg, []core.NodeSpec{
+		{Profile: behavior.CooperativeProfile(), Mobility: stationary(100, 100), Interests: []string{"kw-0"}},
+		{Profile: behavior.CooperativeProfile(), Mobility: leave, Interests: []string{"kw-0"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	runTo := func(at time.Duration) {
+		t.Helper()
+		if err := eng.RunFor(ctx, at-eng.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, beta := cfg.Interest.GrowthRate, cfg.Interest.Beta
+	const lastRound = 71 * time.Second
+	w := 0.5 + 0.5*r*1
+	for at := time.Second; at <= lastRound; at += 10 * time.Second {
+		if at > time.Second {
+			w = math.Min(1, w+w*r*10)
+		}
+		runTo(at)
+		for id := ident.NodeID(0); id < 2; id++ {
+			if got := eng.Node(id).Interests().Weight("kw-0"); got != w {
+				t.Errorf("%v: node %v reads %v at the round, want %v", at, id, got, w)
+			}
+		}
+	}
+	if w != 1 {
+		t.Fatalf("weight after the last round = %v, want saturated at 1", w)
+	}
+	dev, _ := eng.Device(0)
+	for at := 75 * time.Second; at <= 120*time.Second; at += time.Second {
+		runTo(at)
+		if n := dev.Neighbors(); len(n) != 0 {
+			t.Fatalf("%v: node 0 still connected to %v", at, n)
+		}
+		want := (w-0.5)/(beta*(at-lastRound).Seconds()) + 0.5
+		if got := eng.Node(0).Interests().Weight("kw-0"); got != want {
+			t.Errorf("%v: node 0 reads %v after the contact, want %v", at, got, want)
+		}
 	}
 }
 
@@ -230,18 +292,13 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// runTrace builds and runs spec — mutate, if set, adjusts the node specs
-// first — and returns the complete event trace. It reports errors rather
-// than failing the test, so it can run off the test goroutine.
-func runTrace(spec scenario.Spec, mutate func([]core.NodeSpec) error) ([]report.Event, error) {
+// runTrace builds and runs spec and returns the complete event trace. It
+// reports errors rather than failing the test, so it can run off the test
+// goroutine.
+func runTrace(spec scenario.Spec) ([]report.Event, error) {
 	cfg, specs, err := scenario.Build(spec)
 	if err != nil {
 		return nil, err
-	}
-	if mutate != nil {
-		if err := mutate(specs); err != nil {
-			return nil, err
-		}
 	}
 	var buf obs.Buffer
 	cfg.Observers = []obs.Observer{&buf}
@@ -258,9 +315,9 @@ func runTrace(spec scenario.Spec, mutate func([]core.NodeSpec) error) ([]report.
 // requireSideBySideTraces runs spec alone, then as n engines side by side
 // on their own goroutines — the way the experiment pool runs a sweep — and
 // requires every concurrent trace to equal the lone one event for event.
-func requireSideBySideTraces(t *testing.T, spec scenario.Spec, n int, mutate func([]core.NodeSpec) error) {
+func requireSideBySideTraces(t *testing.T, spec scenario.Spec, n int) {
 	t.Helper()
-	want, err := runTrace(spec, mutate)
+	want, err := runTrace(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +331,7 @@ func requireSideBySideTraces(t *testing.T, spec scenario.Spec, n int, mutate fun
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			traces[i], errs[i] = runTrace(spec, mutate)
+			traces[i], errs[i] = runTrace(spec)
 		}()
 	}
 	wg.Wait()
@@ -309,39 +366,7 @@ func TestEngineParallelTraceEquality(t *testing.T) {
 	spec.SelfishPercent = 20
 	spec.MaliciousPercent = 10
 	spec.Seed = 9
-	requireSideBySideTraces(t, spec, 4, nil)
-}
-
-// TestEngineParallelWithGroupMobility repeats the side-by-side check on a
-// network with group mobility, whose member reads its leader's live
-// position every step: each engine's follower must track its own engine's
-// leader, whatever the other engines are doing.
-func TestEngineParallelWithGroupMobility(t *testing.T) {
-	spec := scenario.Default(core.SchemeIncentive)
-	spec.Nodes = 30
-	spec.AreaKm2 = 0.3
-	spec.Duration = 15 * time.Minute
-	spec.MeanMessageInterval = 5 * time.Minute
-	spec.Seed = 4
-
-	// Node 1 follows node 0. mutate runs once per engine with identical
-	// deterministic inputs, so every engine gets identically built models.
-	mutate := func(specs []core.NodeSpec) error {
-		bounds := world.SquareKm(spec.AreaKm2)
-		rng := sim.NewRNG(spec.Seed).Fork("group-test")
-		leader, err := mobility.NewRandomWaypoint(mobility.DefaultPedestrian(bounds), rng.Fork("leader"))
-		if err != nil {
-			return err
-		}
-		member, err := mobility.NewGroupMember(mobility.DefaultGroup(), leader, bounds, rng.Fork("member"))
-		if err != nil {
-			return err
-		}
-		specs[0].Mobility = leader
-		specs[1].Mobility = member
-		return nil
-	}
-	requireSideBySideTraces(t, spec, 4, mutate)
+	requireSideBySideTraces(t, spec, 4)
 }
 
 // TestTokenConservationAcrossRun: payments only move tokens, so the final

@@ -34,17 +34,22 @@ func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 
 	e.refreshNodePeers(c.a)
 	e.refreshNodePeers(c.b)
-	sweeps, evictions := e.exchange.Run(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown)
+	e.countSweeps(e.exchange.Run(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown))
+
+	// Routing phase, both directions.
+	e.routeDirection(c, c.a, c.b, now)
+	e.routeDirection(c, c.b, c.a, now)
+}
+
+// countSweeps adds the eviction sweeps an RTSR step ran, and the rows they
+// evicted, to the run counters.
+func (e *Engine) countSweeps(sweeps, evictions int) {
 	if evictions > 0 {
 		e.ctrEvict.Add(uint64(evictions))
 	}
 	if sweeps > 0 {
 		e.ctrSweep.Add(uint64(sweeps))
 	}
-
-	// Routing phase, both directions.
-	e.routeDirection(c, c.a, c.b, now)
-	e.routeDirection(c, c.b, c.a, now)
 }
 
 // refreshNodePeers rebuilds n's cached peer-table list when its peer set

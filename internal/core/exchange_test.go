@@ -156,7 +156,7 @@ func TestExchangeScratchAllocFree(t *testing.T) {
 	in := interest.NewInterner()
 	params := interest.DefaultParams()
 	mkNode := func(id ident.NodeID) *Node {
-		tab, err := interest.NewTable(params, in)
+		tab, err := interest.NewTable(params, in, &sim.Clock{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -322,8 +322,8 @@ func TestDeliveredMessagesCarryValidPaths(t *testing.T) {
 		if m.Path[0] != m.Source {
 			t.Fatalf("message %s path %v does not start at source %v", m.ID, m.Path, m.Source)
 		}
-		if m.Holder() != ev.B {
-			t.Fatalf("delivered copy holder %v != destination %v", m.Holder(), ev.B)
+		if holder := m.Path[len(m.Path)-1]; holder != ev.B {
+			t.Fatalf("delivered copy holder %v != destination %v", holder, ev.B)
 		}
 		seen := map[core.NodeID]bool{}
 		for _, hop := range m.Path {

@@ -48,7 +48,6 @@ func mixSpecs(t *testing.T, mix string, nodes int, bounds world.Rect, seed int64
 		return w
 	}
 	specs := make([]NodeSpec, nodes)
-	var leader mobility.Model
 	for i := range specs {
 		specs[i].Profile = behavior.CooperativeProfile()
 		switch mix {
@@ -66,26 +65,27 @@ func mixSpecs(t *testing.T, mix string, nodes int, bounds world.Rect, seed int64
 			case 0:
 				specs[i].Mobility = newRWP(i, 2, 6)
 			case 1:
-				m, err := mobility.NewManhattanGrid(mobility.DefaultManhattan(bounds), rng.Fork("street-"+strconv.Itoa(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				specs[i].Mobility = m
+				specs[i].Mobility = newRWP(i, 0.5, 1.5)
 			default:
 				specs[i].Mobility = &mobility.Stationary{At: world.Point{
 					X: rng.Range(0, bounds.Width), Y: rng.Range(0, bounds.Height)}}
 			}
-		case "group":
-			if leader == nil || rng.Coin(0.2) {
-				leader = newRWP(i, 0.5, 1.5)
-				specs[i].Mobility = leader
-			} else {
-				m, err := mobility.NewGroupMember(mobility.DefaultGroup(), leader, bounds, rng.Fork("member-"+strconv.Itoa(i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				specs[i].Mobility = m
+		case "waypoints":
+			if rng.Coin(0.8) {
+				specs[i].Mobility = newRWP(i, 0.5, 1.5)
+				break
 			}
+			// A node teleporting to a fresh pin every 50 s.
+			pins := make([]mobility.TimedPoint, 25)
+			for k := range pins {
+				pins[k] = mobility.TimedPoint{T: time.Duration(k) * 50 * time.Second, P: world.Point{
+					X: rng.Range(0, bounds.Width), Y: rng.Range(0, bounds.Height)}}
+			}
+			m, err := mobility.NewWaypoints(pins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs[i].Mobility = m
 		default:
 			t.Fatalf("unknown mix %q", mix)
 		}
@@ -118,9 +118,10 @@ func TestKineticMatchesFullDetection(t *testing.T) {
 		// the skin trade-off must stay exact too.
 		{mix: "pedestrian", seed: 4, skin: 4, kinetic: true, ticks: 1000},
 		{mix: "fast-mixed", seed: 5, skin: 0, kinetic: true, ticks: 1200},
-		// A group member lacks a speed bound: the engine must fall back to
-		// the full per-tick scan wholesale, and equivalence still holds.
-		{mix: "group", seed: 6, skin: 0, kinetic: false, ticks: 1000},
+		// A waypoint follower lacks a speed bound: the engine must fall
+		// back to the full per-tick scan wholesale, and equivalence still
+		// holds.
+		{mix: "waypoints", seed: 6, skin: 0, kinetic: false, ticks: 1000},
 		// The other degenerate end: a skin far beyond the world makes every
 		// pair a candidate forever. Its cell reach must clamp to the grid,
 		// not overflow, or cross-cell candidates vanish.

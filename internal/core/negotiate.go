@@ -155,7 +155,7 @@ func (e *Engine) awardFactor(u, v *Node, m *message.Message) float64 {
 	if !e.cfg.reputationActive() {
 		return 1
 	}
-	return v.rep.AwardFactor(u.id, m.RatingValues())
+	return v.rep.AwardFactor(u.id, m.PathRatings)
 }
 
 // award prices a delivery of m that carries promise: I_v = factor·(I + I_t),

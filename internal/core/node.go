@@ -76,7 +76,7 @@ type Node struct {
 
 var _ routing.NodeView = (*Node)(nil)
 
-func newNode(id ident.NodeID, spec NodeSpec, cfg Config, rng *sim.RNG, in *interest.Interner) (*Node, error) {
+func newNode(id ident.NodeID, spec NodeSpec, cfg Config, rng *sim.RNG, in *interest.Interner, clock interest.Clock) (*Node, error) {
 	if err := spec.Profile.Validate(); err != nil {
 		return nil, fmt.Errorf("node %s: %w", id, err)
 	}
@@ -87,7 +87,7 @@ func newNode(id ident.NodeID, spec NodeSpec, cfg Config, rng *sim.RNG, in *inter
 	if !role.Valid() {
 		return nil, fmt.Errorf("node %s: invalid role %d", id, int(role))
 	}
-	table, err := interest.NewTable(cfg.Interest, in)
+	table, err := interest.NewTable(cfg.Interest, in, clock)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", id, err)
 	}
@@ -134,9 +134,6 @@ func (n *Node) Interests() *interest.Table { return n.table }
 // Buffer implements routing.NodeView.
 func (n *Node) Buffer() *buffer.Store { return n.buf }
 
-// Role returns the node's rank.
-func (n *Node) Role() ident.Role { return n.role }
-
 // Profile returns the behaviour profile.
 func (n *Node) Profile() behavior.Profile { return n.profile }
 
@@ -165,9 +162,6 @@ func newReputationModel(id ident.NodeID, cfg Config) (reputation.Model, error) {
 		return nil, fmt.Errorf("core: unknown reputation model %d", int(cfg.ReputationModel))
 	}
 }
-
-// Energy returns the node's cumulative energy meter.
-func (n *Node) Energy() radio.Energy { return n.energy }
 
 // batteryDead reports whether the node's radio energy budget is exhausted.
 func (n *Node) batteryDead(budget float64) bool {

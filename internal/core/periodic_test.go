@@ -118,7 +118,9 @@ func TestContactDownCountsQueuedTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One tick forms the contacts between the stationary in-range nodes.
-	eng.runner.RunSteps(1)
+	if _, err := eng.runner.RunUntil(context.Background(), cfg.Step); err != nil {
+		t.Fatal(err)
+	}
 	if len(eng.contactList) == 0 {
 		t.Fatal("no contacts formed")
 	}

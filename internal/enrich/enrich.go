@@ -22,7 +22,6 @@ import (
 // Vocabulary is the global keyword pool (Table 5.1: 200 keywords).
 type Vocabulary struct {
 	words []string
-	index map[string]int
 }
 
 // NewVocabulary generates a pool of n distinct keywords.
@@ -31,33 +30,14 @@ func NewVocabulary(n int) (*Vocabulary, error) {
 		return nil, fmt.Errorf("enrich: vocabulary size must be positive, got %d", n)
 	}
 	words := make([]string, n)
-	index := make(map[string]int, n)
 	for i := range words {
-		w := "kw-" + strconv.Itoa(i)
-		words[i] = w
-		index[w] = i
+		words[i] = "kw-" + strconv.Itoa(i)
 	}
-	return &Vocabulary{words: words, index: index}, nil
+	return &Vocabulary{words: words}, nil
 }
 
 // Len returns the pool size.
 func (v *Vocabulary) Len() int { return len(v.words) }
-
-// Word returns the i-th keyword.
-func (v *Vocabulary) Word(i int) string { return v.words[i] }
-
-// Words returns a copy of the full pool.
-func (v *Vocabulary) Words() []string {
-	out := make([]string, len(v.words))
-	copy(out, v.words)
-	return out
-}
-
-// Contains reports whether kw belongs to the pool.
-func (v *Vocabulary) Contains(kw string) bool {
-	_, ok := v.index[kw]
-	return ok
-}
 
 // Sample draws k distinct keywords from the pool.
 func (v *Vocabulary) Sample(rng *sim.RNG, k int) []string {

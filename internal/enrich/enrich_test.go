@@ -1,6 +1,7 @@
 package enrich
 
 import (
+	"slices"
 	"testing"
 
 	"dtnsim/internal/ident"
@@ -39,12 +40,8 @@ func TestVocabularyBasics(t *testing.T) {
 	if v.Len() != 200 {
 		t.Errorf("Len = %d", v.Len())
 	}
-	if !v.Contains(v.Word(0)) || v.Contains("not-a-word") {
-		t.Error("Contains wrong")
-	}
-	words := v.Words()
-	seen := make(map[string]bool, len(words))
-	for _, w := range words {
+	seen := make(map[string]bool, v.Len())
+	for _, w := range v.words {
 		if seen[w] {
 			t.Fatalf("duplicate word %q", w)
 		}
@@ -61,7 +58,7 @@ func TestVocabularySample(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, w := range s {
-		if !v.Contains(w) || seen[w] {
+		if !slices.Contains(v.words, w) || seen[w] {
 			t.Fatalf("bad sample %v", s)
 		}
 		seen[w] = true
@@ -73,7 +70,7 @@ func TestVocabularySampleExcluding(t *testing.T) {
 	rng := sim.NewRNG(2)
 	exclude := map[string]bool{}
 	for i := 0; i < 8; i++ {
-		exclude[v.Word(i)] = true
+		exclude[v.words[i]] = true
 	}
 	s := v.SampleExcluding(rng, 5, exclude)
 	if len(s) != 2 {
@@ -86,7 +83,7 @@ func TestVocabularySampleExcluding(t *testing.T) {
 	}
 	all := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		all[v.Word(i)] = true
+		all[v.words[i]] = true
 	}
 	if got := v.SampleExcluding(rng, 3, all); got != nil {
 		t.Errorf("fully excluded pool returned %v", got)
@@ -135,7 +132,7 @@ func TestMaliciousTaggerOnlyAddsIrrelevantKeywords(t *testing.T) {
 	v := vocab(t, 50)
 	rng := sim.NewRNG(6)
 	mt := &MaliciousTagger{Vocab: v, TagProb: 1, MaxTags: 3}
-	m := testMessage(t, []string{v.Word(0), v.Word(1)}, []string{v.Word(0)})
+	m := testMessage(t, []string{v.words[0], v.words[1]}, []string{v.words[0]})
 	tags := mt.ProposeTags(m, rng)
 	if len(tags) != 3 {
 		t.Fatalf("tags = %v, want 3", tags)

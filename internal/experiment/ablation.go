@@ -11,11 +11,9 @@ import (
 // AblationResult compares the full incentive scheme against one disabled
 // design choice.
 type AblationResult struct {
-	Name     string
-	Full     Avg
-	Ablated  Avg
-	FullRes  core.Result
-	AblatRes core.Result
+	Name    string
+	Full    Avg
+	Ablated Avg
 }
 
 // AblationReputation measures what the DRM buys: with 20% malicious

@@ -5,7 +5,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -119,24 +118,6 @@ type Avg struct {
 	Runs           int
 
 	mdrValues []float64
-}
-
-// RunAveraged executes the spec once per seed on the sweep scheduler —
-// the context's Pool when present, else a transient GOMAXPROCS-bounded one
-// — and averages the observables. Results accumulate in seed order
-// regardless of completion order, so the averages are bit-for-bit
-// reproducible.
-func RunAveraged(ctx context.Context, spec scenario.Spec, seeds []int64) (Avg, error) {
-	results, err := runJobs(ctx, seedJobs(spec, seeds, nil))
-	if err != nil {
-		return Avg{}, err
-	}
-	var avg Avg
-	for _, res := range results {
-		avg.accumulate(res)
-	}
-	avg.finish()
-	return avg, nil
 }
 
 func (a *Avg) accumulate(res core.Result) {

@@ -8,6 +8,7 @@ import (
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/metrics"
+	"dtnsim/internal/scenario"
 )
 
 // tinyProfile keeps integration tests fast: 20 nodes, 10 simulated minutes.
@@ -54,10 +55,20 @@ func TestPaperProfileMatchesTable51(t *testing.T) {
 	}
 }
 
+// runAveraged runs spec once per seed on the sweep scheduler and averages
+// the results in seed order, as the figure sweeps do for each point.
+func runAveraged(ctx context.Context, spec scenario.Spec, seeds []int64) (Avg, error) {
+	results, err := runJobs(ctx, seedJobs(spec, seeds, nil))
+	if err != nil {
+		return Avg{}, err
+	}
+	return avgSlots(results, len(seeds))[0], nil
+}
+
 func TestRunAveraged(t *testing.T) {
 	p := tinyProfile()
 	p.Seeds = []int64{1, 2}
-	avg, err := RunAveraged(context.Background(), p.baseSpec(core.SchemeChitChat), p.Seeds)
+	avg, err := runAveraged(context.Background(), p.baseSpec(core.SchemeChitChat), p.Seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestRunJobsAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(poolCtx(2))
 	cancel()
 	p := tinyProfile()
-	if _, err := RunAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds); err != context.Canceled {
+	if _, err := runAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestRunJobsMidRunCancellation(t *testing.T) {
 	time.AfterFunc(20*time.Millisecond, cancel)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds)
+		_, err := runAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds)
 		done <- err
 	}()
 	select {
@@ -84,7 +84,7 @@ func TestRunJobsPropagatesJobError(t *testing.T) {
 	p := tinyProfile()
 	spec := p.baseSpec(core.SchemeChitChat)
 	spec.Nodes = 0 // fails scenario validation inside the job
-	if _, err := RunAveraged(poolCtx(2), spec, []int64{1, 2, 3}); err == nil {
+	if _, err := runAveraged(poolCtx(2), spec, []int64{1, 2, 3}); err == nil {
 		t.Error("invalid spec must fail the sweep")
 	}
 }
@@ -176,7 +176,7 @@ func TestProgressCreditsOnlySimulatedTime(t *testing.T) {
 	pool.SetProgress(pr)
 	ctx, cancel := context.WithCancel(WithPool(context.Background(), pool))
 	time.AfterFunc(20*time.Millisecond, cancel)
-	if _, err := RunAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds); err != context.Canceled {
+	if _, err := runAveraged(ctx, p.baseSpec(core.SchemeChitChat), p.Seeds); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	s := pr.Snapshot()

@@ -44,9 +44,6 @@ func NewCalculator(params Params) (*Calculator, error) {
 	return &Calculator{params: params}, nil
 }
 
-// Params returns the calculator's configuration.
-func (c *Calculator) Params() Params { return c.params }
-
 // Software computes I_s per Algorithm 3:
 //
 //	if P_v = 0 ∧ R_u < R_v ∧ P_s = high:  I_s = I_m

@@ -47,7 +47,7 @@ func TestWalletBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Owner() != ident.NodeID(1) || w.Balance() != 200 {
+	if w.owner != ident.NodeID(1) || w.Balance() != 200 {
 		t.Error("wallet state wrong")
 	}
 	if _, err := NewWallet(1, -5); err == nil {
@@ -168,8 +168,8 @@ func TestSoftwareSpecialCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if is != c.Params().MaxIncentive {
-		t.Errorf("I_s = %v, want I_m = %v", is, c.Params().MaxIncentive)
+	if is != c.params.MaxIncentive {
+		t.Errorf("I_s = %v, want I_m = %v", is, c.params.MaxIncentive)
 	}
 }
 
@@ -191,7 +191,7 @@ func TestSoftwareGeneralFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	pv := 0.6 / 1.2
-	want := (0.25*(0.5+0.5) + 0.5*pv/(2*2)) * c.Params().MaxIncentive
+	want := (0.25*(0.5+0.5) + 0.5*pv/(2*2)) * c.params.MaxIncentive
 	if math.Abs(is-want) > 1e-12 {
 		t.Errorf("I_s = %v, want %v", is, want)
 	}
@@ -211,7 +211,7 @@ func TestSoftwareMaxedFactorsEqualMaxIncentive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(is-c.Params().MaxIncentive) > 1e-12 {
+	if math.Abs(is-c.params.MaxIncentive) > 1e-12 {
 		t.Errorf("maxed I_s = %v, want I_m", is)
 	}
 }
@@ -243,10 +243,10 @@ func TestSoftwareFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 0.25 * (0.5 + 0.5) * c.Params().MaxIncentive; floor != want {
+	if want := 0.25 * (0.5 + 0.5) * c.params.MaxIncentive; floor != want {
 		t.Errorf("SoftwareFloor = %v, want %v", floor, want)
 	}
-	if is, _ := c.Software(f); is != c.Params().MaxIncentive || floor > is {
+	if is, _ := c.Software(f); is != c.params.MaxIncentive || floor > is {
 		t.Errorf("special case I_s = %v, floor %v: want I_m above the floor", is, floor)
 	}
 	for _, bad := range []SoftwareFactors{
@@ -262,12 +262,12 @@ func TestSoftwareFloor(t *testing.T) {
 func TestHardwareFormulas(t *testing.T) {
 	c := calc(t)
 	ihSrc := c.HardwareSource(0.1, 10*time.Second)
-	want := c.Params().HardwareCoeff * 0.1 * 10
+	want := c.params.HardwareCoeff * 0.1 * 10
 	if math.Abs(ihSrc-want) > 1e-12 {
 		t.Errorf("HardwareSource = %v, want %v", ihSrc, want)
 	}
 	ihRelay := c.HardwareRelay(0.1, 0.02, 10*time.Second)
-	wantRelay := c.Params().HardwareCoeff * 0.12 * 10
+	wantRelay := c.params.HardwareCoeff * 0.12 * 10
 	if math.Abs(ihRelay-wantRelay) > 1e-12 {
 		t.Errorf("HardwareRelay = %v, want %v", ihRelay, wantRelay)
 	}
@@ -278,7 +278,7 @@ func TestHardwareFormulas(t *testing.T) {
 
 func TestTotalCapped(t *testing.T) {
 	c := calc(t)
-	im := c.Params().MaxIncentive
+	im := c.params.MaxIncentive
 	if got := c.Total(im, im); got != im {
 		t.Errorf("Total over cap = %v, want %v", got, im)
 	}
@@ -292,7 +292,7 @@ func TestTotalCapped(t *testing.T) {
 
 func TestTagReward(t *testing.T) {
 	c := calc(t)
-	p := c.Params()
+	p := c.params
 	if got := c.TagReward(0); got != 0 {
 		t.Errorf("TagReward(0) = %v", got)
 	}
@@ -312,7 +312,7 @@ func TestTagReward(t *testing.T) {
 
 func TestRelayPrepay(t *testing.T) {
 	c := calc(t)
-	p := c.Params()
+	p := c.params
 	if _, due := c.RelayPrepay(p.RelayThreshold-0.01, 10); due {
 		t.Error("below threshold must not prepay")
 	}
@@ -347,7 +347,7 @@ func TestSoftwareBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if is < 0 || is > c.Params().MaxIncentive+1e-9 {
+		if is < 0 || is > c.params.MaxIncentive+1e-9 {
 			t.Fatalf("I_s = %v out of [0, I_m] for %+v", is, f)
 		}
 	}

@@ -29,9 +29,6 @@ func NewWallet(owner ident.NodeID, initial float64) (*Wallet, error) {
 	return &Wallet{owner: owner, balance: initial}, nil
 }
 
-// Owner returns the wallet's node.
-func (w *Wallet) Owner() ident.NodeID { return w.owner }
-
 // Balance returns the current token balance.
 func (w *Wallet) Balance() float64 { return w.balance }
 

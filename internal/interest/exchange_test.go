@@ -1,8 +1,6 @@
 package interest
 
 import (
-	"math"
-	"math/bits"
 	"testing"
 	"time"
 
@@ -15,56 +13,16 @@ func exchangeRound(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, 
 	x.Run(a, b, aID, bID, aPeers, bPeers, now, dt)
 }
 
-// DecayAgainst applies the decay algorithm eagerly at time now, treating as
-// "connected" every keyword held by any of the peers (Algorithm 1's "if a
-// device with I is connected": shared entries refresh T_l, the rest are
-// re-anchored at their materialized weight, pruned when dead). The peers
-// list must contain every currently connected device's table, not just the
-// exchange partner — a transient interest learned from one neighbour must
-// not decay while that neighbour is still attached. It is the eager decay
-// phase the equivalence tests lock the lazy round (Exchange.Run) against.
-func (t *Table) DecayAgainst(now time.Duration, peers ...*Table) {
-	prune := t.pruneScratch[:0]
-	for wi, w := range t.present {
-		m := w
-		for m != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(m))
-			m &= m - 1
-			shared := false
-			for _, peer := range peers {
-				if peer.present.Has(int(id)) {
-					shared = true
-					break
-				}
-			}
-			if shared {
-				t.lastShared[id] = now
-				continue
-			}
-			if t.reanchor(id, now) {
-				prune = append(prune, id)
-			}
-		}
-	}
-	for _, id := range prune {
-		t.removeRow(id)
-	}
-	t.pruneScratch = prune
-	if len(prune) > 0 {
-		t.maybeCompact()
-	}
-}
-
 // buildPair creates two tables over one interner with a mix of shared,
 // one-sided, direct, and transient interests.
 func buildPair(t *testing.T) (*Table, *Table) {
 	t.Helper()
 	in := NewInterner()
-	a, err := NewTable(DefaultParams(), in)
+	a, err := NewTable(DefaultParams(), in, &testClock{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTable(DefaultParams(), in)
+	b, err := NewTable(DefaultParams(), in, &testClock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +37,8 @@ func buildPair(t *testing.T) (*Table, *Table) {
 
 // TestExchangeGrowMatchesSlowPath verifies the in-place exchange round
 // (Exchange.Run) computes the same weights as the paper's literal
-// three-phase sequence (Decay, Snapshot/exchange, Grow) for a pairwise
-// contact. The fast tables are lazy — unshared rows keep their
+// three-phase sequence (DecayAgainst, Snapshot/exchange, Grow) for a
+// pairwise contact. The fast tables are lazy — unshared rows keep their
 // stored anchor — so the comparison reads them materialized at the
 // exchange time, where they must match the eagerly re-anchored slow tables
 // exactly.
@@ -93,22 +51,23 @@ func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 
 	exchangeRound(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
 
-	// Literal sequence: decay both against each other's keyword sets,
-	// exchange decayed snapshots, grow both.
-	slowA.Decay(now, keywordSet(slowB))
-	slowB.Decay(now, keywordSet(slowA))
+	// Literal sequence: decay both against each other (a first, so b's
+	// decay sees a's post-prune rows), exchange decayed snapshots, grow
+	// both.
+	slowA.DecayAgainst(now, slowB)
+	slowB.DecayAgainst(now, slowA)
 	snapA := slowA.Snapshot()
 	snapB := slowB.Snapshot()
 	slowA.Grow(now, []PeerView{{Peer: 2, ConnectedFor: dt, Weights: snapB}})
 	slowB.Grow(now, []PeerView{{Peer: 1, ConnectedFor: dt, Weights: snapA}})
 
 	for _, kw := range slowA.Keywords() {
-		if got, want := fastA.WeightAt(kw, now), slowA.Weight(kw); got != want {
+		if got, want := fastA.WeightAt(kw, now), slowA.WeightAt(kw, now); got != want {
 			t.Errorf("a[%q]: fast %v, slow %v", kw, got, want)
 		}
 	}
 	for _, kw := range slowB.Keywords() {
-		if got, want := fastB.WeightAt(kw, now), slowB.Weight(kw); got != want {
+		if got, want := fastB.WeightAt(kw, now), slowB.WeightAt(kw, now); got != want {
 			t.Errorf("b[%q]: fast %v, slow %v", kw, got, want)
 		}
 	}
@@ -116,14 +75,6 @@ func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 		t.Errorf("table sizes diverge: fast (%d, %d), slow (%d, %d)",
 			fastA.Len(), fastB.Len(), slowA.Len(), slowB.Len())
 	}
-}
-
-func keywordSet(t *Table) map[string]bool {
-	set := make(map[string]bool)
-	for _, kw := range t.Keywords() {
-		set[kw] = true
-	}
-	return set
 }
 
 func TestExchangeGrowAcquiresBothWays(t *testing.T) {
@@ -142,8 +93,9 @@ func TestExchangeGrowAcquiresBothWays(t *testing.T) {
 
 func TestExchangeGrowSymmetricForIdenticalTables(t *testing.T) {
 	in := NewInterner()
-	a, _ := NewTable(DefaultParams(), in)
-	b, _ := NewTable(DefaultParams(), in)
+	clk := &testClock{now: time.Minute}
+	a, _ := NewTable(DefaultParams(), in, clk)
+	b, _ := NewTable(DefaultParams(), in, clk)
 	for _, kw := range []string{"x", "y", "z"} {
 		a.DeclareDirect(kw, 0)
 		b.DeclareDirect(kw, 0)
@@ -152,30 +104,6 @@ func TestExchangeGrowSymmetricForIdenticalTables(t *testing.T) {
 	for _, kw := range []string{"x", "y", "z"} {
 		if a.Weight(kw) != b.Weight(kw) {
 			t.Errorf("identical tables diverged on %q: %v vs %v", kw, a.Weight(kw), b.Weight(kw))
-		}
-	}
-}
-
-func TestDecayAgainstMatchesDecay(t *testing.T) {
-	a1, b1 := buildPair(t)
-	a2, _ := buildPair(t)
-	now := 40 * time.Second
-	a1.DecayAgainst(now, b1)
-	// Multi-peer form: an interest held by any peer must hold its weight.
-	multiA, multiB := buildPair(t)
-	third, err := NewTable(DefaultParams(), multiA.in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	third.DeclareDirect("a-transient", 0)
-	multiA.DecayAgainst(now, multiB, third)
-	if got := multiA.Weight("a-transient"); got != 0.3 {
-		t.Errorf("interest shared by a second peer decayed to %v, want held at 0.3", got)
-	}
-	a2.Decay(now, map[string]bool{"shared": true, "b-only": true})
-	for _, kw := range a2.Keywords() {
-		if got, want := a1.Weight(kw), a2.Weight(kw); math.Abs(got-want) > 1e-12 {
-			t.Errorf("%q: DecayAgainst %v, Decay %v", kw, got, want)
 		}
 	}
 }
@@ -196,8 +124,8 @@ func TestInternerBasics(t *testing.T) {
 	if _, ok := in.Lookup("gamma"); ok {
 		t.Error("Lookup must not assign")
 	}
-	if in.Len() != 2 {
-		t.Errorf("Len = %d, want 2", in.Len())
+	if len(in.words) != 2 {
+		t.Errorf("%d words interned, want 2", len(in.words))
 	}
 	ids := in.IDs(nil, []string{"alpha", "gamma"})
 	if len(ids) != 2 || ids[0] != a {

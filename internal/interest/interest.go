@@ -13,12 +13,10 @@
 // rather than pointer chasing.
 //
 // Decay is lazy (see DESIGN.md "Lazy-decay interest tables"): a row stores
-// the weight as of its anchor time T_l (LastShared), and readers materialize
-// the decayed value on demand — one application of Algorithm 1's formula
-// over the elapsed gap — instead of every table being swept every round.
-// A table with a Clock attached (SetClock) materializes on every read; a
-// clockless table behaves like the historical eager implementation and
-// returns stored values.
+// the weight as of its anchor time T_l (LastShared), and every read
+// materializes the decayed value at the table's Clock — one application of
+// Algorithm 1's formula over the elapsed gap — instead of every table being
+// swept every round. Exchange runs Algorithms 1–2 in place over these rows.
 package interest
 
 import (
@@ -144,22 +142,22 @@ type Table struct {
 	// Params are immutable after construction.
 	invBeta      float64
 	invBetaTheta float64
-
-	// pruneScratch backs the eager decay's prune list. Tables are
-	// single-goroutine, like the engine that owns them.
-	pruneScratch []int32
 }
 
-// NewTable creates an empty table sharing the given interner. Every table
-// in a run must share one interner.
-func NewTable(params Params, in *Interner) (*Table, error) {
+// NewTable creates an empty table sharing the given interner whose reads
+// materialize decay at clock.Now() (the engine passes its kernel clock).
+// Every table in a run must share one interner.
+func NewTable(params Params, in *Interner, clock Clock) (*Table, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if in == nil {
 		return nil, fmt.Errorf("interest: table requires an interner")
 	}
-	t := &Table{params: params, in: in, nextDeath: noDeath}
+	if clock == nil {
+		return nil, fmt.Errorf("interest: table requires a clock")
+	}
+	t := &Table{params: params, in: in, clock: clock, nextDeath: noDeath}
 	t.invBeta = 1 / params.Beta
 	if params.PruneBelow > 0 {
 		t.invBetaTheta = 1 / (params.Beta * params.PruneBelow)
@@ -169,14 +167,6 @@ func NewTable(params Params, in *Interner) (*Table, error) {
 
 // Interner returns the shared keyword interner.
 func (t *Table) Interner() *Interner { return t.in }
-
-// SetClock attaches the virtual clock that drives lazy decay: reads
-// (Weight, SumWeightsIDs, Snapshot, …) materialize the time-decayed value
-// at clock.Now() instead of returning the stored anchor weight. The engine
-// attaches its kernel clock to every node's table; a clockless table (the
-// legacy construction) returns stored values, matching the historical
-// eager behaviour.
-func (t *Table) SetClock(c Clock) { t.clock = c }
 
 // Compactions returns how many times the dense row storage was truncated to
 // its live extent after evictions emptied the tail.
@@ -264,9 +254,9 @@ func (t *Table) maybeCompact() {
 
 // decayedWeight applies Algorithm 1's decay formula to a weight anchored
 // elapsed ago, returning the materialized value and whether a transient row
-// is dead (below the prune threshold). This one function backs the legacy
-// eager sweeps, the lazy read paths, and the exchange round, so every
-// consumer sees bit-identical arithmetic.
+// is dead (below the prune threshold). This one function backs the reads,
+// the eviction sweep and the exchange round, so every consumer sees
+// bit-identical arithmetic.
 //
 // Edge-case guard (documented in DESIGN.md): the printed divisor β·(T_c-T_l)
 // amplifies weights when below one (e.g. a sub-second gap); we clamp the
@@ -292,8 +282,7 @@ func (t *Table) materialized(id int32, now time.Duration) float64 {
 }
 
 // deadRow reports whether a transient row is below the prune threshold at
-// now — the exact eager prune test, shared by legacy Decay and the lazy
-// eviction sweep.
+// now: the prune test of the eviction sweep.
 func (t *Table) deadRow(id int32, now time.Duration) bool {
 	_, dead := decayedWeight(t.params, t.weights[id], false, now-t.lastShared[id])
 	return dead
@@ -342,14 +331,12 @@ func (t *Table) mergeDeath(w float64, at time.Duration) {
 // of its current weight and InitialWeight, and its anchor re-set to now —
 // the declaration is a fresh direct signal, so the promoted weight must not
 // keep decaying against the transient row's stale T_l (historically it did,
-// collapsing the weight bonus toward 0.5 on the next decay).
+// collapsing the weight bonus toward 0.5 on the next decay). The current
+// weight is the one observed at now.
 func (t *Table) DeclareDirect(kw string, now time.Duration) {
 	id := t.in.ID(kw)
 	if t.present.Has(int(id)) {
-		w := t.weights[id]
-		if t.clock != nil {
-			w = t.materialized(id, now)
-		}
+		w := t.materialized(id, now)
 		if w < InitialWeight {
 			w = InitialWeight
 		}
@@ -433,41 +420,20 @@ func (t *Table) SetWeight(kw string, w float64) {
 	}
 }
 
-// SetLastShared overwrites kw's anchor time T_l (raw row access for tests
-// and demos). It is a no-op for absent keywords.
-func (t *Table) SetLastShared(kw string, at time.Duration) {
-	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.Has(int(id)) {
-		return
-	}
-	t.lastShared[id] = at
-	if !t.direct.Has(int(id)) {
-		t.mergeDeath(t.weights[id], at)
-	}
-}
-
 // Has reports whether the table holds kw (direct or transient).
 func (t *Table) Has(kw string) bool {
 	id, ok := t.in.Lookup(kw)
 	return ok && t.present.Has(int(id))
 }
 
-// Weight returns the current weight for kw (zero when absent): the
-// materialized time-decayed value on clock-attached tables, the stored
-// anchor weight otherwise.
+// Weight returns kw's weight observed now (zero when absent): the stored
+// anchor decayed to the table clock's time.
 func (t *Table) Weight(kw string) float64 {
-	if t.clock != nil {
-		return t.WeightAt(kw, t.clock.Now())
-	}
-	id, ok := t.in.Lookup(kw)
-	if !ok || !t.present.Has(int(id)) {
-		return 0
-	}
-	return t.weights[id]
+	return t.WeightAt(kw, t.clock.Now())
 }
 
 // WeightAt returns kw's weight materialized at the explicit time now (zero
-// when absent), regardless of any attached clock.
+// when absent).
 func (t *Table) WeightAt(kw string, now time.Duration) float64 {
 	id, ok := t.in.Lookup(kw)
 	if !ok || !t.present.Has(int(id)) {
@@ -495,20 +461,7 @@ func (t *Table) SumWeights(keywords []string) float64 {
 
 // SumWeightsIDs is the interned-ID fast path of SumWeights.
 func (t *Table) SumWeightsIDs(ids []int32) float64 {
-	if t.clock != nil {
-		return t.SumWeightsIDsAt(ids, t.clock.Now())
-	}
-	var s float64
-	for _, id := range ids {
-		if t.present.Has(int(id)) {
-			s += t.weights[id]
-		}
-	}
-	return s
-}
-
-// SumWeightsIDsAt is SumWeightsIDs materialized at an explicit time.
-func (t *Table) SumWeightsIDsAt(ids []int32, now time.Duration) float64 {
+	now := t.clock.Now()
 	var s float64
 	for _, id := range ids {
 		if t.present.Has(int(id)) {
@@ -529,187 +482,12 @@ func (t *Table) HasDirectAnyID(ids []int32) bool {
 	return false
 }
 
-// MeanWeight returns the average weight over the keywords (zero for an
-// empty list). The relay-threshold prepayment compares this to 0.8.
-func (t *Table) MeanWeight(keywords []string) float64 {
-	if len(keywords) == 0 {
-		return 0
-	}
-	return t.SumWeights(keywords) / float64(len(keywords))
-}
-
-// MeanWeightIDs is the interned-ID fast path of MeanWeight.
+// MeanWeightIDs returns the average weight over the keywords' interned IDs
+// (zero for an empty list). The relay-threshold prepayment compares this to
+// 0.8.
 func (t *Table) MeanWeightIDs(ids []int32) float64 {
 	if len(ids) == 0 {
 		return 0
 	}
 	return t.SumWeightsIDs(ids) / float64(len(ids))
-}
-
-// Decay applies the decay algorithm (Paper I, Algorithm 1) eagerly at time
-// now. connected is the union of keywords shared by currently connected
-// devices: those entries keep their weight and refresh T_l; the rest are
-// re-anchored at their materialized value — weight and T_l written together,
-// so repeated Decay calls measure each interval exactly once. (The
-// historical implementation wrote the decayed weight but kept the old T_l,
-// so back-to-back sweeps compounded: total decay depended on how often the
-// caller happened to run, not on elapsed time.)
-//
-// The engine's exchange path no longer calls this — rounds run through
-// Exchange.Run and reads materialize lazily — but the operator façade
-// (Device.DecayWeights) and the equivalence tests keep the eager form.
-func (t *Table) Decay(now time.Duration, connected map[string]bool) {
-	prune := t.pruneScratch[:0]
-	for wi, w := range t.present {
-		m := w
-		for m != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(m))
-			m &= m - 1
-			if connected[t.in.Word(id)] {
-				t.lastShared[id] = now
-				continue
-			}
-			if t.reanchor(id, now) {
-				prune = append(prune, id)
-			}
-		}
-	}
-	for _, id := range prune {
-		t.removeRow(id)
-	}
-	t.pruneScratch = prune
-	if len(prune) > 0 {
-		t.maybeCompact()
-	}
-}
-
-// reanchor materializes one row at now and re-anchors it there, reporting
-// whether the (transient) row is dead instead of writing it.
-func (t *Table) reanchor(id int32, now time.Duration) bool {
-	direct := t.direct.Has(int(id))
-	w, dead := decayedWeight(t.params, t.weights[id], direct, now-t.lastShared[id])
-	if dead {
-		return true
-	}
-	if w == MaxWeight {
-		t.sat.Add(int(id))
-	} else {
-		t.sat.Remove(int(id))
-	}
-	t.weights[id] = w
-	t.lastShared[id] = now
-	if !direct {
-		t.mergeDeath(w, now)
-	}
-	return false
-}
-
-// PeerView is the decayed weight snapshot a connected device shares during
-// the RTSR exchange.
-type PeerView struct {
-	// Peer identifies the connected device.
-	Peer ident.NodeID
-	// ConnectedFor is T_c - T_v: how long this contact has lasted. With
-	// periodic exchanges the engine passes the interval since the previous
-	// exchange so growth accrues incrementally.
-	ConnectedFor time.Duration
-	// Weights maps keyword → (weight, direct?) as shared by the peer.
-	Weights map[string]PeerWeight
-}
-
-// PeerWeight is one shared interest row.
-type PeerWeight struct {
-	Weight float64
-	Direct bool
-}
-
-// Grow applies the growth algorithm (Paper I, Algorithm 2) with the views of
-// all currently connected peers. Unknown keywords shared by peers are first
-// acquired as transient interests, then grown — this is how "interests of
-// the connected devices can be acquired" (Paper II §3.2).
-func (t *Table) Grow(now time.Duration, peers []PeerView) {
-	// Acquire unknown keywords first so Δ accrues for them this round.
-	for _, pv := range peers {
-		for kw := range pv.Weights {
-			if !t.Has(kw) {
-				t.Acquire(kw, pv.Peer, now)
-			}
-		}
-	}
-	for wi, w := range t.present {
-		m := w
-		for m != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(m))
-			m &= m - 1
-			kw := t.in.Word(id)
-			var delta float64
-			shared := false
-			for _, pv := range peers {
-				pw, ok := pv.Weights[kw]
-				if !ok {
-					continue
-				}
-				shared = true
-				psi := psiCase(t.direct.Has(int(id)), pw.Direct)
-				delta += pw.Weight * t.params.GrowthRate * pv.ConnectedFor.Seconds() / float64(psi)
-			}
-			if shared {
-				t.lastShared[id] = now
-			}
-			nw := t.weights[id] + delta
-			if nw > MaxWeight {
-				nw = MaxWeight
-			}
-			if nw == MaxWeight {
-				t.sat.Add(int(id))
-			} else {
-				t.sat.Remove(int(id))
-			}
-			t.weights[id] = nw
-		}
-	}
-}
-
-// Snapshot exports the table for the RTSR exchange: materialized weights on
-// clock-attached tables, stored anchors otherwise.
-func (t *Table) Snapshot() map[string]PeerWeight {
-	var now time.Duration
-	lazy := t.clock != nil
-	if lazy {
-		now = t.clock.Now()
-	}
-	out := make(map[string]PeerWeight, t.count)
-	for wi, w := range t.present {
-		for w != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			wt := t.weights[id]
-			if lazy {
-				wt = t.materialized(id, now)
-			}
-			out[t.in.Word(id)] = PeerWeight{Weight: wt, Direct: t.direct.Has(int(id))}
-		}
-	}
-	return out
-}
-
-// psiCase maps the (local direct?, peer direct?) combination to the paper's
-// ψ ∈ {1..6}. The paper spells out two cases ("if both u and v have I as a
-// direct interest, ψ is 1; if u has a direct interest and v has a transient
-// interest, ψ is 2"); the remaining assignments extend the pattern: growth
-// is fastest when both sides truly care, slowest when the interest is
-// second-hand on both sides. Cases 5 and 6 (u does not yet hold I) apply to
-// freshly acquired entries, which the exchange creates as transient before
-// growing, so they are reached via the transient rows' first growth round.
-func psiCase(localDirect, peerDirect bool) int {
-	switch {
-	case localDirect && peerDirect:
-		return 1
-	case localDirect && !peerDirect:
-		return 2
-	case !localDirect && peerDirect:
-		return 3
-	default:
-		return 4
-	}
 }

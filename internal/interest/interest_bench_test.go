@@ -12,11 +12,12 @@ func benchTables(b *testing.B, interests int) (*Table, *Table) {
 	b.Helper()
 	in := NewInterner()
 	rng := sim.NewRNG(1)
-	a, err := NewTable(DefaultParams(), in)
+	clock := &sim.Clock{}
+	a, err := NewTable(DefaultParams(), in, clock)
 	if err != nil {
 		b.Fatal(err)
 	}
-	t2, err := NewTable(DefaultParams(), in)
+	t2, err := NewTable(DefaultParams(), in, clock)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func BenchmarkExchange(b *testing.B) {
 func benchBigTable(b *testing.B, in *Interner, n int, seed int64, now time.Duration) *Table {
 	b.Helper()
 	rng := sim.NewRNG(seed)
-	t, err := NewTable(DefaultParams(), in)
+	t, err := NewTable(DefaultParams(), in, &sim.Clock{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,39 +73,12 @@ func benchBigTable(b *testing.B, in *Interner, n int, seed int64, now time.Durat
 	return t
 }
 
-// BenchmarkInterestTable exercises the struct-of-arrays table at 1k/10k
-// keyword vocabularies across the three table-heavy operations: the eager
-// decay sweep, the growth pass, and the full pairwise exchange round. CI
-// runs it under -race -benchtime=1x as a layout-regression smoke test.
+// BenchmarkInterestTable times the full pairwise exchange round over the
+// struct-of-arrays table at 1k/10k keyword vocabularies. CI runs it under
+// -race -benchtime=1x as a layout-regression smoke test.
 func BenchmarkInterestTable(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		n := n
-		b.Run("decay/"+strconv.Itoa(n), func(b *testing.B) {
-			in := NewInterner()
-			t := benchBigTable(b, in, n, 1, 0)
-			connected := map[string]bool{"kw-1": true, "kw-2": true}
-			now := time.Duration(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// A short step keeps the divisor under the clamp: every row
-				// is visited but none prunes, so the table size is stable
-				// across iterations.
-				now += 100 * time.Millisecond
-				t.Decay(now, connected)
-			}
-		})
-		b.Run("grow/"+strconv.Itoa(n), func(b *testing.B) {
-			in := NewInterner()
-			t := benchBigTable(b, in, n, 1, 0)
-			peer := benchBigTable(b, in, n, 2, 0)
-			view := PeerView{Peer: 2, ConnectedFor: 10 * time.Second, Weights: peer.Snapshot()}
-			now := time.Duration(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now += 10 * time.Second
-				t.Grow(now, []PeerView{view})
-			}
-		})
 		b.Run("exchange/"+strconv.Itoa(n), func(b *testing.B) {
 			in := NewInterner()
 			t := benchBigTable(b, in, n, 1, 0)

@@ -12,12 +12,37 @@ import (
 
 func newTable(t *testing.T) *Table {
 	t.Helper()
-	tab, err := NewTable(DefaultParams(), NewInterner())
+	tab, _ := newClockedTable(t)
+	return tab
+}
+
+// newClockedTable returns an empty table and the settable clock its reads
+// materialize decay at.
+func newClockedTable(t *testing.T) (*Table, *testClock) {
+	t.Helper()
+	clk := &testClock{}
+	tab, err := NewTable(DefaultParams(), NewInterner(), clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tab
+	return tab, clk
 }
+
+// newPeer returns an empty table on tab's interner and clock, as the engine
+// builds every node's table.
+func newPeer(t *testing.T, tab *Table) *Table {
+	t.Helper()
+	peer, err := NewTable(tab.params, tab.in, tab.clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peer
+}
+
+// testClock is a settable interest.Clock.
+type testClock struct{ now time.Duration }
+
+func (c *testClock) Now() time.Duration { return c.now }
 
 func TestParamsValidate(t *testing.T) {
 	good := DefaultParams()
@@ -38,8 +63,14 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestNewTableRequiresInterner(t *testing.T) {
-	if _, err := NewTable(DefaultParams(), nil); err == nil {
+	if _, err := NewTable(DefaultParams(), nil, &testClock{}); err == nil {
 		t.Error("nil interner must fail")
+	}
+}
+
+func TestNewTableRequiresClock(t *testing.T) {
+	if _, err := NewTable(DefaultParams(), NewInterner(), nil); err == nil {
+		t.Error("nil clock must fail")
 	}
 }
 
@@ -86,8 +117,8 @@ func TestPromoteTransientToDirect(t *testing.T) {
 	if e.Weight != InitialWeight {
 		t.Errorf("promoted weight = %v, want raised to %v", e.Weight, InitialWeight)
 	}
-	// Promotion must keep a higher existing weight.
-	tab.Acquire("hot", ident.NodeID(5), 0)
+	// Promotion must keep a higher observed weight.
+	tab.Acquire("hot", ident.NodeID(5), time.Second)
 	tab.SetWeight("hot", 0.9)
 	tab.DeclareDirect("hot", time.Second)
 	if w := tab.Weight("hot"); w != 0.9 {
@@ -103,10 +134,12 @@ func TestPromoteTransientToDirect(t *testing.T) {
 // printed arithmetic drops a factor; we implement the formula as printed,
 // so the expected value here is 0.51.)
 func TestDecayPaperExample(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
 	tab.DeclareDirect("food coupon", 0)
 	tab.SetWeight("food coupon", 0.6)
-	tab.Decay(5*time.Second, nil)
+	clk.now = 5 * time.Second
+	var x Exchange
+	x.Decay(tab, nil, clk.now)
 	want := (0.6-0.5)/(2*5) + 0.5
 	if got := tab.Weight("food coupon"); math.Abs(got-want) > 1e-12 {
 		t.Errorf("decayed weight = %v, want %v", got, want)
@@ -114,10 +147,12 @@ func TestDecayPaperExample(t *testing.T) {
 }
 
 func TestDecayDirectApproachesHalf(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
 	tab.DeclareDirect("a", 0)
 	tab.SetWeight("a", 1.0)
-	tab.Decay(1000*time.Second, nil)
+	clk.now = 1000 * time.Second
+	var x Exchange
+	x.Decay(tab, nil, clk.now)
 	w := tab.Weight("a")
 	if w < 0.5 || w > 0.51 {
 		t.Errorf("long-decayed direct weight = %v, want ≈0.5 from above", w)
@@ -128,60 +163,68 @@ func TestDecayTransientApproachesZeroAndPrunes(t *testing.T) {
 	tab := newTable(t)
 	tab.Acquire("a", 1, 0)
 	tab.SetWeight("a", 0.4)
-	tab.Decay(1000*time.Second, nil)
+	var x Exchange
+	if sweeps, evictions := x.Decay(tab, nil, 1000*time.Second); sweeps != 1 || evictions != 1 {
+		t.Errorf("decay ran %d sweeps evicting %d rows, want 1 and 1", sweeps, evictions)
+	}
 	if tab.Has("a") {
 		t.Error("deep-decayed transient entry should be pruned")
 	}
 }
 
 func TestDecayConnectedKeywordHolds(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
+	peer := newPeer(t, tab)
 	tab.DeclareDirect("a", 0)
 	tab.SetWeight("a", 0.9)
-	tab.Decay(100*time.Second, map[string]bool{"a": true})
+	peer.DeclareDirect("a", 0)
+	clk.now = 100 * time.Second
+	var x Exchange
+	x.Decay(tab, []*Table{peer}, clk.now)
 	if w := tab.Weight("a"); w != 0.9 {
 		t.Errorf("connected keyword decayed: %v", w)
 	}
-	// And T_l must refresh, so a subsequent decay measures from now.
-	tab.Decay(101*time.Second, nil)
-	if w := tab.Weight("a"); w != 0.9 {
-		// div = 2*(101-100) = 2 → (0.9-0.5)/2+0.5 = 0.7
-		if math.Abs(w-0.7) > 1e-12 {
-			t.Errorf("post-refresh decay = %v, want 0.7", w)
-		}
+	// And T_l must refresh, so a later read measures from now:
+	// div = 2·(101-100) = 2 → (0.9-0.5)/2+0.5 = 0.7.
+	clk.now = 101 * time.Second
+	if w := tab.Weight("a"); math.Abs(w-0.7) > 1e-12 {
+		t.Errorf("post-refresh decay = %v, want 0.7", w)
 	}
 }
 
 func TestDecayGuardSubUnitDivisor(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
 	tab.DeclareDirect("a", 0)
 	tab.SetWeight("a", 0.6)
 	// β·ΔT = 2·0.25 = 0.5 < 1 would amplify; the guard keeps the weight.
-	tab.Decay(250*time.Millisecond, nil)
+	clk.now = 250 * time.Millisecond
+	var x Exchange
+	x.Decay(tab, nil, clk.now)
 	if w := tab.Weight("a"); w != 0.6 {
 		t.Errorf("sub-unit divisor changed weight to %v", w)
 	}
 }
 
 func TestGrowthSharedInterest(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
+	peer := newPeer(t, tab)
 	tab.DeclareDirect("a", 0)
-	view := PeerView{
-		Peer:         ident.NodeID(2),
-		ConnectedFor: time.Minute,
-		Weights:      map[string]PeerWeight{"a": {Weight: 0.5, Direct: true}},
-	}
-	tab.Grow(time.Minute, []PeerView{view})
+	peer.DeclareDirect("a", 0)
+	clk.now = time.Minute
+	exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, clk.now, time.Minute)
 	// Δ = 0.5 · (1/60) · 60 / ψ=1 = 0.5 → 1.0 capped at 1.
 	if w := tab.Weight("a"); math.Abs(w-1.0) > 1e-12 {
 		t.Errorf("grown weight = %v, want 1.0", w)
 	}
 }
 
+// TestGrowthPsiCases pins psiInvIdx's encoding of the paper's ψ cases: for
+// each (local direct?, peer direct?) pair, growthDeltaIdx must return x/ψ
+// bit for bit.
 func TestGrowthPsiCases(t *testing.T) {
 	tests := []struct {
 		local, peer bool
-		want        int
+		psi         float64
 	}{
 		{true, true, 1},
 		{true, false, 2},
@@ -189,20 +232,28 @@ func TestGrowthPsiCases(t *testing.T) {
 		{false, false, 4},
 	}
 	for _, tt := range tests {
-		if got := psiCase(tt.local, tt.peer); got != tt.want {
-			t.Errorf("psiCase(%v, %v) = %d, want %d", tt.local, tt.peer, got, tt.want)
+		var k uint64
+		if tt.local {
+			k |= 0b10
+		}
+		if tt.peer {
+			k |= 0b01
+		}
+		for _, x := range []float64{0.1, 1.0 / 3, 0.7} {
+			if got, want := growthDeltaIdx(x, k), x/tt.psi; got != want {
+				t.Errorf("growthDeltaIdx(%v, local=%v peer=%v) = %v, want %v", x, tt.local, tt.peer, got, want)
+			}
 		}
 	}
 }
 
 func TestGrowthAcquiresUnknownKeywords(t *testing.T) {
-	tab := newTable(t)
-	view := PeerView{
-		Peer:         ident.NodeID(3),
-		ConnectedFor: 30 * time.Second,
-		Weights:      map[string]PeerWeight{"new": {Weight: 0.8, Direct: true}},
-	}
-	tab.Grow(time.Minute, []PeerView{view})
+	tab, clk := newClockedTable(t)
+	peer := newPeer(t, tab)
+	clk.now = time.Minute
+	peer.DeclareDirect("new", clk.now)
+	peer.SetWeight("new", 0.8)
+	exchangeRound(tab, peer, 1, 3, []*Table{peer}, []*Table{tab}, clk.now, 30*time.Second)
 	e, ok := tab.Row("new")
 	if !ok {
 		t.Fatal("unknown keyword not acquired")
@@ -219,15 +270,14 @@ func TestGrowthAcquiresUnknownKeywords(t *testing.T) {
 }
 
 func TestWeightsCappedAtMax(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
+	peer := newPeer(t, tab)
 	tab.DeclareDirect("a", 0)
 	tab.SetWeight("a", 0.99)
-	view := PeerView{
-		Peer:         ident.NodeID(2),
-		ConnectedFor: time.Hour,
-		Weights:      map[string]PeerWeight{"a": {Weight: 1, Direct: true}},
-	}
-	tab.Grow(time.Hour, []PeerView{view})
+	peer.DeclareDirect("a", 0)
+	peer.SetWeight("a", 1)
+	clk.now = time.Hour
+	exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, clk.now, time.Hour)
 	if w := tab.Weight("a"); w > MaxWeight {
 		t.Errorf("weight %v exceeds cap", w)
 	}
@@ -268,11 +318,11 @@ func TestSumAndMeanWeights(t *testing.T) {
 	if s := tab.SumWeights(kws); math.Abs(s-1.0) > 1e-12 {
 		t.Errorf("SumWeights = %v, want 1.0", s)
 	}
-	if m := tab.MeanWeight(kws); math.Abs(m-1.0/3) > 1e-12 {
-		t.Errorf("MeanWeight = %v, want 1/3", m)
+	if m := tab.MeanWeightIDs(tab.Interner().IDs(nil, kws)); math.Abs(m-1.0/3) > 1e-12 {
+		t.Errorf("MeanWeightIDs = %v, want 1/3", m)
 	}
-	if tab.MeanWeight(nil) != 0 {
-		t.Error("MeanWeight(nil) must be 0")
+	if tab.MeanWeightIDs(nil) != 0 {
+		t.Error("MeanWeightIDs(nil) must be 0")
 	}
 }
 
@@ -287,8 +337,8 @@ func TestIDFastPathsMatchStringPaths(t *testing.T) {
 	if got, want := tab.SumWeightsIDs(ids), tab.SumWeights(kws); math.Abs(got-want) > 1e-12 {
 		t.Errorf("SumWeightsIDs = %v, SumWeights = %v", got, want)
 	}
-	if got, want := tab.MeanWeightIDs(ids), tab.MeanWeight(kws); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MeanWeightIDs = %v, MeanWeight = %v", got, want)
+	if got, want := tab.MeanWeightIDs(ids), tab.SumWeights(kws)/float64(len(kws)); math.Abs(got-want) > 1e-12 {
+		t.Errorf("MeanWeightIDs = %v, mean of SumWeights = %v", got, want)
 	}
 	if !tab.HasDirectAnyID(ids) {
 		t.Error("HasDirectAnyID missed the direct interest")
@@ -310,36 +360,14 @@ func TestKeywordsSorted(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	tab := newTable(t)
-	tab.DeclareDirect("a", 0)
-	tab.Acquire("b", 2, 0)
-	snap := tab.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot size = %d", len(snap))
-	}
-	if !snap["a"].Direct || snap["a"].Weight != InitialWeight {
-		t.Errorf("snapshot[a] = %+v", snap["a"])
-	}
-	if snap["b"].Direct {
-		t.Error("snapshot[b] must be transient")
-	}
-}
-
-// testClock is a settable interest.Clock for exercising lazy reads.
-type testClock struct{ now time.Duration }
-
-func (c *testClock) Now() time.Duration { return c.now }
-
 // TestDeclareDirectPromotionRefreshesAnchor is the regression test for the
 // promotion bug: promoting a transient entry must re-anchor T_l at the
 // declaration time, otherwise the promoted weight decays against the stale
 // transient anchor and the direct bonus collapses toward 0.5 on the very
 // next decay.
 func TestDeclareDirectPromotionRefreshesAnchor(t *testing.T) {
-	tab := newTable(t)
+	tab, clk := newClockedTable(t)
 	tab.Acquire("news", ident.NodeID(5), 0)
-	tab.SetWeight("news", 0.9)
 	promoted := 100 * time.Second
 	tab.DeclareDirect("news", promoted)
 	e, ok := tab.Row("news")
@@ -349,22 +377,22 @@ func TestDeclareDirectPromotionRefreshesAnchor(t *testing.T) {
 	if e.LastShared != promoted {
 		t.Fatalf("promoted LastShared = %v, want re-anchored at %v", e.LastShared, promoted)
 	}
-	// Decay 5 s after the promotion: div = 2·5 = 10, so the weight must be
+	// Stage a direct bonus on the promoted row; SetWeight keeps T_l. Read
+	// 5 s after the promotion: div = 2·5 = 10, so the weight must be
 	// (0.9-0.5)/10 + 0.5 = 0.54. Against the stale anchor the divisor would
 	// be 2·105 = 210 and the bonus would collapse to ≈0.502.
-	tab.Decay(105*time.Second, nil)
+	tab.SetWeight("news", 0.9)
+	clk.now = 105 * time.Second
 	if w, want := tab.Weight("news"), (0.9-0.5)/10+0.5; math.Abs(w-want) > 1e-12 {
 		t.Errorf("post-promotion decay = %v, want %v", w, want)
 	}
 }
 
-// TestDeclareDirectPromotionMaterializesLazyWeight: with a clock attached
-// the promoted weight must be the currently observed (decayed) value, not
-// the stale stored anchor — promotion re-anchors what the user sees.
+// TestDeclareDirectPromotionMaterializesLazyWeight: the promoted weight
+// must be the currently observed (decayed) value, not the stale stored
+// anchor — promotion re-anchors what the user sees.
 func TestDeclareDirectPromotionMaterializesLazyWeight(t *testing.T) {
-	tab := newTable(t)
-	clk := &testClock{}
-	tab.SetClock(clk)
+	tab, clk := newClockedTable(t)
 	tab.Acquire("news", ident.NodeID(5), 0)
 	tab.SetWeight("news", 0.9)
 	clk.now = 10 * time.Second
@@ -380,66 +408,36 @@ func TestDeclareDirectPromotionMaterializesLazyWeight(t *testing.T) {
 	}
 }
 
-// TestDecayReusesPruneScratch is the regression test for the per-call prune
-// slice churn: a steady-state Decay — including one that prunes rows — must
-// not allocate.
-func TestDecayReusesPruneScratch(t *testing.T) {
-	tab := newTable(t)
-	words := []string{"a", "b", "c", "d"}
-	now := time.Duration(0)
-	reload := func() {
-		for _, kw := range words {
-			tab.Acquire(kw, 1, now)
-			tab.SetWeight(kw, 0.4)
-		}
-	}
-	// Warm the payload slices, bitsets, and prune scratch once.
-	reload()
-	now += 1000 * time.Second
-	tab.Decay(now, nil)
-	if tab.Len() != 0 {
-		t.Fatal("warm-up decay did not prune")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		reload()
-		now += 1000 * time.Second
-		tab.Decay(now, nil) // prunes all four rows every run
-	})
-	if allocs != 0 {
-		t.Errorf("Decay allocated %v objects per run, want 0", allocs)
-	}
-}
-
 // TestPruneAtThresholdKept pins the strict-< prune comparison: a transient
 // weight that decays to exactly PruneBelow survives; one ulp of further
 // decay evicts it.
 func TestPruneAtThresholdKept(t *testing.T) {
-	tab := newTable(t) // θ = 0.01
+	tab, clk := newClockedTable(t) // θ = 0.01
 	tab.Acquire("a", 1, 0)
 	tab.SetWeight("a", 0.02)
 	// div = 2·1 = 2 → 0.02/2 = 0.01 = θ exactly: kept.
-	tab.Decay(time.Second, nil)
+	clk.now = time.Second
+	var x Exchange
+	x.Decay(tab, nil, clk.now)
 	if !tab.Has("a") {
 		t.Fatal("row at exactly the prune threshold must survive")
 	}
 	if w := tab.Weight("a"); w != 0.01 {
 		t.Fatalf("threshold weight = %v, want 0.01", w)
 	}
-	// From the re-anchored 0.01, any further decay goes below θ: evicted.
-	tab.Decay(2*time.Second, nil)
+	// Any further decay goes below θ: div = 2·2 = 4 → 0.005, evicted.
+	clk.now = 2 * time.Second
+	x.Decay(tab, nil, clk.now)
 	if tab.Has("a") {
 		t.Error("row below the prune threshold must be evicted")
 	}
 }
 
-// TestLazyReadsMaterializeWithClock: a clock-attached table's read paths
-// (Weight, SumWeightsIDs, Snapshot) return the time-decayed value while the
-// stored anchor row stays untouched; the clockless table keeps the
-// historical stored-value behaviour.
+// TestLazyReadsMaterializeWithClock: a table's read paths (Weight,
+// SumWeightsIDs) return the value decayed to its clock's time while the
+// stored anchor row stays untouched.
 func TestLazyReadsMaterializeWithClock(t *testing.T) {
-	tab := newTable(t)
-	clk := &testClock{}
-	tab.SetClock(clk)
+	tab, clk := newClockedTable(t)
 	tab.DeclareDirect("a", 0)
 	tab.SetWeight("a", 0.9)
 	clk.now = 5 * time.Second
@@ -450,9 +448,6 @@ func TestLazyReadsMaterializeWithClock(t *testing.T) {
 	ids := tab.Interner().IDs(nil, []string{"a"})
 	if s := tab.SumWeightsIDs(ids); math.Abs(s-want) > 1e-12 {
 		t.Errorf("lazy SumWeightsIDs = %v, want %v", s, want)
-	}
-	if snap := tab.Snapshot(); math.Abs(snap["a"].Weight-want) > 1e-12 {
-		t.Errorf("lazy Snapshot = %v, want %v", snap["a"].Weight, want)
 	}
 	// The stored anchor is untouched: reads are pure.
 	if e, _ := tab.Row("a"); e.Weight != 0.9 || e.LastShared != 0 {
@@ -470,20 +465,19 @@ func TestWeightsAlwaysInRange(t *testing.T) {
 	rng := sim.NewRNG(21)
 	words := []string{"a", "b", "c", "d", "e", "f"}
 	for trial := 0; trial < 20; trial++ {
-		tab := newTable(t)
-		peer := newTable(t)
-		// Tables must share one interner for the exchange path.
-		peer.in = tab.in
-		now := time.Duration(0)
+		tab, clk := newClockedTable(t)
+		peer := newPeer(t, tab)
+		var x Exchange
 		for op := 0; op < 300; op++ {
-			now += time.Duration(rng.Intn(30)+1) * time.Second
+			clk.now += time.Duration(rng.Intn(30)+1) * time.Second
+			now := clk.now
 			switch rng.Intn(4) {
 			case 0:
 				tab.DeclareDirect(words[rng.Intn(len(words))], now)
 			case 1:
 				peer.DeclareDirect(words[rng.Intn(len(words))], now)
 			case 2:
-				tab.Decay(now, nil)
+				x.Decay(tab, nil, now)
 			default:
 				exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, now, time.Duration(rng.Intn(60))*time.Second)
 			}
@@ -502,12 +496,7 @@ func TestWeightsAlwaysInRange(t *testing.T) {
 // compactions counter moves), and the compacted table must keep serving
 // reads and re-acquisitions of IDs past the truncated extent.
 func TestCompactionTruncatesAfterPrune(t *testing.T) {
-	params := DefaultParams()
-	in := NewInterner()
-	tab, err := NewTable(params, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, clk := newClockedTable(t)
 	// One durable direct row at interned ID 0, then a long transient tail
 	// spanning several bitset words.
 	tab.DeclareDirect("kept", 0)
@@ -519,7 +508,9 @@ func TestCompactionTruncatesAfterPrune(t *testing.T) {
 	}
 	// Deep decay prunes every transient (direct rows only approach 0.5),
 	// which leaves word 0 as the highest occupied word out of five.
-	tab.Decay(1000*time.Second, nil)
+	clk.now = 1000 * time.Second
+	var x Exchange
+	x.Decay(tab, nil, clk.now)
 	if tab.Len() != 1 {
 		t.Fatalf("len after deep decay = %d, want 1", tab.Len())
 	}

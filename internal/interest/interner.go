@@ -36,9 +36,6 @@ func (in *Interner) Lookup(kw string) (int32, bool) {
 // Word returns the keyword for an identifier.
 func (in *Interner) Word(id int32) string { return in.words[id] }
 
-// Len returns the number of interned keywords.
-func (in *Interner) Len() int { return len(in.words) }
-
 // IDs appends the identifiers for kws to dst (assigning as needed) and
 // returns the extended slice.
 func (in *Interner) IDs(dst []int32, kws []string) []int32 {

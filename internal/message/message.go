@@ -263,14 +263,6 @@ func (m *Message) Enrichers() []ident.NodeID {
 	return out
 }
 
-// Holder returns the current custodian (last element of the path).
-func (m *Message) Holder() ident.NodeID {
-	if len(m.Path) == 0 {
-		return ident.Nobody
-	}
-	return m.Path[len(m.Path)-1]
-}
-
 // HopCount returns the number of transfers so far (path length minus one).
 func (m *Message) HopCount() int {
 	if len(m.Path) == 0 {
@@ -301,19 +293,6 @@ func (m *Message) CopyFor(next ident.NodeID) *Message {
 // AttachRating records a path rating carried with this copy.
 func (m *Message) AttachRating(r PathRating) {
 	m.PathRatings = append(m.PathRatings, r)
-}
-
-// RatingValues returns the carried path-rating values (r_{m_v,x}); the
-// destination's award formula averages these.
-func (m *Message) RatingValues() []float64 {
-	if len(m.PathRatings) == 0 {
-		return nil
-	}
-	out := make([]float64, len(m.PathRatings))
-	for i, r := range m.PathRatings {
-		out[i] = r.Rating
-	}
-	return out
 }
 
 // String summarises the message for logs.

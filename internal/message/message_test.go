@@ -144,7 +144,7 @@ func TestRelevantTagsMatchAnnotations(t *testing.T) {
 				copies = append(copies, c)
 			} else {
 				kw := words[rng.Intn(len(words))]
-				if c.Annotate(kw, c.Holder(), time.Duration(op)*time.Second) && c.Relevant(kw) {
+				if c.Annotate(kw, c.Path[len(c.Path)-1], time.Duration(op)*time.Second) && c.Relevant(kw) {
 					if c.HopCount() == 0 {
 						sourceRelevant++
 					} else {
@@ -179,11 +179,11 @@ func TestCopyForIndependence(t *testing.T) {
 	if clone.ID != m.ID || clone.Handle != m.Handle {
 		t.Errorf("clone is %s/%d, want the original's %s/%d", clone.ID, clone.Handle, m.ID, m.Handle)
 	}
-	if clone.Holder() != ident.NodeID(2) {
-		t.Errorf("clone holder = %v", clone.Holder())
+	if holder := clone.Path[len(clone.Path)-1]; holder != ident.NodeID(2) {
+		t.Errorf("clone holder = %v", holder)
 	}
-	if m.Holder() != m.Source {
-		t.Errorf("original holder changed: %v", m.Holder())
+	if len(m.Path) != 1 || m.Path[0] != m.Source {
+		t.Errorf("original path changed: %v", m.Path)
 	}
 	clone.Annotate("car", 2, 0)
 	if m.HasKeyword("car") {
@@ -204,24 +204,8 @@ func TestCopyForIndependence(t *testing.T) {
 	}
 }
 
-func TestRatingValues(t *testing.T) {
-	m := newTestMessage(t)
-	if m.RatingValues() != nil {
-		t.Error("no ratings should yield nil")
-	}
-	m.AttachRating(PathRating{Rater: 2, Subject: 1, Rating: 3.5})
-	m.AttachRating(PathRating{Rater: 3, Subject: 1, Rating: 4.5})
-	vals := m.RatingValues()
-	if len(vals) != 2 || vals[0] != 3.5 || vals[1] != 4.5 {
-		t.Errorf("RatingValues = %v", vals)
-	}
-}
-
 func TestHolderEmptyPath(t *testing.T) {
 	m := &Message{}
-	if m.Holder() != ident.Nobody {
-		t.Error("empty path holder must be Nobody")
-	}
 	if m.HopCount() != 0 {
 		t.Error("empty path hop count must be 0")
 	}

@@ -31,8 +31,6 @@ type Model interface {
 // Waypoints deliberately does not implement SpeedBounded: it pins positions
 // at instants, so a step that crosses a pin teleports the node — the
 // effective speed depends on the tick granularity, not the model.
-// GroupMember does not either: its convergence step covers a fraction of
-// the (unbounded) distance to the leader's side.
 type SpeedBounded interface {
 	Model
 	// MaxSpeed returns an upper bound on the model's speed in m/s,

@@ -25,9 +25,6 @@ func TestRegistryCounterOrderAndValues(t *testing.T) {
 	if a.Value() != 5 || b.Value() != 1 {
 		t.Fatalf("counter values = %d, %d; want 5, 1", a.Value(), b.Value())
 	}
-	if a.Name() != "alpha" {
-		t.Errorf("Name() = %q", a.Name())
-	}
 	snap := r.Snapshot(10*time.Second, 2*time.Second, 10, 7)
 	want := []obs.CounterValue{{Name: "alpha", Value: 5}, {Name: "beta", Value: 1}}
 	if len(snap.Counters) != len(want) {
@@ -47,13 +44,10 @@ func TestRegistryPhaseAccrual(t *testing.T) {
 	r.AddPhase(obs.PhaseExchange, 200*time.Millisecond)
 	r.AddPhase(obs.Phase(-1), time.Hour) // ignored
 	r.AddPhase(obs.NumPhases, time.Hour) // ignored
-	if got := r.PhaseTotal(obs.PhaseMove); got != 150*time.Millisecond {
-		t.Errorf("PhaseTotal(move) = %v, want 150ms", got)
-	}
-	if got := r.PhaseTotal(obs.NumPhases); got != 0 {
-		t.Errorf("out-of-range PhaseTotal = %v, want 0", got)
-	}
 	snap := r.Snapshot(0, 0, 0, 0)
+	if got := snap.Phase("move"); got != 0.15 {
+		t.Errorf("snapshot move phase = %v, want 0.15", got)
+	}
 	if got := snap.Phase("exchange"); got != 0.2 {
 		t.Errorf("snapshot exchange phase = %v, want 0.2", got)
 	}
@@ -64,13 +58,12 @@ func TestRegistryPhaseAccrual(t *testing.T) {
 
 func TestPhaseNames(t *testing.T) {
 	want := []string{"move", "detect", "contacts", "exchange", "events"}
-	got := obs.PhaseNames()
-	if len(got) != len(want) {
-		t.Fatalf("PhaseNames() = %v", got)
+	if int(obs.NumPhases) != len(want) {
+		t.Fatalf("NumPhases = %d, want %d", obs.NumPhases, len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("PhaseNames()[%d] = %q, want %q", i, got[i], want[i])
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		if got := p.String(); got != want[p] {
+			t.Errorf("Phase(%d).String() = %q, want %q", int(p), got, want[p])
 		}
 	}
 	if s := obs.Phase(99).String(); s != "phase-99" {

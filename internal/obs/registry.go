@@ -49,15 +49,6 @@ func (p Phase) String() string {
 	}
 }
 
-// PhaseNames lists every phase name in pipeline order.
-func PhaseNames() []string {
-	names := make([]string, NumPhases)
-	for p := Phase(0); p < NumPhases; p++ {
-		names[p] = p.String()
-	}
-	return names
-}
-
 // Counter is one named monotonic counter. The owner increments it from the
 // simulation goroutine; it is not safe for concurrent use (snapshots are
 // taken from the same goroutine). A counter registered through Gauge holds
@@ -68,9 +59,6 @@ type Counter struct {
 	fn    func() uint64
 	gauge bool
 }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Value returns the current count — the sampler's result for gauges.
 func (c *Counter) Value() uint64 {
@@ -132,14 +120,6 @@ func (r *Registry) AddPhase(p Phase, d time.Duration) {
 	if p >= 0 && p < NumPhases {
 		r.phases[p] += d
 	}
-}
-
-// PhaseTotal returns a phase's accrued wall-clock total.
-func (r *Registry) PhaseTotal(p Phase) time.Duration {
-	if p < 0 || p >= NumPhases {
-		return 0
-	}
-	return r.phases[p]
 }
 
 // Snapshot renders the registry's current state plus the caller-tracked

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"dtnsim/internal/ident"
+	"dtnsim/internal/message"
 )
 
 // BetaParams tunes the Bayesian comparator.
@@ -174,14 +175,6 @@ func (s *BetaStore) posterior(r *betaRow) float64 {
 	return s.params.MaxRating * (r.pos + 1) / (r.pos + r.neg + 2)
 }
 
-// Observations implements Model.
-func (s *BetaStore) Observations(v ident.NodeID) int {
-	if r := s.find(v); r != nil {
-		return r.firstN
-	}
-	return 0
-}
-
 // ShouldAvoid implements Model.
 func (s *BetaStore) ShouldAvoid(v ident.NodeID) bool {
 	if s.params.AvoidBelow <= 0 {
@@ -196,7 +189,7 @@ func (s *BetaStore) ShouldAvoid(v ident.NodeID) bool {
 
 // AwardFactor implements Model with the DRM award shape, using the Beta
 // posterior as the own-opinion term.
-func (s *BetaStore) AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64 {
+func (s *BetaStore) AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64 {
 	return awardFactor(s.params.Alpha, s.params.MaxRating, s.Rating(deliverer), pathRatings)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dtnsim/internal/ident"
+	"dtnsim/internal/message"
 )
 
 func betaStore(t *testing.T) *BetaStore {
@@ -59,8 +60,8 @@ func TestBetaConvergesWithEvidence(t *testing.T) {
 	if got := s.Rating(bad); got > 1 {
 		t.Errorf("bad rating = %v, want near 0", got)
 	}
-	if s.Observations(good) != 40 {
-		t.Errorf("observations = %d", s.Observations(good))
+	if n := s.find(good).firstN; n != 40 {
+		t.Errorf("observations = %d", n)
 	}
 }
 
@@ -126,7 +127,7 @@ func TestBetaAwardFactorBounds(t *testing.T) {
 	s := betaStore(t)
 	v := ident.NodeID(4)
 	s.RateRelayMessage(v, MessageRatingInputs{TagRating: 4, Confidence: 1})
-	for _, ratings := range [][]float64{nil, {0, 0}, {5, 5}, {-3, 9}} {
+	for _, ratings := range [][]message.PathRating{nil, pathRatings(0, 0), pathRatings(5, 5), pathRatings(-3, 9)} {
 		f := s.AwardFactor(v, ratings)
 		if f < 0 || f > 1 {
 			t.Errorf("AwardFactor(%v) = %v outside [0, 1]", ratings, f)

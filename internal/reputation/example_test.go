@@ -3,6 +3,7 @@ package reputation_test
 import (
 	"fmt"
 
+	"dtnsim/internal/message"
 	"dtnsim/internal/reputation"
 )
 
@@ -31,7 +32,7 @@ func ExampleStore_AwardFactor() {
 		panic(err)
 	}
 	store.RateRelayMessage(9, reputation.MessageRatingInputs{TagRating: 4, Confidence: 1})
-	factor := store.AwardFactor(9, []float64{5, 3})
+	factor := store.AwardFactor(9, []message.PathRating{{Rating: 5}, {Rating: 3}})
 	fmt.Printf("factor = %.2f\n", factor)
 	// Output: factor = 0.80
 }

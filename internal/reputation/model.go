@@ -1,6 +1,9 @@
 package reputation
 
-import "dtnsim/internal/ident"
+import (
+	"dtnsim/internal/ident"
+	"dtnsim/internal/message"
+)
 
 // Model is the reputation interface the engine programs against. The
 // paper's DRM (Store) is the primary implementation; BetaStore provides a
@@ -20,14 +23,11 @@ type Model interface {
 	// Rating returns this node's current opinion of v on the 0–MaxRating
 	// scale.
 	Rating(v ident.NodeID) float64
-	// Observations returns the first-hand evidence count behind the
-	// opinion of v.
-	Observations(v ident.NodeID) int
 	// ShouldAvoid reports whether transfers from v should be refused.
 	ShouldAvoid(v ident.NodeID) bool
 	// AwardFactor returns the incentive multiplier in [0, 1] for a
 	// delivery by the given node carrying the given path ratings.
-	AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64
+	AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64
 	// Len returns how many nodes this node holds opinions about.
 	Len() int
 	// Opinion returns the i-th held opinion, 0 ≤ i < Len(), in ascending

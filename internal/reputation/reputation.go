@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"dtnsim/internal/ident"
+	"dtnsim/internal/message"
 )
 
 // Params tunes the DRM.
@@ -120,9 +121,6 @@ func NewStore(self ident.NodeID, params Params) (*Store, error) {
 	return &Store{params: params, self: self}, nil
 }
 
-// Params returns the store's configuration.
-func (s *Store) Params() Params { return s.params }
-
 // find returns v's row, or nil when the store has never heard of v.
 func (s *Store) find(v ident.NodeID) *row {
 	if i, ok := slices.BinarySearch(s.ids, v); ok {
@@ -211,15 +209,6 @@ func (s *Store) Rating(v ident.NodeID) float64 {
 	return s.params.InitialRating
 }
 
-// Observations returns how many first-hand message ratings back the opinion
-// of v.
-func (s *Store) Observations(v ident.NodeID) int {
-	if r := s.find(v); r != nil {
-		return r.msgN
-	}
-	return 0
-}
-
 // ShouldAvoid reports whether v's reputation is low enough — with enough
 // first-hand evidence — that transfers from v should be refused.
 func (s *Store) ShouldAvoid(v ident.NodeID) bool {
@@ -250,21 +239,21 @@ func (s *Store) Opinion(i int) (ident.NodeID, float64) { return s.ids[i], s.rows
 // which would let a 0–5-scale mean multiply the award by up to 5 — the
 // normalisation keeps I_v ≤ I + I_t, which the token economy requires).
 // With no path ratings the deliverer's own reputation carries full weight.
-func (s *Store) AwardFactor(deliverer ident.NodeID, pathRatings []float64) float64 {
+func (s *Store) AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64 {
 	return awardFactor(s.params.Alpha, s.params.MaxRating, s.Rating(deliverer), pathRatings)
 }
 
 // awardFactor is the award multiplier both models share (see
 // Store.AwardFactor), given α, r_m, the deliverer's rating r_{v,u} and the
-// path ratings.
-func awardFactor(alpha, maxRating, rating float64, pathRatings []float64) float64 {
+// path ratings, read in place.
+func awardFactor(alpha, maxRating, rating float64, pathRatings []message.PathRating) float64 {
 	own := rating / maxRating
 	if len(pathRatings) == 0 {
 		return own
 	}
 	var sum float64
-	for _, r := range pathRatings {
-		sum += clampRating(r, maxRating)
+	for i := range pathRatings {
+		sum += clampRating(pathRatings[i].Rating, maxRating)
 	}
 	mean := sum / float64(len(pathRatings)) / maxRating
 	return (1-alpha)*mean + alpha*own

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -173,28 +172,4 @@ func (p *Prophet) SelectOffers(u, v NodeView) []Offer {
 		}
 	}
 	return offers
-}
-
-// Predictability exposes P(from,to) for tests and reports.
-func (p *Prophet) Predictability(from, to ident.NodeID) float64 {
-	t, ok := p.tables[from]
-	if !ok {
-		return 0
-	}
-	return t.p[to]
-}
-
-// Validate checks the constants.
-func (p *Prophet) Validate() error {
-	switch {
-	case p.PInit <= 0 || p.PInit > 1:
-		return fmt.Errorf("routing: prophet P_init %v outside (0, 1]", p.PInit)
-	case p.Beta < 0 || p.Beta > 1:
-		return fmt.Errorf("routing: prophet beta %v outside [0, 1]", p.Beta)
-	case p.Gamma <= 0 || p.Gamma >= 1:
-		return fmt.Errorf("routing: prophet gamma %v outside (0, 1)", p.Gamma)
-	case p.AgingUnit <= 0:
-		return fmt.Errorf("routing: prophet aging unit must be positive")
-	}
-	return nil
 }

@@ -35,7 +35,7 @@ func newHarness() *harness { return &harness{in: interest.NewInterner()} }
 
 func (h *harness) node(t *testing.T, id int, directs ...string) *fakeNode {
 	t.Helper()
-	tab, err := interest.NewTable(interest.DefaultParams(), h.in)
+	tab, err := interest.NewTable(interest.DefaultParams(), h.in, &sim.Clock{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,3 @@ func (c *Clock) Advance() time.Duration {
 	c.now += c.step
 	return c.now
 }
-
-// Seconds returns the current virtual time in seconds as a float. Several of
-// the paper's formulas (decay, growth, energy) are stated over raw seconds.
-func (c *Clock) Seconds() float64 { return c.now.Seconds() }

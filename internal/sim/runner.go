@@ -77,10 +77,3 @@ func (r *Runner) RunUntil(ctx context.Context, target time.Duration) (int, error
 	}
 	return steps, nil
 }
-
-// RunSteps advances exactly n steps (useful in tests).
-func (r *Runner) RunSteps(n int) {
-	for i := 0; i < n; i++ {
-		r.step()
-	}
-}

@@ -29,9 +29,6 @@ func TestClockAdvance(t *testing.T) {
 			t.Fatalf("advance %d = %v, want %v", i, got, want)
 		}
 	}
-	if c.Seconds() != 5 {
-		t.Errorf("Seconds() = %v, want 5", c.Seconds())
-	}
 }
 
 func TestRNGDeterminism(t *testing.T) {

@@ -116,7 +116,6 @@ func (s *Summary) String() string {
 type Histogram struct {
 	Lo, Hi float64
 	bins   []int
-	n      int
 }
 
 // NewHistogram builds a histogram with the given bin count. Bins must be
@@ -141,17 +140,6 @@ func (h *Histogram) Add(v float64) {
 		idx = len(h.bins) - 1
 	}
 	h.bins[idx]++
-	h.n++
-}
-
-// N returns the total count.
-func (h *Histogram) N() int { return h.n }
-
-// Bins returns a copy of the counts.
-func (h *Histogram) Bins() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
 }
 
 // Render draws a text histogram with bars scaled to width characters.

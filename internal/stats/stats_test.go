@@ -106,16 +106,12 @@ func TestHistogramBinning(t *testing.T) {
 	for _, v := range []float64{0, 1.9, 2, 5, 9.9, -5, 50} {
 		h.Add(v)
 	}
-	bins := h.Bins()
 	// -5 clamps into bin 0; 50 clamps into bin 4.
 	want := []int{3, 1, 1, 0, 2}
 	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
+		if h.bins[i] != want[i] {
+			t.Fatalf("bins = %v, want %v", h.bins, want)
 		}
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d", h.N())
 	}
 }
 

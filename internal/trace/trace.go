@@ -92,17 +92,6 @@ func (s *Schedule) Duration() time.Duration {
 	return end
 }
 
-// ActiveAt appends every pair connected at time t. Quadratic over the trace
-// in the worst case; the engine uses a Cursor instead for stepping.
-func (s *Schedule) ActiveAt(dst []Contact, t time.Duration) []Contact {
-	for _, c := range s.contacts {
-		if c.Start <= t && t < c.End {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
 // Cursor walks the schedule in time order, maintaining the active contact
 // set incrementally; one pass over the trace per replay.
 type Cursor struct {
@@ -147,16 +136,6 @@ func (c *Cursor) AdvanceTo(t time.Duration) (up, down []Contact) {
 	sortContacts(up)
 	sortContacts(down)
 	return up, down
-}
-
-// Active returns the currently connected pairs in deterministic order.
-func (c *Cursor) Active() []Contact {
-	out := make([]Contact, 0, len(c.active))
-	for _, ct := range c.active {
-		out = append(out, ct)
-	}
-	sortContacts(out)
-	return out
 }
 
 func sortContacts(cs []Contact) {

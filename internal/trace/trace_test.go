@@ -51,19 +51,22 @@ func TestScheduleNormalisesAndSorts(t *testing.T) {
 	}
 }
 
+// TestActiveAt pins the cursor's active set: at time t it holds exactly the
+// contacts with Start <= t < End.
 func TestActiveAt(t *testing.T) {
 	s := mustSchedule(t, []Contact{
 		{A: 1, B: 2, Start: 10 * time.Second, End: 20 * time.Second},
 		{A: 3, B: 4, Start: 15 * time.Second, End: 25 * time.Second},
 	})
-	if got := s.ActiveAt(nil, 5*time.Second); len(got) != 0 {
-		t.Errorf("active at 5s = %v", got)
-	}
-	if got := s.ActiveAt(nil, 17*time.Second); len(got) != 2 {
-		t.Errorf("active at 17s = %v", got)
-	}
-	if got := s.ActiveAt(nil, 20*time.Second); len(got) != 1 {
-		t.Errorf("active at 20s (end exclusive) = %v", got)
+	c := NewCursor(s)
+	for _, tc := range []struct {
+		at   time.Duration
+		want int
+	}{{5 * time.Second, 0}, {17 * time.Second, 2}, {20 * time.Second, 1}} {
+		c.AdvanceTo(tc.at)
+		if got := len(c.active); got != tc.want {
+			t.Errorf("active at %v = %v, want %d (end exclusive)", tc.at, c.active, tc.want)
+		}
 	}
 }
 
@@ -81,8 +84,8 @@ func TestCursorTransitions(t *testing.T) {
 	if len(up) != 1 || up[0].A != 3 || len(down) != 0 {
 		t.Fatalf("t=15: up=%v down=%v", up, down)
 	}
-	if len(c.Active()) != 2 {
-		t.Fatalf("active = %v", c.Active())
+	if len(c.active) != 2 {
+		t.Fatalf("active = %v", c.active)
 	}
 	up, down = c.AdvanceTo(25 * time.Second)
 	if len(up) != 0 || len(down) != 1 || down[0].A != 1 {
@@ -92,7 +95,7 @@ func TestCursorTransitions(t *testing.T) {
 	if len(down) != 1 {
 		t.Fatalf("final down = %v", down)
 	}
-	if len(c.Active()) != 0 {
+	if len(c.active) != 0 {
 		t.Error("contacts remain after trace end")
 	}
 }

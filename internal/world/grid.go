@@ -28,7 +28,6 @@ type Grid struct {
 	cells  [][]ident.NodeID
 	pos    []Point // indexed by NodeID; valid only where cellOf >= 0
 	cellOf []int32 // indexed by NodeID; -1 = absent
-	count  int
 }
 
 // NewGrid builds a grid over bounds with the given cell size (normally the
@@ -91,20 +90,6 @@ func (g *Grid) reach(radius float64) int {
 	return int(r)
 }
 
-// cellRange returns the cells [lo, hi] along an axis of n cells that a
-// radius query around coordinate v must scan: v's cell plus
-// ceil(radius/cell) either side, clamped to the grid in float64 before the
-// int conversion so neither a huge radius nor a far-off point overflows.
-// An empty range comes back as lo > hi.
-func (g *Grid) cellRange(v, radius float64, n int) (lo, hi int) {
-	c, r := math.Trunc(v/g.cell), math.Ceil(radius/g.cell)
-	l, h := math.Max(c-r, 0), math.Min(c+r, float64(n-1))
-	if !(l <= h) {
-		return 0, -1
-	}
-	return int(l), int(h)
-}
-
 // ensure grows the dense node slices to cover id.
 func (g *Grid) ensure(id ident.NodeID) {
 	for int(id) >= len(g.cellOf) {
@@ -126,22 +111,10 @@ func (g *Grid) Upsert(id ident.NodeID, p Point) {
 			return
 		}
 		g.removeFromCell(id, old)
-	} else {
-		g.count++
 	}
 	g.cells[newCell] = append(g.cells[newCell], id)
 	g.cellOf[id] = newCell
 	g.pos[id] = p
-}
-
-// Remove deletes a node from the grid. Removing an absent node is a no-op.
-func (g *Grid) Remove(id ident.NodeID) {
-	if int(id) < 0 || int(id) >= len(g.cellOf) || g.cellOf[id] < 0 {
-		return
-	}
-	g.removeFromCell(id, g.cellOf[id])
-	g.cellOf[id] = -1
-	g.count--
 }
 
 func (g *Grid) removeFromCell(id ident.NodeID, cell int32) {
@@ -161,54 +134,6 @@ func (g *Grid) Position(id ident.NodeID) (Point, bool) {
 		return Point{}, false
 	}
 	return g.pos[id], true
-}
-
-// Len returns the number of nodes currently in the grid.
-func (g *Grid) Len() int { return g.count }
-
-// Within appends to dst all nodes other than id within radius of id's
-// position, sorted by NodeID for determinism, and returns the extended
-// slice. Radius must not exceed the grid's cell size times 1 (the 3×3 block
-// guarantee); larger radii fall back to widening the scanned block.
-func (g *Grid) Within(dst []ident.NodeID, id ident.NodeID, radius float64) []ident.NodeID {
-	center, ok := g.Position(id)
-	if !ok {
-		return dst
-	}
-	start := len(dst)
-	dst = g.withinPoint(dst, center, radius, id)
-	slices.Sort(dst[start:])
-	return dst
-}
-
-// WithinPoint appends all nodes within radius of p, sorted by NodeID.
-func (g *Grid) WithinPoint(dst []ident.NodeID, p Point, radius float64) []ident.NodeID {
-	start := len(dst)
-	dst = g.withinPoint(dst, p, radius, ident.Nobody)
-	slices.Sort(dst[start:])
-	return dst
-}
-
-func (g *Grid) withinPoint(dst []ident.NodeID, center Point, radius float64, exclude ident.NodeID) []ident.NodeID {
-	if !(radius > 0) {
-		return dst
-	}
-	xLo, xHi := g.cellRange(center.X, radius, g.cols)
-	yLo, yHi := g.cellRange(center.Y, radius, g.rows)
-	r2 := radius * radius
-	for y := yLo; y <= yHi; y++ {
-		for x := xLo; x <= xHi; x++ {
-			for _, m := range g.cells[y*g.cols+x] {
-				if m == exclude {
-					continue
-				}
-				if g.pos[m].Dist2(center) <= r2 {
-					dst = append(dst, m)
-				}
-			}
-		}
-	}
-	return dst
 }
 
 // Pairs appends every unordered pair of distinct nodes within radius of each

@@ -3,11 +3,94 @@ package world
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dtnsim/internal/ident"
 	"dtnsim/internal/sim"
 )
+
+// The per-node queries below (Within, WithinPoint) and the membership
+// helpers (Remove, Len) exist for these tests: the engine only ever asks the
+// grid for pairs, so the queries serve as an independent cross-check of
+// Pairs, Candidates and InRange over the same cells.
+
+// Remove deletes a node from the grid. Removing an absent node is a no-op.
+func (g *Grid) Remove(id ident.NodeID) {
+	if int(id) < 0 || int(id) >= len(g.cellOf) || g.cellOf[id] < 0 {
+		return
+	}
+	g.removeFromCell(id, g.cellOf[id])
+	g.cellOf[id] = -1
+}
+
+// Len returns the number of nodes currently in the grid.
+func (g *Grid) Len() int {
+	n := 0
+	for _, c := range g.cellOf {
+		if c >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Within appends to dst all nodes other than id within radius of id's
+// position, sorted by NodeID, and returns the extended slice.
+func (g *Grid) Within(dst []ident.NodeID, id ident.NodeID, radius float64) []ident.NodeID {
+	center, ok := g.Position(id)
+	if !ok {
+		return dst
+	}
+	start := len(dst)
+	dst = g.withinPoint(dst, center, radius, id)
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// WithinPoint appends all nodes within radius of p, sorted by NodeID.
+func (g *Grid) WithinPoint(dst []ident.NodeID, p Point, radius float64) []ident.NodeID {
+	start := len(dst)
+	dst = g.withinPoint(dst, p, radius, ident.Nobody)
+	slices.Sort(dst[start:])
+	return dst
+}
+
+func (g *Grid) withinPoint(dst []ident.NodeID, center Point, radius float64, exclude ident.NodeID) []ident.NodeID {
+	if !(radius > 0) {
+		return dst
+	}
+	xLo, xHi := g.cellRange(center.X, radius, g.cols)
+	yLo, yHi := g.cellRange(center.Y, radius, g.rows)
+	r2 := radius * radius
+	for y := yLo; y <= yHi; y++ {
+		for x := xLo; x <= xHi; x++ {
+			for _, m := range g.cells[y*g.cols+x] {
+				if m == exclude {
+					continue
+				}
+				if g.pos[m].Dist2(center) <= r2 {
+					dst = append(dst, m)
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// cellRange returns the cells [lo, hi] along an axis of n cells that a
+// radius query around coordinate v must scan: v's cell plus
+// ceil(radius/cell) either side, clamped to the grid in float64 before the
+// int conversion so neither a huge radius nor a far-off point overflows.
+// An empty range comes back as lo > hi.
+func (g *Grid) cellRange(v, radius float64, n int) (lo, hi int) {
+	c, r := math.Trunc(v/g.cell), math.Ceil(radius/g.cell)
+	l, h := math.Max(c-r, 0), math.Min(c+r, float64(n-1))
+	if !(l <= h) {
+		return 0, -1
+	}
+	return int(l), int(h)
+}
 
 // pairsFromWithin derives the in-range pair set node by node through Within,
 // keeping each (lo, hi) once — the cross-check that the pairwise scans and
