@@ -37,9 +37,20 @@ type scenarioGolden struct {
 
 // scenarioGoldens lists the goldens in file order.
 func scenarioGoldens() []scenarioGolden {
+	// The Beta comparator with low-quality malicious content, a commander
+	// tier and a battery budget that kills half the radios: the avoid bar,
+	// the role-scaled promise and the dead-radio path.
+	beta := kernelGoldenSpec(core.SchemeIncentive)
+	beta.BetaReputation = true
+	beta.MaliciousLowQuality = true
+	beta.CommanderPercent = 10
+	beta.BatteryJoules = 50
 	pressure := kernelGoldenSpec(core.SchemeIncentive)
 	pressure.ClassSplit = true
 	out := []scenarioGolden{{
+		file: "golden_beta_battery.golden",
+		spec: beta,
+	}, {
 		file:   "golden_pressure.golden",
 		spec:   pressure,
 		edit:   func(cfg *core.Config) error { cfg.BufferCapacity = 8 << 20; return nil },
