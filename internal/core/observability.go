@@ -28,7 +28,6 @@ import (
 // Snapshot.Sub carries the later value through instead of differencing):
 //
 //	table_rows_live      live interest rows summed over every node's table
-//	table_compactions    dense-slice compactions after eviction sweeps
 //	contacts_live        contacts currently up (open and refused records)
 //	contact_pool_free    contacts parked in the lifecycle arena free list
 //	transfer_pool_free   transfers parked in the arena free list
@@ -48,20 +47,13 @@ func (e *Engine) initObservability(cfg Config) {
 	e.ctrSamples = e.reg.Counter("rating_samples")
 	e.ctrSweep = e.reg.Counter("interest_sweeps")
 	e.ctrEvict = e.reg.Counter("interest_evictions")
-	// The interest tables own the occupancy and compaction counters;
-	// the gauges sample them at snapshot time. The closures read e.nodes
+	// The interest tables own the occupancy count; the gauge samples it
+	// at snapshot time. The closures read e.nodes
 	// live, so registering before the node loop is fine.
 	e.reg.Gauge("table_rows_live", func() uint64 {
 		var sum uint64
 		for _, n := range e.nodes {
 			sum += uint64(n.table.Len())
-		}
-		return sum
-	})
-	e.reg.Gauge("table_compactions", func() uint64 {
-		var sum uint64
-		for _, n := range e.nodes {
-			sum += n.table.Compactions()
 		}
 		return sum
 	})

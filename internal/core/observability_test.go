@@ -205,16 +205,12 @@ func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	if snap.Counter("candidate_rebuilds") == 0 {
 		t.Error("kinetic detection never rebuilt its candidate list")
 	}
-	var rows, compactions uint64
+	var rows uint64
 	for _, n := range eng.Nodes() {
 		rows += uint64(n.Interests().Len())
-		compactions += n.Interests().Compactions()
 	}
 	if got := snap.Counter("table_rows_live"); got != rows || rows == 0 {
 		t.Errorf("table_rows_live gauge = %d, tables hold %d", got, rows)
-	}
-	if got := snap.Counter("table_compactions"); got != compactions {
-		t.Errorf("table_compactions gauge = %d, tables counted %d", got, compactions)
 	}
 	// A mobility run spends time in every phase.
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {

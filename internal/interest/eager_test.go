@@ -46,9 +46,6 @@ func (t *Table) DecayAgainst(now time.Duration, peers ...*Table) {
 	for _, id := range prune {
 		t.removeRow(id)
 	}
-	if len(prune) > 0 {
-		t.maybeCompact()
-	}
 }
 
 // reanchor materializes one row at now and re-anchors it there, reporting

@@ -128,9 +128,6 @@ type Table struct {
 	// their weights.
 	sat bitset.Set
 
-	// compactions counts dense-tail truncations for the engine's gauge.
-	compactions uint64
-
 	// nextDeath is a conservative lower bound on the earliest time any
 	// transient row can decay below PruneBelow. The exchange round sweeps
 	// eviction candidates only when now has reached it — prune-below
@@ -167,10 +164,6 @@ func NewTable(params Params, in *Interner, clock Clock) (*Table, error) {
 
 // Interner returns the shared keyword interner.
 func (t *Table) Interner() *Interner { return t.in }
-
-// Compactions returns how many times the dense row storage was truncated to
-// its live extent after evictions emptied the tail.
-func (t *Table) Compactions() uint64 { return t.compactions }
 
 // ensure grows the payload slices to cover id.
 func (t *Table) ensure(id int32) {
@@ -212,44 +205,6 @@ func (t *Table) removeRow(id int32) {
 	t.lastShared[id] = 0
 	t.source[id] = ident.Nobody
 	t.count--
-}
-
-// maybeCompact truncates the dense SoA extent after evictions emptied its
-// tail: interned IDs are stable run-wide (renumbering would desynchronise
-// every table sharing the interner), so compaction keeps ID order and drops
-// only trailing all-absent words — present, direct, and sat shrink to the
-// highest live word, the payload slices to the matching row count. Reads
-// past the extent are already well-defined (bitset.Set.Word and Has treat
-// out-of-range as absent) and re-growth reuses the retained backing arrays,
-// so truncation is invisible to every consumer while hot low-ID tables walk
-// and reset a fraction of the words. Only triggered when at least half the
-// extent is dead tail, so alternating insert/evict near the boundary cannot
-// thrash.
-func (t *Table) maybeCompact() {
-	nw := len(t.present)
-	if nw == 0 {
-		return
-	}
-	hi := nw
-	for hi > 0 && t.present[hi-1] == 0 {
-		hi--
-	}
-	if hi*2 > nw {
-		return
-	}
-	t.present = t.present[:hi]
-	if len(t.direct) > hi {
-		t.direct = t.direct[:hi]
-	}
-	if len(t.sat) > hi {
-		t.sat = t.sat[:hi]
-	}
-	if rows := hi << 6; len(t.weights) > rows {
-		t.weights = t.weights[:rows]
-		t.lastShared = t.lastShared[:rows]
-		t.source = t.source[:rows]
-	}
-	t.compactions++
 }
 
 // decayedWeight applies Algorithm 1's decay formula to a weight anchored

@@ -55,12 +55,6 @@ func (x *Exchange) Run(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Tab
 	sec := dt.Seconds()
 	a.acquireFrom(b, bID, now, sec)
 	b.acquireFrom(a, aID, now, sec)
-	if aEvicted > 0 {
-		a.maybeCompact()
-	}
-	if bEvicted > 0 {
-		b.maybeCompact()
-	}
 	return sweeps, aEvicted + bEvicted
 }
 
@@ -75,9 +69,6 @@ func (x *Exchange) Decay(t *Table, peers []*Table, now time.Duration) (sweeps, e
 	if swept {
 		t.foldSharedDeath(x.aShared, now)
 		sweeps = 1
-	}
-	if evictions > 0 {
-		t.maybeCompact()
 	}
 	return sweeps, evictions
 }
