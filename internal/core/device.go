@@ -160,7 +160,9 @@ func (d *Device) RateNode(id ident.NodeID) float64 {
 }
 
 // Enrich implements operator function 11: add further annotations to a
-// buffered in-transit message and return the message's new tag set.
+// buffered in-transit message and return the message's new tag set. Each
+// new tag is counted and recorded as a TagAdded event, as relay
+// enrichment's tags are.
 func (d *Device) Enrich(id ident.MessageID, annotations ...string) ([]string, error) {
 	m := d.node.buf.Get(id)
 	if m == nil {
@@ -168,9 +170,7 @@ func (d *Device) Enrich(id ident.MessageID, annotations ...string) ([]string, er
 	}
 	now := d.engine.Now()
 	for _, kw := range annotations {
-		if m.Annotate(kw, d.node.id, now) {
-			d.engine.collector.TagAdded(m.Relevant(kw))
-		}
+		d.engine.addTag(d.node, m, kw, now)
 	}
 	return m.Keywords(), nil
 }

@@ -2,12 +2,15 @@ package core_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
+	"dtnsim/internal/obs"
+	"dtnsim/internal/report"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
 )
@@ -184,10 +187,19 @@ func TestDeviceRateMessageAndNode(t *testing.T) {
 	}
 }
 
+// TestDeviceEnrich adds two new tags and one the message already carries:
+// both new tags are counted in the report and emitted as TagAdded events.
 func TestDeviceEnrich(t *testing.T) {
-	_, a, _, _ := deviceHarness(t)
+	cfg := lineConfig(t, core.SchemeIncentive)
+	tags := &lifecycleObserver{kinds: []report.Kind{report.TagAdded}}
+	cfg.Observers = []obs.Observer{tags}
+	eng, err := core.NewEngine(cfg, lineSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := eng.Device(0)
 	m, _ := a.Annotate([]string{"kw-0", "kw-1"}, []string{"kw-0"}, 1024, message.PriorityHigh, 0.9)
-	kws, err := a.Enrich(m.ID, "kw-1", "kw-5")
+	kws, err := a.Enrich(m.ID, "kw-0", "kw-1", "kw-5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +208,16 @@ func TestDeviceEnrich(t *testing.T) {
 	}
 	if !m.HasKeyword("kw-5") {
 		t.Error("enrichment tag missing")
+	}
+	if got := eng.Result().TagsAdded; got != 2 {
+		t.Errorf("TagsAdded = %d, want 2", got)
+	}
+	want := []report.Event{
+		{Kind: report.TagAdded, A: a.ID(), Msg: m.ID, Keyword: "kw-1", Relevant: true},
+		{Kind: report.TagAdded, A: a.ID(), Msg: m.ID, Keyword: "kw-5"},
+	}
+	if !reflect.DeepEqual(tags.events, want) {
+		t.Errorf("TagAdded events = %+v, want %+v", tags.events, want)
 	}
 	if _, err := a.Enrich("nope", "kw-2"); err == nil {
 		t.Error("enriching an absent message must fail")

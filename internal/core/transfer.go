@@ -181,15 +181,23 @@ func (e *Engine) settleDelivery(t *transfer, now time.Duration) {
 // enrich lets the new custodian add supplementary keywords to its copy.
 func (e *Engine) enrich(v *Node, clone *message.Message, now time.Duration) {
 	for _, kw := range v.tagger.ProposeTags(clone, v.rng) {
-		if clone.Annotate(kw, v.id, now) {
-			relevant := clone.Relevant(kw)
-			e.collector.TagAdded(relevant)
-			e.record(report.Event{
-				At: now, Kind: report.TagAdded, A: v.id, Msg: clone.ID,
-				Keyword: kw, Relevant: relevant,
-			})
-		}
+		e.addTag(v, clone, kw, now)
 	}
+}
+
+// addTag annotates v's copy m with kw and, when the tag is new, counts it in
+// the report and records a TagAdded event. Relay enrichment and
+// Device.Enrich both add tags here, so the report and the trace agree.
+func (e *Engine) addTag(v *Node, m *message.Message, kw string, now time.Duration) {
+	if !m.Annotate(kw, v.id, now) {
+		return
+	}
+	relevant := m.Relevant(kw)
+	e.collector.TagAdded(relevant)
+	e.record(report.Event{
+		At: now, Kind: report.TagAdded, A: v.id, Msg: m.ID,
+		Keyword: kw, Relevant: relevant,
+	})
 }
 
 // judgeDelivered runs the destination user's post-reception review: rate
