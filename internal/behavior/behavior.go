@@ -34,6 +34,10 @@ func (k Kind) String() string {
 	}
 }
 
+// MaliciousQuality is the quality of the content a LowQuality malicious
+// node originates.
+const MaliciousQuality float64 = 0.2
+
 // Profile is one node's behaviour configuration.
 type Profile struct {
 	Kind Kind
@@ -46,8 +50,6 @@ type Profile struct {
 	// messages": when true the node's originated messages get
 	// MaliciousQuality instead of the workload's draw.
 	LowQuality bool
-	// MaliciousQuality is the quality assigned when LowQuality is set.
-	MaliciousQuality float64
 }
 
 // CooperativeProfile returns the default honest profile.
@@ -64,12 +66,7 @@ func SelfishProfile(openProb float64) Profile {
 // MaliciousProfile returns the tag-forging profile; lowQuality additionally
 // degrades originated content.
 func MaliciousProfile(lowQuality bool) Profile {
-	return Profile{
-		Kind:             Malicious,
-		RadioOpenProb:    1,
-		LowQuality:       lowQuality,
-		MaliciousQuality: 0.2,
-	}
+	return Profile{Kind: Malicious, RadioOpenProb: 1, LowQuality: lowQuality}
 }
 
 // Validate checks the profile.
@@ -79,8 +76,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("behavior: unknown kind %d", int(p.Kind))
 	case p.RadioOpenProb < 0 || p.RadioOpenProb > 1:
 		return fmt.Errorf("behavior: radio-open probability %v outside [0, 1]", p.RadioOpenProb)
-	case p.LowQuality && (p.MaliciousQuality <= 0 || p.MaliciousQuality > 1):
-		return fmt.Errorf("behavior: malicious quality %v outside (0, 1]", p.MaliciousQuality)
 	}
 	return nil
 }

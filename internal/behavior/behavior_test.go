@@ -16,7 +16,7 @@ func TestProfileConstructors(t *testing.T) {
 		t.Errorf("selfish profile = %+v", s)
 	}
 	m := MaliciousProfile(true)
-	if m.Kind != Malicious || !m.LowQuality || m.MaliciousQuality <= 0 {
+	if m.Kind != Malicious || !m.LowQuality {
 		t.Errorf("malicious profile = %+v", m)
 	}
 	for _, p := range []Profile{c, s, m, MaliciousProfile(false)} {
@@ -31,8 +31,6 @@ func TestProfileValidation(t *testing.T) {
 		{Kind: 0, RadioOpenProb: 1},
 		{Kind: Cooperative, RadioOpenProb: -0.1},
 		{Kind: Cooperative, RadioOpenProb: 1.1},
-		{Kind: Malicious, RadioOpenProb: 1, LowQuality: true, MaliciousQuality: 0},
-		{Kind: Malicious, RadioOpenProb: 1, LowQuality: true, MaliciousQuality: 2},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

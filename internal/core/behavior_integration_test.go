@@ -10,6 +10,8 @@ import (
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/message"
 	"dtnsim/internal/mobility"
+	"dtnsim/internal/reputation"
+	"dtnsim/internal/routing"
 	"dtnsim/internal/scenario"
 	"dtnsim/internal/world"
 )
@@ -56,7 +58,7 @@ func TestGossipSpreadsReputation(t *testing.T) {
 	}
 	dest := eng.Node(2)
 	bystander := eng.Node(3)
-	initial := cfg.Reputation.InitialRating
+	initial := reputation.InitialRating
 	destOpinion := dest.Reputation().Rating(1)
 	if destOpinion >= initial {
 		t.Fatalf("destination's first-hand opinion of the forger = %v, want below %v", destOpinion, initial)
@@ -109,7 +111,7 @@ func TestTransferAbortsWhenContactDrops(t *testing.T) {
 // TestSprayAndWaitIntegration: the incentive layer composes with the spray
 // router; the copy counter splits across handovers and deliveries happen.
 func TestSprayAndWaitIntegration(t *testing.T) {
-	const budget = 8 // the shipped spray-and-wait copy budget
+	const budget = routing.SprayCopies
 	spec := scenario.Default(core.SchemeIncentive)
 	spec.Nodes = 30
 	spec.AreaKm2 = 0.3

@@ -21,7 +21,6 @@ import (
 	"dtnsim/internal/incentive"
 	"dtnsim/internal/interest"
 	"dtnsim/internal/obs"
-	"dtnsim/internal/radio"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
 	"dtnsim/internal/trace"
@@ -129,8 +128,6 @@ type Config struct {
 	Duration time.Duration
 	// Area is the world rectangle (Table 5.1: 5 km²).
 	Area world.Rect
-	// Radio is the link/energy model (Table 5.1: 100 m, 250 kBps).
-	Radio radio.Params
 	// BufferCapacity is per-node storage (Table 5.1: 250 MB).
 	BufferCapacity int64
 	// Interest tunes the RTSR model.
@@ -194,7 +191,6 @@ func DefaultConfig() Config {
 		Step:                 time.Second,
 		Duration:             24 * time.Hour,
 		Area:                 world.SquareKm(5),
-		Radio:                radio.Default(),
 		BufferCapacity:       250 << 20,
 		Interest:             interest.DefaultParams(),
 		Incentive:            incentive.DefaultParams(),
@@ -226,9 +222,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: area must have positive size")
 	case c.BatteryJoules < 0:
 		return fmt.Errorf("core: battery budget must be non-negative, got %v", c.BatteryJoules)
-	}
-	if err := c.Radio.Validate(); err != nil {
-		return err
 	}
 	if err := c.Interest.Validate(); err != nil {
 		return err

@@ -14,6 +14,7 @@ import (
 	"dtnsim/internal/metrics"
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/obs"
+	"dtnsim/internal/radio"
 	"dtnsim/internal/report"
 	"dtnsim/internal/routing"
 	"dtnsim/internal/sim"
@@ -30,10 +31,9 @@ type Engine struct {
 	grid      *world.Grid
 	nodes     []*Node
 	router    routing.Router
-	spray     *routing.SprayAndWait
+	spray     bool // the router is Spray-and-Wait: messages carry copy budgets
 	calc      *incentive.Calculator
 	ledger    *incentive.Ledger
-	judge     *enrich.Judge
 	collector *metrics.Collector
 	interner  *interest.Interner
 
@@ -153,7 +153,6 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		router:      router,
 		calc:        calc,
 		ledger:      incentive.NewLedger(),
-		judge:       enrich.NewJudge(cfg.Reputation, 0.1),
 		collector:   metrics.NewCollector(),
 		interner:    interest.NewInterner(),
 		peersOf:     make([][]*contact, len(specs)),
@@ -164,12 +163,10 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		return nil, err
 	}
 	e.initObservability(cfg)
-	if e.grid, err = world.NewGrid(cfg.Area, cfg.Radio.Range); err != nil {
+	if e.grid, err = world.NewGrid(cfg.Area, radio.Range); err != nil {
 		return nil, err
 	}
-	if s, ok := router.(*routing.SprayAndWait); ok {
-		e.spray = s
-	}
+	_, e.spray = router.(*routing.SprayAndWait)
 	root := sim.NewRNG(cfg.Seed)
 	for i, spec := range specs {
 		id := ident.NodeID(i)
@@ -200,7 +197,7 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 			e.honest = append(e.honest, id)
 		}
 	}
-	e.kinSkin = cfg.Radio.Range / 4
+	e.kinSkin = radio.Range / 4
 	for _, n := range e.nodes {
 		sb, ok := n.model.(mobility.SpeedBounded)
 		if !ok {
@@ -239,8 +236,8 @@ func (e *Engine) mint(n *Node, now time.Duration, size int64, prio message.Prior
 	for _, kw := range tags {
 		m.Annotate(kw, n.id, now)
 	}
-	if e.spray != nil {
-		m.CopiesLeft = e.spray.L
+	if e.spray {
+		m.CopiesLeft = routing.SprayCopies
 	}
 	if err := n.buf.Add(m); err != nil {
 		return nil, err
@@ -410,7 +407,7 @@ func (e *Engine) moveNodes() {
 // rebuilds. The per-tick filter cost is one InRange per candidate, near
 // O(contacts) in sparse DTN scenarios.
 func (e *Engine) detectPairs(dst []world.Pair) []world.Pair {
-	r := e.cfg.Radio.Range
+	r := radio.Range
 	if e.kinSkin <= 0 {
 		return e.grid.Pairs(dst, r)
 	}

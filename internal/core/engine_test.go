@@ -12,6 +12,7 @@ import (
 	"dtnsim/internal/core"
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/ident"
+	"dtnsim/internal/interest"
 	"dtnsim/internal/message"
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/obs"
@@ -226,7 +227,7 @@ func TestRTSRClosedFormOverOneContact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, beta := cfg.Interest.GrowthRate, cfg.Interest.Beta
+	r := cfg.Interest.GrowthRate
 	const lastRound = 71 * time.Second
 	w := 0.5 + 0.5*r*1
 	for at := time.Second; at <= lastRound; at += 10 * time.Second {
@@ -249,7 +250,7 @@ func TestRTSRClosedFormOverOneContact(t *testing.T) {
 		if n := dev.Neighbors(); len(n) != 0 {
 			t.Fatalf("%v: node 0 still connected to %v", at, n)
 		}
-		want := (w-0.5)/(beta*(at-lastRound).Seconds()) + 0.5
+		want := (w-0.5)/(interest.Beta*(at-lastRound).Seconds()) + 0.5
 		if got := eng.Node(0).Interests().Weight("kw-0"); got != want {
 			t.Errorf("%v: node 0 reads %v after the contact, want %v", at, got, want)
 		}
@@ -452,7 +453,7 @@ func TestMaliciousNodesGetRecognized(t *testing.T) {
 		t.Fatal("no rating samples collected")
 	}
 	final := res.RatingSeries[len(res.RatingSeries)-1].MeanMaliciousRating
-	initial := eng.Config().Reputation.InitialRating
+	initial := reputation.InitialRating
 	if final >= initial {
 		t.Errorf("malicious mean rating = %v, want below the %v prior", final, initial)
 	}

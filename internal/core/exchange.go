@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dtnsim/internal/interest"
+	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
 )
 
@@ -146,7 +147,6 @@ func (e *Engine) routeDirection(c *contact, u, v *Node, now time.Duration) {
 // step. Only opinions that have moved away from the prior are worth
 // spreading, and the volume is capped per contact.
 func (e *Engine) gossipReputation(src, dst *Node) {
-	initial := e.cfg.Reputation.InitialRating
 	shared := 0
 	// The store is read in place in ascending ID order; the limit makes
 	// that order part of the trace.
@@ -155,7 +155,7 @@ func (e *Engine) gossipReputation(src, dst *Node) {
 		if id == dst.id || id == src.id {
 			continue
 		}
-		if diff := r - initial; diff < 0.25 && diff > -0.25 {
+		if diff := r - reputation.InitialRating; diff < 0.25 && diff > -0.25 {
 			continue
 		}
 		dst.rep.MergeSecondHand(id, r)

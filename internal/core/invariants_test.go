@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"dtnsim/internal/core"
+	"dtnsim/internal/incentive"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/report"
+	"dtnsim/internal/reputation"
 	"dtnsim/internal/scenario"
 	"dtnsim/internal/sim"
 )
@@ -114,16 +116,15 @@ func checkEconomicInvariants(t *testing.T, cfg core.Config, specs []core.NodeSpe
 	if math.Abs(sum-want) > 1e-9*want {
 		t.Errorf("Σ wallets = %v, want %v (nodes × initial tokens)", sum, want)
 	}
-	maxRating := cfg.Reputation.MaxRating
 	for _, n := range nodes {
 		for _, m := range nodes {
-			if r := n.Reputation().Rating(m.ID()); !(r >= 0 && r <= maxRating) {
-				t.Fatalf("node %v rates %v at %v, outside [0, %v]", n.ID(), m.ID(), r, maxRating)
+			if r := n.Reputation().Rating(m.ID()); !(r >= 0 && r <= reputation.MaxRating) {
+				t.Fatalf("node %v rates %v at %v, outside [0, %v]", n.ID(), m.ID(), r, reputation.MaxRating)
 			}
 		}
 	}
 
-	maxPayment := cfg.Incentive.MaxIncentive + cfg.Incentive.TagRewardCap
+	maxPayment := cfg.Incentive.MaxIncentive + incentive.TagRewardCap
 	var volume float64
 	payments := buf.Filter(report.Payment)
 	for _, e := range payments {

@@ -9,6 +9,7 @@ import (
 	"dtnsim/internal/behavior"
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/mobility"
+	"dtnsim/internal/radio"
 	"dtnsim/internal/sim"
 	"dtnsim/internal/world"
 )
@@ -150,7 +151,7 @@ func TestKineticMatchesFullDetection(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := eng.pairScratch
-				want = eng.grid.Pairs(want[:0], cfg.Radio.Range)
+				want = eng.grid.Pairs(want[:0], radio.Range)
 				if len(got) != len(want) {
 					t.Fatalf("tick %d: %d pairs, want %d (got %v, want %v)",
 						tick, len(got), len(want), got, want)
@@ -202,7 +203,7 @@ func TestKineticStationaryScansOnce(t *testing.T) {
 		t.Fatalf("stationary run rebuilt %d times, want exactly 1", r)
 	}
 	got := eng.pairScratch
-	want := eng.grid.Pairs(nil, cfg.Radio.Range)
+	want := eng.grid.Pairs(nil, radio.Range)
 	if len(got) != len(want) {
 		t.Fatalf("stationary pair set = %v, want %v", got, want)
 	}

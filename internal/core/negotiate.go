@@ -5,6 +5,7 @@ import (
 
 	"dtnsim/internal/incentive"
 	"dtnsim/internal/message"
+	"dtnsim/internal/radio"
 	"dtnsim/internal/routing"
 )
 
@@ -142,11 +143,11 @@ func (e *Engine) softwareFactors(u, v *Node, m *message.Message) incentive.Softw
 // hardwareIncentive is I_h for u sending m to v: transmit energy for the
 // source, transmit and receive energy for a relay.
 func (e *Engine) hardwareIncentive(u, v *Node, m *message.Message) float64 {
-	transferTime := e.cfg.Radio.TransferTime(m.Size)
+	transferTime := radio.TransferTime(m.Size)
 	if m.Source == u.id {
-		return e.calc.HardwareSource(e.cfg.Radio.TxPower, transferTime)
+		return e.calc.HardwareSource(radio.TxPower, transferTime)
 	}
-	return e.calc.HardwareRelay(e.cfg.Radio.TxPower, e.receivePower(u, v), transferTime)
+	return e.calc.HardwareRelay(radio.TxPower, e.receivePower(u, v), transferTime)
 }
 
 // awardFactor is the reputation multiplier v applies to an award for m
@@ -170,12 +171,12 @@ func (e *Engine) award(factor, promise float64, m *message.Message) float64 {
 // nominal half-range distance.
 func (e *Engine) receivePower(u, v *Node) float64 {
 	if e.traceCursor != nil {
-		return e.cfg.Radio.ReceivePower(e.cfg.Radio.Range / 2)
+		return radio.ReceivePower(radio.Range / 2)
 	}
 	pu, okU := e.grid.Position(u.id)
 	pv, okV := e.grid.Position(v.id)
 	if !okU || !okV {
-		return e.cfg.Radio.ReceivePower(e.cfg.Radio.Range)
+		return radio.ReceivePower(radio.Range)
 	}
-	return e.cfg.Radio.ReceivePower(pu.Dist(pv))
+	return radio.ReceivePower(pu.Dist(pv))
 }

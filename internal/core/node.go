@@ -143,21 +143,13 @@ func (n *Node) Wallet() *incentive.Wallet { return n.wallet }
 // Reputation returns the node's reputation model.
 func (n *Node) Reputation() reputation.Model { return n.rep }
 
-// newReputationModel builds the configured reputation implementation. The
-// Beta comparator derives its scale parameters from the DRM params so the
-// two models judge on identical scales.
+// newReputationModel builds the configured reputation implementation.
 func newReputationModel(id ident.NodeID, cfg Config) (reputation.Model, error) {
 	switch cfg.ReputationModel {
 	case ReputationDRM:
 		return reputation.NewStore(id, cfg.Reputation)
 	case ReputationBeta:
-		bp := reputation.DefaultBetaParams()
-		bp.Alpha = cfg.Reputation.Alpha
-		bp.MaxRating = cfg.Reputation.MaxRating
-		bp.MaxConfidence = cfg.Reputation.MaxConfidence
-		bp.AvoidBelow = cfg.Reputation.AvoidBelow
-		bp.MinObservations = cfg.Reputation.MinObservations
-		return reputation.NewBetaStore(id, bp)
+		return reputation.NewBetaStore(id, cfg.Reputation)
 	default:
 		return nil, fmt.Errorf("core: unknown reputation model %d", int(cfg.ReputationModel))
 	}

@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"dtnsim/internal/buffer"
+	"dtnsim/internal/enrich"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
+	"dtnsim/internal/radio"
 	"dtnsim/internal/report"
 	"dtnsim/internal/routing"
 )
@@ -25,7 +27,7 @@ func (e *Engine) progressTransfer(c *contact, now time.Duration) {
 	}
 	t := c.active
 	t.elapsed += step
-	t.bytesLeft -= e.cfg.Radio.Bandwidth * step.Seconds()
+	t.bytesLeft -= radio.Bandwidth * step.Seconds()
 	if t.bytesLeft > 0 {
 		return
 	}
@@ -66,7 +68,7 @@ func (e *Engine) stillValid(t *transfer) bool {
 	if t.role == routing.RoleDestination {
 		return !e.collector.WasDelivered(h, t.to.id)
 	}
-	return e.spray == nil || t.msg.CopiesLeft > 1
+	return !e.spray || t.msg.CopiesLeft > 1
 }
 
 // completeTransfer settles one finished handover: energy accounting, token
@@ -82,7 +84,7 @@ func (e *Engine) completeTransfer(c *contact, t *transfer, now time.Duration) {
 	// Battery accounting (both parties burned radio time regardless of
 	// what the settlement decides).
 	rx := e.receivePower(u, v)
-	u.energy.SpendTx(e.cfg.Radio.TxPower, t.elapsed)
+	u.energy.SpendTx(radio.TxPower, t.elapsed)
 	v.energy.SpendRx(rx, t.elapsed)
 
 	incentiveOn := e.cfg.incentiveActive()
@@ -107,7 +109,7 @@ func (e *Engine) completeTransfer(c *contact, t *transfer, now time.Duration) {
 	if e.cfg.reputationActive() {
 		attachPathRatings(u, clone)
 	}
-	if e.spray != nil {
+	if e.spray {
 		keep, give := routing.SplitCopies(m.CopiesLeft)
 		m.CopiesLeft, clone.CopiesLeft = keep, give
 	}
@@ -205,13 +207,13 @@ func (e *Engine) addTag(v *Node, m *message.Message, kw string, now time.Duratio
 // relay for its added tags (Paper I §3.3, "Rating of a message").
 func (e *Engine) judgeDelivered(v *Node, m *message.Message) {
 	if m.Source != v.id {
-		v.rep.RateSourceMessage(m.Source, e.judge.JudgeSource(m, v.rng))
+		v.rep.RateSourceMessage(m.Source, enrich.JudgeSource(m, v.rng))
 	}
 	for _, enricher := range m.Enrichers() {
 		if enricher == v.id {
 			continue
 		}
-		inputs, _ := e.judge.JudgeEnricher(m, enricher, v.rng)
+		inputs, _ := enrich.JudgeEnricher(m, enricher, v.rng)
 		v.rep.RateRelayMessage(enricher, inputs)
 	}
 }

@@ -40,6 +40,25 @@ func (c MessageClass) String() string {
 	}
 }
 
+// The generated messages' shape.
+const (
+	// MessageSize is the base payload size (Table 5.1: 1 MB).
+	MessageSize int64 = 1 << 20
+	// TrueKeywords is how many ground-truth keywords each message carries.
+	TrueKeywords = 6
+	// SourceTags is how many of the true keywords the source annotates
+	// (the rest are left for honest enrichment to discover).
+	SourceTags = 3
+	// HighPriorityProb and MediumPriorityProb set the priority mix for
+	// ClassMixed nodes; the remainder is low priority.
+	HighPriorityProb   float64 = 0.2
+	MediumPriorityProb float64 = 0.4
+	// QualityMin and QualityMax bound the uniform quality draw for
+	// ClassMixed nodes.
+	QualityMin float64 = 0.3
+	QualityMax float64 = 1
+)
+
 // WorkloadConfig drives message generation. Each node originates messages
 // as a Poisson process with the given mean interval; content keywords are
 // sampled from the vocabulary.
@@ -50,37 +69,15 @@ type WorkloadConfig struct {
 	// MeanInterval is the per-node mean time between originated messages;
 	// zero disables generation (the examples drive messages manually).
 	MeanInterval time.Duration
-	// MessageSize is the base payload size (Table 5.1: 1 MB).
-	MessageSize int64
-	// TrueKeywords is how many ground-truth keywords each message carries.
-	TrueKeywords int
-	// SourceTags is how many of the true keywords the source annotates
-	// (the rest are left for honest enrichment to discover).
-	SourceTags int
-	// HighProb and MediumProb set the priority mix for ClassMixed nodes;
-	// the remainder is low priority.
-	HighProb, MediumProb float64
-	// QualityMin and QualityMax bound the uniform quality draw for
-	// ClassMixed nodes.
-	QualityMin, QualityMax float64
 }
 
 // DefaultWorkload returns the paper-scale workload over the given pool.
 func DefaultWorkload(vocab *enrich.Vocabulary) WorkloadConfig {
-	return WorkloadConfig{
-		Vocab:        vocab,
-		MeanInterval: 2 * time.Hour,
-		MessageSize:  1 << 20,
-		TrueKeywords: 6,
-		SourceTags:   3,
-		HighProb:     0.2,
-		MediumProb:   0.4,
-		QualityMin:   0.3,
-		QualityMax:   1.0,
-	}
+	return WorkloadConfig{Vocab: vocab, MeanInterval: 2 * time.Hour}
 }
 
-// Validate checks the workload.
+// Validate checks the workload. The vocabulary must hold each message's
+// TrueKeywords.
 func (w WorkloadConfig) Validate() error {
 	if w.MeanInterval == 0 {
 		return nil // generation disabled
@@ -90,16 +87,8 @@ func (w WorkloadConfig) Validate() error {
 		return fmt.Errorf("core: workload mean interval must be non-negative, got %v", w.MeanInterval)
 	case w.Vocab == nil:
 		return fmt.Errorf("core: workload requires a vocabulary")
-	case w.MessageSize <= 0:
-		return fmt.Errorf("core: workload message size must be positive, got %d", w.MessageSize)
-	case w.TrueKeywords <= 0 || w.TrueKeywords > w.Vocab.Len():
-		return fmt.Errorf("core: true keyword count %d outside [1, %d]", w.TrueKeywords, w.Vocab.Len())
-	case w.SourceTags <= 0 || w.SourceTags > w.TrueKeywords:
-		return fmt.Errorf("core: source tag count %d outside [1, %d]", w.SourceTags, w.TrueKeywords)
-	case w.HighProb < 0 || w.MediumProb < 0 || w.HighProb+w.MediumProb > 1:
-		return fmt.Errorf("core: priority mix (%v, %v) invalid", w.HighProb, w.MediumProb)
-	case w.QualityMin <= 0 || w.QualityMax > 1 || w.QualityMin > w.QualityMax:
-		return fmt.Errorf("core: quality range [%v, %v] invalid", w.QualityMin, w.QualityMax)
+	case w.Vocab.Len() < TrueKeywords:
+		return fmt.Errorf("core: vocabulary of %d keywords is smaller than the %d true keywords per message", w.Vocab.Len(), TrueKeywords)
 	}
 	return nil
 }
@@ -157,8 +146,8 @@ func (e *Engine) scheduleNextMessage(n *Node) {
 func (e *Engine) originate(n *Node, now time.Duration) {
 	w := e.cfg.Workload
 	prio, quality, size := e.drawClass(n)
-	truth := w.Vocab.Sample(e.workloadRNG, w.TrueKeywords)
-	tagIdx := e.workloadRNG.Sample(len(truth), w.SourceTags)
+	truth := w.Vocab.Sample(e.workloadRNG, TrueKeywords)
+	tagIdx := e.workloadRNG.Sample(len(truth), SourceTags)
 	tags := make([]string, len(tagIdx), len(tagIdx)+3)
 	for j, i := range tagIdx {
 		tags[j] = truth[i]
@@ -179,36 +168,32 @@ func (e *Engine) originate(n *Node, now time.Duration) {
 // drawClass maps the node's generator class (and malicious low-quality
 // override) to (priority, quality, size).
 func (e *Engine) drawClass(n *Node) (message.Priority, float64, int64) {
-	w := e.cfg.Workload
 	var prio message.Priority
 	var quality float64
-	size := w.MessageSize
+	size := MessageSize
 	switch n.class {
 	case ClassHighEnd:
 		// "high quality larger size and high priority" — Figure 5.6 notes
 		// the higher quality message has a larger size.
-		prio, quality, size = message.PriorityHigh, 0.9, w.MessageSize+w.MessageSize/2
+		prio, quality, size = message.PriorityHigh, 0.9, MessageSize+MessageSize/2
 	case ClassMidRange:
 		prio, quality = message.PriorityMedium, 0.6
 	case ClassLowEnd:
-		prio, quality, size = message.PriorityLow, 0.3, w.MessageSize/2
+		prio, quality, size = message.PriorityLow, 0.3, MessageSize/2
 	default:
 		r := e.workloadRNG.Float64()
 		switch {
-		case r < w.HighProb:
+		case r < HighPriorityProb:
 			prio = message.PriorityHigh
-		case r < w.HighProb+w.MediumProb:
+		case r < HighPriorityProb+MediumPriorityProb:
 			prio = message.PriorityMedium
 		default:
 			prio = message.PriorityLow
 		}
-		quality = e.workloadRNG.Range(w.QualityMin, w.QualityMax)
+		quality = e.workloadRNG.Range(QualityMin, QualityMax)
 	}
 	if n.profile.LowQuality {
-		quality = n.profile.MaliciousQuality
-	}
-	if size <= 0 {
-		size = 1
+		quality = behavior.MaliciousQuality
 	}
 	return prio, quality, size
 }

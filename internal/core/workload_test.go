@@ -25,16 +25,22 @@ func TestWorkloadValidation(t *testing.T) {
 	if err := disabled.Validate(); err != nil {
 		t.Errorf("zero workload (generation disabled) must validate: %v", err)
 	}
+	// Each message carries six true keywords, so a five-word vocabulary
+	// cannot supply them; six words can.
+	five, err := enrich.NewVocabulary(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	six, err := enrich.NewVocabulary(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.DefaultWorkload(six).Validate(); err != nil {
+		t.Errorf("six-word vocabulary must validate: %v", err)
+	}
 	tests := []func(*core.WorkloadConfig){
 		func(w *core.WorkloadConfig) { w.Vocab = nil },
-		func(w *core.WorkloadConfig) { w.MessageSize = 0 },
-		func(w *core.WorkloadConfig) { w.TrueKeywords = 0 },
-		func(w *core.WorkloadConfig) { w.TrueKeywords = 99 },
-		func(w *core.WorkloadConfig) { w.SourceTags = 0 },
-		func(w *core.WorkloadConfig) { w.SourceTags = w.TrueKeywords + 1 },
-		func(w *core.WorkloadConfig) { w.HighProb = 0.8; w.MediumProb = 0.8 },
-		func(w *core.WorkloadConfig) { w.QualityMin = 0 },
-		func(w *core.WorkloadConfig) { w.QualityMax = 1.2 },
+		func(w *core.WorkloadConfig) { w.Vocab = five },
 	}
 	for i, mutate := range tests {
 		w := core.DefaultWorkload(vocab)
@@ -105,7 +111,7 @@ func TestMaliciousLowQualityOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	want := behavior.MaliciousProfile(true).MaliciousQuality
+	want := behavior.MaliciousQuality
 	for _, n := range eng.Nodes() {
 		for _, m := range n.Buffer().Messages() {
 			if m.Source != n.ID() {

@@ -4,8 +4,8 @@
 // user later judges whether those keywords were relevant. Neither judgement
 // can run in a simulator, so each message carries a hidden set of *true*
 // keywords: honest taggers draw from it, malicious taggers draw from outside
-// it, and the destination-side judge scores tags against it with a
-// configurable confidence noise — exercising exactly the reward and
+// it, and the destination-side judge scores tags against it with a fixed
+// confidence noise — exercising exactly the reward and
 // reputation code paths the human exercises in the field.
 package enrich
 
@@ -168,32 +168,18 @@ func (NopTagger) Name() string { return "nop" }
 // ProposeTags implements Tagger.
 func (NopTagger) ProposeTags(*message.Message, *sim.RNG) []string { return nil }
 
-// Judge simulates the destination user's post-reception review: scoring tag
-// relevance against the ground truth and the content quality, with
-// confidence noise standing in for human uncertainty ("the user is not
-// entirely certain ... the user can add a confidence value").
-type Judge struct {
-	// MaxRating and MaxConfidence mirror the reputation scale.
-	MaxRating     float64
-	MaxConfidence float64
-	// ConfidenceNoise is the σ of the confidence draw around full
-	// confidence; higher values model less certain users.
-	ConfidenceNoise float64
-}
-
-// NewJudge builds a judge aligned with the reputation parameters.
-func NewJudge(rp reputation.Params, confidenceNoise float64) *Judge {
-	return &Judge{
-		MaxRating:       rp.MaxRating,
-		MaxConfidence:   rp.MaxConfidence,
-		ConfidenceNoise: confidenceNoise,
-	}
-}
+// ConfidenceNoise is the σ of the judge's confidence draw below full
+// confidence. JudgeSource and JudgeEnricher simulate the destination user's
+// post-reception review: scoring tag relevance against the ground truth and
+// the content quality, on the reputation scale, with this noise standing in
+// for human uncertainty ("the user is not entirely certain ... the user can
+// add a confidence value").
+const ConfidenceNoise float64 = 0.1
 
 // JudgeSource produces the rating inputs for the message source: tag rating
 // from the fraction of the source's tags that match ground truth, quality
 // rating from the content quality.
-func (j *Judge) JudgeSource(m *message.Message, rng *sim.RNG) reputation.MessageRatingInputs {
+func JudgeSource(m *message.Message, rng *sim.RNG) reputation.MessageRatingInputs {
 	var relevant, total int
 	for _, a := range m.Annotations {
 		if a.AddedBy != m.Source {
@@ -205,15 +191,15 @@ func (j *Judge) JudgeSource(m *message.Message, rng *sim.RNG) reputation.Message
 		}
 	}
 	return reputation.MessageRatingInputs{
-		TagRating:     j.fractionRating(relevant, total),
-		Confidence:    j.confidence(rng),
-		QualityRating: m.Quality * j.MaxRating,
+		TagRating:     fractionRating(relevant, total),
+		Confidence:    confidence(rng),
+		QualityRating: m.Quality * reputation.MaxRating,
 	}
 }
 
 // JudgeEnricher produces the rating inputs for one enriching relay, judging
 // only the tags that relay added.
-func (j *Judge) JudgeEnricher(m *message.Message, relay ident.NodeID, rng *sim.RNG) (reputation.MessageRatingInputs, int) {
+func JudgeEnricher(m *message.Message, relay ident.NodeID, rng *sim.RNG) (reputation.MessageRatingInputs, int) {
 	var relevant, total int
 	for _, a := range m.Annotations {
 		if a.AddedBy != relay || a.Hop <= 0 {
@@ -225,24 +211,21 @@ func (j *Judge) JudgeEnricher(m *message.Message, relay ident.NodeID, rng *sim.R
 		}
 	}
 	return reputation.MessageRatingInputs{
-		TagRating:  j.fractionRating(relevant, total),
-		Confidence: j.confidence(rng),
+		TagRating:  fractionRating(relevant, total),
+		Confidence: confidence(rng),
 	}, relevant
 }
 
-func (j *Judge) fractionRating(relevant, total int) float64 {
+func fractionRating(relevant, total int) float64 {
 	if total == 0 {
 		// Nothing to judge: neutral-positive, the user has no complaint.
-		return j.MaxRating
+		return reputation.MaxRating
 	}
-	return j.MaxRating * float64(relevant) / float64(total)
+	return reputation.MaxRating * float64(relevant) / float64(total)
 }
 
-func (j *Judge) confidence(rng *sim.RNG) float64 {
-	c := j.MaxConfidence
-	if j.ConfidenceNoise > 0 {
-		c -= abs(rng.Normal(0, j.ConfidenceNoise))
-	}
+func confidence(rng *sim.RNG) float64 {
+	c := reputation.MaxConfidence - abs(rng.Normal(0, ConfidenceNoise))
 	if c < 0 {
 		return 0
 	}

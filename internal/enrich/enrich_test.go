@@ -6,7 +6,6 @@ import (
 
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
-	"dtnsim/internal/reputation"
 	"dtnsim/internal/sim"
 )
 
@@ -152,33 +151,30 @@ func TestNopTagger(t *testing.T) {
 }
 
 func TestJudgeSourceScoresRelevance(t *testing.T) {
-	j := NewJudge(reputation.DefaultParams(), 0)
 	rng := sim.NewRNG(7)
 	// Source tagged 2 relevant + 2 irrelevant keywords.
 	m := testMessage(t, []string{"a", "b"}, []string{"a", "b", "x", "y"})
-	in := j.JudgeSource(m, rng)
+	in := JudgeSource(m, rng)
 	if in.TagRating != 2.5 { // 2/4 of max 5
 		t.Errorf("TagRating = %v, want 2.5", in.TagRating)
 	}
 	if in.QualityRating != 0.8*5 {
 		t.Errorf("QualityRating = %v, want 4", in.QualityRating)
 	}
-	if in.Confidence != 1 {
-		t.Errorf("Confidence = %v, want 1 with zero noise", in.Confidence)
+	if in.Confidence < 0 || in.Confidence > 1 {
+		t.Errorf("Confidence = %v, want within [0, 1]", in.Confidence)
 	}
 }
 
 func TestJudgeSourceNoTagsIsNeutralPositive(t *testing.T) {
-	j := NewJudge(reputation.DefaultParams(), 0)
 	m := testMessage(t, []string{"a"}, nil)
-	in := j.JudgeSource(m, sim.NewRNG(8))
+	in := JudgeSource(m, sim.NewRNG(8))
 	if in.TagRating != 5 {
 		t.Errorf("TagRating with no tags = %v, want max", in.TagRating)
 	}
 }
 
 func TestJudgeEnricherScoresOnlyTheirTags(t *testing.T) {
-	j := NewJudge(reputation.DefaultParams(), 0)
 	rng := sim.NewRNG(9)
 	m := testMessage(t, []string{"a", "b", "c"}, []string{"a"})
 	relay := ident.NodeID(2)
@@ -188,22 +184,23 @@ func TestJudgeEnricherScoresOnlyTheirTags(t *testing.T) {
 	other := ident.NodeID(3)
 	clone2 := clone.CopyFor(other)
 	clone2.Annotate("c", other, 0) // relevant, by someone else
-	in, relevant := j.JudgeEnricher(clone2, relay, rng)
+	in, relevant := JudgeEnricher(clone2, relay, rng)
 	if relevant != 1 {
 		t.Errorf("relevant count = %d, want 1", relevant)
 	}
 	if in.TagRating != 2.5 { // 1/2 of the relay's own tags
 		t.Errorf("TagRating = %v, want 2.5", in.TagRating)
 	}
+	if in.Confidence < 0 || in.Confidence > 1 {
+		t.Errorf("Confidence = %v, want within [0, 1]", in.Confidence)
+	}
 }
 
 func TestJudgeConfidenceNoiseBounded(t *testing.T) {
-	j := NewJudge(reputation.DefaultParams(), 0.5)
 	rng := sim.NewRNG(10)
 	for i := 0; i < 1000; i++ {
-		c := j.confidence(rng)
-		if c < 0 || c > j.MaxConfidence {
-			t.Fatalf("confidence %v out of [0, %v]", c, j.MaxConfidence)
+		if c := confidence(rng); c < 0 || c > 1 {
+			t.Fatalf("confidence %v out of [0, 1]", c)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/metrics"
+	"dtnsim/internal/radio"
 	"dtnsim/internal/scenario"
 )
 
@@ -333,10 +334,10 @@ func Table51(p Profile) Table {
 		{"Number of Participants", "500", fmt.Sprintf("%d", p.Nodes)},
 		{"Pool of Social Interest Keywords", "200", "200"},
 		{"No of Defined Social Interests", "20 per node", "20 per node"},
-		{"Transmission speed", "250 kBps", fmt.Sprintf("%.0f kBps", cfg.Radio.Bandwidth/1000)},
-		{"Transmission radius", "100 meters", fmt.Sprintf("%.0f meters", cfg.Radio.Range)},
+		{"Transmission speed", "250 kBps", fmt.Sprintf("%.0f kBps", radio.Bandwidth/1000)},
+		{"Transmission radius", "100 meters", fmt.Sprintf("%.0f meters", radio.Range)},
 		{"Buffer capacity", "250 MB", fmt.Sprintf("%d MB", cfg.BufferCapacity>>20)},
-		{"Message Size", "1 MB", fmt.Sprintf("%d MB", cfg.Workload.MessageSize>>20)},
+		{"Message Size", "1 MB", fmt.Sprintf("%d MB", core.MessageSize>>20)},
 		{"Area", "5 sq.km.", fmt.Sprintf("%.1f sq.km.", cfg.Area.Area()/1e6)},
 		{"Simulated time", "24 hours", p.Duration.String()},
 		{"Threshold for relay", "0.8", fmt.Sprintf("%.1f", cfg.Incentive.RelayThreshold)},

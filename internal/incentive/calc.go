@@ -121,14 +121,14 @@ func (f SoftwareFactors) contentTerm() float64 {
 // HardwareSource computes I_h = c·P_t·t for a source delivering directly to
 // the destination: compensation for transmit energy only.
 func (c *Calculator) HardwareSource(txPower float64, elapsed time.Duration) float64 {
-	return c.params.HardwareCoeff * txPower * elapsed.Seconds()
+	return HardwareCoeff * txPower * elapsed.Seconds()
 }
 
 // HardwareRelay computes I_h = c·(P_t+P_r)·t for a relay delivering to the
 // destination: the relay spent receive energy acquiring the message and
 // transmit energy forwarding it, and is compensated for both.
 func (c *Calculator) HardwareRelay(txPower, rxPower float64, elapsed time.Duration) float64 {
-	return c.params.HardwareCoeff * (txPower + rxPower) * elapsed.Seconds()
+	return HardwareCoeff * (txPower + rxPower) * elapsed.Seconds()
 }
 
 // Total combines the factors: I = min(I_s + I_h, I_m).
@@ -152,8 +152,8 @@ func (c *Calculator) TagReward(relevantTags int) float64 {
 		return 0
 	}
 	total := float64(relevantTags) * c.params.TagRewardFraction * c.params.MaxIncentive
-	if total > c.params.TagRewardCap {
-		return c.params.TagRewardCap
+	if total > TagRewardCap {
+		return TagRewardCap
 	}
 	return total
 }

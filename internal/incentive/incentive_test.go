@@ -25,10 +25,8 @@ func TestParamsValidation(t *testing.T) {
 	}{
 		{"max incentive", func(p *Params) { p.MaxIncentive = 0 }},
 		{"initial tokens", func(p *Params) { p.InitialTokens = -1 }},
-		{"hardware coeff", func(p *Params) { p.HardwareCoeff = -1 }},
 		{"tag fraction zero", func(p *Params) { p.TagRewardFraction = 0 }},
 		{"tag fraction one", func(p *Params) { p.TagRewardFraction = 1 }},
-		{"tag cap", func(p *Params) { p.TagRewardCap = -1 }},
 		{"relay threshold", func(p *Params) { p.RelayThreshold = 0 }},
 		{"relay threshold high", func(p *Params) { p.RelayThreshold = 1.5 }},
 		{"prepay", func(p *Params) { p.PrepayFraction = -0.1 }},
@@ -261,13 +259,14 @@ func TestSoftwareFloor(t *testing.T) {
 
 func TestHardwareFormulas(t *testing.T) {
 	c := calc(t)
-	ihSrc := c.HardwareSource(0.1, 10*time.Second)
-	want := c.params.HardwareCoeff * 0.1 * 10
+	tx, rx := 0.1, 0.02
+	ihSrc := c.HardwareSource(tx, 10*time.Second)
+	want := HardwareCoeff * tx * 10
 	if math.Abs(ihSrc-want) > 1e-12 {
 		t.Errorf("HardwareSource = %v, want %v", ihSrc, want)
 	}
-	ihRelay := c.HardwareRelay(0.1, 0.02, 10*time.Second)
-	wantRelay := c.params.HardwareCoeff * 0.12 * 10
+	ihRelay := c.HardwareRelay(tx, rx, 10*time.Second)
+	wantRelay := HardwareCoeff * (tx + rx) * 10
 	if math.Abs(ihRelay-wantRelay) > 1e-12 {
 		t.Errorf("HardwareRelay = %v, want %v", ihRelay, wantRelay)
 	}
@@ -305,8 +304,8 @@ func TestTagReward(t *testing.T) {
 	}
 	// Enough tags to hit the cap I_c.
 	many := c.TagReward(1000)
-	if many != p.TagRewardCap {
-		t.Errorf("TagReward(1000) = %v, want cap %v", many, p.TagRewardCap)
+	if many != TagRewardCap {
+		t.Errorf("TagReward(1000) = %v, want cap %v", many, TagRewardCap)
 	}
 }
 

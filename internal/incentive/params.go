@@ -8,6 +8,16 @@ package incentive
 
 import "fmt"
 
+const (
+	// HardwareCoeff is the proportionality constant c in I_h = c·P·t. The
+	// paper leaves c free; this value converts the joule scale of a 1 MB
+	// transfer at 0.1 W into a small fraction of a token.
+	HardwareCoeff float64 = 0.05
+	// TagRewardCap is I_c, the cap on the total enrichment reward for one
+	// message.
+	TagRewardCap float64 = 3
+)
+
 // Params tunes the incentive mechanism. Zero values are invalid; use
 // DefaultParams as the base.
 type Params struct {
@@ -15,16 +25,9 @@ type Params struct {
 	MaxIncentive float64
 	// InitialTokens is every node's starting balance (Table 5.1: 200).
 	InitialTokens float64
-	// HardwareCoeff is the proportionality constant c in I_h = c·P·t. The
-	// paper leaves c free; the default converts the joule scale of a 1 MB
-	// transfer at 0.1 W into a small fraction of a token.
-	HardwareCoeff float64
 	// TagRewardFraction is z in I_t_k = z·I_m, the reward per relevant
 	// added tag, with 0 < z < 1.
 	TagRewardFraction float64
-	// TagRewardCap is I_c, the cap on the total enrichment reward for one
-	// message.
-	TagRewardCap float64
 	// RelayThreshold is the mean-tag-weight bar above which a receiving
 	// relay prepays the forwarder (Table 5.1: 0.8).
 	RelayThreshold float64
@@ -40,9 +43,7 @@ func DefaultParams() Params {
 	return Params{
 		MaxIncentive:      10,
 		InitialTokens:     200,
-		HardwareCoeff:     0.05,
 		TagRewardFraction: 0.1,
-		TagRewardCap:      3,
 		RelayThreshold:    0.8,
 		PrepayFraction:    0.2,
 	}
@@ -55,12 +56,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("incentive: max incentive must be positive, got %v", p.MaxIncentive)
 	case p.InitialTokens < 0:
 		return fmt.Errorf("incentive: initial tokens must be non-negative, got %v", p.InitialTokens)
-	case p.HardwareCoeff < 0:
-		return fmt.Errorf("incentive: hardware coefficient must be non-negative, got %v", p.HardwareCoeff)
 	case p.TagRewardFraction <= 0 || p.TagRewardFraction >= 1:
 		return fmt.Errorf("incentive: tag reward fraction z must satisfy 0 < z < 1, got %v", p.TagRewardFraction)
-	case p.TagRewardCap < 0:
-		return fmt.Errorf("incentive: tag reward cap must be non-negative, got %v", p.TagRewardCap)
 	case p.RelayThreshold <= 0 || p.RelayThreshold > 1:
 		return fmt.Errorf("incentive: relay threshold must be in (0, 1], got %v", p.RelayThreshold)
 	case p.PrepayFraction < 0 || p.PrepayFraction > 1:

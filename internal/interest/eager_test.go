@@ -52,7 +52,7 @@ func (t *Table) DecayAgainst(now time.Duration, peers ...*Table) {
 // whether the (transient) row is dead instead of writing it.
 func (t *Table) reanchor(id int32, now time.Duration) bool {
 	direct := t.direct.Has(int(id))
-	w, dead := decayedWeight(t.params, t.weights[id], direct, now-t.lastShared[id])
+	w, dead := decayedWeight(t.weights[id], direct, now-t.lastShared[id])
 	if dead {
 		return true
 	}

@@ -37,6 +37,22 @@ const (
 	// MaxWeight caps all weights ("Maximum allowed value for the weight
 	// is 1").
 	MaxWeight = 1.0
+	// Beta is the decay constant β in W_n = (W_p-0.5)/(β·ΔT)+0.5. The
+	// paper's worked example uses β = 2 over ΔT in seconds.
+	Beta float64 = 2
+	// PruneBelow drops transient entries whose weight decays under this
+	// threshold, bounding table growth over a 24 h run.
+	PruneBelow float64 = 0.01
+)
+
+// invBeta and invBetaTheta are 1/β and 1/(β·θ), so the death-bound
+// arithmetic on the sweep path is multiplies, not divides. Each constant is
+// one typed operation on two operands, so it rounds as the runtime would
+// (DESIGN.md "Fixed parameters").
+const (
+	invBeta      float64 = 1 / Beta
+	betaTheta    float64 = Beta * PruneBelow
+	invBetaTheta float64 = 1 / betaTheta
 )
 
 // noDeath is the next-eviction deadline of a table with no transient row
@@ -45,9 +61,6 @@ const noDeath = time.Duration(math.MaxInt64)
 
 // Params tunes the RTSR model.
 type Params struct {
-	// Beta is the decay constant β in W_n = (W_p-0.5)/(β·ΔT)+0.5. The
-	// paper's worked example uses β = 2 over ΔT in seconds.
-	Beta float64
 	// GrowthRate scales the growth model's contact-age term. The printed
 	// formula Δ += w_v(I)·(T_c-T_v)/ψ measures contact age in raw seconds
 	// and saturates any shared interest within seconds; GrowthRate r
@@ -55,25 +68,17 @@ type Params struct {
 	// saturates a fully-shared (w_v = 1, ψ = 1) interest after one minute
 	// of contact. Set r = 1 to recover the literal formula.
 	GrowthRate float64
-	// PruneBelow drops transient entries whose weight decays under this
-	// threshold, bounding table growth over a 24 h run.
-	PruneBelow float64
 }
 
 // DefaultParams returns the calibration used by the paper-scale scenarios.
 func DefaultParams() Params {
-	return Params{Beta: 2, GrowthRate: 1.0 / 60.0, PruneBelow: 0.01}
+	return Params{GrowthRate: 1.0 / 60.0}
 }
 
 // Validate checks parameter sanity.
 func (p Params) Validate() error {
-	switch {
-	case p.Beta <= 0:
-		return fmt.Errorf("interest: beta must be positive, got %v", p.Beta)
-	case p.GrowthRate <= 0:
+	if p.GrowthRate <= 0 {
 		return fmt.Errorf("interest: growth rate must be positive, got %v", p.GrowthRate)
-	case p.PruneBelow < 0 || p.PruneBelow >= InitialWeight:
-		return fmt.Errorf("interest: prune threshold must be in [0, 0.5), got %v", p.PruneBelow)
 	}
 	return nil
 }
@@ -133,12 +138,6 @@ type Table struct {
 	// eviction candidates only when now has reached it — prune-below
 	// eviction folded into the next touch instead of a per-round pass.
 	nextDeath time.Duration
-
-	// invBeta and invBetaTheta are 1/β and 1/(β·θ), precomputed so the
-	// death-bound arithmetic on the sweep path is multiplies, not divides.
-	// Params are immutable after construction.
-	invBeta      float64
-	invBetaTheta float64
 }
 
 // NewTable creates an empty table sharing the given interner whose reads
@@ -154,12 +153,7 @@ func NewTable(params Params, in *Interner, clock Clock) (*Table, error) {
 	if clock == nil {
 		return nil, fmt.Errorf("interest: table requires a clock")
 	}
-	t := &Table{params: params, in: in, clock: clock, nextDeath: noDeath}
-	t.invBeta = 1 / params.Beta
-	if params.PruneBelow > 0 {
-		t.invBetaTheta = 1 / (params.Beta * params.PruneBelow)
-	}
-	return t, nil
+	return &Table{params: params, in: in, clock: clock, nextDeath: noDeath}, nil
 }
 
 // Interner returns the shared keyword interner.
@@ -216,8 +210,8 @@ func (t *Table) removeRow(id int32) {
 // Edge-case guard (documented in DESIGN.md): the printed divisor β·(T_c-T_l)
 // amplifies weights when below one (e.g. a sub-second gap); we clamp the
 // divisor to at least 1 so decay is monotone non-increasing.
-func decayedWeight(params Params, w float64, direct bool, elapsed time.Duration) (float64, bool) {
-	div := params.Beta * elapsed.Seconds()
+func decayedWeight(w float64, direct bool, elapsed time.Duration) (float64, bool) {
+	div := Beta * elapsed.Seconds()
 	if div < 1 {
 		return w, false
 	}
@@ -225,21 +219,21 @@ func decayedWeight(params Params, w float64, direct bool, elapsed time.Duration)
 		return (w-InitialWeight)/div + InitialWeight, false
 	}
 	w = w / div
-	return w, w < params.PruneBelow
+	return w, w < PruneBelow
 }
 
 // materialized returns the row's weight as observed at now: one decay step
 // over the gap since its anchor — Algorithm 1 as a pure function of elapsed
 // time rather than of how often a sweep happened to run.
 func (t *Table) materialized(id int32, now time.Duration) float64 {
-	w, _ := decayedWeight(t.params, t.weights[id], t.direct.Has(int(id)), now-t.lastShared[id])
+	w, _ := decayedWeight(t.weights[id], t.direct.Has(int(id)), now-t.lastShared[id])
 	return w
 }
 
 // deadRow reports whether a transient row is below the prune threshold at
 // now: the prune test of the eviction sweep.
 func (t *Table) deadRow(id int32, now time.Duration) bool {
-	_, dead := decayedWeight(t.params, t.weights[id], false, now-t.lastShared[id])
+	_, dead := decayedWeight(t.weights[id], false, now-t.lastShared[id])
 	return dead
 }
 
@@ -257,11 +251,8 @@ const maxDeathSeconds = 1e10
 // eager semantics. The same margin absorbs the sub-ulp drift of computing
 // w/(β·θ) as a multiply by the precomputed reciprocal.
 func (t *Table) deathBound(w float64, at time.Duration) time.Duration {
-	if t.params.PruneBelow <= 0 {
-		return noDeath
-	}
-	secs := t.invBeta
-	if s := w * t.invBetaTheta; s > secs {
+	secs := invBeta
+	if s := w * invBetaTheta; s > secs {
 		secs = s
 	}
 	if secs > maxDeathSeconds {

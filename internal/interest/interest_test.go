@@ -49,15 +49,9 @@ func TestParamsValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Params{
-		{Beta: 0, GrowthRate: 1, PruneBelow: 0},
-		{Beta: 2, GrowthRate: 0, PruneBelow: 0},
-		{Beta: 2, GrowthRate: 1, PruneBelow: 0.5},
-		{Beta: 2, GrowthRate: 1, PruneBelow: -0.1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: Validate should fail", i)
+	for _, rate := range []float64{0, -1} {
+		if err := (Params{GrowthRate: rate}).Validate(); err == nil {
+			t.Errorf("growth rate %v: Validate should fail", rate)
 		}
 	}
 }

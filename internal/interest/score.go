@@ -95,7 +95,7 @@ func (t *Table) refreshAndSweep(shared *bitset.Set, peers []*Table, now time.Dur
 		}
 	}
 
-	if t.params.PruneBelow <= 0 || now < t.nextDeath {
+	if now < t.nextDeath {
 		return false, 0
 	}
 	// Candidates are the unshared transient rows — shared rows are held
@@ -215,7 +215,7 @@ func (t *Table) acquireFrom(p *Table, from ident.NodeID, now time.Duration, sec 
 			m &= m - 1
 			id := base + int32(bit)
 			dirBit := dirW >> bit & 1
-			src, _ := decayedWeight(p.params, p.weights[id], dirBit != 0, now-p.lastShared[id])
+			src, _ := decayedWeight(p.weights[id], dirBit != 0, now-p.lastShared[id])
 			t.insertRow(id, clampWeight(growthDeltaIdx(src*rate*sec, dirBit)), false, now, from)
 		}
 	}

@@ -15,19 +15,17 @@ import (
 // weights, flags, counters, and the eviction deadline.
 func cloneTable(t *Table) *Table {
 	return &Table{
-		params:       t.params,
-		in:           t.in,
-		clock:        t.clock,
-		weights:      append([]float64(nil), t.weights...),
-		lastShared:   append([]time.Duration(nil), t.lastShared...),
-		source:       append([]ident.NodeID(nil), t.source...),
-		present:      append(bitset.Set(nil), t.present...),
-		direct:       append(bitset.Set(nil), t.direct...),
-		sat:          append(bitset.Set(nil), t.sat...),
-		count:        t.count,
-		nextDeath:    t.nextDeath,
-		invBeta:      t.invBeta,
-		invBetaTheta: t.invBetaTheta,
+		params:     t.params,
+		in:         t.in,
+		clock:      t.clock,
+		weights:    append([]float64(nil), t.weights...),
+		lastShared: append([]time.Duration(nil), t.lastShared...),
+		source:     append([]ident.NodeID(nil), t.source...),
+		present:    append(bitset.Set(nil), t.present...),
+		direct:     append(bitset.Set(nil), t.direct...),
+		sat:        append(bitset.Set(nil), t.sat...),
+		count:      t.count,
+		nextDeath:  t.nextDeath,
 	}
 }
 
@@ -183,7 +181,7 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 		aRef.Grow(now, []PeerView{{Peer: 2, ConnectedFor: dt, Weights: snapB}})
 		bRef.Grow(now, []PeerView{{Peer: 1, ConnectedFor: dt, Weights: snapA}})
 
-		// DefaultParams prunes, so a side sweeps once its deadline is due.
+		// Every table prunes, so a side sweeps once its deadline is due.
 		aSwept, bSwept := now >= a.nextDeath, now >= b.nextDeath
 		want := 0
 		if aSwept {

@@ -4,75 +4,49 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
 
-// Params describes a device radio. The defaults mirror Table 5.1: 100 m
-// transmission radius and 250 kBps transmission speed.
-type Params struct {
+// The radio every device carries. Range and Bandwidth are Table 5.1's
+// 100 m transmission radius and 250 kBps transmission speed.
+const (
 	// Range is the transmission radius in metres.
-	Range float64
+	Range float64 = 100
 	// Bandwidth is the link throughput in bytes per second.
-	Bandwidth float64
+	Bandwidth float64 = 250_000
 	// TxPower is the transmission power in watts. The paper leaves the
 	// absolute scale to the constant c in I_h = c·P_t·t; 0.1 W is a typical
 	// class-1 Bluetooth / low-power Wi-Fi figure.
-	TxPower float64
+	TxPower float64 = 0.1
 	// Wavelength λ in metres for the Friis path-loss term
 	// L_v = (4πR/λ)². The paper calls λ "bandwidth" but uses it as the
 	// wavelength in the Friis equation; 2.4 GHz ⇒ λ ≈ 0.125 m.
-	Wavelength float64
-}
-
-// Default returns the Table 5.1 radio profile.
-func Default() Params {
-	return Params{
-		Range:      100,
-		Bandwidth:  250_000,
-		TxPower:    0.1,
-		Wavelength: 0.125,
-	}
-}
-
-// Validate checks the parameters.
-func (p Params) Validate() error {
-	switch {
-	case p.Range <= 0:
-		return fmt.Errorf("radio: range must be positive, got %v", p.Range)
-	case p.Bandwidth <= 0:
-		return fmt.Errorf("radio: bandwidth must be positive, got %v", p.Bandwidth)
-	case p.TxPower <= 0:
-		return fmt.Errorf("radio: tx power must be positive, got %v", p.TxPower)
-	case p.Wavelength <= 0:
-		return fmt.Errorf("radio: wavelength must be positive, got %v", p.Wavelength)
-	}
-	return nil
-}
+	Wavelength float64 = 0.125
+)
 
 // PathLoss returns the free-space loss factor L_v = (4πR/λ)² at distance
 // metres. Distances below one wavelength are clamped to one wavelength so
 // the receive power can never exceed the transmit power.
-func (p Params) PathLoss(distance float64) float64 {
-	if distance < p.Wavelength {
-		distance = p.Wavelength
+func PathLoss(distance float64) float64 {
+	if distance < Wavelength {
+		distance = Wavelength
 	}
-	r := 4 * math.Pi * distance / p.Wavelength
+	r := 4 * math.Pi * distance / Wavelength
 	return r * r
 }
 
 // ReceivePower returns P_r = P_t / L_v at the given distance, in watts.
-func (p Params) ReceivePower(distance float64) float64 {
-	return p.TxPower / p.PathLoss(distance)
+func ReceivePower(distance float64) float64 {
+	return TxPower / PathLoss(distance)
 }
 
 // TransferTime returns how long a payload of size bytes occupies the link.
-func (p Params) TransferTime(size int64) time.Duration {
+func TransferTime(size int64) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	return time.Duration(float64(size) / p.Bandwidth * float64(time.Second))
+	return time.Duration(float64(size) / Bandwidth * float64(time.Second))
 }
 
 // Energy is the per-node battery accounting. The incentive's hardware factor

@@ -7,51 +7,26 @@ import (
 )
 
 func TestDefaultMatchesTable51(t *testing.T) {
-	p := Default()
-	if p.Range != 100 {
-		t.Errorf("range = %v, want 100 m", p.Range)
+	if Range != 100 {
+		t.Errorf("range = %v, want 100 m", Range)
 	}
-	if p.Bandwidth != 250_000 {
-		t.Errorf("bandwidth = %v, want 250 kBps", p.Bandwidth)
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("default params invalid: %v", err)
-	}
-}
-
-func TestValidateRejectsBadParams(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Params)
-	}{
-		{"range", func(p *Params) { p.Range = 0 }},
-		{"bandwidth", func(p *Params) { p.Bandwidth = -1 }},
-		{"tx power", func(p *Params) { p.TxPower = 0 }},
-		{"wavelength", func(p *Params) { p.Wavelength = 0 }},
-	}
-	for _, tt := range tests {
-		p := Default()
-		tt.mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("%s: Validate should fail", tt.name)
-		}
+	if Bandwidth != 250_000 {
+		t.Errorf("bandwidth = %v, want 250 kBps", Bandwidth)
 	}
 }
 
 func TestPathLossFormula(t *testing.T) {
-	p := Default()
 	// L_v = (4πR/λ)² at R = 100 m, λ = 0.125 m.
 	want := math.Pow(4*math.Pi*100/0.125, 2)
-	if got := p.PathLoss(100); math.Abs(got-want)/want > 1e-12 {
+	if got := PathLoss(100); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("PathLoss(100) = %v, want %v", got, want)
 	}
 }
 
 func TestPathLossMonotoneInDistance(t *testing.T) {
-	p := Default()
-	prev := p.PathLoss(1)
+	prev := PathLoss(1)
 	for d := 2.0; d <= 200; d += 1 {
-		l := p.PathLoss(d)
+		l := PathLoss(d)
 		if l <= prev {
 			t.Fatalf("path loss not increasing at %v m", d)
 		}
@@ -60,23 +35,21 @@ func TestPathLossMonotoneInDistance(t *testing.T) {
 }
 
 func TestReceivePowerNeverExceedsTx(t *testing.T) {
-	p := Default()
 	for _, d := range []float64{0, 0.01, 0.125, 1, 10, 100} {
-		if pr := p.ReceivePower(d); pr > p.TxPower {
-			t.Errorf("ReceivePower(%v) = %v exceeds TxPower %v", d, pr, p.TxPower)
+		if pr := ReceivePower(d); pr > TxPower {
+			t.Errorf("ReceivePower(%v) = %v exceeds TxPower %v", d, pr, TxPower)
 		}
 	}
 }
 
 func TestTransferTime(t *testing.T) {
-	p := Default()
 	// 1 MB at 250 kB/s ≈ 4.19 s.
-	got := p.TransferTime(1 << 20)
+	got := TransferTime(1 << 20)
 	want := time.Duration(float64(1<<20) / 250000 * float64(time.Second))
 	if got != want {
 		t.Errorf("TransferTime(1MB) = %v, want %v", got, want)
 	}
-	if p.TransferTime(0) != 0 || p.TransferTime(-5) != 0 {
+	if TransferTime(0) != 0 || TransferTime(-5) != 0 {
 		t.Error("non-positive sizes must take zero time")
 	}
 }

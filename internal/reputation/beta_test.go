@@ -10,34 +10,11 @@ import (
 
 func betaStore(t *testing.T) *BetaStore {
 	t.Helper()
-	s, err := NewBetaStore(ident.NodeID(0), DefaultBetaParams())
+	s, err := NewBetaStore(ident.NodeID(0), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func TestBetaParamsValidate(t *testing.T) {
-	if err := DefaultBetaParams().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tests := []func(*BetaParams){
-		func(p *BetaParams) { p.Alpha = 0.5 },
-		func(p *BetaParams) { p.MaxRating = 0 },
-		func(p *BetaParams) { p.MaxConfidence = 0 },
-		func(p *BetaParams) { p.GossipWeight = -0.1 },
-		func(p *BetaParams) { p.Fade = 0 },
-		func(p *BetaParams) { p.Fade = 1.5 },
-		func(p *BetaParams) { p.AvoidBelow = 99 },
-		func(p *BetaParams) { p.MinObservations = -1 },
-	}
-	for i, mutate := range tests {
-		p := DefaultBetaParams()
-		mutate(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: Validate should fail", i)
-		}
-	}
 }
 
 func TestBetaPriorIsNeutral(t *testing.T) {
@@ -65,28 +42,25 @@ func TestBetaConvergesWithEvidence(t *testing.T) {
 	}
 }
 
+// TestBetaFadeFavorsRecentBehaviour feeds two stores the same evidence in
+// two orders. Without fading both would hold 30 good and 10 bad
+// observations and agree; with it, the store that saw the bad burst last
+// rates the node lower.
 func TestBetaFadeFavorsRecentBehaviour(t *testing.T) {
-	params := DefaultBetaParams()
-	params.Fade = 0.8 // aggressive fading for the test
-	s, err := NewBetaStore(0, params)
-	if err != nil {
-		t.Fatal(err)
+	good := MessageRatingInputs{TagRating: 5, Confidence: 1}
+	bad := MessageRatingInputs{TagRating: 0, Confidence: 1}
+	rate := func(s *BetaStore, in MessageRatingInputs, n int) {
+		for i := 0; i < n; i++ {
+			s.RateRelayMessage(1, in)
+		}
 	}
-	v := ident.NodeID(1)
-	// A long good history, then a burst of bad behaviour.
-	for i := 0; i < 30; i++ {
-		s.RateRelayMessage(v, MessageRatingInputs{TagRating: 5, Confidence: 1})
-	}
-	high := s.Rating(v)
-	for i := 0; i < 10; i++ {
-		s.RateRelayMessage(v, MessageRatingInputs{TagRating: 0, Confidence: 1})
-	}
-	low := s.Rating(v)
-	if low >= high {
-		t.Errorf("rating did not fall after bad burst: %v → %v", high, low)
-	}
-	if low > 1.5 {
-		t.Errorf("faded model should track the recent bad burst, rating = %v", low)
+	badLast, badFirst := betaStore(t), betaStore(t)
+	rate(badLast, good, 30)
+	rate(badLast, bad, 10)
+	rate(badFirst, bad, 10)
+	rate(badFirst, good, 30)
+	if last, first := badLast.Rating(1), badFirst.Rating(1); last >= first {
+		t.Errorf("bad burst last rates %v, bad burst first %v: recent evidence must weigh more", last, first)
 	}
 }
 

@@ -24,57 +24,44 @@ import (
 	"dtnsim/internal/message"
 )
 
-// Params tunes the DRM.
-type Params struct {
-	// Alpha is the self-weight in the second-hand merge
-	// r_{v,u} = (1-α)·r_{v,z} + α·r_{v,u}; the paper requires α > 0.5 so a
-	// node trusts its own experience over gossip.
-	Alpha float64
+// The rating scale and the avoid bar both models share.
+const (
 	// MaxRating is r_m, the top of the rating scale ("the highest rating a
 	// node can assign to another node is 5").
-	MaxRating float64
+	MaxRating float64 = 5
 	// MaxConfidence is C_m, the top of the tag-judgement confidence scale.
-	MaxConfidence float64
+	MaxConfidence float64 = 1
 	// InitialRating is the prior for nodes never rated; 2.5 (the scale
 	// midpoint) is neutral.
-	InitialRating float64
+	InitialRating float64 = 2.5
 	// AvoidBelow bars nodes: once a node's rating drops under this bar the
 	// holder refuses transfers from it ("enabling other nodes to avoid
-	// receiving from malicious nodes"). Zero disables barring.
-	AvoidBelow float64
+	// receiving from malicious nodes").
+	AvoidBelow float64 = 1
 	// MinObservations is how many first-hand message ratings must back an
 	// opinion before the avoid bar applies, so one bad message does not
 	// blacklist a node.
-	MinObservations int
+	MinObservations = 3
+)
+
+// Params tunes both reputation models.
+type Params struct {
+	// Alpha is the self-weight in the second-hand merge
+	// r_{v,u} = (1-α)·r_{v,z} + α·r_{v,u}; the paper requires α > 0.5 so a
+	// node trusts its own experience over gossip. The award formula uses
+	// the same weight in both models.
+	Alpha float64
 }
 
 // DefaultParams returns the evaluation configuration.
 func DefaultParams() Params {
-	return Params{
-		Alpha:           0.7,
-		MaxRating:       5,
-		MaxConfidence:   1,
-		InitialRating:   2.5,
-		AvoidBelow:      1.0,
-		MinObservations: 3,
-	}
+	return Params{Alpha: 0.7}
 }
 
-// Validate checks the parameters, including the paper's α > 0.5 constraint.
+// Validate checks the paper's 0.5 < α < 1 constraint.
 func (p Params) Validate() error {
-	switch {
-	case p.Alpha <= 0.5 || p.Alpha >= 1:
+	if p.Alpha <= 0.5 || p.Alpha >= 1 {
 		return fmt.Errorf("reputation: alpha must satisfy 0.5 < α < 1, got %v", p.Alpha)
-	case p.MaxRating <= 0:
-		return fmt.Errorf("reputation: max rating must be positive, got %v", p.MaxRating)
-	case p.MaxConfidence <= 0:
-		return fmt.Errorf("reputation: max confidence must be positive, got %v", p.MaxConfidence)
-	case p.InitialRating < 0 || p.InitialRating > p.MaxRating:
-		return fmt.Errorf("reputation: initial rating %v outside [0, %v]", p.InitialRating, p.MaxRating)
-	case p.AvoidBelow < 0 || p.AvoidBelow > p.MaxRating:
-		return fmt.Errorf("reputation: avoid bar %v outside [0, %v]", p.AvoidBelow, p.MaxRating)
-	case p.MinObservations < 0:
-		return fmt.Errorf("reputation: min observations must be non-negative, got %d", p.MinObservations)
 	}
 	return nil
 }
@@ -135,7 +122,7 @@ func (s *Store) rowFor(v ident.NodeID) *row {
 	i, ok := slices.BinarySearch(s.ids, v)
 	if !ok {
 		s.ids = slices.Insert(s.ids, i, v)
-		s.rows = slices.Insert(s.rows, i, row{current: s.params.InitialRating})
+		s.rows = slices.Insert(s.rows, i, row{current: InitialRating})
 	}
 	return &s.rows[i]
 }
@@ -144,7 +131,7 @@ func (s *Store) rowFor(v ident.NodeID) *row {
 // R_i = ½·(R_t·C/C_m) + ½·R_q, records it first-hand against the source, and
 // returns it.
 func (s *Store) RateSourceMessage(src ident.NodeID, in MessageRatingInputs) float64 {
-	ri := 0.5*(in.TagRating*s.clampConf(in.Confidence)/s.params.MaxConfidence) + 0.5*clampRating(in.QualityRating, s.params.MaxRating)
+	ri := 0.5*(in.TagRating*clampConf(in.Confidence)/MaxConfidence) + 0.5*clampRating(in.QualityRating)
 	s.recordMessageRating(src, ri)
 	return ri
 }
@@ -152,29 +139,29 @@ func (s *Store) RateSourceMessage(src ident.NodeID, in MessageRatingInputs) floa
 // RateRelayMessage computes the message rating R_i for an enriching relay:
 // R_i = R_t·C/C_m, records it first-hand, and returns it.
 func (s *Store) RateRelayMessage(relay ident.NodeID, in MessageRatingInputs) float64 {
-	ri := clampRating(in.TagRating, s.params.MaxRating) * s.clampConf(in.Confidence) / s.params.MaxConfidence
+	ri := clampRating(in.TagRating) * clampConf(in.Confidence) / MaxConfidence
 	s.recordMessageRating(relay, ri)
 	return ri
 }
 
-// clampRating clamps r into the rating scale [0, maxRating]; both models
+// clampRating clamps r into the rating scale [0, MaxRating]; both models
 // use it.
-func clampRating(r, maxRating float64) float64 {
+func clampRating(r float64) float64 {
 	if r < 0 {
 		return 0
 	}
-	if r > maxRating {
-		return maxRating
+	if r > MaxRating {
+		return MaxRating
 	}
 	return r
 }
 
-func (s *Store) clampConf(c float64) float64 {
+func clampConf(c float64) float64 {
 	if c < 0 {
 		return 0
 	}
-	if c > s.params.MaxConfidence {
-		return s.params.MaxConfidence
+	if c > MaxConfidence {
+		return MaxConfidence
 	}
 	return c
 }
@@ -183,7 +170,7 @@ func (s *Store) clampConf(c float64) float64 {
 // of all message ratings received from v: r_{v,u} = Σ r_{m_v} / N.
 func (s *Store) recordMessageRating(v ident.NodeID, ri float64) {
 	r := s.rowFor(v)
-	r.msgSum += clampRating(ri, s.params.MaxRating)
+	r.msgSum += clampRating(ri)
 	r.msgN++
 	r.current = r.msgSum / float64(r.msgN)
 }
@@ -197,7 +184,7 @@ func (s *Store) MergeSecondHand(v ident.NodeID, theirRating float64) {
 	}
 	r := s.rowFor(v)
 	a := s.params.Alpha
-	r.current = (1-a)*clampRating(theirRating, s.params.MaxRating) + a*r.current
+	r.current = (1-a)*clampRating(theirRating) + a*r.current
 }
 
 // Rating returns this node's current opinion of v (InitialRating when v was
@@ -206,20 +193,17 @@ func (s *Store) Rating(v ident.NodeID) float64 {
 	if r := s.find(v); r != nil {
 		return r.current
 	}
-	return s.params.InitialRating
+	return InitialRating
 }
 
 // ShouldAvoid reports whether v's reputation is low enough — with enough
 // first-hand evidence — that transfers from v should be refused.
 func (s *Store) ShouldAvoid(v ident.NodeID) bool {
-	if s.params.AvoidBelow <= 0 {
-		return false
-	}
 	r := s.find(v)
 	if r == nil {
 		return false
 	}
-	return r.msgN >= s.params.MinObservations && r.current < s.params.AvoidBelow
+	return r.msgN >= MinObservations && r.current < AvoidBelow
 }
 
 // Len returns how many nodes this store holds opinions about.
@@ -240,21 +224,21 @@ func (s *Store) Opinion(i int) (ident.NodeID, float64) { return s.ids[i], s.rows
 // normalisation keeps I_v ≤ I + I_t, which the token economy requires).
 // With no path ratings the deliverer's own reputation carries full weight.
 func (s *Store) AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64 {
-	return awardFactor(s.params.Alpha, s.params.MaxRating, s.Rating(deliverer), pathRatings)
+	return awardFactor(s.params.Alpha, s.Rating(deliverer), pathRatings)
 }
 
 // awardFactor is the award multiplier both models share (see
-// Store.AwardFactor), given α, r_m, the deliverer's rating r_{v,u} and the
-// path ratings, read in place.
-func awardFactor(alpha, maxRating, rating float64, pathRatings []message.PathRating) float64 {
-	own := rating / maxRating
+// Store.AwardFactor), given α, the deliverer's rating r_{v,u} and the path
+// ratings, read in place.
+func awardFactor(alpha, rating float64, pathRatings []message.PathRating) float64 {
+	own := rating / MaxRating
 	if len(pathRatings) == 0 {
 		return own
 	}
 	var sum float64
 	for i := range pathRatings {
-		sum += clampRating(pathRatings[i].Rating, maxRating)
+		sum += clampRating(pathRatings[i].Rating)
 	}
-	mean := sum / float64(len(pathRatings)) / maxRating
+	mean := sum / float64(len(pathRatings)) / MaxRating
 	return (1-alpha)*mean + alpha*own
 }

@@ -35,23 +35,13 @@ func TestDefaultParamsValid(t *testing.T) {
 }
 
 func TestParamsValidation(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Params)
-	}{
-		{"alpha at half", func(p *Params) { p.Alpha = 0.5 }},
-		{"alpha at one", func(p *Params) { p.Alpha = 1 }},
-		{"max rating", func(p *Params) { p.MaxRating = 0 }},
-		{"max confidence", func(p *Params) { p.MaxConfidence = 0 }},
-		{"initial above max", func(p *Params) { p.InitialRating = 10 }},
-		{"avoid above max", func(p *Params) { p.AvoidBelow = 10 }},
-		{"negative observations", func(p *Params) { p.MinObservations = -1 }},
-	}
-	for _, tt := range tests {
-		p := DefaultParams()
-		tt.mutate(&p)
+	for _, alpha := range []float64{0.5, 1} {
+		p := Params{Alpha: alpha}
 		if err := p.Validate(); err == nil {
-			t.Errorf("%s: Validate should fail", tt.name)
+			t.Errorf("alpha %v: Validate should fail", alpha)
+		}
+		if _, err := NewBetaStore(0, p); err == nil {
+			t.Errorf("alpha %v: NewBetaStore should fail", alpha)
 		}
 	}
 }
@@ -118,7 +108,7 @@ func TestMergeIgnoresGossipAboutSelf(t *testing.T) {
 	s := store(t)
 	self := ident.NodeID(0)
 	s.MergeSecondHand(self, 0)
-	if got := s.Rating(self); got != s.params.InitialRating {
+	if got := s.Rating(self); got != InitialRating {
 		t.Errorf("self rating changed to %v", got)
 	}
 }
@@ -127,7 +117,7 @@ func TestClamping(t *testing.T) {
 	s := store(t)
 	v := ident.NodeID(5)
 	s.RateRelayMessage(v, MessageRatingInputs{TagRating: 99, Confidence: 99})
-	if got := s.Rating(v); got > s.params.MaxRating {
+	if got := s.Rating(v); got > MaxRating {
 		t.Errorf("rating %v above max", got)
 	}
 	w := ident.NodeID(6)
@@ -160,22 +150,6 @@ func TestShouldAvoidNeedsEvidenceAndLowRating(t *testing.T) {
 	}
 	if s.ShouldAvoid(g) {
 		t.Error("well-rated node avoided")
-	}
-}
-
-func TestShouldAvoidDisabled(t *testing.T) {
-	p := DefaultParams()
-	p.AvoidBelow = 0
-	s, err := NewStore(0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := ident.NodeID(7)
-	for i := 0; i < 5; i++ {
-		s.RateRelayMessage(v, MessageRatingInputs{TagRating: 0, Confidence: 1})
-	}
-	if s.ShouldAvoid(v) {
-		t.Error("avoidance must be disabled when the bar is 0")
 	}
 }
 
@@ -237,7 +211,7 @@ func TestAwardFactorNoPathRatings(t *testing.T) {
 	s := store(t)
 	v := ident.NodeID(11)
 	got := s.AwardFactor(v, nil)
-	want := s.params.InitialRating / s.params.MaxRating
+	want := InitialRating / MaxRating
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("AwardFactor(nil) = %v, want %v", got, want)
 	}

@@ -8,6 +8,16 @@ import (
 	"dtnsim/internal/message"
 )
 
+// PRoPHET's protocol constants: the RFC 6693 defaults P_init = 0.75,
+// β = 0.25 and γ = 0.98, with γ applied per ProphetAgingUnit of elapsed
+// time.
+const (
+	ProphetPInit     float64 = 0.75
+	ProphetBeta      float64 = 0.25
+	ProphetGamma     float64 = 0.98
+	ProphetAgingUnit         = 30 * time.Second
+)
+
 // Prophet implements the PRoPHET probabilistic router (Lindgren et al.), a
 // classic node-centric baseline against ChitChat's data-centric rule. Each
 // node maintains delivery predictabilities P(a,b):
@@ -25,12 +35,6 @@ import (
 // Unlike the stateless routers, Prophet holds per-node state; create one
 // instance per simulation run.
 type Prophet struct {
-	// PInit, Beta, Gamma are the protocol constants; the RFC 6693 defaults
-	// are 0.75, 0.25, 0.98 (per second of aging here).
-	PInit, Beta, Gamma float64
-	// AgingUnit is the time quantum for γ exponents.
-	AgingUnit time.Duration
-
 	tables map[ident.NodeID]*prophetTable
 	// interests maps keyword → nodes with direct interest, learned lazily
 	// from encounters so the router stays decentralised.
@@ -44,13 +48,9 @@ type prophetTable struct {
 
 var _ Router = (*Prophet)(nil)
 
-// NewProphet returns a PRoPHET router with RFC 6693-style defaults.
+// NewProphet returns a PRoPHET router with no encounters recorded.
 func NewProphet() *Prophet {
 	return &Prophet{
-		PInit:     0.75,
-		Beta:      0.25,
-		Gamma:     0.98,
-		AgingUnit: 30 * time.Second,
 		tables:    make(map[ident.NodeID]*prophetTable),
 		interests: make(map[string][]ident.NodeID),
 	}
@@ -69,11 +69,11 @@ func (p *Prophet) table(id ident.NodeID) *prophetTable {
 }
 
 func (p *Prophet) age(t *prophetTable, now time.Duration) {
-	if now <= t.lastAged || p.AgingUnit <= 0 {
+	if now <= t.lastAged {
 		return
 	}
-	k := float64(now-t.lastAged) / float64(p.AgingUnit)
-	factor := math.Pow(p.Gamma, k)
+	k := float64(now-t.lastAged) / float64(ProphetAgingUnit)
+	factor := math.Pow(ProphetGamma, k)
 	for id, v := range t.p {
 		v *= factor
 		if v < 1e-6 {
@@ -94,20 +94,20 @@ func (p *Prophet) OnContact(a, b NodeView, now time.Duration) {
 	p.age(ta, now)
 	p.age(tb, now)
 	// Encounter update.
-	ta.p[b.ID()] += (1 - ta.p[b.ID()]) * p.PInit
-	tb.p[a.ID()] += (1 - tb.p[a.ID()]) * p.PInit
+	ta.p[b.ID()] += (1 - ta.p[b.ID()]) * ProphetPInit
+	tb.p[a.ID()] += (1 - tb.p[a.ID()]) * ProphetPInit
 	// Transitivity both ways.
 	for c, pbc := range tb.p {
 		if c == a.ID() {
 			continue
 		}
-		ta.p[c] += (1 - ta.p[c]) * ta.p[b.ID()] * pbc * p.Beta
+		ta.p[c] += (1 - ta.p[c]) * ta.p[b.ID()] * pbc * ProphetBeta
 	}
 	for c, pac := range ta.p {
 		if c == b.ID() {
 			continue
 		}
-		tb.p[c] += (1 - tb.p[c]) * tb.p[a.ID()] * pac * p.Beta
+		tb.p[c] += (1 - tb.p[c]) * tb.p[a.ID()] * pac * ProphetBeta
 	}
 	p.learnInterests(a)
 	p.learnInterests(b)

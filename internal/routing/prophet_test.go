@@ -17,21 +17,20 @@ func predictability(p *Prophet, from, to ident.NodeID) float64 {
 	return t.p[to]
 }
 
-// TestProphetDefaultsValid pins NewProphet's constants inside PRoPHET's
-// valid ranges.
+// TestProphetDefaultsValid pins PRoPHET's constants inside their valid
+// ranges.
 func TestProphetDefaultsValid(t *testing.T) {
-	p := NewProphet()
-	if p.PInit <= 0 || p.PInit > 1 {
-		t.Errorf("P_init %v outside (0, 1]", p.PInit)
+	if ProphetPInit <= 0 || ProphetPInit > 1 {
+		t.Errorf("P_init %v outside (0, 1]", ProphetPInit)
 	}
-	if p.Beta < 0 || p.Beta > 1 {
-		t.Errorf("beta %v outside [0, 1]", p.Beta)
+	if ProphetBeta < 0 || ProphetBeta > 1 {
+		t.Errorf("beta %v outside [0, 1]", ProphetBeta)
 	}
-	if p.Gamma <= 0 || p.Gamma >= 1 {
-		t.Errorf("gamma %v outside (0, 1)", p.Gamma)
+	if ProphetGamma <= 0 || ProphetGamma >= 1 {
+		t.Errorf("gamma %v outside (0, 1)", ProphetGamma)
 	}
-	if p.AgingUnit <= 0 {
-		t.Errorf("aging unit %v not positive", p.AgingUnit)
+	if ProphetAgingUnit <= 0 {
+		t.Errorf("aging unit %v not positive", ProphetAgingUnit)
 	}
 }
 
@@ -45,8 +44,8 @@ func TestProphetEncounterRaisesPredictability(t *testing.T) {
 	}
 	p.OnContact(a, b, time.Minute)
 	got := predictability(p, a.ID(), b.ID())
-	if got != p.PInit {
-		t.Errorf("P(a,b) after first encounter = %v, want P_init %v", got, p.PInit)
+	if got != ProphetPInit {
+		t.Errorf("P(a,b) after first encounter = %v, want P_init %v", got, ProphetPInit)
 	}
 	// Repeated encounters approach 1 monotonically.
 	prev := got

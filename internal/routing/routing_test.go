@@ -277,13 +277,7 @@ func TestDirectOnlyOffersToDestinations(t *testing.T) {
 }
 
 func TestSprayAndWaitPhases(t *testing.T) {
-	spray, err := NewSprayAndWait(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSprayAndWait(0); err == nil {
-		t.Error("zero budget must fail")
-	}
+	spray := NewSprayAndWait()
 	h := newHarness()
 	u := h.node(t, 1)
 	relay := h.node(t, 2)

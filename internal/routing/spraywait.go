@@ -1,30 +1,23 @@
 package routing
 
-import "fmt"
+// SprayCopies is Spray-and-Wait's initial copy budget L per message.
+const SprayCopies = 8
 
 // SprayAndWait implements the binary Spray-and-Wait baseline (Spyropoulos
-// et al.): a message starts with L logical copies; a custodian holding
-// c > 1 copies hands ⌈c/2⌉ to an encountered relay, and a custodian with a
-// single copy waits for a destination. This bounds replication at L copies
-// per message while keeping multi-path delivery.
+// et al.): a message starts with SprayCopies logical copies; a custodian
+// holding c > 1 copies hands ⌈c/2⌉ to an encountered relay, and a custodian
+// with a single copy waits for a destination. This bounds replication at
+// SprayCopies copies per message while keeping multi-path delivery.
 //
-// The copy counter lives in Message.CopiesLeft; the engine calls
-// OnHandover after a transfer completes so the split happens exactly once
+// The copy counter lives in Message.CopiesLeft; the engine splits it with
+// SplitCopies after a transfer completes, so the split happens exactly once
 // per successful replication.
-type SprayAndWait struct {
-	// L is the initial copy budget per message.
-	L int
-}
+type SprayAndWait struct{}
 
 var _ Router = (*SprayAndWait)(nil)
 
-// NewSprayAndWait returns the router with the given copy budget.
-func NewSprayAndWait(l int) (*SprayAndWait, error) {
-	if l < 1 {
-		return nil, fmt.Errorf("routing: spray-and-wait copy budget must be >= 1, got %d", l)
-	}
-	return &SprayAndWait{L: l}, nil
-}
+// NewSprayAndWait returns the router.
+func NewSprayAndWait() *SprayAndWait { return &SprayAndWait{} }
 
 // Name implements Router.
 func (s *SprayAndWait) Name() string { return "spray-and-wait" }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dtnsim/internal/core"
+	"dtnsim/internal/radio"
 )
 
 // Caps on what one fuzz step may cost. Inputs the engine would accept but
@@ -53,7 +54,7 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		// Grids past the int32 cell limit must be rejected by NewEngine,
 		// cheaply; grids below it but past the cap would allocate for real.
-		cells := (math.Ceil(cfg.Area.Width/cfg.Radio.Range) + 1) * (math.Ceil(cfg.Area.Height/cfg.Radio.Range) + 1)
+		cells := (math.Ceil(cfg.Area.Width/radio.Range) + 1) * (math.Ceil(cfg.Area.Height/radio.Range) + 1)
 		if cells > fuzzMaxCells && cells <= math.MaxInt32 {
 			t.Skip("contact grid too large for one test step")
 		}

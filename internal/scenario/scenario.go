@@ -253,7 +253,7 @@ func NewRouter(name string) (routing.Router, error) {
 	case "direct":
 		return routing.NewDirect(), nil
 	case "spray-and-wait":
-		return routing.NewSprayAndWait(8)
+		return routing.NewSprayAndWait(), nil
 	case "prophet":
 		return routing.NewProphet(), nil
 	case "two-hop":
