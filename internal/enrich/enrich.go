@@ -5,8 +5,8 @@
 // can run in a simulator, so each message carries a hidden set of *true*
 // keywords: honest taggers draw from it, malicious taggers draw from outside
 // it, and the destination-side judge scores tags against it with a fixed
-// confidence noise — exercising exactly the reward and
-// reputation code paths the human exercises in the field.
+// confidence noise — exercising exactly the reward and reputation code
+// paths the human exercises in the field.
 package enrich
 
 import (
