@@ -7,6 +7,7 @@ import (
 
 	"dtnsim/internal/ident"
 	"dtnsim/internal/incentive"
+	"dtnsim/internal/interest"
 	"dtnsim/internal/message"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
@@ -59,20 +60,20 @@ func (d *Device) Subscribe(interests ...string) {
 
 // DecayWeights implements operator function 3: run the decay phase against
 // the currently connected peers — the refresh-and-sweep step of an exchange
-// round (interest.Exchange.Decay). The interests a connected peer holds
-// keep their weight and refresh T_l, the others keep decaying lazily, and
-// transient interests past their death bound are evicted.
+// round (interest.Decay). The interests a connected peer holds keep their
+// weight and refresh T_l, the others keep decaying lazily, and transient
+// interests past their death bound are evicted.
 func (d *Device) DecayWeights() {
 	e := d.engine
 	e.refreshNodePeers(d.node)
-	e.countSweeps(e.exchange.Decay(d.node.table, d.node.peerTables, e.Now()))
+	e.countSweeps(interest.Decay(d.node.table, d.node.peerTables, e.Now()))
 }
 
 // IncrementWeights implements operator function 4: run the growth phase
 // against the currently connected peers, crediting dt of contact time to
 // each. Growth reads the anchors the round's refresh sets, so this runs one
-// full exchange round (interest.Exchange.Run) with each open contact in
-// peer-ID order: both ends grow, as in every engine round.
+// full exchange round (interest.Round) with each open contact in peer-ID
+// order: both ends grow, as in every engine round.
 func (d *Device) IncrementWeights(dt time.Duration) {
 	e := d.engine
 	now := e.Now()
@@ -80,7 +81,7 @@ func (d *Device) IncrementWeights(dt time.Duration) {
 	for _, id := range d.Neighbors() {
 		p := e.nodes[id]
 		e.refreshNodePeers(p)
-		e.countSweeps(e.exchange.Run(d.node.table, p.table, d.node.id, p.id, d.node.peerTables, p.peerTables, now, dt))
+		e.countSweeps(interest.Round(d.node.table, p.table, d.node.id, p.id, d.node.peerTables, p.peerTables, now, dt))
 	}
 }
 

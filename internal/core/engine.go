@@ -61,10 +61,6 @@ type Engine struct {
 	pairScratch  []world.Pair
 	tickNo       uint64
 
-	// exchange is the reusable RTSR round scratch: every round runs on the
-	// sim goroutine, so one serves every contact (see runExchange).
-	exchange interest.Exchange
-
 	// Kinetic contact detection (see DESIGN.md "Kinetic contact
 	// detection"): while every mobility model is speed-bounded, the engine
 	// keeps a candidate pair list — every pair within radius+kinSkin at the
@@ -168,6 +164,11 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 	}
 	_, e.spray = router.(*routing.SprayAndWait)
 	root := sim.NewRNG(cfg.Seed)
+	// The nodes live in one slab, so the per-tick walk over them in
+	// moveNodes reads contiguous memory. Allocated one by one, they
+	// interleave with any per-node object of their size class; when the
+	// interest tables shared it, crowd20k's move phase ran 40 % slower.
+	slab := make([]Node, len(specs))
 	for i, spec := range specs {
 		id := ident.NodeID(i)
 		nodeRNG := root.Fork("node-" + id.String())
@@ -184,8 +185,9 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		// Interest tables decay lazily against the kernel clock: reads
 		// materialize the time-decayed weight instead of relying on eager
 		// per-round sweeps (DESIGN.md "Lazy-decay interest tables").
-		n, nerr := newNode(id, spec, cfg, nodeRNG, e.interner, e.runner.Clock())
-		if nerr != nil {
+		n := &slab[i]
+		var nerr error
+		if *n, nerr = newNode(id, spec, cfg, nodeRNG, e.interner, e.runner.Clock()); nerr != nil {
 			return nil, nerr
 		}
 		e.nodes = append(e.nodes, n)

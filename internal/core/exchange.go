@@ -21,7 +21,7 @@ const (
 
 // runExchange performs one RTSR + routing round over a contact: run the
 // RTSR round in place over both tables (eviction sweeps, shared-row
-// refreshes, growth, acquisitions — see interest.Exchange), then run the
+// refreshes, growth, acquisitions — see interest.Round), then run the
 // routing module in both directions and enqueue the negotiated transfers
 // (Paper I §2.2: "the ChitChat system first invokes the RTSR module ...
 // then invokes the message routing"). The RTSR round needs each side's full
@@ -35,7 +35,7 @@ func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 
 	e.refreshNodePeers(c.a)
 	e.refreshNodePeers(c.b)
-	e.countSweeps(e.exchange.Run(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown))
+	e.countSweeps(interest.Round(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown))
 
 	// Routing phase, both directions.
 	e.routeDirection(c, c.a, c.b, now)

@@ -76,41 +76,41 @@ type Node struct {
 
 var _ routing.NodeView = (*Node)(nil)
 
-func newNode(id ident.NodeID, spec NodeSpec, cfg Config, rng *sim.RNG, in *interest.Interner, clock interest.Clock) (*Node, error) {
+func newNode(id ident.NodeID, spec NodeSpec, cfg Config, rng *sim.RNG, in *interest.Interner, clock interest.Clock) (Node, error) {
 	if err := spec.Profile.Validate(); err != nil {
-		return nil, fmt.Errorf("node %s: %w", id, err)
+		return Node{}, fmt.Errorf("node %s: %w", id, err)
 	}
 	role := spec.Role
 	if role == 0 {
 		role = ident.RoleCivilian
 	}
 	if !role.Valid() {
-		return nil, fmt.Errorf("node %s: invalid role %d", id, int(role))
+		return Node{}, fmt.Errorf("node %s: invalid role %d", id, int(role))
 	}
 	table, err := interest.NewTable(cfg.Interest, in, clock)
 	if err != nil {
-		return nil, fmt.Errorf("node %s: %w", id, err)
+		return Node{}, fmt.Errorf("node %s: %w", id, err)
 	}
 	for _, kw := range spec.Interests {
 		table.DeclareDirect(kw, 0)
 	}
 	buf, err := buffer.New(cfg.BufferCapacity, cfg.bufferPolicy())
 	if err != nil {
-		return nil, fmt.Errorf("node %s: %w", id, err)
+		return Node{}, fmt.Errorf("node %s: %w", id, err)
 	}
 	wallet, err := incentive.NewWallet(id, cfg.Incentive.InitialTokens)
 	if err != nil {
-		return nil, fmt.Errorf("node %s: %w", id, err)
+		return Node{}, fmt.Errorf("node %s: %w", id, err)
 	}
 	rep, err := newReputationModel(id, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("node %s: %w", id, err)
+		return Node{}, fmt.Errorf("node %s: %w", id, err)
 	}
 	tagger := spec.Tagger
 	if tagger == nil {
 		tagger = enrich.NopTagger{}
 	}
-	return &Node{
+	return Node{
 		id:      id,
 		role:    role,
 		profile: spec.Profile,

@@ -21,13 +21,17 @@ import (
 //	                    with contacts_up, so up − down = contacts_live)
 //	candidate_rebuilds  kinetic candidate-list rebuilds
 //	rating_samples      Figure 5.4 rating samples taken
-//	interest_sweeps     exchange-round eviction sweeps run (deadline reached)
+//	interest_sweeps     eviction sweeps run by the RTSR refresh: one per
+//	                    refreshed table whose deadline, the earliest death
+//	                    bound of its unheld transient rows, has passed
 //	interest_evictions  interest rows evicted by those sweeps
 //
 // Sampled gauges (levels read at snapshot time, not monotonic totals —
 // Snapshot.Sub carries the later value through instead of differencing):
 //
 //	table_rows_live      live interest rows summed over every node's table
+//	table_rows_saturated transient interest rows stored at MaxWeight, summed
+//	                     over every node's table
 //	contacts_live        contacts currently up (open and refused records)
 //	contact_pool_free    contacts parked in the lifecycle arena free list
 //	transfer_pool_free   transfers parked in the arena free list
@@ -54,6 +58,13 @@ func (e *Engine) initObservability(cfg Config) {
 		var sum uint64
 		for _, n := range e.nodes {
 			sum += uint64(n.table.Len())
+		}
+		return sum
+	})
+	e.reg.Gauge("table_rows_saturated", func() uint64 {
+		var sum uint64
+		for _, n := range e.nodes {
+			sum += uint64(n.table.SaturatedTransients())
 		}
 		return sum
 	})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dtnsim/internal/core"
+	"dtnsim/internal/interest"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/report"
 	"dtnsim/internal/scenario"
@@ -186,9 +187,9 @@ func (o observerFunc) Event(report.Event) { *o.order = append(*o.order, o.name) 
 // TestEngineSnapshotAccessorsDelegate pins the snapshot as the engine's
 // single observability surface: the engine's own position accessor agrees
 // with it, the kinetic rebuild count is read from its counters, the table
-// gauges agree with the interest tables they sample, and a mobility run
-// accrues time in every phase without the phase sum passing the wall
-// clock.
+// gauges (live rows, saturated transient rows) agree with a direct count
+// over the interest tables they sample, and a mobility run accrues time in
+// every phase without the phase sum passing the wall clock.
 func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	cfg, specs := obsTestConfig(t)
 	eng, err := core.NewEngine(cfg, specs)
@@ -205,12 +206,21 @@ func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	if snap.Counter("candidate_rebuilds") == 0 {
 		t.Error("kinetic detection never rebuilt its candidate list")
 	}
-	var rows uint64
+	var rows, saturated uint64
 	for _, n := range eng.Nodes() {
-		rows += uint64(n.Interests().Len())
+		tab := n.Interests()
+		rows += uint64(tab.Len())
+		for _, kw := range tab.Keywords() {
+			if r, _ := tab.Row(kw); !r.Direct && r.Weight == interest.MaxWeight {
+				saturated++
+			}
+		}
 	}
 	if got := snap.Counter("table_rows_live"); got != rows || rows == 0 {
 		t.Errorf("table_rows_live gauge = %d, tables hold %d", got, rows)
+	}
+	if got := snap.Counter("table_rows_saturated"); got != saturated || saturated == 0 {
+		t.Errorf("table_rows_saturated gauge = %d, tables hold %d transient rows at MaxWeight", got, saturated)
 	}
 	// A mobility run spends time in every phase.
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {

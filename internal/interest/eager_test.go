@@ -11,7 +11,9 @@ import (
 // re-anchors every row of a table (DecayAgainst), and Algorithm 2 as a pass
 // over map snapshots of the connected peers (Snapshot, Grow). They are the
 // paper's three-phase round written literally, kept as the oracle the lazy
-// in-place round (Exchange.Run) must reproduce bit for bit.
+// in-place round (Round) must reproduce bit for bit. They write T_l into
+// lastShared, so they run only on tables that hold no rows: built by
+// NewTable or cloned before any Round or Decay.
 
 // DecayAgainst applies the decay algorithm eagerly at time now, treating as
 // "connected" every keyword held by any of the peers (Algorithm 1's "if a

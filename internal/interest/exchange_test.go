@@ -7,12 +7,6 @@ import (
 	"dtnsim/internal/ident"
 )
 
-// exchangeRound runs one pairwise RTSR round on fresh scratch.
-func exchangeRound(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) {
-	var x Exchange
-	x.Run(a, b, aID, bID, aPeers, bPeers, now, dt)
-}
-
 // buildPair creates two tables over one interner with a mix of shared,
 // one-sided, direct, and transient interests.
 func buildPair(t *testing.T) (*Table, *Table) {
@@ -36,7 +30,7 @@ func buildPair(t *testing.T) (*Table, *Table) {
 }
 
 // TestExchangeGrowMatchesSlowPath verifies the in-place exchange round
-// (Exchange.Run) computes the same weights as the paper's literal
+// (Round) computes the same weights as the paper's literal
 // three-phase sequence (DecayAgainst, Snapshot/exchange, Grow) for a
 // pairwise contact. The fast tables are lazy — unshared rows keep their
 // stored anchor — so the comparison reads them materialized at the
@@ -49,7 +43,7 @@ func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 	fastA, fastB := buildPair(t)
 	slowA, slowB := buildPair(t)
 
-	exchangeRound(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
+	Round(fastA, fastB, 1, 2, []*Table{fastB}, []*Table{fastA}, now, dt)
 
 	// Literal sequence: decay both against each other (a first, so b's
 	// decay sees a's post-prune rows), exchange decayed snapshots, grow
@@ -79,7 +73,7 @@ func TestExchangeGrowMatchesSlowPath(t *testing.T) {
 
 func TestExchangeGrowAcquiresBothWays(t *testing.T) {
 	a, b := buildPair(t)
-	exchangeRound(a, b, 1, 2, []*Table{b}, []*Table{a}, 30*time.Second, 10*time.Second)
+	Round(a, b, 1, 2, []*Table{b}, []*Table{a}, 30*time.Second, 10*time.Second)
 	if !a.Has("b-only") {
 		t.Error("a did not acquire b's interest")
 	}
@@ -100,7 +94,7 @@ func TestExchangeGrowSymmetricForIdenticalTables(t *testing.T) {
 		a.DeclareDirect(kw, 0)
 		b.DeclareDirect(kw, 0)
 	}
-	exchangeRound(a, b, 1, 2, []*Table{b}, []*Table{a}, time.Minute, 20*time.Second)
+	Round(a, b, 1, 2, []*Table{b}, []*Table{a}, time.Minute, 20*time.Second)
 	for _, kw := range []string{"x", "y", "z"} {
 		if a.Weight(kw) != b.Weight(kw) {
 			t.Errorf("identical tables diverged on %q: %v vs %v", kw, a.Weight(kw), b.Weight(kw))

@@ -16,7 +16,8 @@
 // the weight as of its anchor time T_l (LastShared), and every read
 // materializes the decayed value at the table's Clock — one application of
 // Algorithm 1's formula over the elapsed gap — instead of every table being
-// swept every round. Exchange runs Algorithms 1–2 in place over these rows.
+// swept every round. Round and Decay run Algorithms 1–2 in place over these
+// rows.
 package interest
 
 import (
@@ -133,10 +134,19 @@ type Table struct {
 	// their weights.
 	sat bitset.Set
 
+	// held marks the rows the last refresh found shared with a connected
+	// peer, and heldAt is the time of that refresh: the T_l of every held
+	// row. A held row's lastShared slot is stale until the row leaves held,
+	// so every T_l read goes through anchor.
+	held   bitset.Set
+	heldAt time.Duration
+
 	// nextDeath is a conservative lower bound on the earliest time any
-	// transient row can decay below PruneBelow. The exchange round sweeps
+	// unheld transient row can decay below PruneBelow. The refresh sweeps
 	// eviction candidates only when now has reached it — prune-below
-	// eviction folded into the next touch instead of a per-round pass.
+	// eviction folded into the next touch instead of a per-round pass. A
+	// held row is never a candidate; its bound is folded when it leaves
+	// held.
 	nextDeath time.Duration
 }
 
@@ -195,11 +205,18 @@ func (t *Table) removeRow(id int32) {
 	t.present.Remove(int(id))
 	t.direct.Remove(int(id))
 	t.sat.Remove(int(id))
+	t.held.Remove(int(id))
 	t.weights[id] = 0
 	t.lastShared[id] = 0
 	t.source[id] = ident.Nobody
 	t.count--
 }
+
+// freshFor is 1/β seconds, the age under which the printed divisor
+// β·(T_c-T_l) is below one. With β = 2, elapsed < freshFor holds exactly when
+// Beta*elapsed.Seconds() < 1 (TestDecayedWeightFreshPath pins this), so the
+// test needs no float conversion.
+const freshFor time.Duration = time.Duration(invBeta * float64(time.Second))
 
 // decayedWeight applies Algorithm 1's decay formula to a weight anchored
 // elapsed ago, returning the materialized value and whether a transient row
@@ -208,13 +225,15 @@ func (t *Table) removeRow(id int32) {
 // bit-identical arithmetic.
 //
 // Edge-case guard (documented in DESIGN.md): the printed divisor β·(T_c-T_l)
-// amplifies weights when below one (e.g. a sub-second gap); we clamp the
-// divisor to at least 1 so decay is monotone non-increasing.
+// amplifies weights when below one (e.g. a sub-second gap); such a fresh
+// anchor is returned unchanged, so decay is monotone non-increasing. A row
+// held at the last refresh reads at elapsed 0 until the next one, so this is
+// also the commonest routing read.
 func decayedWeight(w float64, direct bool, elapsed time.Duration) (float64, bool) {
-	div := Beta * elapsed.Seconds()
-	if div < 1 {
+	if elapsed < freshFor {
 		return w, false
 	}
+	div := Beta * elapsed.Seconds()
 	if direct {
 		return (w-InitialWeight)/div + InitialWeight, false
 	}
@@ -226,15 +245,24 @@ func decayedWeight(w float64, direct bool, elapsed time.Duration) (float64, bool
 // over the gap since its anchor — Algorithm 1 as a pure function of elapsed
 // time rather than of how often a sweep happened to run.
 func (t *Table) materialized(id int32, now time.Duration) float64 {
-	w, _ := decayedWeight(t.weights[id], t.direct.Has(int(id)), now-t.lastShared[id])
+	w, _ := decayedWeight(t.weights[id], t.direct.Has(int(id)), now-t.anchor(id))
 	return w
 }
 
 // deadRow reports whether a transient row is below the prune threshold at
 // now: the prune test of the eviction sweep.
 func (t *Table) deadRow(id int32, now time.Duration) bool {
-	_, dead := decayedWeight(t.weights[id], false, now-t.lastShared[id])
+	_, dead := decayedWeight(t.weights[id], false, now-t.anchor(id))
 	return dead
+}
+
+// anchor returns the row's T_l: heldAt while the row is held, its stored
+// lastShared otherwise.
+func (t *Table) anchor(id int32) time.Duration {
+	if t.held.Has(int(id)) {
+		return t.heldAt
+	}
+	return t.lastShared[id]
 }
 
 // maxDeathSeconds bounds the horizon converted into a deadline; anything
@@ -293,6 +321,7 @@ func (t *Table) DeclareDirect(kw string, now time.Duration) {
 		}
 		t.weights[id] = w
 		t.lastShared[id] = now
+		t.held.Remove(int(id))
 		t.direct.Add(int(id))
 		t.source[id] = ident.Nobody
 		return
@@ -312,6 +341,15 @@ func (t *Table) Acquire(kw string, from ident.NodeID, now time.Duration) {
 
 // Len returns the number of interests (direct + transient).
 func (t *Table) Len() int { return t.count }
+
+// SaturatedTransients returns how many transient rows store MaxWeight.
+func (t *Table) SaturatedTransients() int {
+	n := 0
+	for wi, w := range t.sat {
+		n += bits.OnesCount64(w &^ t.direct.Word(wi))
+	}
+	return n
+}
 
 // Keywords returns all keywords in lexicographic order.
 func (t *Table) Keywords() []string {
@@ -336,7 +374,7 @@ func (t *Table) Row(kw string) (Row, bool) {
 	return Row{
 		Weight:       t.weights[id],
 		Direct:       t.direct.Has(int(id)),
-		LastShared:   t.lastShared[id],
+		LastShared:   t.anchor(id),
 		AcquiredFrom: t.source[id],
 	}, true
 }
@@ -362,7 +400,7 @@ func (t *Table) SetWeight(kw string, w float64) {
 	}
 	t.weights[id] = w
 	if !t.direct.Has(int(id)) {
-		t.mergeDeath(w, t.lastShared[id])
+		t.mergeDeath(w, t.anchor(id))
 	}
 }
 

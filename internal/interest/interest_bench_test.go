@@ -32,18 +32,16 @@ func benchTables(b *testing.B, interests int) (*Table, *Table) {
 	return a, t2
 }
 
-// BenchmarkExchange measures one pairwise RTSR exchange round (Exchange.Run
-// on reused scratch, as the engine runs it) with Table 5.1-sized tables (20
-// interests per node).
+// BenchmarkExchange measures one pairwise RTSR exchange round (Round, as the
+// engine runs it) with Table 5.1-sized tables (20 interests per node).
 func BenchmarkExchange(b *testing.B) {
 	a, t2 := benchTables(b, 40)
 	aPeers, bPeers := []*Table{t2}, []*Table{a}
-	var x Exchange
 	now := time.Duration(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 10 * time.Second
-		x.Run(a, t2, 1, 2, aPeers, bPeers, now, 10*time.Second)
+		Round(a, t2, 1, 2, aPeers, bPeers, now, 10*time.Second)
 	}
 }
 
@@ -84,12 +82,11 @@ func BenchmarkInterestTable(b *testing.B) {
 			t := benchBigTable(b, in, n, 1, 0)
 			peer := benchBigTable(b, in, n, 2, 0)
 			aPeers, bPeers := []*Table{peer}, []*Table{t}
-			var x Exchange
 			now := time.Duration(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += 10 * time.Second
-				x.Run(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
+				Round(t, peer, 1, 2, aPeers, bPeers, now, 10*time.Second)
 			}
 		})
 	}

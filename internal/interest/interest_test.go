@@ -132,8 +132,7 @@ func TestDecayPaperExample(t *testing.T) {
 	tab.DeclareDirect("food coupon", 0)
 	tab.SetWeight("food coupon", 0.6)
 	clk.now = 5 * time.Second
-	var x Exchange
-	x.Decay(tab, nil, clk.now)
+	Decay(tab, nil, clk.now)
 	want := (0.6-0.5)/(2*5) + 0.5
 	if got := tab.Weight("food coupon"); math.Abs(got-want) > 1e-12 {
 		t.Errorf("decayed weight = %v, want %v", got, want)
@@ -145,8 +144,7 @@ func TestDecayDirectApproachesHalf(t *testing.T) {
 	tab.DeclareDirect("a", 0)
 	tab.SetWeight("a", 1.0)
 	clk.now = 1000 * time.Second
-	var x Exchange
-	x.Decay(tab, nil, clk.now)
+	Decay(tab, nil, clk.now)
 	w := tab.Weight("a")
 	if w < 0.5 || w > 0.51 {
 		t.Errorf("long-decayed direct weight = %v, want ≈0.5 from above", w)
@@ -157,8 +155,7 @@ func TestDecayTransientApproachesZeroAndPrunes(t *testing.T) {
 	tab := newTable(t)
 	tab.Acquire("a", 1, 0)
 	tab.SetWeight("a", 0.4)
-	var x Exchange
-	if sweeps, evictions := x.Decay(tab, nil, 1000*time.Second); sweeps != 1 || evictions != 1 {
+	if sweeps, evictions := Decay(tab, nil, 1000*time.Second); sweeps != 1 || evictions != 1 {
 		t.Errorf("decay ran %d sweeps evicting %d rows, want 1 and 1", sweeps, evictions)
 	}
 	if tab.Has("a") {
@@ -173,8 +170,7 @@ func TestDecayConnectedKeywordHolds(t *testing.T) {
 	tab.SetWeight("a", 0.9)
 	peer.DeclareDirect("a", 0)
 	clk.now = 100 * time.Second
-	var x Exchange
-	x.Decay(tab, []*Table{peer}, clk.now)
+	Decay(tab, []*Table{peer}, clk.now)
 	if w := tab.Weight("a"); w != 0.9 {
 		t.Errorf("connected keyword decayed: %v", w)
 	}
@@ -192,8 +188,7 @@ func TestDecayGuardSubUnitDivisor(t *testing.T) {
 	tab.SetWeight("a", 0.6)
 	// β·ΔT = 2·0.25 = 0.5 < 1 would amplify; the guard keeps the weight.
 	clk.now = 250 * time.Millisecond
-	var x Exchange
-	x.Decay(tab, nil, clk.now)
+	Decay(tab, nil, clk.now)
 	if w := tab.Weight("a"); w != 0.6 {
 		t.Errorf("sub-unit divisor changed weight to %v", w)
 	}
@@ -205,7 +200,7 @@ func TestGrowthSharedInterest(t *testing.T) {
 	tab.DeclareDirect("a", 0)
 	peer.DeclareDirect("a", 0)
 	clk.now = time.Minute
-	exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, clk.now, time.Minute)
+	Round(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, clk.now, time.Minute)
 	// Δ = 0.5 · (1/60) · 60 / ψ=1 = 0.5 → 1.0 capped at 1.
 	if w := tab.Weight("a"); math.Abs(w-1.0) > 1e-12 {
 		t.Errorf("grown weight = %v, want 1.0", w)
@@ -247,7 +242,7 @@ func TestGrowthAcquiresUnknownKeywords(t *testing.T) {
 	clk.now = time.Minute
 	peer.DeclareDirect("new", clk.now)
 	peer.SetWeight("new", 0.8)
-	exchangeRound(tab, peer, 1, 3, []*Table{peer}, []*Table{tab}, clk.now, 30*time.Second)
+	Round(tab, peer, 1, 3, []*Table{peer}, []*Table{tab}, clk.now, 30*time.Second)
 	e, ok := tab.Row("new")
 	if !ok {
 		t.Fatal("unknown keyword not acquired")
@@ -271,7 +266,7 @@ func TestWeightsCappedAtMax(t *testing.T) {
 	peer.DeclareDirect("a", 0)
 	peer.SetWeight("a", 1)
 	clk.now = time.Hour
-	exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, clk.now, time.Hour)
+	Round(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, clk.now, time.Hour)
 	if w := tab.Weight("a"); w > MaxWeight {
 		t.Errorf("weight %v exceeds cap", w)
 	}
@@ -411,8 +406,7 @@ func TestPruneAtThresholdKept(t *testing.T) {
 	tab.SetWeight("a", 0.02)
 	// div = 2·1 = 2 → 0.02/2 = 0.01 = θ exactly: kept.
 	clk.now = time.Second
-	var x Exchange
-	x.Decay(tab, nil, clk.now)
+	Decay(tab, nil, clk.now)
 	if !tab.Has("a") {
 		t.Fatal("row at exactly the prune threshold must survive")
 	}
@@ -421,9 +415,52 @@ func TestPruneAtThresholdKept(t *testing.T) {
 	}
 	// Any further decay goes below θ: div = 2·2 = 4 → 0.005, evicted.
 	clk.now = 2 * time.Second
-	x.Decay(tab, nil, clk.now)
+	Decay(tab, nil, clk.now)
 	if tab.Has("a") {
 		t.Error("row below the prune threshold must be evicted")
+	}
+}
+
+// decayedWeightFormula is decayedWeight with the divisor clamp tested in
+// floating point, as Algorithm 1 prints it: a divisor β·(T_c-T_l) below one
+// keeps the weight.
+func decayedWeightFormula(w float64, direct bool, elapsed time.Duration) (float64, bool) {
+	div := Beta * elapsed.Seconds()
+	if div < 1 {
+		return w, false
+	}
+	if direct {
+		return (w-InitialWeight)/div + InitialWeight, false
+	}
+	w = w / div
+	return w, w < PruneBelow
+}
+
+// TestDecayedWeightFreshPath pins decayedWeight's integer fast path, which
+// returns the anchor when elapsed < freshFor, against the formula's float
+// clamp: at 0, 1 ns either side of freshFor, negative gaps, and a seeded
+// sweep of gaps around and past the threshold, for direct and transient
+// rows. Results compare with ==.
+func TestDecayedWeightFreshPath(t *testing.T) {
+	if freshFor != 500*time.Millisecond {
+		t.Fatalf("freshFor = %v, want 500ms for β = %v", freshFor, Beta)
+	}
+	gaps := []time.Duration{0, freshFor - 1, freshFor, freshFor + 1, -1, -time.Second}
+	rng := sim.NewRNG(5)
+	for i := 0; i < 20000; i++ {
+		gaps = append(gaps,
+			freshFor+time.Duration(rng.Range(-1e4, 1e4)),
+			time.Duration(rng.Range(-float64(time.Second), float64(5*time.Minute))))
+	}
+	for _, gap := range gaps {
+		for _, direct := range []bool{false, true} {
+			w := rng.Range(0, MaxWeight)
+			gw, gd := decayedWeight(w, direct, gap)
+			fw, fd := decayedWeightFormula(w, direct, gap)
+			if gw != fw || gd != fd {
+				t.Fatalf("gap %v direct %v w %v: (%v, %v), formula (%v, %v)", gap, direct, w, gw, gd, fw, fd)
+			}
+		}
 	}
 }
 
@@ -461,7 +498,6 @@ func TestWeightsAlwaysInRange(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		tab, clk := newClockedTable(t)
 		peer := newPeer(t, tab)
-		var x Exchange
 		for op := 0; op < 300; op++ {
 			clk.now += time.Duration(rng.Intn(30)+1) * time.Second
 			now := clk.now
@@ -471,9 +507,9 @@ func TestWeightsAlwaysInRange(t *testing.T) {
 			case 1:
 				peer.DeclareDirect(words[rng.Intn(len(words))], now)
 			case 2:
-				x.Decay(tab, nil, now)
+				Decay(tab, nil, now)
 			default:
-				exchangeRound(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, now, time.Duration(rng.Intn(60))*time.Second)
+				Round(tab, peer, 1, 2, []*Table{peer}, []*Table{tab}, now, time.Duration(rng.Intn(60))*time.Second)
 			}
 			for _, kw := range tab.Keywords() {
 				w := tab.Weight(kw)
@@ -500,8 +536,7 @@ func TestPruneThenReacquire(t *testing.T) {
 	}
 	// Deep decay prunes every transient (direct rows only approach 0.5).
 	clk.now = 1000 * time.Second
-	var x Exchange
-	x.Decay(tab, nil, clk.now)
+	Decay(tab, nil, clk.now)
 	if tab.Len() != 1 {
 		t.Fatalf("len after deep decay = %d, want 1", tab.Len())
 	}

@@ -1,35 +1,27 @@
 package interest
 
 import (
-	"math"
 	"math/bits"
 	"time"
 
-	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
 )
 
 // This file holds the RTSR rounds over the lazy struct-of-arrays tables:
-// the pairwise exchange round (Exchange.Run) and its decay step alone
-// (Exchange.Decay), both run in place.
+// the pairwise exchange round (Round) and its decay step alone (Decay), both
+// run in place.
 //
 // Under lazy decay a round never rewrites unshared rows: their stored
 // anchors already encode the decayed value (readers materialize it), so the
 // round touches only rows whose anchor actually moves — shared rows
 // (refresh), mutually-held rows (growth), partner-only rows (acquisition) —
 // plus the eviction sweep when the table's nextDeath deadline has passed.
-// The historical eager round rewrote every row of both tables and probed
-// every (row, peer) pair; this one is bitset algebra plus O(touched rows).
+// The refresh itself moves one anchor per table, heldAt, and writes a row's
+// lastShared only when the row stops being shared. The historical eager
+// round rewrote every row of both tables and probed every (row, peer) pair;
+// this one is bitset algebra plus O(touched rows).
 
-// Exchange is the reusable scratch of the RTSR rounds. Not safe for
-// concurrent use; the engine owns one and runs every round on it.
-type Exchange struct {
-	// aShared and bShared mark the rows of a and b that a connected peer
-	// holds; a swept table's deadline rebuild walks them after growth.
-	aShared, bShared bitset.Set
-}
-
-// Run performs one RTSR exchange round between a and b for a contact that
+// Round performs one RTSR exchange round between a and b for a contact that
 // has lasted dt since its previous exchange, writing each step straight
 // into both tables, and returns how many of the two tables ran an eviction
 // sweep (0–2) and how many rows the sweeps evicted. aPeers/bPeers are the
@@ -38,117 +30,84 @@ type Exchange struct {
 // (Algorithm 1). Acquired rows record aID or bID as their source. Both
 // tables must share Params and an Interner (the engine builds every node
 // from one Config).
-func (x *Exchange) Run(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) (sweeps, evictions int) {
+func Round(a, b *Table, aID, bID ident.NodeID, aPeers, bPeers []*Table, now, dt time.Duration) (sweeps, evictions int) {
 	// Each peer list holds the partner, so neither sweep evicts a row the
 	// other side holds or shares: the two sweeps commute.
-	aSwept, aEvicted := a.refreshAndSweep(&x.aShared, aPeers, now)
-	bSwept, bEvicted := b.refreshAndSweep(&x.bShared, bPeers, now)
+	aSwept, aEvicted := Decay(a, aPeers, now)
+	bSwept, bEvicted := Decay(b, bPeers, now)
 	grow(a, b, dt)
-	if aSwept {
-		a.foldSharedDeath(x.aShared, now)
-		sweeps++
-	}
-	if bSwept {
-		b.foldSharedDeath(x.bShared, now)
-		sweeps++
-	}
 	sec := dt.Seconds()
 	a.acquireFrom(b, bID, now, sec)
 	b.acquireFrom(a, aID, now, sec)
-	return sweeps, aEvicted + bEvicted
+	return aSwept + bSwept, aEvicted + bEvicted
 }
 
-// Decay runs Algorithm 1 alone on t at now: Run's refresh-and-sweep step
-// without a partner. The rows any of peers holds keep their weight and
-// refresh T_l, the others keep decaying lazily, and a due eviction sweep
-// drops the dead transient rows. peers is t's complete connected-peer table
-// list. It returns how many sweeps ran (0 or 1) and how many rows they
-// evicted.
-func (x *Exchange) Decay(t *Table, peers []*Table, now time.Duration) (sweeps, evictions int) {
-	swept, evictions := t.refreshAndSweep(&x.aShared, peers, now)
-	if swept {
-		t.foldSharedDeath(x.aShared, now)
-		sweeps = 1
+// Decay runs Algorithm 1 alone on t at now: the refresh-and-sweep step Round
+// runs on each side, here without a partner. peers is t's complete
+// connected-peer table list. The rows any of them holds become t's held set
+// and heldAt moves to now — "if a device with I is connected": these rows
+// hold their weight and refresh T_l — while the others keep decaying lazily.
+// A row that leaves held is anchored at the old heldAt, where its last
+// refresh put it, and folds its death bound into the deadline, so nextDeath
+// keeps bounding every unheld transient row. When the deadline has passed,
+// an eviction sweep drops the dead unheld transient rows and sets the
+// deadline to the earliest death bound of the survivors. It returns how many
+// sweeps ran (0 or 1) and how many rows they evicted.
+func Decay(t *Table, peers []*Table, now time.Duration) (sweeps, evicted int) {
+	for len(t.held) < len(t.present) {
+		t.held = append(t.held, 0)
 	}
-	return sweeps, evictions
-}
-
-// refreshAndSweep marks in *shared the rows of t that a connected peer
-// holds and re-anchors them at now — Algorithm 1's "if a device with I is
-// connected": these rows hold their weight and refresh T_l, everything else
-// keeps decaying lazily. When t's eviction deadline has passed it then
-// sweeps the other transient rows and sets the deadline to the earliest
-// death bound of the survivors; foldSharedDeath adds the refreshed rows
-// once growth has written their weights. It reports whether the sweep ran
-// and how many rows it evicted.
-func (t *Table) refreshAndSweep(shared *bitset.Set, peers []*Table, now time.Duration) (swept bool, evicted int) {
-	s := shared.Reset(len(t.present))
-	*shared = s
-	for wi := range s {
+	for wi, p := range t.present {
 		var u uint64
 		for _, peer := range peers {
 			u |= peer.present.Word(wi)
 		}
-		s[wi] = t.present[wi] & u
-		for m := s[wi]; m != 0; m &= m - 1 {
-			t.lastShared[wi<<6+bits.TrailingZeros64(m)] = now
+		shared := p & u
+		released := t.held[wi] &^ shared
+		t.held[wi] = shared
+		for m := released; m != 0; m &= m - 1 {
+			id := int32(wi<<6 + bits.TrailingZeros64(m))
+			t.lastShared[id] = t.heldAt
+			if !t.direct.Has(int(id)) {
+				t.mergeDeath(t.weights[id], t.heldAt)
+			}
 		}
 	}
+	t.heldAt = now
 
 	if now < t.nextDeath {
-		return false, 0
+		return 0, 0
 	}
-	// Candidates are the unshared transient rows — shared rows are held
+	// Candidates are the unheld transient rows — held rows are kept
 	// regardless of weight, exactly as the eager round held them — and
 	// deadRow is the eager prune test, so the sweep evicts exactly the rows
-	// the eager per-round pass would have. Survivors are unshared, so the
+	// the eager per-round pass would have. Survivors are unheld, so the
 	// rest of the round neither grows nor re-anchors them, and their bounds
 	// are final here.
 	t.nextDeath = noDeath
-	for wi, w := range s {
-		m := t.present[wi] &^ t.direct.Word(wi) &^ w
+	for wi, h := range t.held {
+		m := t.present[wi] &^ t.direct.Word(wi) &^ h
 		for m != 0 {
 			id := int32(wi<<6 + bits.TrailingZeros64(m))
 			m &= m - 1
 			if t.deadRow(id, now) {
 				t.removeRow(id)
 				evicted++
-			} else if d := t.deathBound(t.weights[id], t.lastShared[id]); d < t.nextDeath {
+			} else if d := t.deathBound(t.weights[id], t.anchor(id)); d < t.nextDeath {
 				t.nextDeath = d
 			}
 		}
 	}
-	return true, evicted
-}
-
-// foldSharedDeath folds the refreshed transient rows of a swept table into
-// its deadline, reading their post-growth weights as a full recompute
-// would. They all share the anchor now, and the death bound is monotone
-// non-decreasing in the weight at a fixed anchor, so their minimum bound is
-// the bound of their minimum weight — found with plain compares, one bound
-// conversion at the end. Acquisitions merge their own bounds on insert.
-func (t *Table) foldSharedDeath(shared bitset.Set, now time.Duration) {
-	minW := math.Inf(1)
-	for wi, w := range shared {
-		m := w &^ t.direct.Word(wi)
-		for m != 0 {
-			id := int32(wi<<6 + bits.TrailingZeros64(m))
-			m &= m - 1
-			if w := t.weights[id]; w < minW {
-				minW = w
-			}
-		}
-	}
-	if !math.IsInf(minW, 1) {
-		t.mergeDeath(minW, now)
-	}
+	return 1, evicted
 }
 
 // grow applies Algorithm 2 to every row both tables hold, each side growing
 // from the other's pre-growth anchor weight, reproducing the eager Grow's
 // arithmetic bit for bit. Such a row is shared on both sides, so the
-// refresh left its anchor weight in place and set T_l = now: the anchors
-// are exactly the decayed-and-refreshed weights the eager round grew from.
+// refresh left its anchor weight in place and held it at T_l = now: the
+// anchors are exactly the decayed-and-refreshed weights the eager round
+// grew from. A held row's bound is folded when it leaves held, so growth
+// owes the deadline nothing.
 func grow(a, b *Table, dt time.Duration) {
 	sec := dt.Seconds()
 	aRate, bRate := a.params.GrowthRate, b.params.GrowthRate
@@ -198,9 +157,9 @@ func grow(a, b *Table, dt time.Duration) {
 // row the partner p holds that t does not — how "interests of the connected
 // devices can be acquired" (Paper II §3.2) — at its first growth from zero:
 // Δ over p's observed weight, with t's side transient. p's rows are read
-// materialized at now; a row p refreshed this round is anchored at now and
-// materializes to its anchor, so the refresh needs no lookup here. The rows
-// p acquired from t this round are ones t holds, so they are skipped.
+// materialized at now; a row p holds since this round's refresh is anchored
+// at heldAt = now and materializes to its anchor. The rows p acquired from
+// t this round are ones t holds, so they are skipped.
 func (t *Table) acquireFrom(p *Table, from ident.NodeID, now time.Duration, sec float64) {
 	rate := t.params.GrowthRate
 	for wi, w := range p.present {
@@ -215,7 +174,7 @@ func (t *Table) acquireFrom(p *Table, from ident.NodeID, now time.Duration, sec 
 			m &= m - 1
 			id := base + int32(bit)
 			dirBit := dirW >> bit & 1
-			src, _ := decayedWeight(p.weights[id], dirBit != 0, now-p.lastShared[id])
+			src, _ := decayedWeight(p.weights[id], dirBit != 0, now-p.anchor(id))
 			t.insertRow(id, clampWeight(growthDeltaIdx(src*rate*sec, dirBit)), false, now, from)
 		}
 	}

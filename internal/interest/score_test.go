@@ -12,7 +12,8 @@ import (
 )
 
 // cloneTable deep-copies a table onto the same interner, preserving rows,
-// weights, flags, counters, and the eviction deadline.
+// weights, flags, counters, the held set and its anchor, and the eviction
+// deadline.
 func cloneTable(t *Table) *Table {
 	return &Table{
 		params:     t.params,
@@ -24,6 +25,8 @@ func cloneTable(t *Table) *Table {
 		present:    append(bitset.Set(nil), t.present...),
 		direct:     append(bitset.Set(nil), t.direct...),
 		sat:        append(bitset.Set(nil), t.sat...),
+		held:       append(bitset.Set(nil), t.held...),
+		heldAt:     t.heldAt,
 		count:      t.count,
 		nextDeath:  t.nextDeath,
 	}
@@ -54,7 +57,11 @@ func randomTable(rng *sim.RNG, params Params, in *Interner, nKeywords int, now t
 	return t
 }
 
-func requireTablesEqual(t *testing.T, label string, got, want *Table) {
+// requireTablesEqual requires got to hold the rows of want with the same
+// stored weight, direct and saturation flags, anchor and source. Anchors
+// are read through the accessor, so a table that holds rows compares with
+// one that wrote every refresh into its rows.
+func requireTablesEqual(t testing.TB, label string, got, want *Table) {
 	t.Helper()
 	if got.count != want.count {
 		t.Fatalf("%s: %d rows, want %d\n got  %v\n want %v", label, got.count, want.count, got.Keywords(), want.Keywords())
@@ -68,58 +75,15 @@ func requireTablesEqual(t *testing.T, label string, got, want *Table) {
 			}
 			if got.weights[id] != want.weights[id] ||
 				got.direct.Has(int(id)) != want.direct.Has(int(id)) ||
-				got.lastShared[id] != want.lastShared[id] ||
+				got.sat.Has(int(id)) != want.sat.Has(int(id)) ||
+				got.anchor(id) != want.anchor(id) ||
 				got.source[id] != want.source[id] {
-				t.Fatalf("%s: row %q = (w=%v d=%v t=%v from=%v), want (w=%v d=%v t=%v from=%v)",
+				t.Fatalf("%s: row %q = (w=%v d=%v sat=%v t=%v from=%v), want (w=%v d=%v sat=%v t=%v from=%v)",
 					label, want.in.Word(id),
-					got.weights[id], got.direct.Has(int(id)), got.lastShared[id], got.source[id],
-					want.weights[id], want.direct.Has(int(id)), want.lastShared[id], want.source[id])
+					got.weights[id], got.direct.Has(int(id)), got.sat.Has(int(id)), got.anchor(id), got.source[id],
+					want.weights[id], want.direct.Has(int(id)), want.sat.Has(int(id)), want.anchor(id), want.source[id])
 			}
 		}
-	}
-}
-
-// TestExchangeReuseMatchesFreshScratch pins that a single Exchange reused
-// across many rounds (the engine reuses one for every round) computes the
-// same result as fresh scratch — scratch state must not leak between
-// rounds.
-func TestExchangeReuseMatchesFreshScratch(t *testing.T) {
-	rng := sim.NewRNG(42)
-	params := DefaultParams()
-	var x Exchange // reused across trials, like the engine's
-	for trial := 0; trial < 200; trial++ {
-		in := NewInterner()
-		now := 10 * time.Minute
-		dt := time.Duration(rng.Range(float64(time.Second), float64(90*time.Second)))
-		nKw := 4 + rng.Intn(24)
-
-		a := randomTable(rng, params, in, nKw, now)
-		b := randomTable(rng, params, in, nKw, now)
-		aPeers := []*Table{b}
-		bPeers := []*Table{a}
-		for p := rng.Intn(3); p > 0; p-- {
-			aPeers = append(aPeers, randomTable(rng, params, in, nKw, now))
-		}
-		for p := rng.Intn(3); p > 0; p-- {
-			bPeers = append(bPeers, randomTable(rng, params, in, nKw, now))
-		}
-
-		aFresh, bFresh := cloneTable(a), cloneTable(b)
-		aPeersFresh := []*Table{bFresh}
-		for _, p := range aPeers[1:] {
-			aPeersFresh = append(aPeersFresh, cloneTable(p))
-		}
-		bPeersFresh := []*Table{aFresh}
-		for _, p := range bPeers[1:] {
-			bPeersFresh = append(bPeersFresh, cloneTable(p))
-		}
-
-		exchangeRound(aFresh, bFresh, 1, 2, aPeersFresh, bPeersFresh, now, dt)
-
-		x.Run(a, b, 1, 2, aPeers, bPeers, now, dt)
-
-		requireTablesEqual(t, fmt.Sprintf("trial %d table a", trial), a, aFresh)
-		requireTablesEqual(t, fmt.Sprintf("trial %d table b", trial), b, bFresh)
 	}
 }
 
@@ -135,14 +99,13 @@ func TestExchangeReuseMatchesFreshScratch(t *testing.T) {
 // clamping, and multi-peer refresh holds.
 //
 // It also pins each table's eviction deadline: after a round that swept a
-// side, its nextDeath is exactly the earliest death bound of its transient
-// rows (a deadline folded from pre-growth weights would be earlier and only
-// cost extra sweeps, which no other check sees); otherwise it is no later
-// than that bound.
+// side, its nextDeath is exactly the earliest death bound of its unheld
+// transient rows (a deadline that still counted the held rows would be
+// earlier and only cost extra sweeps, which no other check sees); otherwise
+// it is no later than that bound.
 func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 	rng := sim.NewRNG(7)
 	params := DefaultParams()
-	var x Exchange
 	swept := 0
 	for trial := 0; trial < 250; trial++ {
 		in := NewInterner()
@@ -190,7 +153,7 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 		if bSwept {
 			want++
 		}
-		sweeps, _ := x.Run(a, b, 1, 2, aPeers, bPeers, now, dt)
+		sweeps, _ := Round(a, b, 1, 2, aPeers, bPeers, now, dt)
 		if sweeps != want {
 			t.Fatalf("trial %d: %d sweeps, want %d", trial, sweeps, want)
 		}
@@ -198,8 +161,8 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 
 		requireSameObserved(t, fmt.Sprintf("trial %d table a", trial), a, aRef, now)
 		requireSameObserved(t, fmt.Sprintf("trial %d table b", trial), b, bRef, now)
-		checkDeadline(t, fmt.Sprintf("trial %d table a", trial), a, aSwept)
-		checkDeadline(t, fmt.Sprintf("trial %d table b", trial), b, bSwept)
+		checkUnheldDeadline(t, fmt.Sprintf("trial %d table a", trial), a, aSwept)
+		checkUnheldDeadline(t, fmt.Sprintf("trial %d table b", trial), b, bSwept)
 	}
 	if swept == 0 {
 		t.Fatal("no trial swept a table; the deadline check is vacuous")
@@ -207,14 +170,14 @@ func TestLazyExchangeMatchesEagerReference(t *testing.T) {
 	t.Logf("%d swept sides", swept)
 }
 
-// TestLazyDecayMatchesEagerReference locks Exchange.Decay, the decay step
-// alone (Device.DecayWeights), against the eager DecayAgainst the same way:
+// TestLazyDecayMatchesEagerReference locks Decay, the decay step alone
+// (Device.DecayWeights), against the eager DecayAgainst the same way:
 // membership, flags and weights observed at now compare with ==, and a
-// swept table's deadline is exactly its earliest death bound.
+// swept table's deadline is exactly the earliest death bound of its unheld
+// transient rows.
 func TestLazyDecayMatchesEagerReference(t *testing.T) {
 	rng := sim.NewRNG(11)
 	params := DefaultParams()
-	var x Exchange
 	swept := 0
 	for trial := 0; trial < 250; trial++ {
 		in := NewInterner()
@@ -228,11 +191,11 @@ func TestLazyDecayMatchesEagerReference(t *testing.T) {
 		ref := cloneTable(tab)
 		ref.DecayAgainst(now, peers...)
 
-		sweeps, _ := x.Decay(tab, peers, now)
+		sweeps, _ := Decay(tab, peers, now)
 		swept += sweeps
 		label := fmt.Sprintf("trial %d", trial)
 		requireSameObserved(t, label, tab, ref, now)
-		checkDeadline(t, label, tab, sweeps > 0)
+		checkUnheldDeadline(t, label, tab, sweeps > 0)
 	}
 	if swept == 0 {
 		t.Fatal("no trial swept the table; the deadline check is vacuous")
@@ -265,26 +228,61 @@ func requireSameObserved(t *testing.T, label string, lazy, ref *Table, now time.
 	}
 }
 
-// checkDeadline compares t's eviction deadline with the earliest death
-// bound of its transient rows: equal after a sweep rebuilt it, no later
-// otherwise.
-func checkDeadline(t *testing.T, label string, tab *Table, swept bool) {
+// checkUnheldDeadline compares t's eviction deadline with the earliest death
+// bound of its unheld transient rows, read through the anchor accessor:
+// equal after a sweep rebuilt it, no later otherwise. Held rows are never
+// sweep candidates; their bounds are folded when they leave held.
+func checkUnheldDeadline(t testing.TB, label string, tab *Table, swept bool) {
 	t.Helper()
 	want := noDeath
 	for wi, w := range tab.present {
-		m := w &^ tab.direct.Word(wi)
+		m := w &^ tab.direct.Word(wi) &^ tab.held.Word(wi)
 		for m != 0 {
 			id := int32(wi<<6 + bits.TrailingZeros64(m))
 			m &= m - 1
-			if d := tab.deathBound(tab.weights[id], tab.lastShared[id]); d < want {
+			if d := tab.deathBound(tab.weights[id], tab.anchor(id)); d < want {
 				want = d
 			}
 		}
 	}
 	if swept && tab.nextDeath != want {
-		t.Fatalf("%s: swept deadline %v, want the earliest death bound %v", label, tab.nextDeath, want)
+		t.Fatalf("%s: swept deadline %v, want the earliest unheld death bound %v", label, tab.nextDeath, want)
 	}
 	if !swept && tab.nextDeath > want {
-		t.Fatalf("%s: deadline %v later than the earliest death bound %v", label, tab.nextDeath, want)
+		t.Fatalf("%s: deadline %v later than the earliest unheld death bound %v", label, tab.nextDeath, want)
+	}
+}
+
+// TestRoundAllocFree asserts that a round on warmed tables allocates
+// nothing, while a third peer joins and leaves a's peer list so rows move
+// in and out of the held set: held keeps its backing array.
+func TestRoundAllocFree(t *testing.T) {
+	rng := sim.NewRNG(9)
+	params := DefaultParams()
+	in := NewInterner()
+	now := 10 * time.Minute
+	a := randomTable(rng, params, in, 200, now)
+	b := randomTable(rng, params, in, 200, now)
+	c := randomTable(rng, params, in, 200, now)
+	with, without := []*Table{b, c}, []*Table{b}
+	bPeers := []*Table{a}
+	round := func(i int) {
+		now += 10 * time.Second
+		aPeers := without
+		if i%2 == 0 {
+			aPeers = with
+		}
+		Round(a, b, 1, 2, aPeers, bPeers, now, 10*time.Second)
+		Decay(c, nil, now)
+	}
+	for i := 0; i < 20; i++ {
+		round(i)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		round(i)
+		i++
+	}); avg != 0 {
+		t.Errorf("round on warmed tables allocates %v times", avg)
 	}
 }
