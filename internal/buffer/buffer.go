@@ -7,7 +7,8 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"time"
 
 	"dtnsim/internal/bitset"
 	"dtnsim/internal/ident"
@@ -37,20 +38,35 @@ type Policy interface {
 // handle: the copies of one message share its handle, and the store holds
 // at most one of them. It is not safe for concurrent use; the simulation
 // engine is single-threaded per run.
+//
+// Its fields fill the 160-byte size class exactly: a network of 20 000
+// nodes holds 20 000 stores, so a field that pushed the struct into the
+// next class would cost more heap than the columns save per copy.
 type Store struct {
 	capacity int64
 	used     int64
 	policy   Policy
-	order    []*message.Message // insertion order, for deterministic iteration
-	dropped  int                // messages evicted before delivery
 
-	// resident marks the handles of the messages in order; held marks every
-	// handle the store has ever accepted. Add sets both bits, and eviction
-	// and Remove clear only resident, so held answers "was this node
-	// ever a custodian of the message" with one bit test (see Held). Each
-	// costs one bit per handle up to the largest handle the store has held.
-	resident bitset.Set
-	held     bitset.Set
+	// The resident messages in insertion order, the deterministic
+	// iteration order, as three parallel columns: order holds the copies,
+	// handles their Handle, and tagIDs their interned tag IDs. Routing
+	// settles almost every copy it scans from the two narrow columns and
+	// loads a copy only to offer it (see TagIDs). Add, Remove and eviction
+	// keep the columns in step, and Annotate is the one way to retag a
+	// resident copy. A vacated slot is zeroed in all three, so the backing
+	// arrays pin no removed copy.
+	order   []*message.Message
+	handles []message.Handle
+	tagIDs  [][]int32
+
+	// custody holds two bits per handle h: bit 2h is set while the
+	// message is resident (see Has), and bit 2h+1 once the store has ever
+	// accepted it (see Held). Add sets both bits, and eviction and Remove
+	// clear only the resident one, so the held bit answers "was this node
+	// ever a custodian of the message" with one bit test. The set grows to
+	// two bits per handle up to the largest handle the store has held, and
+	// a handle's two bits share a word.
+	custody bitset.Set
 
 	// maxSize and maxQuality are the largest Size and the best Quality
 	// among the resident messages, and nMaxSize and nMaxQuality count the
@@ -59,8 +75,9 @@ type Store struct {
 	// a maximum leaves, maxStale defers the rescan to the next Maxima call.
 	maxSize     int64
 	maxQuality  float64
-	nMaxSize    int
-	nMaxQuality int
+	nMaxSize    int32
+	nMaxQuality int32
+	dropped     int32 // messages evicted before delivery
 	maxStale    bool
 }
 
@@ -86,14 +103,14 @@ func (s *Store) Free() int64 { return s.capacity - s.used }
 func (s *Store) Len() int { return len(s.order) }
 
 // Dropped returns how many messages have been evicted so far.
-func (s *Store) Dropped() int { return s.dropped }
+func (s *Store) Dropped() int { return int(s.dropped) }
 
 // Has reports whether the message with handle h is resident.
-func (s *Store) Has(h message.Handle) bool { return s.resident.Has(int(h)) }
+func (s *Store) Has(h message.Handle) bool { return s.custody.Has(2 * int(h)) }
 
 // Held reports whether the store has ever accepted the message with handle
 // h, whether or not it is still resident.
-func (s *Store) Held(h message.Handle) bool { return s.held.Has(int(h)) }
+func (s *Store) Held(h message.Handle) bool { return s.custody.Has(2*int(h) + 1) }
 
 // Get returns the resident message with the given ID, or nil. It scans the
 // buffer: lookups by ID are for operator calls and tests, not the hot path.
@@ -127,10 +144,12 @@ func (s *Store) Add(m *message.Message) error {
 		}
 	}
 	s.order = append(s.order, m)
+	s.handles = append(s.handles, m.Handle)
+	s.tagIDs = append(s.tagIDs, m.KwIDs)
 	s.used += m.Size
 	s.foldMax(m)
-	s.resident.Add(int(m.Handle))
-	s.held.Add(int(m.Handle))
+	s.custody.Add(2*int(m.Handle) + 1)
+	s.custody.Add(2 * int(m.Handle))
 	return nil
 }
 
@@ -140,15 +159,33 @@ func (s *Store) Remove(h message.Handle) bool {
 	if !s.Has(h) {
 		return false
 	}
-	for i, m := range s.order {
-		if m.Handle == h {
-			s.used -= m.Size
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			s.dropMax(m)
-			break
+	i := slices.Index(s.handles, h)
+	m := s.order[i]
+	s.used -= m.Size
+	s.dropMax(m)
+	// slices.Delete zeroes the vacated last slot of each column.
+	s.order = slices.Delete(s.order, i, i+1)
+	s.handles = slices.Delete(s.handles, i, i+1)
+	s.tagIDs = slices.Delete(s.tagIDs, i, i+1)
+	s.custody.Remove(2 * int(h))
+	return true
+}
+
+// Annotate tags m with kw, as m.Annotate does, and reports whether the tag
+// was added. When m is the resident copy of its message, its tag-ID slot is
+// reset with the tag set, and routing re-interns the copy on its next
+// read. It is the only way to tag a resident copy: m.Annotate alone would
+// leave the slot holding the old IDs. m may be a copy the store does not
+// hold, which leaves the columns alone.
+func (s *Store) Annotate(m *message.Message, kw string, by ident.NodeID, at time.Duration) bool {
+	if !m.Annotate(kw, by, at) {
+		return false
+	}
+	if s.Has(m.Handle) {
+		if i := slices.Index(s.handles, m.Handle); s.order[i] == m {
+			s.tagIDs[i] = m.KwIDs
 		}
 	}
-	s.resident.Remove(int(h))
 	return true
 }
 
@@ -158,6 +195,23 @@ func (s *Store) Remove(h message.Handle) bool {
 // exchange round, so handing out copies dominated early profiles.)
 func (s *Store) Messages() []*message.Message {
 	return s.order
+}
+
+// Handles returns the resident messages' handles, parallel to Messages and
+// valid as long.
+func (s *Store) Handles() []message.Handle {
+	return s.handles
+}
+
+// TagIDs returns the resident messages' interned tag IDs, parallel to
+// Messages and valid as long. Slot i is Messages()[i].KwIDs, the shared
+// slice routing.KeywordIDs memoises, or nil while routing has not yet
+// interned that copy's tags. The routing layer fills a nil slot in place
+// with the copy's KeywordIDs, where it would have computed them anyway, so
+// the interner assigns IDs in the same order as a walk over the copies;
+// no other caller writes the slice.
+func (s *Store) TagIDs() [][]int32 {
+	return s.tagIDs
 }
 
 // Maxima returns the largest Size and the best Quality among the resident
@@ -221,13 +275,11 @@ func (DropOldest) Name() string { return "drop-oldest" }
 
 // Victims implements Policy.
 func (DropOldest) Victims(resident []*message.Message, need int64) []*message.Message {
-	ordered := make([]*message.Message, len(resident))
-	copy(ordered, resident)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].CreatedAt < ordered[j].CreatedAt
-	})
-	return takeUntil(ordered, need)
+	return leastUntil(resident, need, createdBefore)
 }
+
+// createdBefore orders DropOldest's victims: oldest first.
+func createdBefore(a, b *message.Message) bool { return a.CreatedAt < b.CreatedAt }
 
 // DropLowPriority evicts low-priority (and, within a priority level, oldest)
 // messages first. The paper's scheme "prioritizes messages based on the
@@ -243,30 +295,50 @@ func (DropLowPriority) Name() string { return "drop-low-priority" }
 
 // Victims implements Policy.
 func (DropLowPriority) Victims(resident []*message.Message, need int64) []*message.Message {
-	ordered := make([]*message.Message, len(resident))
-	copy(ordered, resident)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Priority != ordered[j].Priority {
-			// Numerically higher Priority value = less important.
-			return ordered[i].Priority > ordered[j].Priority
-		}
-		if ordered[i].Quality != ordered[j].Quality {
-			return ordered[i].Quality < ordered[j].Quality
-		}
-		return ordered[i].CreatedAt < ordered[j].CreatedAt
-	})
-	return takeUntil(ordered, need)
+	return leastUntil(resident, need, lessImportant)
 }
 
-// takeUntil returns the shortest prefix of ordered that frees need bytes
-// (all of it when the whole buffer is too small).
-func takeUntil(ordered []*message.Message, need int64) []*message.Message {
-	var freed int64
-	for i, m := range ordered {
-		if freed >= need {
-			return ordered[:i]
-		}
-		freed += m.Size
+// lessImportant orders DropLowPriority's victims: lowest priority first,
+// then lowest quality, then oldest.
+func lessImportant(a, b *message.Message) bool {
+	if a.Priority != b.Priority {
+		// Numerically higher Priority value = less important.
+		return a.Priority > b.Priority
 	}
-	return ordered
+	if a.Quality != b.Quality {
+		return a.Quality < b.Quality
+	}
+	return a.CreatedAt < b.CreatedAt
+}
+
+// leastUntil returns the shortest prefix of resident, stably sorted by
+// less, that frees need bytes (all of resident when the whole buffer is too
+// small). It selects the prefix by repeated minimum: each pass takes the
+// least message that sorts after the last one taken, and a tie goes to the
+// earlier slot, which is exactly the stable sort's order. So it neither
+// copies nor sorts the buffer: an insert into a full buffer usually evicts
+// one message, found in one pass.
+func leastUntil(resident []*message.Message, need int64, less func(a, b *message.Message) bool) []*message.Message {
+	var victims []*message.Message
+	var freed int64
+	last := -1
+	for freed < need && len(victims) < len(resident) {
+		next := -1
+		for i, m := range resident {
+			if last >= 0 {
+				// Skip what the stable order puts at or before the last
+				// victim.
+				if p := resident[last]; !less(p, m) && (less(m, p) || i <= last) {
+					continue
+				}
+			}
+			if next < 0 || less(m, resident[next]) {
+				next = i
+			}
+		}
+		victims = append(victims, resident[next])
+		freed += resident[next].Size
+		last = next
+	}
+	return victims
 }

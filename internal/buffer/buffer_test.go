@@ -2,9 +2,12 @@ package buffer
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
@@ -277,5 +280,165 @@ func TestMaximaMatchRescan(t *testing.T) {
 		if s.Dropped() == 0 {
 			t.Fatalf("trial %d evicted nothing", trial)
 		}
+	}
+}
+
+// refVictims is the former Victims body of both policies: copy the
+// residents, stable-sort them by the policy's order, and take the shortest
+// prefix that frees need bytes.
+func refVictims(resident []*message.Message, need int64, less func(a, b *message.Message) bool) []*message.Message {
+	ordered := append([]*message.Message(nil), resident...)
+	sort.SliceStable(ordered, func(i, j int) bool { return less(ordered[i], ordered[j]) })
+	var freed int64
+	for i, m := range ordered {
+		if freed >= need {
+			return ordered[:i]
+		}
+		freed += m.Size
+	}
+	return ordered
+}
+
+// TestVictimsMatchStableSort checks both policies' repeated-minimum victim
+// selection against the stable-sort reference over randomized buffers.
+// Priorities, qualities and creation times come from small sets, so ties
+// are common and their order must be insertion order; needs run from one
+// byte to more than the whole buffer.
+func TestVictimsMatchStableSort(t *testing.T) {
+	rng := sim.NewRNG(31)
+	policies := []struct {
+		policy Policy
+		less   func(a, b *message.Message) bool
+	}{
+		{DropOldest{}, func(a, b *message.Message) bool { return a.CreatedAt < b.CreatedAt }},
+		{DropLowPriority{}, func(a, b *message.Message) bool {
+			if a.Priority != b.Priority {
+				return a.Priority > b.Priority
+			}
+			if a.Quality != b.Quality {
+				return a.Quality < b.Quality
+			}
+			return a.CreatedAt < b.CreatedAt
+		}},
+	}
+	var ties int
+	for trial := 0; trial < 3000; trial++ {
+		resident := make([]*message.Message, rng.Intn(14))
+		var total int64
+		for i := range resident {
+			m, err := message.New(ident.NewMessageID(1, i), message.Handle(i), 1, ident.RoleOperator,
+				time.Duration(rng.Intn(4))*time.Second, int64(1+rng.Intn(3))*100,
+				message.Priority(1+rng.Intn(3)), float64(1+rng.Intn(2))/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident[i] = m
+			total += m.Size
+		}
+		need := 1 + rng.Int63()%(total+200)
+		for _, p := range policies {
+			want := refVictims(resident, need, p.less)
+			got := p.policy.Victims(resident, need)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %s: %d victims, want %d", trial, p.policy.Name(), len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d %s: victim %d is %s, want %s", trial, p.policy.Name(), i, got[i].ID, want[i].ID)
+				}
+				if i > 0 && !p.less(want[i-1], want[i]) {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two consecutive victims tied; the insertion-order tie-break went untested")
+	}
+}
+
+// TestColumnsTrackResidents checks the handle and tag-ID columns through
+// random adds, removes, evictions and tags: each stays parallel to
+// Messages, a slot's handle is its copy's, a filled ID slot is its copy's
+// KwIDs, and Annotate empties the slot of the copy it tags but not the
+// slot of another copy of the message.
+func TestColumnsTrackResidents(t *testing.T) {
+	rng := sim.NewRNG(37)
+	for trial, policy := range []Policy{DropOldest{}, DropLowPriority{}} {
+		s, _ := New(1000, policy)
+		for op := 0; op < 2000; op++ {
+			hd := message.Handle(rng.Intn(16))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				m, err := message.New(ident.NewMessageID(1, int(hd)), hd, 1, ident.RoleOperator,
+					time.Duration(op)*time.Second, int64(1+rng.Intn(3))*100, message.Priority(1+rng.Intn(3)), 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Annotate("src", 1, 0)
+				if rng.Coin(0.5) {
+					m.KwIDs = []int32{int32(hd)}
+				}
+				s.Add(m)
+			case r < 7:
+				s.Remove(hd)
+			case r < 9:
+				// Routing fills a slot in place.
+				if s.Len() > 0 {
+					i := rng.Intn(s.Len())
+					m := s.Messages()[i]
+					if m.KwIDs == nil {
+						m.KwIDs = []int32{int32(op)}
+					}
+					s.TagIDs()[i] = m.KwIDs
+				}
+			default:
+				if s.Len() > 0 {
+					m := s.Messages()[rng.Intn(s.Len())]
+					other := m.CopyFor(2)
+					s.Annotate(other, "elsewhere", 2, 0) // not resident
+					tagged := s.Annotate(m, string(rune('a'+op%26)), 1, 0)
+					if tagged && s.TagIDs()[slices.Index(s.Messages(), m)] != nil {
+						t.Fatalf("trial %d op %d: tagging %s left its ID slot filled", trial, op, m.ID)
+					}
+				}
+			}
+			msgs, handles, ids := s.Messages(), s.Handles(), s.TagIDs()
+			if len(handles) != len(msgs) || len(ids) != len(msgs) {
+				t.Fatalf("trial %d op %d: %d copies, %d handles, %d ID slots", trial, op, len(msgs), len(handles), len(ids))
+			}
+			for i, m := range msgs {
+				if handles[i] != m.Handle {
+					t.Fatalf("trial %d op %d slot %d: handle %d, copy's %d", trial, op, i, handles[i], m.Handle)
+				}
+				if ids[i] != nil && (m.KwIDs == nil || &ids[i][0] != &m.KwIDs[0]) {
+					t.Fatalf("trial %d op %d slot %d: IDs %v, copy's KwIDs %v", trial, op, i, ids[i], m.KwIDs)
+				}
+			}
+			// The vacated tail slots hold nothing.
+			for _, m := range msgs[len(msgs):cap(msgs)] {
+				if m != nil {
+					t.Fatalf("trial %d op %d: a vacated slot pins %s", trial, op, m.ID)
+				}
+			}
+			for _, slot := range ids[len(ids):cap(ids)] {
+				if slot != nil {
+					t.Fatalf("trial %d op %d: a vacated ID slot pins %v", trial, op, slot)
+				}
+			}
+		}
+		if s.Dropped() == 0 {
+			t.Fatalf("trial %d evicted nothing", trial)
+		}
+	}
+}
+
+// TestStoreFitsItsSizeClass pins the Store at 160 bytes, the size class it
+// filled before the routing columns: every node owns one, so a field that
+// pushed it into the next class would cost crowd-scale runs more heap than
+// the columns save.
+func TestStoreFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Store{}); size > 160 {
+		t.Fatalf("Store is %d bytes, past the 160-byte size class", size)
 	}
 }

@@ -96,6 +96,9 @@ type Engine struct {
 	// phaseMark is the last phase boundary (see chargePhase).
 	phaseMark time.Time
 
+	// offerKeys is sortOffers' reused key scratch.
+	offerKeys []offerKey
+
 	// nextSample is the deadline of the next Figure 5.4 rating sample (see
 	// maybeSample).
 	nextSample time.Duration

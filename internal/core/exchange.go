@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dtnsim/internal/interest"
+	"dtnsim/internal/message"
 	"dtnsim/internal/reputation"
 	"dtnsim/internal/routing"
 )
@@ -71,8 +72,17 @@ func (e *Engine) refreshNodePeers(n *Node) {
 // in transmission order (see sortOffers).
 func (e *Engine) offersFor(u, v *Node) []routing.Offer {
 	offers := e.router.SelectOffers(u, v)
-	sortOffers(offers, e.cfg.incentiveActive())
+	e.offerKeys = sortOffers(offers, e.cfg.incentiveActive(), e.offerKeys)
 	return offers
+}
+
+// offerKey is one offer's sort key, read out of its message once per sort.
+// Priority and quality stay zero in creation order.
+type offerKey struct {
+	role     routing.PeerRole
+	priority message.Priority
+	quality  float64
+	created  time.Duration
 }
 
 // sortOffers puts offers in transmission order: destinations before relays
@@ -84,35 +94,45 @@ func (e *Engine) offersFor(u, v *Node) []routing.Offer {
 // has no such machinery and transmits in creation order. IDs are unique
 // within a buffer, so the order does not depend on the router's.
 //
-// The sort is a hand-rolled insertion sort: offer lists are short, and
-// sort.SliceStable's closure allocates on every call; this keeps the
-// per-round routing phase allocation-free.
-func sortOffers(offers []routing.Offer, byPriority bool) {
+// The keys are extracted into keys, the caller's scratch, which is returned
+// grown for reuse, and a hand-rolled insertion sort moves each key together
+// with its offer. So a comparison reads two adjacent keys and loads the
+// messages only on a full tie, to compare IDs, and no closure allocates:
+// the per-round routing phase stays allocation-free.
+func sortOffers(offers []routing.Offer, byPriority bool, keys []offerKey) []offerKey {
+	keys = keys[:0]
+	for _, o := range offers {
+		k := offerKey{role: o.Role, created: o.Msg.CreatedAt}
+		if byPriority {
+			k.priority, k.quality = o.Msg.Priority, o.Msg.Quality
+		}
+		keys = append(keys, k)
+	}
 	for i := 1; i < len(offers); i++ {
-		for j := i; j > 0 && offerBefore(&offers[j], &offers[j-1], byPriority); j-- {
+		for j := i; j > 0 && offerBefore(&keys[j], &keys[j-1], &offers[j], &offers[j-1]); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
 			offers[j], offers[j-1] = offers[j-1], offers[j]
 		}
 	}
+	return keys
 }
 
-// offerBefore is sortOffers' strict-less ordering.
-func offerBefore(x, y *routing.Offer, byPriority bool) bool {
-	if x.Role != y.Role {
-		return x.Role > y.Role
+// offerBefore is sortOffers' strict-less ordering of offer x, keyed kx,
+// and offer y, keyed ky.
+func offerBefore(kx, ky *offerKey, x, y *routing.Offer) bool {
+	if kx.role != ky.role {
+		return kx.role > ky.role
 	}
-	a, b := x.Msg, y.Msg
-	if byPriority {
-		if a.Priority != b.Priority {
-			return a.Priority < b.Priority
-		}
-		if a.Quality != b.Quality {
-			return a.Quality > b.Quality
-		}
+	if kx.priority != ky.priority {
+		return kx.priority < ky.priority
 	}
-	if a.CreatedAt != b.CreatedAt {
-		return a.CreatedAt < b.CreatedAt
+	if kx.quality != ky.quality {
+		return kx.quality > ky.quality
 	}
-	return a.ID < b.ID
+	if kx.created != ky.created {
+		return kx.created < ky.created
+	}
+	return x.Msg.ID < y.Msg.ID
 }
 
 // peerTablesInto appends the interest tables of all of n's contacts to dst

@@ -65,14 +65,17 @@ func randomOffers(rng *sim.RNG, n int) []routing.Offer {
 // against the sort.SliceStable reference over randomized lists, in both the
 // baseline's FIFO order and the incentive scheme's priority order:
 // identical order, including pointer-identity order among fully equal keys.
+// The lists run up to 48 offers, past the 30–40 a late-window call makes,
+// and every sort reuses the key scratch the previous one grew.
 func TestSortOffersFIFOMatchesStableSort(t *testing.T) {
 	rng := sim.NewRNG(5)
+	var keys []offerKey
 	for _, byPriority := range []bool{false, true} {
-		for trial := 0; trial < 200; trial++ {
-			offers := randomOffers(rng, rng.Intn(12))
+		for trial := 0; trial < 400; trial++ {
+			offers := randomOffers(rng, rng.Intn(48))
 			want := append([]routing.Offer(nil), offers...)
 			refSortOffers(want, byPriority)
-			sortOffers(offers, byPriority)
+			keys = sortOffers(offers, byPriority, keys)
 			for i := range want {
 				if offers[i] != want[i] {
 					t.Fatalf("byPriority=%v trial %d: offer %d = %+v, want %+v", byPriority, trial, i, offers[i], want[i])
@@ -112,12 +115,12 @@ func TestOfferOrderingPriorityFirst(t *testing.T) {
 		return []routing.Offer{{Msg: low, Role: routing.RoleRelay}, {Msg: high, Role: routing.RoleRelay}, {Msg: med, Role: routing.RoleRelay}}
 	}
 	offers := buffered()
-	sortOffers(offers, true)
+	sortOffers(offers, true, nil)
 	if got := offerIDs(offers); got[0] != high.ID || got[1] != med.ID || got[2] != low.ID {
 		t.Errorf("priority order = %v; want high, med, low", got)
 	}
 	offers = buffered()
-	sortOffers(offers, false)
+	sortOffers(offers, false, nil)
 	if got := offerIDs(offers); got[0] != low.ID || got[1] != med.ID || got[2] != high.ID {
 		t.Errorf("FIFO order = %v; want low, med (created at 0, by ID), high", got)
 	}
@@ -131,7 +134,7 @@ func TestOfferOrderingDestinationsBeforeRelays(t *testing.T) {
 	destMsg := orderingMsg(t, 2, message.PriorityLow, 0.1, time.Second)
 	for _, byPriority := range []bool{false, true} {
 		offers := []routing.Offer{{Msg: relayMsg, Role: routing.RoleRelay}, {Msg: destMsg, Role: routing.RoleDestination}}
-		sortOffers(offers, byPriority)
+		sortOffers(offers, byPriority, nil)
 		if offers[0].Msg != destMsg || offers[1].Msg != relayMsg {
 			t.Errorf("byPriority=%v: order = %v, want the destination offer first", byPriority, offerIDs(offers))
 		}
@@ -145,9 +148,10 @@ func TestOfferOrderingDestinationsBeforeRelays(t *testing.T) {
 func TestExchangeScratchAllocFree(t *testing.T) {
 	rng := sim.NewRNG(9)
 	offers := randomOffers(rng, 16)
+	keys := sortOffers(offers, false, nil) // grow the scratch once
 	for _, byPriority := range []bool{false, true} {
 		if avg := testing.AllocsPerRun(100, func() {
-			sortOffers(offers, byPriority)
+			keys = sortOffers(offers, byPriority, keys)
 		}); avg != 0 {
 			t.Errorf("sortOffers(byPriority=%v) allocates %.1f objects per round, want 0", byPriority, avg)
 		}

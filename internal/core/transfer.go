@@ -189,9 +189,11 @@ func (e *Engine) enrich(v *Node, clone *message.Message, now time.Duration) {
 
 // addTag annotates v's copy m with kw and, when the tag is new, counts it in
 // the report and records a TagAdded event. Relay enrichment and
-// Device.Enrich both add tags here, so the report and the trace agree.
+// Device.Enrich both add tags here, so the report and the trace agree. The
+// tag goes through v's buffer, which keeps the copy's tag-ID column in step
+// (buffer.Store.Annotate): this is the only path that tags a buffered copy.
 func (e *Engine) addTag(v *Node, m *message.Message, kw string, now time.Duration) {
-	if !m.Annotate(kw, v.id, now) {
+	if !v.buf.Annotate(m, kw, v.id, now) {
 		return
 	}
 	relevant := m.Relevant(kw)

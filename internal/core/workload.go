@@ -156,11 +156,7 @@ func (e *Engine) originate(n *Node, now time.Duration) {
 		// Malicious sources mis-tag at creation in pursuit of paying
 		// destinations ("a source might annotate this message with a
 		// keyword 'parking lot' but there is no parking lot in the image").
-		exclude := make(map[string]bool, len(truth))
-		for _, kw := range truth {
-			exclude[kw] = true
-		}
-		tags = append(tags, w.Vocab.SampleExcluding(e.workloadRNG, 3, exclude)...)
+		tags = append(tags, w.Vocab.SampleExcluding(e.workloadRNG, 3, truth)...)
 	}
 	e.mint(n, now, size, prio, quality, truth, tags)
 }

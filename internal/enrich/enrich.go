@@ -11,6 +11,7 @@ package enrich
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"dtnsim/internal/ident"
@@ -22,6 +23,7 @@ import (
 // Vocabulary is the global keyword pool (Table 5.1: 200 keywords).
 type Vocabulary struct {
 	words []string
+	index map[string]int // word → its position in words
 }
 
 // NewVocabulary generates a pool of n distinct keywords.
@@ -30,10 +32,12 @@ func NewVocabulary(n int) (*Vocabulary, error) {
 		return nil, fmt.Errorf("enrich: vocabulary size must be positive, got %d", n)
 	}
 	words := make([]string, n)
+	index := make(map[string]int, n)
 	for i := range words {
 		words[i] = "kw-" + strconv.Itoa(i)
+		index[words[i]] = i
 	}
-	return &Vocabulary{words: words}, nil
+	return &Vocabulary{words: words, index: index}, nil
 }
 
 // Len returns the pool size.
@@ -49,27 +53,87 @@ func (v *Vocabulary) Sample(rng *sim.RNG, k int) []string {
 	return out
 }
 
-// SampleExcluding draws up to k distinct keywords not present in the
-// exclusion set.
-func (v *Vocabulary) SampleExcluding(rng *sim.RNG, k int, exclude map[string]bool) []string {
-	var candidates []string
-	for _, w := range v.words {
-		if !exclude[w] {
-			candidates = append(candidates, w)
+// SampleExcluding draws up to k distinct keywords that are in none of the
+// exclude lists. It returns what rng.Sample would draw from the candidate
+// pool, the vocabulary in order without the excluded words, with the same
+// rng draws, but builds neither the pool nor Sample's index table:
+//   - the excluded words' positions, sorted and deduplicated, map a pool
+//     index to its word (see poolWord);
+//   - the partial Fisher–Yates runs over a virtual identity table, holding
+//     only the entries its swaps moved. Each of the k draws moves at most
+//     two entries.
+//
+// When k covers the whole pool it returns rng.Perm's order, as Sample does.
+func (v *Vocabulary) SampleExcluding(rng *sim.RNG, k int, exclude ...[]string) []string {
+	var skipBuf [16]int
+	skip := skipBuf[:0]
+	for _, list := range exclude {
+		for _, w := range list {
+			if i, ok := v.index[w]; ok {
+				skip = append(skip, i)
+			}
 		}
 	}
-	if len(candidates) == 0 {
+	slices.Sort(skip)
+	skip = slices.Compact(skip)
+	n := len(v.words) - len(skip)
+	if n == 0 {
 		return nil
 	}
-	if k > len(candidates) {
-		k = len(candidates)
+	k = min(k, n)
+	out := make([]string, k)
+	if k == n {
+		for i, j := range rng.Perm(n) {
+			out[i] = v.words[poolWord(skip, j)]
+		}
+		return out
 	}
-	idx := rng.Sample(len(candidates), k)
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = candidates[j]
+	var movedBuf [8]moved
+	table := movedBuf[:0]
+	for i := range out {
+		j := i + rng.Intn(n-i)
+		vi, vj := entry(table, i), entry(table, j)
+		table = setEntry(setEntry(table, j, vi), i, vj)
+		out[i] = v.words[poolWord(skip, vj)]
 	}
 	return out
+}
+
+// moved is one entry of SampleExcluding's virtual index table that a swap
+// moved away from the identity.
+type moved struct{ at, val int }
+
+// entry reads position at of the virtual index table.
+func entry(table []moved, at int) int {
+	for _, e := range table {
+		if e.at == at {
+			return e.val
+		}
+	}
+	return at
+}
+
+// setEntry writes val at position at of the virtual index table.
+func setEntry(table []moved, at, val int) []moved {
+	for i := range table {
+		if table[i].at == at {
+			table[i].val = val
+			return table
+		}
+	}
+	return append(table, moved{at, val})
+}
+
+// poolWord returns the vocabulary position of the candidate pool's j'th
+// word, skip being the excluded positions in ascending order.
+func poolWord(skip []int, j int) int {
+	for _, s := range skip {
+		if s > j {
+			break
+		}
+		j++
+	}
+	return j
 }
 
 // Tagger proposes enrichment tags for an in-transit message.
@@ -147,14 +211,7 @@ func (m *MaliciousTagger) ProposeTags(msg *message.Message, rng *sim.RNG) []stri
 	if m.MaxTags <= 0 || !rng.Coin(m.TagProb) {
 		return nil
 	}
-	exclude := make(map[string]bool, len(msg.TrueKeywords)+len(msg.Annotations))
-	for _, t := range msg.TrueKeywords {
-		exclude[t] = true
-	}
-	for _, a := range msg.Annotations {
-		exclude[a.Keyword] = true
-	}
-	return m.Vocab.SampleExcluding(rng, m.MaxTags, exclude)
+	return m.Vocab.SampleExcluding(rng, m.MaxTags, msg.TrueKeywords, msg.Keywords())
 }
 
 // NopTagger never enriches (plain ChitChat relays).

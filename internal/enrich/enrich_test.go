@@ -67,25 +67,96 @@ func TestVocabularySample(t *testing.T) {
 func TestVocabularySampleExcluding(t *testing.T) {
 	v := vocab(t, 10)
 	rng := sim.NewRNG(2)
-	exclude := map[string]bool{}
-	for i := 0; i < 8; i++ {
-		exclude[v.words[i]] = true
-	}
+	exclude := v.words[:8]
 	s := v.SampleExcluding(rng, 5, exclude)
 	if len(s) != 2 {
 		t.Fatalf("sample = %v, want the 2 non-excluded words", s)
 	}
 	for _, w := range s {
-		if exclude[w] {
+		if slices.Contains(exclude, w) {
 			t.Errorf("excluded word %q sampled", w)
 		}
 	}
-	all := map[string]bool{}
-	for i := 0; i < 10; i++ {
-		all[v.words[i]] = true
-	}
-	if got := v.SampleExcluding(rng, 3, all); got != nil {
+	if got := v.SampleExcluding(rng, 3, v.words[:4], v.words[4:]); got != nil {
 		t.Errorf("fully excluded pool returned %v", got)
+	}
+}
+
+// refSampleExcluding is SampleExcluding's former body, which built the
+// exclusion map, the candidate pool and rng.Sample's index table on every
+// call: the reference the pool-free draw must reproduce.
+func refSampleExcluding(v *Vocabulary, rng *sim.RNG, k int, exclude ...[]string) []string {
+	skip := make(map[string]bool)
+	for _, list := range exclude {
+		for _, w := range list {
+			skip[w] = true
+		}
+	}
+	var candidates []string
+	for _, w := range v.words {
+		if !skip[w] {
+			candidates = append(candidates, w)
+		}
+	}
+	if len(candidates) == 0 {
+		return nil
+	}
+	if k > len(candidates) {
+		k = len(candidates)
+	}
+	idx := rng.Sample(len(candidates), k)
+	out := make([]string, len(idx))
+	for i, j := range idx {
+		out[i] = candidates[j]
+	}
+	return out
+}
+
+// TestSampleExcludingMatchesCandidatePool checks the pool-free draw against
+// the candidate-pool reference over many seeds, vocabulary sizes and
+// exclusion lists: the same words in the same order, and the same rng
+// state afterwards. The lists repeat words, name words outside the
+// vocabulary, and often leave k or fewer candidates, so the k ≥ n
+// permutation branch and the empty pool both run.
+func TestSampleExcludingMatchesCandidatePool(t *testing.T) {
+	gen := sim.NewRNG(12)
+	var permBranch, empty int
+	for trial := 0; trial < 5000; trial++ {
+		v := vocab(t, 1+gen.Intn(24))
+		var lists [][]string
+		for l := gen.Intn(4); l > 0; l-- {
+			var list []string
+			for w := gen.Intn(2 * v.Len()); w > 0; w-- {
+				if gen.Intn(8) == 0 {
+					list = append(list, "elsewhere")
+				} else {
+					list = append(list, v.words[gen.Intn(v.Len())])
+				}
+			}
+			lists = append(lists, list)
+		}
+		k := gen.Intn(6)
+		seed := gen.Int63()
+		got, gotRNG := v.SampleExcluding(sim.NewRNG(seed), k, lists...), sim.NewRNG(seed)
+		want, wantRNG := refSampleExcluding(v, sim.NewRNG(seed), k, lists...), sim.NewRNG(seed)
+		// Replay both calls on fresh streams to compare the state they leave.
+		v.SampleExcluding(gotRNG, k, lists...)
+		refSampleExcluding(v, wantRNG, k, lists...)
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("trial %d: vocabulary %d, k %d, exclude %v: got %q, want %q", trial, v.Len(), k, lists, got, want)
+		}
+		if a, b := gotRNG.Int63(), wantRNG.Int63(); a != b {
+			t.Fatalf("trial %d: the draw left the rng at %d, the reference at %d", trial, a, b)
+		}
+		switch pool := len(refSampleExcluding(v, sim.NewRNG(seed), v.Len(), lists...)); {
+		case pool == 0:
+			empty++
+		case k >= pool:
+			permBranch++
+		}
+	}
+	if permBranch == 0 || empty == 0 {
+		t.Fatalf("k covered the pool %d times and the pool was empty %d times; both must occur", permBranch, empty)
 	}
 }
 

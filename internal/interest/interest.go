@@ -455,6 +455,27 @@ func (t *Table) SumWeightsIDs(ids []int32) float64 {
 	return s
 }
 
+// AtCeilingIDs reports, from bits alone, that every one of ids reads exactly
+// MaxWeight now, so that SumWeightsIDs(ids) is exactly len(ids)·MaxWeight:
+// each row is held and sat, and the last refresh is younger than freshFor.
+// A held row's anchor is heldAt, a sat row stores MaxWeight, and
+// decayedWeight returns an anchor younger than freshFor unchanged, so each
+// term materializes to exactly MaxWeight = 1 and the partial sums are the
+// integers 1, 2, …, k, all exact. A false result implies nothing about the
+// sum. Routing tests it before summing the sender's weights (see
+// routing.ClassifyPeer).
+func (t *Table) AtCeilingIDs(ids []int32) bool {
+	if t.clock.Now()-t.heldAt >= freshFor {
+		return false
+	}
+	for _, id := range ids {
+		if !t.held.Has(int(id)) || !t.sat.Has(int(id)) {
+			return false
+		}
+	}
+	return true
+}
+
 // HasDirectAnyID reports whether any of the IDs is a direct interest — the
 // ChitChat destination test.
 func (t *Table) HasDirectAnyID(ids []int32) bool {

@@ -99,9 +99,6 @@ type Message struct {
 	// Quality is the content quality Q in (0, 1]; the paper rates message
 	// quality relative to the best message in the sender's buffer (Q/Q_m).
 	Quality float64
-	// MIME and Format describe the payload, per the message format figure.
-	MIME   string
-	Format string
 	// Annotations are the keyword tags, source tags first, enrichment tags
 	// appended in hop order.
 	Annotations []Annotation
@@ -132,7 +129,8 @@ type Message struct {
 	// KwIDs is the routing layer's interned form of Keywords. It is owned
 	// by the routing package (see routing.KeywordIDs) and invalidated
 	// whenever the tag set changes; other packages must treat it as
-	// opaque.
+	// opaque. A buffer holding the copy keeps the same slice in its
+	// tag-ID column (see buffer.Store.TagIDs).
 	KwIDs []int32
 	// relevantTags counts the enrichment annotations (Hop > 0) whose
 	// keyword is in TrueKeywords; see RelevantTags.
@@ -160,8 +158,6 @@ func New(id ident.MessageID, h Handle, src ident.NodeID, role ident.Role, now ti
 		Size:       size,
 		Priority:   prio,
 		Quality:    quality,
-		MIME:       "image/jpeg",
-		Format:     "jpeg",
 		Path:       []ident.NodeID{src},
 	}, nil
 }

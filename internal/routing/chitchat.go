@@ -22,16 +22,12 @@ func (ChitChat) Name() string { return "chitchat" }
 // SelectOffers implements Router.
 func (ChitChat) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
+	ut, vt := u.Interests(), v.Interests()
+	w := newWalk(u, v)
+	for ids, ok := w.next(); ok; ids, ok = w.next() {
+		if role := classify(ids, ut, vt); role != RoleNone {
+			offers = append(offers, Offer{Msg: w.msg(), Role: role})
 		}
-		role := ClassifyPeer(m, u, v)
-		if role == RoleNone {
-			continue
-		}
-		offers = append(offers, Offer{Msg: m, Role: role})
 	}
 	return offers
 }

@@ -16,15 +16,12 @@ func (Direct) Name() string { return "direct" }
 // SelectOffers implements Router.
 func (Direct) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
+	vt := v.Interests()
+	w := newWalk(u, v)
+	for ids, ok := w.next(); ok; ids, ok = w.next() {
+		if vt.HasDirectAnyID(ids) {
+			offers = append(offers, Offer{Msg: w.msg(), Role: RoleDestination})
 		}
-		if ClassifyPeer(m, u, v) != RoleDestination {
-			continue
-		}
-		offers = append(offers, Offer{Msg: m, Role: RoleDestination})
 	}
 	return offers
 }

@@ -17,17 +17,15 @@ func (Epidemic) Name() string { return "epidemic" }
 // SelectOffers implements Router.
 func (Epidemic) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
+	vt := v.Interests()
+	w := newWalk(u, v)
+	for ids, ok := w.next(); ok; ids, ok = w.next() {
+		// Epidemic replicates regardless of interest strength.
+		role := RoleRelay
+		if vt.HasDirectAnyID(ids) {
+			role = RoleDestination
 		}
-		role := ClassifyPeer(m, u, v)
-		if role != RoleDestination {
-			// Epidemic replicates regardless of interest strength.
-			role = RoleRelay
-		}
-		offers = append(offers, Offer{Msg: m, Role: role})
+		offers = append(offers, Offer{Msg: w.msg(), Role: role})
 	}
 	return offers
 }

@@ -158,16 +158,13 @@ func (p *Prophet) deliveryScore(carrier ident.NodeID, m *message.Message) float6
 // beats the carrier's.
 func (p *Prophet) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
-		if v.Interests().HasDirectAnyID(KeywordIDs(m, u.Interests().Interner())) {
+	vt := v.Interests()
+	w := newWalk(u, v)
+	for ids, ok := w.next(); ok; ids, ok = w.next() {
+		switch m := w.msg(); {
+		case vt.HasDirectAnyID(ids):
 			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-			continue
-		}
-		if p.deliveryScore(v.ID(), m) > p.deliveryScore(u.ID(), m) {
+		case p.deliveryScore(v.ID(), m) > p.deliveryScore(u.ID(), m):
 			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
 		}
 	}

@@ -25,14 +25,11 @@ func (s *SprayAndWait) Name() string { return "spray-and-wait" }
 // SelectOffers implements Router.
 func (s *SprayAndWait) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
-		role := ClassifyPeer(m, u, v)
-		switch {
-		case role == RoleDestination:
+	vt := v.Interests()
+	w := newWalk(u, v)
+	for ids, ok := w.next(); ok; ids, ok = w.next() {
+		switch m := w.msg(); {
+		case vt.HasDirectAnyID(ids):
 			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
 		case m.CopiesLeft > 1:
 			// Spray phase: replicate to any willing carrier.

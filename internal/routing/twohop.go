@@ -18,17 +18,14 @@ func (TwoHop) Name() string { return "two-hop" }
 // SelectOffers implements Router.
 func (TwoHop) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	check := newPeerCheck(v)
-	for _, m := range u.Buffer().Messages() {
-		if !check.eligible(m) {
-			continue
-		}
-		if v.Interests().HasDirectAnyID(KeywordIDs(m, u.Interests().Interner())) {
+	uID, vt := u.ID(), v.Interests()
+	w := newWalk(u, v)
+	for ids, ok := w.next(); ok; ids, ok = w.next() {
+		switch m := w.msg(); {
+		case vt.HasDirectAnyID(ids):
 			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-			continue
-		}
-		// Only the source sprays; relays wait for destinations.
-		if m.Source == u.ID() {
+		case m.Source == uID:
+			// Only the source sprays; relays wait for destinations.
 			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
 		}
 	}
