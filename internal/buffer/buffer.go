@@ -72,14 +72,22 @@ type Store struct {
 	// among the resident messages, and nMaxSize and nMaxQuality count the
 	// residents at them; all four are zero for an empty store. Add folds
 	// each message in and Remove counts it out. When the last resident at
-	// a maximum leaves, maxStale defers the rescan to the next Maxima call.
+	// a maximum leaves, nMaxSize becomes staleMaxima, which defers the
+	// rescan to the next Maxima call (a flag of its own would take the
+	// byte rev needs).
 	maxSize     int64
 	maxQuality  float64
 	nMaxSize    int32
 	nMaxQuality int32
 	dropped     int32 // messages evicted before delivery
-	maxStale    bool
+
+	// rev is the store's revision (see Revision): it moves on every
+	// removal and every retag of a resident copy, never on an append.
+	rev uint32
 }
+
+// staleMaxima is nMaxSize while the running maxima await a rescan.
+const staleMaxima = -1
 
 // New creates a store with the given byte capacity and eviction policy. A
 // nil policy defaults to DropOldest.
@@ -104,6 +112,17 @@ func (s *Store) Len() int { return len(s.order) }
 
 // Dropped returns how many messages have been evicted so far.
 func (s *Store) Dropped() int { return int(s.dropped) }
+
+// Revision returns the store's revision. It moves on every removal,
+// eviction included, and on every retag of a resident copy, and never on
+// an append. So while it stands still, every resident copy keeps its slot
+// in Messages and its tag set, and copies only join at the end. A routing
+// walk that remembers what it found in a buffer (routing.Memo) stamps the
+// buffer's revision and length: an equal revision and a longer buffer
+// mean that only the slots past the old length are new. It counts in 32
+// bits, so a store would have to see 2^32 such changes between two reads
+// of one contact's walk before two stamps could collide.
+func (s *Store) Revision() uint32 { return s.rev }
 
 // Has reports whether the message with handle h is resident.
 func (s *Store) Has(h message.Handle) bool { return s.custody.Has(2 * int(h)) }
@@ -168,15 +187,17 @@ func (s *Store) Remove(h message.Handle) bool {
 	s.handles = slices.Delete(s.handles, i, i+1)
 	s.tagIDs = slices.Delete(s.tagIDs, i, i+1)
 	s.custody.Remove(2 * int(h))
+	s.rev++
 	return true
 }
 
 // Annotate tags m with kw, as m.Annotate does, and reports whether the tag
 // was added. When m is the resident copy of its message, its tag-ID slot is
-// reset with the tag set, and routing re-interns the copy on its next
-// read. It is the only way to tag a resident copy: m.Annotate alone would
-// leave the slot holding the old IDs. m may be a copy the store does not
-// hold, which leaves the columns alone.
+// reset with the tag set, routing re-interns the copy on its next read, and
+// the revision moves. It is the only way to tag a resident copy:
+// m.Annotate alone would leave the slot holding the old IDs. m may be a
+// copy the store does not hold, which leaves the columns and the revision
+// alone.
 func (s *Store) Annotate(m *message.Message, kw string, by ident.NodeID, at time.Duration) bool {
 	if !m.Annotate(kw, by, at) {
 		return false
@@ -184,6 +205,7 @@ func (s *Store) Annotate(m *message.Message, kw string, by ident.NodeID, at time
 	if s.Has(m.Handle) {
 		if i := slices.Index(s.handles, m.Handle); s.order[i] == m {
 			s.tagIDs[i] = m.KwIDs
+			s.rev++
 		}
 	}
 	return true
@@ -219,10 +241,9 @@ func (s *Store) TagIDs() [][]int32 {
 // They are kept as messages come and go, so a call costs a rescan only
 // after the last resident at a maximum has left.
 func (s *Store) Maxima() (int64, float64) {
-	if s.maxStale {
+	if s.nMaxSize == staleMaxima {
 		s.maxSize, s.nMaxSize = 0, 0
 		s.maxQuality, s.nMaxQuality = 0, 0
-		s.maxStale = false
 		for _, m := range s.order {
 			s.foldMax(m)
 		}
@@ -232,7 +253,7 @@ func (s *Store) Maxima() (int64, float64) {
 
 // foldMax counts a new resident into the running maxima.
 func (s *Store) foldMax(m *message.Message) {
-	if s.maxStale {
+	if s.nMaxSize == staleMaxima {
 		return
 	}
 	switch {
@@ -252,7 +273,7 @@ func (s *Store) foldMax(m *message.Message) {
 // dropMax counts a departing resident out of the running maxima, marking
 // them stale when it was the last at either one.
 func (s *Store) dropMax(m *message.Message) {
-	if s.maxStale {
+	if s.nMaxSize == staleMaxima {
 		return
 	}
 	if m.Size == s.maxSize {
@@ -261,7 +282,9 @@ func (s *Store) dropMax(m *message.Message) {
 	if m.Quality == s.maxQuality {
 		s.nMaxQuality--
 	}
-	s.maxStale = s.nMaxSize == 0 || s.nMaxQuality == 0
+	if s.nMaxSize == 0 || s.nMaxQuality == 0 {
+		s.nMaxSize = staleMaxima
+	}
 }
 
 // DropOldest evicts the earliest-created messages first (the ONE simulator's

@@ -361,13 +361,19 @@ func TestVictimsMatchStableSort(t *testing.T) {
 // random adds, removes, evictions and tags: each stays parallel to
 // Messages, a slot's handle is its copy's, a filled ID slot is its copy's
 // KwIDs, and Annotate empties the slot of the copy it tags but not the
-// slot of another copy of the message.
+// slot of another copy of the message. The revision moves by exactly one
+// on every removal, eviction included, and on every retag of a resident
+// copy, and by nothing on an append, a failed removal, a slot fill or a
+// tag on a copy the store does not hold.
 func TestColumnsTrackResidents(t *testing.T) {
 	rng := sim.NewRNG(37)
 	for trial, policy := range []Policy{DropOldest{}, DropLowPriority{}} {
 		s, _ := New(1000, policy)
+		var appends, retags int
 		for op := 0; op < 2000; op++ {
 			hd := message.Handle(rng.Intn(16))
+			rev, dropped, n := s.Revision(), s.Dropped(), s.Len()
+			var want uint32
 			switch r := rng.Intn(10); {
 			case r < 5:
 				m, err := message.New(ident.NewMessageID(1, int(hd)), hd, 1, ident.RoleOperator,
@@ -379,9 +385,16 @@ func TestColumnsTrackResidents(t *testing.T) {
 				if rng.Coin(0.5) {
 					m.KwIDs = []int32{int32(hd)}
 				}
-				s.Add(m)
+				if s.Add(m) == nil {
+					appends++
+				}
+				// Each eviction is one removal; the append itself counts
+				// nothing.
+				want = uint32(s.Dropped() - dropped)
 			case r < 7:
-				s.Remove(hd)
+				if s.Remove(hd) {
+					want = 1
+				}
 			case r < 9:
 				// Routing fills a slot in place.
 				if s.Len() > 0 {
@@ -397,11 +410,22 @@ func TestColumnsTrackResidents(t *testing.T) {
 					m := s.Messages()[rng.Intn(s.Len())]
 					other := m.CopyFor(2)
 					s.Annotate(other, "elsewhere", 2, 0) // not resident
+					if s.Revision() != rev {
+						t.Fatalf("trial %d op %d: tagging a copy the store does not hold moved the revision", trial, op)
+					}
 					tagged := s.Annotate(m, string(rune('a'+op%26)), 1, 0)
 					if tagged && s.TagIDs()[slices.Index(s.Messages(), m)] != nil {
 						t.Fatalf("trial %d op %d: tagging %s left its ID slot filled", trial, op, m.ID)
 					}
+					if tagged {
+						want = 1
+						retags++
+					}
 				}
+			}
+			if got := s.Revision() - rev; got != want {
+				t.Fatalf("trial %d op %d: revision moved by %d over %d→%d copies and %d evictions, want %d",
+					trial, op, got, n, s.Len(), s.Dropped()-dropped, want)
 			}
 			msgs, handles, ids := s.Messages(), s.Handles(), s.TagIDs()
 			if len(handles) != len(msgs) || len(ids) != len(msgs) {
@@ -427,8 +451,8 @@ func TestColumnsTrackResidents(t *testing.T) {
 				}
 			}
 		}
-		if s.Dropped() == 0 {
-			t.Fatalf("trial %d evicted nothing", trial)
+		if s.Dropped() == 0 || appends == 0 || retags == 0 {
+			t.Fatalf("trial %d: %d evictions, %d appends, %d resident retags: each must occur", trial, s.Dropped(), appends, retags)
 		}
 	}
 }

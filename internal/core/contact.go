@@ -44,6 +44,11 @@ type contact struct {
 	queue     []*transfer
 	queueHead int
 	active    *transfer
+	// memos are the routing walk memos of the two directions, a→b and
+	// b→a (routing.Memo). Each is taken from the engine's pool on its
+	// direction's first routing call and returned at teardown
+	// (Engine.memoFor, Engine.releaseContact).
+	memos [2]*routing.Memo
 }
 
 // pending returns the not-yet-started transfers in negotiation order.

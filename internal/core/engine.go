@@ -56,6 +56,7 @@ type Engine struct {
 	downsScratch []*contact // contacts lapsing this tick
 	contactPool  []*contact
 	transferPool []*transfer
+	memoPool     []*routing.Memo
 	tracePairs   map[world.Pair]*contact // replay-only pair index
 	peersOf      [][]*contact            // node → its open contacts (dense by NodeID)
 	pairScratch  []world.Pair
@@ -79,25 +80,30 @@ type Engine struct {
 	// Observability (see observability.go): the registry behind
 	// Engine.Snapshot(), hot-path counter handles, the per-kind observer
 	// dispatch table, and the run's wall-clock / heartbeat bookkeeping.
-	reg        *obs.Registry
-	ctrUps     *obs.Counter
-	ctrUpsOpen *obs.Counter
-	ctrDowns   *obs.Counter
-	ctrRebuild *obs.Counter
-	ctrSamples *obs.Counter
-	ctrSweep   *obs.Counter
-	ctrEvict   *obs.Counter
-	observers  []obs.Observer
-	obsByKind  [][]obs.Observer
-	nEvents    uint64
-	started    bool
-	wallStart  time.Time
-	hbLast     time.Time
+	reg             *obs.Registry
+	ctrUps          *obs.Counter
+	ctrUpsOpen      *obs.Counter
+	ctrDowns        *obs.Counter
+	ctrRebuild      *obs.Counter
+	ctrSamples      *obs.Counter
+	ctrSweep        *obs.Counter
+	ctrEvict        *obs.Counter
+	ctrWalks        *obs.Counter
+	ctrWalkRebuilds *obs.Counter
+	observers       []obs.Observer
+	obsByKind       [][]obs.Observer
+	nEvents         uint64
+	started         bool
+	wallStart       time.Time
+	hbLast          time.Time
 	// phaseMark is the last phase boundary (see chargePhase).
 	phaseMark time.Time
 
 	// offerKeys is sortOffers' reused key scratch.
 	offerKeys []offerKey
+	// sender is the view each routing call over a contact passes as u
+	// (see senderView); one reused view keeps the call allocation-free.
+	sender senderView
 
 	// nextSample is the deadline of the next Figure 5.4 rating sample (see
 	// maybeSample).
@@ -540,11 +546,39 @@ func (e *Engine) acquireContact() *contact {
 
 // releaseContact returns a torn-down contact to the arena. The caller
 // (teardownContacts) has already run contactDown, so transfers are
-// released and the queue reset; everything but the warm queue array is
-// zeroed so the next life starts clean.
+// released and the queue reset; the contact's routing memos go back to
+// their pool, emptied but with their arrays, and everything but the warm
+// queue array is zeroed so the next life starts clean.
 func (e *Engine) releaseContact(c *contact) {
+	for _, m := range c.memos {
+		if m != nil {
+			m.Reset()
+			e.memoPool = append(e.memoPool, m)
+		}
+	}
 	*c = contact{queue: c.queue}
 	e.contactPool = append(e.contactPool, c)
+}
+
+// memoFor returns the routing memo of c's direction from u, taking one
+// from the pool, or allocating it, on that direction's first routing call.
+// A memo lives outside the contact, so the many contacts that never route
+// (closed ones, and senders with empty buffers) carry only a nil pointer.
+func (e *Engine) memoFor(c *contact, u *Node) *routing.Memo {
+	d := 0
+	if u != c.a {
+		d = 1
+	}
+	if c.memos[d] == nil {
+		if n := len(e.memoPool); n > 0 {
+			c.memos[d] = e.memoPool[n-1]
+			e.memoPool[n-1] = nil
+			e.memoPool = e.memoPool[:n-1]
+		} else {
+			c.memos[d] = new(routing.Memo)
+		}
+	}
+	return c.memos[d]
 }
 
 // acquireTransfer takes a transfer from the arena free list.

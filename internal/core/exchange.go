@@ -69,12 +69,28 @@ func (e *Engine) refreshNodePeers(n *Node) {
 }
 
 // offersFor asks the router which messages u offers v and puts the offers
-// in transmission order (see sortOffers).
-func (e *Engine) offersFor(u, v *Node) []routing.Offer {
+// in transmission order (see sortOffers). u is a node, or the senderView of
+// a contact direction.
+func (e *Engine) offersFor(u routing.NodeView, v *Node) []routing.Offer {
 	offers := e.router.SelectOffers(u, v)
 	e.offerKeys = sortOffers(offers, e.cfg.incentiveActive(), e.offerKeys)
 	return offers
 }
+
+// senderView is the sender NodeView of one routing call over an open
+// contact: the node, plus the routing memo of that contact direction,
+// which the routers find through routing.MemoHolder and keep between the
+// contact's rounds. routing.Router and NodeView are unchanged, so a router
+// wrapper that forwards u passes the memo on.
+type senderView struct {
+	*Node
+	memo *routing.Memo
+}
+
+var _ routing.MemoHolder = (*senderView)(nil)
+
+// WalkMemo implements routing.MemoHolder.
+func (s *senderView) WalkMemo() *routing.Memo { return s.memo }
 
 // offerKey is one offer's sort key, read out of its message once per sort.
 // Priority and quality stay zero in creation order.
@@ -150,7 +166,13 @@ func (e *Engine) routeDirection(c *contact, u, v *Node, now time.Duration) {
 	if u.buf.Len() == 0 {
 		return
 	}
-	for _, offer := range e.offersFor(u, v) {
+	memo := e.memoFor(c, u)
+	e.sender = senderView{Node: u, memo: memo}
+	offers := e.offersFor(&e.sender, v)
+	walks, rebuilds := memo.Walks()
+	e.ctrWalks.Add(uint64(walks))
+	e.ctrWalkRebuilds.Add(uint64(rebuilds))
+	for _, offer := range offers {
 		if c.hasTransfer(offer.Msg, v) {
 			continue
 		}

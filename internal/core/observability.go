@@ -25,6 +25,14 @@ import (
 //	                    refreshed table whose deadline, the earliest death
 //	                    bound of its unheld transient rows, has passed
 //	interest_evictions  interest rows evicted by those sweeps
+//	route_walks         routing walks over a contact direction's memo
+//	                    (routing.Memo): one per routing call over an open
+//	                    contact whose router walks the sender's buffer
+//	route_rebuilds      the subset of those walks that rebuilt the memo
+//	                    from the buffer's first slot: its first walk, or a
+//	                    removal or retag in either buffer or a subscription
+//	                    at the receiver since its last walk. 1 − rebuilds/
+//	                    walks is the memo's reuse rate
 //
 // Sampled gauges (levels read at snapshot time, not monotonic totals —
 // Snapshot.Sub carries the later value through instead of differencing):
@@ -34,6 +42,7 @@ import (
 //	                     over every node's table
 //	contacts_live        contacts currently up (open and refused records)
 //	contact_pool_free    contacts parked in the lifecycle arena free list
+//	route_memo_pool_free routing memos parked in their free list
 //	transfer_pool_free   transfers parked in the arena free list
 //
 // Phase names and their attribution are documented on obs.Phase and in
@@ -51,6 +60,8 @@ func (e *Engine) initObservability(cfg Config) {
 	e.ctrSamples = e.reg.Counter("rating_samples")
 	e.ctrSweep = e.reg.Counter("interest_sweeps")
 	e.ctrEvict = e.reg.Counter("interest_evictions")
+	e.ctrWalks = e.reg.Counter("route_walks")
+	e.ctrWalkRebuilds = e.reg.Counter("route_rebuilds")
 	// The interest tables own the occupancy count; the gauge samples it
 	// at snapshot time. The closures read e.nodes
 	// live, so registering before the node loop is fine.
@@ -69,10 +80,12 @@ func (e *Engine) initObservability(cfg Config) {
 		return sum
 	})
 	// Contact-lifecycle arena levels (DESIGN.md "Contact lifecycle arena &
-	// merge-diff"): live contacts plus the two free-list depths, so a churny
-	// run can confirm the arena reaches steady state instead of growing.
+	// merge-diff"): live contacts plus the free-list depths of contacts,
+	// routing memos and transfers, so a churny run can confirm the arena
+	// reaches steady state instead of growing.
 	e.reg.Gauge("contacts_live", func() uint64 { return uint64(len(e.contactList)) })
 	e.reg.Gauge("contact_pool_free", func() uint64 { return uint64(len(e.contactPool)) })
+	e.reg.Gauge("route_memo_pool_free", func() uint64 { return uint64(len(e.memoPool)) })
 	e.reg.Gauge("transfer_pool_free", func() uint64 { return uint64(len(e.transferPool)) })
 
 	e.observers = append([]obs.Observer(nil), cfg.Observers...)

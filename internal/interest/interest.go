@@ -123,6 +123,10 @@ type Table struct {
 	present    bitset.Set
 	direct     bitset.Set
 	count      int
+	// directs counts the direct rows. Direct rows are never removed (the
+	// eviction sweep takes unheld transient rows only), so it only grows,
+	// and an equal count means an unchanged direct set (see Directs).
+	directs int
 
 	// sat marks present rows whose stored anchor weight is exactly MaxWeight
 	// — the rows the growth loop's saturation skip drops. Safety is
@@ -184,6 +188,7 @@ func (t *Table) insertRow(id int32, w float64, direct bool, at time.Duration, fr
 	t.present.Add(int(id))
 	if direct {
 		t.direct.Add(int(id))
+		t.directs++
 	} else {
 		t.direct.Remove(int(id))
 		t.mergeDeath(w, at)
@@ -322,7 +327,10 @@ func (t *Table) DeclareDirect(kw string, now time.Duration) {
 		t.weights[id] = w
 		t.lastShared[id] = now
 		t.held.Remove(int(id))
-		t.direct.Add(int(id))
+		if !t.direct.Has(int(id)) {
+			t.direct.Add(int(id))
+			t.directs++
+		}
 		t.source[id] = ident.Nobody
 		return
 	}
@@ -341,6 +349,13 @@ func (t *Table) Acquire(kw string, from ident.NodeID, now time.Duration) {
 
 // Len returns the number of interests (direct + transient).
 func (t *Table) Len() int { return t.count }
+
+// Directs returns the number of direct interests. A direct row is never
+// removed, so the count grows with every declaration of a new direct
+// interest and with nothing else: while it stands still, so does the set
+// HasDirectAnyID tests, which lets a routing walk keep destination
+// verdicts between rounds (routing.Memo).
+func (t *Table) Directs() int { return t.directs }
 
 // SaturatedTransients returns how many transient rows store MaxWeight.
 func (t *Table) SaturatedTransients() int {
@@ -470,6 +485,27 @@ func (t *Table) AtCeilingIDs(ids []int32) bool {
 	}
 	for _, id := range ids {
 		if !t.held.Has(int(id)) || !t.sat.Has(int(id)) {
+			return false
+		}
+	}
+	return true
+}
+
+// AtCeilingSet is AtCeilingIDs over a set of IDs: it reports, from bits
+// alone, that every member of s reads exactly MaxWeight now. It tests the
+// same three premises a word of 64 IDs at a time: the last refresh is
+// younger than freshFor, and every member is held and sat. Each premise
+// of AtCeilingIDs(ids) for ids ⊆ s is one of these, so a true result
+// implies AtCeilingIDs(ids), and SumWeightsIDs(ids) = len(ids)·MaxWeight,
+// for every list of IDs drawn from s. Routing tests the union of
+// the tags of a contact's non-destination copies once per round instead
+// of each copy's tags (routing.Memo).
+func (t *Table) AtCeilingSet(s bitset.Set) bool {
+	if t.clock.Now()-t.heldAt >= freshFor {
+		return false
+	}
+	for wi, w := range s {
+		if w&^(t.held.Word(wi)&t.sat.Word(wi)) != 0 {
 			return false
 		}
 	}

@@ -9,6 +9,12 @@ package routing
 // interest), relay (strictly higher interest-weight sum), or neither; only
 // the first two produce offers. The RTSR weight exchange itself runs in the
 // engine before routing, so SelectOffers sees already-updated tables.
+//
+// The destination verdicts come from the walk's memo (see Memo). The relay
+// test runs every round, but when the sender holds every tag of every
+// copy that is not a destination at the ceiling, one set test settles them
+// all: interest.Table.AtCeilingSet over the union of their tags implies
+// AtCeilingIDs for each copy, so none is a relay (see relayRole).
 type ChitChat struct{}
 
 var _ Router = ChitChat{}
@@ -24,9 +30,15 @@ func (ChitChat) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
 	ut, vt := u.Interests(), v.Interests()
 	w := newWalk(u, v)
-	for ids, ok := w.next(); ok; ids, ok = w.next() {
-		if role := classify(ids, ut, vt); role != RoleNone {
-			offers = append(offers, Offer{Msg: w.msg(), Role: role})
+	atCeiling := w.atCeiling(ut)
+	for w.next() {
+		switch {
+		case w.dest():
+			offers = append(offers, Offer{Msg: w.msg(), Role: RoleDestination})
+		case atCeiling:
+			// u holds every tag at the ceiling: not a relay.
+		case relayRole(w.ids(), ut, vt) == RoleRelay:
+			offers = append(offers, Offer{Msg: w.msg(), Role: RoleRelay})
 		}
 	}
 	return offers

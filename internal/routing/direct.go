@@ -16,10 +16,9 @@ func (Direct) Name() string { return "direct" }
 // SelectOffers implements Router.
 func (Direct) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	vt := v.Interests()
 	w := newWalk(u, v)
-	for ids, ok := w.next(); ok; ids, ok = w.next() {
-		if vt.HasDirectAnyID(ids) {
+	for w.next() {
+		if w.dest() {
 			offers = append(offers, Offer{Msg: w.msg(), Role: RoleDestination})
 		}
 	}

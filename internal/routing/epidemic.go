@@ -17,12 +17,11 @@ func (Epidemic) Name() string { return "epidemic" }
 // SelectOffers implements Router.
 func (Epidemic) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	vt := v.Interests()
 	w := newWalk(u, v)
-	for ids, ok := w.next(); ok; ids, ok = w.next() {
+	for w.next() {
 		// Epidemic replicates regardless of interest strength.
 		role := RoleRelay
-		if vt.HasDirectAnyID(ids) {
+		if w.dest() {
 			role = RoleDestination
 		}
 		offers = append(offers, Offer{Msg: w.msg(), Role: role})

@@ -158,11 +158,10 @@ func (p *Prophet) deliveryScore(carrier ident.NodeID, m *message.Message) float6
 // beats the carrier's.
 func (p *Prophet) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	vt := v.Interests()
 	w := newWalk(u, v)
-	for ids, ok := w.next(); ok; ids, ok = w.next() {
+	for w.next() {
 		switch m := w.msg(); {
-		case vt.HasDirectAnyID(ids):
+		case w.dest():
 			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
 		case p.deliveryScore(v.ID(), m) > p.deliveryScore(u.ID(), m):
 			offers = append(offers, Offer{Msg: m, Role: RoleRelay})

@@ -93,11 +93,15 @@ func KeywordIDs(m *message.Message, in *interest.Interner) []int32 {
 // keywords; otherwise relay if v's interest-weight sum strictly exceeds
 // u's ("If S_v > S_u for message M, then forward message M to device v").
 func ClassifyPeer(m *message.Message, u, v NodeView) PeerRole {
-	return classify(KeywordIDs(m, u.Interests().Interner()), u.Interests(), v.Interests())
+	ids := KeywordIDs(m, u.Interests().Interner())
+	if v.Interests().HasDirectAnyID(ids) {
+		return RoleDestination
+	}
+	return relayRole(ids, u.Interests(), v.Interests())
 }
 
-// classify is ClassifyPeer over the message's interned tag IDs and the two
-// interest tables.
+// relayRole is ChitChat's relay test for a copy whose receiver is not a
+// destination: relay if S_v > S_u, else none.
 //
 // S_u is settled first because it usually settles the relay test alone.
 // No weight exceeds interest.MaxWeight, which is 1, so each partial sum of
@@ -108,10 +112,7 @@ func ClassifyPeer(m *message.Message, u, v NodeView) PeerRole {
 // MaxWeight from a refresh younger than the fresh-read bound, and
 // Table.AtCeilingIDs proves S_u = k from bits before any weight is read;
 // the others sum S_u.
-func classify(ids []int32, ut, vt *interest.Table) PeerRole {
-	if vt.HasDirectAnyID(ids) {
-		return RoleDestination
-	}
+func relayRole(ids []int32, ut, vt *interest.Table) PeerRole {
 	if ut.AtCeilingIDs(ids) {
 		return RoleNone
 	}
@@ -123,76 +124,4 @@ func classify(ids []int32, ut, vt *interest.Table) PeerRole {
 		return RoleRelay
 	}
 	return RoleNone
-}
-
-// walk visits the copies in u's buffer that v may be offered, in buffer
-// order, reading the buffer's handle and tag-ID columns (buffer.Store.TagIDs)
-// instead of the copies. The common offer preconditions are that v does
-// not already hold the message and that v is not already in the message's
-// path (loop avoidance — the UUID dedup makes re-offering to past
-// custodians pure overhead).
-//
-// Two bit tests on v's buffer settle almost every copy. A resident message
-// is not eligible. A message v never held is: a node enters a copy's path
-// only through Message.CopyFor, and the engine keeps that clone only when
-// the node's buffer accepts it, so a node off the ever-held set is off
-// every path of the message. Only when v held the message once and dropped
-// it (evicted or expired) does the walk load the copy and scan its path,
-// to tell whether this copy passed through v or came down another lineage.
-//
-// An eligible copy's tag IDs come from its column slot. An empty slot is
-// filled with KeywordIDs, which loads the copy once; a router loads it
-// again only to offer it (Msg) or for a test the columns cannot answer.
-type walk struct {
-	msgs    []*message.Message
-	handles []message.Handle
-	tagIDs  [][]int32
-	in      *interest.Interner
-	vID     ident.NodeID
-	vBuf    *buffer.Store
-	i       int
-}
-
-func newWalk(u, v NodeView) walk {
-	b := u.Buffer()
-	return walk{
-		msgs:    b.Messages(),
-		handles: b.Handles(),
-		tagIDs:  b.TagIDs(),
-		in:      u.Interests().Interner(),
-		vID:     v.ID(),
-		vBuf:    v.Buffer(),
-		i:       -1,
-	}
-}
-
-// next advances to the next copy v may be offered and returns its interned
-// tag IDs; ok is false once the buffer is exhausted.
-func (w *walk) next() (ids []int32, ok bool) {
-	for w.i++; w.i < len(w.handles); w.i++ {
-		h := w.handles[w.i]
-		if w.vBuf.Has(h) || w.vBuf.Held(h) && onPath(w.msgs[w.i], w.vID) {
-			continue
-		}
-		ids = w.tagIDs[w.i]
-		if ids == nil {
-			ids = KeywordIDs(w.msgs[w.i], w.in)
-			w.tagIDs[w.i] = ids
-		}
-		return ids, true
-	}
-	return nil, false
-}
-
-// msg returns the copy the walk stands on.
-func (w *walk) msg() *message.Message { return w.msgs[w.i] }
-
-// onPath reports whether the copy m passed through node id.
-func onPath(m *message.Message, id ident.NodeID) bool {
-	for _, hop := range m.Path {
-		if hop == id {
-			return true
-		}
-	}
-	return false
 }

@@ -25,11 +25,10 @@ func (s *SprayAndWait) Name() string { return "spray-and-wait" }
 // SelectOffers implements Router.
 func (s *SprayAndWait) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	vt := v.Interests()
 	w := newWalk(u, v)
-	for ids, ok := w.next(); ok; ids, ok = w.next() {
+	for w.next() {
 		switch m := w.msg(); {
-		case vt.HasDirectAnyID(ids):
+		case w.dest():
 			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
 		case m.CopiesLeft > 1:
 			// Spray phase: replicate to any willing carrier.

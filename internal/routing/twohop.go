@@ -18,11 +18,11 @@ func (TwoHop) Name() string { return "two-hop" }
 // SelectOffers implements Router.
 func (TwoHop) SelectOffers(u, v NodeView) []Offer {
 	var offers []Offer
-	uID, vt := u.ID(), v.Interests()
+	uID := u.ID()
 	w := newWalk(u, v)
-	for ids, ok := w.next(); ok; ids, ok = w.next() {
+	for w.next() {
 		switch m := w.msg(); {
-		case vt.HasDirectAnyID(ids):
+		case w.dest():
 			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
 		case m.Source == uID:
 			// Only the source sprays; relays wait for destinations.
