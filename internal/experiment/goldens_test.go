@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,3 +174,44 @@ func checkGolden(t *testing.T, path, got string) {
 		t.Errorf("run diverged from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
+
+// TestResultJSONGolden pins the wire form of core.Result, the "result"
+// object dtnserved returns: json.Marshal(Engine.Result()) for the kernel
+// golden's incentive run, one line per checkpoint. The first line is taken
+// before the run starts (empty per-priority maps, no rating series), the
+// second a minute in (the priority classes not yet created or delivered
+// get no key) and the last at the end of the hour. Regenerate with
+// -update-kernel-golden.
+func TestResultJSONGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-hour golden run skipped in -short mode")
+	}
+	cfg, nodes, err := scenario.Build(kernelGoldenSpec(core.SchemeIncentive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	checkpoint := func() {
+		b, err := json.Marshal(eng.Result())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Write(b)
+		got.WriteByte('\n')
+	}
+	checkpoint()
+	for _, d := range []time.Duration{resultJSONEarly, cfg.Duration - resultJSONEarly} {
+		if err := eng.RunFor(t.Context(), d); err != nil {
+			t.Fatal(err)
+		}
+		checkpoint()
+	}
+	checkGolden(t, filepath.Join("testdata", "result_json.golden"), got.String())
+}
+
+// resultJSONEarly is TestResultJSONGolden's early checkpoint.
+const resultJSONEarly = time.Minute
