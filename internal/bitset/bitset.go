@@ -1,10 +1,10 @@
 // Package bitset is a packed, growable bit vector over small non-negative
 // integers. The message buffers keep one per handle for residency and one
-// for every handle they have ever held; the metrics collector keeps one per
-// delivered message over destination node IDs; the interest tables keep
-// theirs over interned keyword IDs and run an exchange round's set algebra
-// on them a word (64 rows) at a time. A set grows only to the largest index
-// ever added to it.
+// for every handle they have ever held; the engine's first-deliverer record
+// keeps one per delivered message over destination node IDs; the interest
+// tables keep theirs over interned keyword IDs and run an exchange round's
+// set algebra on them a word (64 rows) at a time. A set grows only to the
+// largest index ever added to it.
 package bitset
 
 // Set is a little-endian packed bit vector. The zero value is empty.

@@ -7,7 +7,7 @@
 // The public surface is:
 //
 //   - Config / NodeSpec — declarative description of a network;
-//   - Engine — builds and runs a simulation, producing a metrics.Report;
+//   - Engine — builds and runs a simulation, producing a Result;
 //   - Device — the §4 operator-function façade (Annotate, Subscribe,
 //     ComputeIncentive, RateMessage, Enrich, ...) over a live node.
 package core

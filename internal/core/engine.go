@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"dtnsim/internal/behavior"
+	"dtnsim/internal/bitset"
 	"dtnsim/internal/enrich"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/incentive"
 	"dtnsim/internal/interest"
 	"dtnsim/internal/message"
-	"dtnsim/internal/metrics"
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/obs"
 	"dtnsim/internal/radio"
@@ -26,16 +26,15 @@ import (
 // node, the contact set, and the incentive/reputation machinery layered on
 // the routing rounds.
 type Engine struct {
-	cfg       Config
-	runner    *sim.Runner
-	grid      *world.Grid
-	nodes     []*Node
-	router    routing.Router
-	spray     bool // the router is Spray-and-Wait: messages carry copy budgets
-	calc      *incentive.Calculator
-	ledger    *incentive.Ledger
-	collector *metrics.Collector
-	interner  *interest.Interner
+	cfg      Config
+	runner   *sim.Runner
+	grid     *world.Grid
+	nodes    []*Node
+	router   routing.Router
+	spray    bool // the router is Spray-and-Wait: messages carry copy budgets
+	calc     *incentive.Calculator
+	ledger   *incentive.Ledger
+	interner *interest.Interner
 
 	// nextHandle is the handle the next minted message gets (see mint):
 	// handles count from 0 per engine.
@@ -105,6 +104,29 @@ type Engine struct {
 	// (see senderView); one reused view keeps the call allocation-free.
 	sender senderView
 
+	// The run's outcome (see outcome.go): its counts, held by handle on
+	// the registry, the per-priority ones indexed by priority level − 1;
+	// then the state that is not a count. deliveredTo is the
+	// first-deliverer record, indexed by message handle: the destinations
+	// the message has reached, or nil before its first delivery, when the
+	// set is allocated. latencySum adds up the first deliveries' latencies
+	// and ratingSeries is the Figure 5.4 series.
+	ctrCreated       *obs.Counter
+	ctrDelivered     *obs.Counter
+	ctrTransfers     *obs.Counter
+	ctrRelay         *obs.Counter
+	ctrAborted       *obs.Counter
+	ctrRefusedTokens *obs.Counter
+	ctrRefusedRep    *obs.Counter
+	ctrRefusedRadio  *obs.Counter
+	ctrTags          *obs.Counter
+	ctrTagsRelevant  *obs.Counter
+	ctrCreatedBy     [3]*obs.Counter
+	ctrDeliveredBy   [3]*obs.Counter
+	deliveredTo      []bitset.Set
+	latencySum       time.Duration
+	ratingSeries     []RatingSample
+
 	// nextSample is the deadline of the next Figure 5.4 rating sample (see
 	// maybeSample).
 	nextSample time.Duration
@@ -119,22 +141,6 @@ type Engine struct {
 	workloadRNG *sim.RNG
 
 	traceCursor *trace.Cursor
-}
-
-// Result is the outcome of one run: the metrics report plus the
-// token-economy and energy summaries the experiments read.
-type Result struct {
-	metrics.Report
-	Scheme          Scheme
-	Nodes           int
-	TokensMin       float64
-	TokensMax       float64
-	TokensMean      float64
-	ExhaustedNodes  int // nodes that ended with (near-)zero tokens
-	DeadRadios      int // nodes whose battery budget ran out
-	LedgerTransfers int
-	LedgerVolume    float64
-	EnergyJoules    float64
 }
 
 // NewEngine validates the configuration and builds the network.
@@ -158,7 +164,6 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		router:      router,
 		calc:        calc,
 		ledger:      incentive.NewLedger(),
-		collector:   metrics.NewCollector(),
 		interner:    interest.NewInterner(),
 		peersOf:     make([][]*contact, len(specs)),
 		nextSample:  cfg.RatingSampleInterval,
@@ -253,7 +258,8 @@ func (e *Engine) mint(n *Node, now time.Duration, size int64, prio message.Prior
 	if err := n.buf.Add(m); err != nil {
 		return nil, err
 	}
-	e.collector.MessageCreated(m)
+	e.ctrCreated.Inc()
+	e.ctrCreatedBy[m.Priority-1].Inc()
 	e.record(report.Event{At: now, Kind: report.MessageCreated, A: n.id, Msg: m.ID})
 	return m, nil
 }
@@ -300,7 +306,7 @@ func (e *Engine) Run(ctx context.Context) (Result, error) {
 	if _, err := e.runner.Run(ctx, e.cfg.Duration); err != nil {
 		return Result{}, err
 	}
-	res := e.result()
+	res := e.Result()
 	e.endRun()
 	return res, nil
 }
@@ -313,46 +319,6 @@ func (e *Engine) RunFor(ctx context.Context, d time.Duration) error {
 	e.startRun()
 	_, err := e.runner.RunUntil(ctx, e.runner.Clock().Now()+d)
 	return err
-}
-
-// Result summarises the run so far.
-func (e *Engine) Result() Result { return e.result() }
-
-func (e *Engine) result() Result {
-	r := Result{
-		Report:          e.collector.Snapshot(),
-		Scheme:          e.cfg.Scheme,
-		Nodes:           len(e.nodes),
-		LedgerTransfers: e.ledger.Transfers(),
-		LedgerVolume:    e.ledger.Volume(),
-	}
-	if len(e.nodes) == 0 {
-		return r
-	}
-	minB, maxB := e.nodes[0].wallet.Balance(), e.nodes[0].wallet.Balance()
-	var sum, energy float64
-	for _, n := range e.nodes {
-		b := n.wallet.Balance()
-		if b < minB {
-			minB = b
-		}
-		if b > maxB {
-			maxB = b
-		}
-		sum += b
-		energy += n.energy.Total()
-		if b < 1 {
-			r.ExhaustedNodes++
-		}
-		if n.batteryDead(e.cfg.BatteryJoules) {
-			r.DeadRadios++
-		}
-	}
-	r.TokensMin = minB
-	r.TokensMax = maxB
-	r.TokensMean = sum / float64(len(e.nodes))
-	r.EnergyJoules = energy
-	return r
 }
 
 // tick is the per-step pipeline, and the only thing the runner calls after
@@ -618,7 +584,7 @@ func (e *Engine) contactUp(p world.Pair, now time.Duration) *contact {
 		e.tracePairs[p] = c
 	}
 	if !c.open {
-		e.collector.RefusedRadioOff()
+		e.ctrRefusedRadio.Inc()
 		return c
 	}
 	e.ctrUpsOpen.Inc()
@@ -712,7 +678,7 @@ func (e *Engine) contactDown(c *contact) {
 
 // abortTransfer records one transfer abandoned by a contact teardown.
 func (e *Engine) abortTransfer(t *transfer, now time.Duration) {
-	e.collector.TransferAborted()
+	e.ctrAborted.Inc()
 	e.record(report.Event{
 		At: now, Kind: report.TransferAborted,
 		A: t.from.id, B: t.to.id, Msg: t.msg.ID,

@@ -73,7 +73,7 @@ func TestMultiHopDeliveryThroughRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Delivered != 1 {
-		t.Fatalf("delivered = %d, want 1 (result: %+v)", res.Delivered, res.Report)
+		t.Fatalf("delivered = %d, want 1 (result: %+v)", res.Delivered, res)
 	}
 	// The copy must have traversed A → B → C.
 	devC, _ := eng.Device(2)
@@ -284,7 +284,7 @@ func TestDeterministicRuns(t *testing.T) {
 		r1.LedgerTransfers != r2.LedgerTransfers ||
 		math.Abs(r1.LedgerVolume-r2.LedgerVolume) > 1e-9 ||
 		math.Abs(r1.TokensMean-r2.TokensMean) > 1e-9 {
-		t.Errorf("same-seed runs diverged:\n%+v\n%+v", r1.Report, r2.Report)
+		t.Errorf("same-seed runs diverged:\n%+v\n%+v", r1, r2)
 	}
 	spec.Seed = 8
 	r3 := run()

@@ -25,7 +25,7 @@ import (
 // Under SchemeChitChat all gating is skipped — routing alone decides.
 func (e *Engine) negotiate(u, v *Node, offer routing.Offer, now time.Duration) (*transfer, bool) {
 	m := offer.Msg
-	if offer.Role == routing.RoleDestination && e.collector.WasDelivered(m.Handle, v.id) {
+	if offer.Role == routing.RoleDestination && e.wasDelivered(m.Handle, v.id) {
 		// Another copy already served this destination; the first
 		// deliverer collected, nobody else will ("a relay ... only
 		// receives the promised incentive ... if it is a first deliverer").
@@ -39,7 +39,7 @@ func (e *Engine) negotiate(u, v *Node, offer routing.Offer, now time.Duration) (
 		return t, true
 	}
 	if e.cfg.reputationActive() && v.rep.ShouldAvoid(u.id) {
-		e.collector.RefusedReputation()
+		e.ctrRefusedRep.Inc()
 		e.releaseTransfer(t)
 		return nil, false
 	}
@@ -79,7 +79,7 @@ func (e *Engine) negotiate(u, v *Node, offer routing.Offer, now time.Duration) (
 
 // refuseNoTokens drops the negotiated transfer t as a no-token refusal.
 func (e *Engine) refuseNoTokens(t *transfer) (*transfer, bool) {
-	e.collector.RefusedNoTokens()
+	e.ctrRefusedTokens.Inc()
 	e.releaseTransfer(t)
 	return nil, false
 }

@@ -87,6 +87,24 @@ func (e *Engine) initObservability(cfg Config) {
 	e.reg.Gauge("contact_pool_free", func() uint64 { return uint64(len(e.contactPool)) })
 	e.reg.Gauge("route_memo_pool_free", func() uint64 { return uint64(len(e.memoPool)) })
 	e.reg.Gauge("transfer_pool_free", func() uint64 { return uint64(len(e.transferPool)) })
+	// The run's outcome (outcome.go), registered after the cost counters
+	// and gauges so their export positions stay put.
+	e.ctrCreated = e.reg.Counter("messages_created")
+	e.ctrDelivered = e.reg.Counter("messages_delivered")
+	e.ctrTransfers = e.reg.Counter("transfers")
+	e.ctrRelay = e.reg.Counter("relay_transfers")
+	e.ctrAborted = e.reg.Counter("aborted_transfers")
+	e.ctrRefusedTokens = e.reg.Counter("refused_no_tokens")
+	e.ctrRefusedRep = e.reg.Counter("refused_reputation")
+	e.ctrRefusedRadio = e.reg.Counter("refused_radio_off")
+	e.ctrTags = e.reg.Counter("tags_added")
+	e.ctrTagsRelevant = e.reg.Counter("tags_relevant")
+	for i, p := range priorities {
+		e.ctrCreatedBy[i] = e.reg.Counter("created_" + p.String())
+	}
+	for i, p := range priorities {
+		e.ctrDeliveredBy[i] = e.reg.Counter("delivered_" + p.String())
+	}
 
 	e.observers = append([]obs.Observer(nil), cfg.Observers...)
 	e.obsByKind = make([][]obs.Observer, int(report.TagAdded)+1)

@@ -189,17 +189,40 @@ func (o observerFunc) Event(report.Event) { *o.order = append(*o.order, o.name) 
 // with it, the kinetic rebuild count is read from its counters, the table
 // gauges (live rows, saturated transient rows) agree with a direct count
 // over the interest tables they sample, and a mobility run accrues time in
-// every phase without the phase sum passing the wall clock.
+// every phase without the phase sum passing the wall clock. The run goes
+// in two segments: at each checkpoint every outcome counter equals the
+// Result field it feeds, and the second segment's Snapshot.Sub window
+// equals the difference between the two Results.
 func TestEngineSnapshotAccessorsDelegate(t *testing.T) {
 	cfg, specs := obsTestConfig(t)
 	eng, err := core.NewEngine(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	segment := func() (obs.Snapshot, core.Result) {
+		half := cfg.Duration / 2
+		if err := eng.RunFor(context.Background(), half); err != nil {
+			t.Fatal(err)
+		}
+		snap, res := eng.Snapshot(), eng.Result()
+		for _, c := range core.OutcomeCounters() {
+			if got, want := snap.Counter(c.Name), c.Field(res); got != uint64(want) {
+				t.Errorf("at %vs: counter %s = %d, Result field = %d", snap.SimSeconds, c.Name, got, want)
+			}
+		}
+		return snap, res
 	}
-	snap := eng.Snapshot()
+	snap1, res1 := segment()
+	snap, res := segment()
+	if res1.Created == 0 || res.Transfers == res1.Transfers {
+		t.Fatalf("the segments did too little to compare: created %d, transfers %d then %d", res1.Created, res1.Transfers, res.Transfers)
+	}
+	window := snap.Sub(snap1)
+	for _, c := range core.OutcomeCounters() {
+		if got, want := window.Counter(c.Name), c.Field(res)-c.Field(res1); got != uint64(want) {
+			t.Errorf("window counter %s = %d, Results differ by %d", c.Name, got, want)
+		}
+	}
 	if got := eng.Now().Seconds(); got != snap.SimSeconds {
 		t.Errorf("Now() = %vs, snapshot sim position = %vs", got, snap.SimSeconds)
 	}

@@ -144,7 +144,7 @@ func TestContactDownCountsQueuedTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := eng.collector.Snapshot().AbortedTransfers
+	before := eng.Result().AbortedTransfers
 	inFlight := len(c.pending())
 	if c.active != nil {
 		inFlight++
@@ -158,7 +158,7 @@ func TestContactDownCountsQueuedTransfers(t *testing.T) {
 	}
 	eng.contactDown(c)
 
-	got := eng.collector.Snapshot().AbortedTransfers - before
+	got := eng.Result().AbortedTransfers - before
 	want := inFlight + queued
 	if got != want {
 		t.Errorf("aborted transfers = %d, want %d (1 active + %d queued)", got, want, queued)

@@ -42,5 +42,5 @@ func (e *Engine) sampleMaliciousRating(now time.Duration) {
 		return
 	}
 	e.ctrSamples.Inc()
-	e.collector.SampleMaliciousRating(now, sum/float64(count))
+	e.ratingSeries = append(e.ratingSeries, RatingSample{At: now, MeanMaliciousRating: sum / float64(count)})
 }

@@ -50,7 +50,7 @@ func TestTraceReplayDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Delivered != 1 {
-		t.Fatalf("trace replay delivered %d, want 1 (%+v)", res.Delivered, res.Report)
+		t.Fatalf("trace replay delivered %d, want 1 (%+v)", res.Delivered, res)
 	}
 }
 

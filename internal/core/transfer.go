@@ -66,7 +66,7 @@ func (e *Engine) stillValid(t *transfer) bool {
 		return false
 	}
 	if t.role == routing.RoleDestination {
-		return !e.collector.WasDelivered(h, t.to.id)
+		return !e.wasDelivered(h, t.to.id)
 	}
 	return !e.spray || t.msg.CopiesLeft > 1
 }
@@ -98,7 +98,7 @@ func (e *Engine) completeTransfer(c *contact, t *transfer, now time.Duration) {
 	// over.
 	if incentiveOn && t.prepay > 0 {
 		if err := e.ledger.Pay(v.wallet, u.wallet, t.prepay); err != nil {
-			e.collector.RefusedNoTokens()
+			e.ctrRefusedTokens.Inc()
 			return
 		}
 		e.record(report.Event{At: now, Kind: report.Payment, A: v.id, B: u.id, Msg: m.ID, Tokens: t.prepay})
@@ -118,7 +118,8 @@ func (e *Engine) completeTransfer(c *contact, t *transfer, now time.Duration) {
 		// message larger than the whole buffer: the handover evaporates.
 		return
 	}
-	e.collector.Transferred(true)
+	e.ctrTransfers.Inc()
+	e.ctrRelay.Inc()
 	e.record(report.Event{At: now, Kind: report.Relayed, A: u.id, B: v.id, Msg: m.ID})
 
 	// Content enrichment: the new custodian may add supplementary
@@ -147,7 +148,7 @@ func (e *Engine) settleDelivery(t *transfer, now time.Duration) {
 		// the node participates in relaying and gains more tokens ... the
 		// node will not be able to receive the interesting content").
 		if v.wallet.Balance() <= 0 || e.ledger.Pay(v.wallet, u.wallet, award) != nil {
-			e.collector.RefusedNoTokens()
+			e.ctrRefusedTokens.Inc()
 			return
 		}
 		if award > 0 {
@@ -163,8 +164,8 @@ func (e *Engine) settleDelivery(t *transfer, now time.Duration) {
 			return
 		}
 	}
-	e.collector.Transferred(false)
-	e.collector.Delivered(clone, v.id, now)
+	e.ctrTransfers.Inc()
+	e.markDelivered(clone, v.id, now)
 	e.record(report.Event{At: now, Kind: report.Delivered, A: u.id, B: v.id, Msg: m.ID})
 
 	if e.cfg.reputationActive() {
@@ -187,17 +188,20 @@ func (e *Engine) enrich(v *Node, clone *message.Message, now time.Duration) {
 	}
 }
 
-// addTag annotates v's copy m with kw and, when the tag is new, counts it in
-// the report and records a TagAdded event. Relay enrichment and
-// Device.Enrich both add tags here, so the report and the trace agree. The
+// addTag annotates v's copy m with kw and, when the tag is new, counts it
+// and records a TagAdded event. Relay enrichment and Device.Enrich both add
+// tags here, so the counts and the trace agree. The
 // tag goes through v's buffer, which keeps the copy's tag-ID column in step
 // (buffer.Store.Annotate): this is the only path that tags a buffered copy.
 func (e *Engine) addTag(v *Node, m *message.Message, kw string, now time.Duration) {
 	if !v.buf.Annotate(m, kw, v.id, now) {
 		return
 	}
+	e.ctrTags.Inc()
 	relevant := m.Relevant(kw)
-	e.collector.TagAdded(relevant)
+	if relevant {
+		e.ctrTagsRelevant.Inc()
+	}
 	e.record(report.Event{
 		At: now, Kind: report.TagAdded, A: v.id, Msg: m.ID,
 		Keyword: kw, Relevant: relevant,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dtnsim/internal/core"
-	"dtnsim/internal/metrics"
 	"dtnsim/internal/scenario"
 )
 
@@ -256,8 +255,8 @@ func TestBatterySweep(t *testing.T) {
 
 func TestAvgStdDev(t *testing.T) {
 	var a Avg
-	a.accumulate(core.Result{Report: reportWithMDR(0.4)})
-	a.accumulate(core.Result{Report: reportWithMDR(0.6)})
+	a.accumulate(core.Result{MDR: 0.4})
+	a.accumulate(core.Result{MDR: 0.6})
 	a.finish()
 	if a.MDR != 0.5 {
 		t.Errorf("mean = %v", a.MDR)
@@ -284,9 +283,4 @@ func TestBaselineComparison(t *testing.T) {
 		t.Errorf("epidemic transfers %v < direct %v",
 			avgs["epidemic"].Transfers, avgs["direct"].Transfers)
 	}
-}
-
-// reportWithMDR builds a minimal metrics report with the given MDR.
-func reportWithMDR(mdr float64) metrics.Report {
-	return metrics.Report{MDR: mdr}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dtnsim/internal/core"
-	"dtnsim/internal/metrics"
 	"dtnsim/internal/radio"
 	"dtnsim/internal/scenario"
 )
@@ -158,7 +157,7 @@ func Fig53(ctx context.Context, p Profile) (Table, []Fig53Point, error) {
 // percentage.
 type Fig54Series struct {
 	MaliciousPercent int
-	Samples          []metrics.RatingSample
+	Samples          []core.RatingSample
 }
 
 // Final returns the last sample's mean rating (the curve's end point).
