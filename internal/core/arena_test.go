@@ -45,8 +45,11 @@ func arenaConfig(t *testing.T, second behavior.Profile) (Config, []NodeSpec) {
 }
 
 // TestContactArenaAllocFree asserts the arena paths allocate nothing once
-// warm: raw acquire/release for both pools, and a full closed-contact
-// up/teardown churn cycle (raise, counter, teardown, compaction, release).
+// warm: raw acquire/release for both pools, a full closed-contact
+// up/teardown churn cycle (raise, counter, teardown, compaction, release),
+// and the same cycle over an open contact, which also runs the contact-up
+// round and adds each end's table to the other's peer list and removes it
+// again.
 func TestContactArenaAllocFree(t *testing.T) {
 	// Selfish with p=0 keeps the radio deterministically shut, so the churn
 	// cycle exercises exactly the lifecycle paths (no exchange round).
@@ -74,8 +77,26 @@ func TestContactArenaAllocFree(t *testing.T) {
 		t.Errorf("transfer acquire/release allocates %.1f objects per cycle, want 0", avg)
 	}
 
-	// Full lifecycle churn: one warm-up cycle grows contactList and the
-	// downs scratch, then steady-state churn must be allocation-free.
+	// Full lifecycle churn: one warm-up cycle grows contactList, the downs
+	// scratch and the peer lists, then steady-state churn must be
+	// allocation-free.
+	checkChurn(t, "closed", eng)
+	cfg, specs = arenaConfig(t, behavior.CooperativeProfile())
+	open, err := NewEngine(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkChurn(t, "open", open)
+	if open.Snapshot().Counter("contacts_up_open") == 0 {
+		t.Error("the cooperative pair never raised an open contact")
+	}
+}
+
+// checkChurn raises and tears down the pair (0, 1) on eng until warm, then
+// checks that a churn cycle allocates nothing and leaves no contact and no
+// peer table behind.
+func checkChurn(t *testing.T, name string, eng *Engine) {
+	t.Helper()
 	p := world.Pair{Lo: 0, Hi: 1}
 	now := eng.runner.Clock().Now()
 	churn := func() {
@@ -87,13 +108,18 @@ func TestContactArenaAllocFree(t *testing.T) {
 	}
 	churn()
 	if avg := testing.AllocsPerRun(100, churn); avg != 0 {
-		t.Errorf("contact churn cycle allocates %.1f objects, want 0", avg)
+		t.Errorf("%s contact churn cycle allocates %.1f objects, want 0", name, avg)
 	}
 	if len(eng.contactList) != 0 {
-		t.Errorf("contactList has %d entries after churn, want 0", len(eng.contactList))
+		t.Errorf("contactList has %d entries after %s churn, want 0", len(eng.contactList), name)
 	}
 	if len(eng.contactPool) != 1 {
-		t.Errorf("contact pool holds %d entries after churn, want 1", len(eng.contactPool))
+		t.Errorf("contact pool holds %d entries after %s churn, want 1", len(eng.contactPool), name)
+	}
+	for _, n := range eng.nodes {
+		if len(n.peerTables) != 0 {
+			t.Errorf("node %v keeps %d peer tables after %s churn, want 0", n.id, len(n.peerTables), name)
+		}
 	}
 }
 

@@ -65,7 +65,6 @@ func (d *Device) Subscribe(interests ...string) {
 // interests past their death bound are evicted.
 func (d *Device) DecayWeights() {
 	e := d.engine
-	e.refreshNodePeers(d.node)
 	e.countSweeps(interest.Decay(d.node.table, d.node.peerTables, e.Now()))
 }
 
@@ -77,10 +76,8 @@ func (d *Device) DecayWeights() {
 func (d *Device) IncrementWeights(dt time.Duration) {
 	e := d.engine
 	now := e.Now()
-	e.refreshNodePeers(d.node)
 	for _, id := range d.Neighbors() {
 		p := e.nodes[id]
-		e.refreshNodePeers(p)
 		e.countSweeps(interest.Round(d.node.table, p.table, d.node.id, p.id, d.node.peerTables, p.peerTables, now, dt))
 	}
 }
@@ -217,12 +214,14 @@ func (d *Device) Balance() float64 { return d.node.wallet.Balance() }
 func (d *Device) Wallet() *incentive.Wallet { return d.node.wallet }
 
 // Neighbors returns the currently connected peers (the demo app's
-// neighbors listing), sorted by ID.
+// neighbors listing), sorted by ID. It scans the live contacts for the
+// node's open ones.
 func (d *Device) Neighbors() []ident.NodeID {
-	contacts := d.engine.peersOf[d.node.id]
-	out := make([]ident.NodeID, 0, len(contacts))
-	for _, c := range contacts {
-		out = append(out, c.other(d.node).id)
+	var out []ident.NodeID
+	for _, c := range d.engine.contactList {
+		if c.open && (c.a == d.node || c.b == d.node) {
+			out = append(out, c.other(d.node).id)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -57,7 +57,6 @@ type Engine struct {
 	transferPool []*transfer
 	memoPool     []*routing.Memo
 	tracePairs   map[world.Pair]*contact // replay-only pair index
-	peersOf      [][]*contact            // node → its open contacts (dense by NodeID)
 	pairScratch  []world.Pair
 	tickNo       uint64
 
@@ -165,7 +164,6 @@ func NewEngine(cfg Config, specs []NodeSpec) (*Engine, error) {
 		calc:        calc,
 		ledger:      incentive.NewLedger(),
 		interner:    interest.NewInterner(),
-		peersOf:     make([][]*contact, len(specs)),
 		nextSample:  cfg.RatingSampleInterval,
 		workloadRNG: sim.NewRNG(cfg.Seed).Fork("workload"),
 	}
@@ -588,10 +586,8 @@ func (e *Engine) contactUp(p world.Pair, now time.Duration) *contact {
 		return c
 	}
 	e.ctrUpsOpen.Inc()
-	e.peersOf[a.id] = append(e.peersOf[a.id], c)
-	e.peersOf[b.id] = append(e.peersOf[b.id], c)
-	a.peerGen++
-	b.peerGen++
+	a.peerTables = append(a.peerTables, b.table)
+	b.peerTables = append(b.peerTables, a.table)
 	if e.cfg.reputationActive() {
 		e.gossipReputation(a, b)
 		e.gossipReputation(b, a)
@@ -670,10 +666,8 @@ func (e *Engine) contactDown(c *contact) {
 		e.releaseTransfer(t)
 	}
 	c.resetQueue()
-	e.peersOf[c.a.id] = removeContact(e.peersOf[c.a.id], c)
-	e.peersOf[c.b.id] = removeContact(e.peersOf[c.b.id], c)
-	c.a.peerGen++
-	c.b.peerGen++
+	c.a.peerTables = removeTable(c.a.peerTables, c.b.table)
+	c.b.peerTables = removeTable(c.b.peerTables, c.a.table)
 }
 
 // abortTransfer records one transfer abandoned by a contact teardown.
@@ -685,14 +679,15 @@ func (e *Engine) abortTransfer(t *transfer, now time.Duration) {
 	})
 }
 
-func removeContact(list []*contact, c *contact) []*contact {
+// removeTable swap-removes t from a node's peer-table list.
+func removeTable(list []*interest.Table, t *interest.Table) []*interest.Table {
 	for i, x := range list {
-		if x == c {
+		if x == t {
 			last := len(list) - 1
 			list[i] = list[last]
-			// Nil the vacated tail slot: peersOf slices are reused across
-			// the run, and a dangling pointer there would pin the dead
-			// contact (and its queue backing array) for the run's lifetime.
+			// Nil the vacated tail slot: the list is reused across the
+			// run, and a dangling pointer there would pin a table the
+			// node is no longer connected to.
 			list[last] = nil
 			return list[:last]
 		}

@@ -33,9 +33,6 @@ const (
 // incrementally across periodic exchanges, see interest.Params.GrowthRate).
 func (e *Engine) runExchange(c *contact, now, grown time.Duration) {
 	c.exchangedAt = now
-
-	e.refreshNodePeers(c.a)
-	e.refreshNodePeers(c.b)
 	e.countSweeps(interest.Round(c.a.table, c.b.table, c.a.id, c.b.id, c.a.peerTables, c.b.peerTables, now, grown))
 
 	// Routing phase, both directions.
@@ -51,20 +48,6 @@ func (e *Engine) countSweeps(sweeps, evictions int) {
 	}
 	if sweeps > 0 {
 		e.ctrSweep.Add(uint64(sweeps))
-	}
-}
-
-// refreshNodePeers rebuilds n's cached peer-table list when its peer set
-// changed since the cache was built (Node.peerGen moves on every
-// open-contact raise/teardown touching the node). The list lives on the
-// node, not the contact, so the rounds of every contact touching a node
-// share one list until its peer set changes. The caching is sound because
-// the list holds the peers' live tables: their row mutations are visible
-// through it without a rebuild, and only a change of peers invalidates it.
-func (e *Engine) refreshNodePeers(n *Node) {
-	if n.peerTablesGen != n.peerGen {
-		n.peerTables = peerTablesInto(n.peerTables[:0], e.peersOf[n.id], n)
-		n.peerTablesGen = n.peerGen
 	}
 }
 
@@ -149,15 +132,6 @@ func offerBefore(kx, ky *offerKey, x, y *routing.Offer) bool {
 		return kx.created < ky.created
 	}
 	return x.Msg.ID < y.Msg.ID
-}
-
-// peerTablesInto appends the interest tables of all of n's contacts to dst
-// (the node's cached scratch slice, see refreshNodePeers).
-func peerTablesInto(dst []*interest.Table, contacts []*contact, n *Node) []*interest.Table {
-	for _, c := range contacts {
-		dst = append(dst, c.other(n).table)
-	}
-	return dst
 }
 
 // routeDirection runs the routing module for u→v and enqueues the

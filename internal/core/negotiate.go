@@ -94,9 +94,8 @@ func (e *Engine) promiseFor(u, v *Node, m *message.Message) float64 {
 	// w_m: the best interest-weight sum for this message among all devices
 	// currently connected to u.
 	f.MaxSumWeights = f.SumWeights
-	for _, c := range e.peersOf[u.id] {
-		peer := c.other(u)
-		if s := peer.table.SumWeightsIDs(ids); s > f.MaxSumWeights {
+	for _, peer := range u.peerTables {
+		if s := peer.SumWeightsIDs(ids); s > f.MaxSumWeights {
 			f.MaxSumWeights = s
 		}
 	}

@@ -61,17 +61,11 @@ type Node struct {
 	// workload-rate control re-arm or disarm generation without leaving a
 	// stale firing behind. Nil while generation has never been armed.
 	workloadEv *sim.Handle
-	// peerGen counts changes to the node's peersOf list (open contacts
-	// raised or torn down); peerTables caches the interest tables of those
-	// contacts' far endpoints and peerTablesGen records the generation it
-	// was built at. Exchange rounds gather each node's peer tables through
-	// this gen-checked cache, so the rounds touching a node read one list
-	// instead of rebuilding a copy per contact, and churn invalidates one
-	// list instead of every touching contact's copy
-	// (Engine.refreshNodePeers).
-	peerGen       uint64
-	peerTables    []*interest.Table
-	peerTablesGen uint64
+	// peerTables holds the interest tables of the far ends of the node's
+	// open contacts: contactUp appends one, contactDown swap-removes it.
+	// The exchange rounds and promiseFor read it, and none of them depends
+	// on its order: the rounds OR the peers' bits, promiseFor takes a max.
+	peerTables []*interest.Table
 }
 
 var _ routing.NodeView = (*Node)(nil)
