@@ -115,6 +115,7 @@ type Engine struct {
 	ctrTransfers     *obs.Counter
 	ctrRelay         *obs.Counter
 	ctrAborted       *obs.Counter
+	ctrAbortedQueued *obs.Counter
 	ctrRefusedTokens *obs.Counter
 	ctrRefusedRep    *obs.Counter
 	ctrRefusedRadio  *obs.Counter
@@ -660,11 +661,13 @@ func (e *Engine) contactDown(c *contact) {
 	}
 	// Queued-but-unstarted transfers die with the contact too; count them
 	// so the aborted tally and the event trace reflect all abandoned work,
-	// not just the one handover that was mid-flight.
+	// not just the one handover that was mid-flight, and apart on
+	// aborted_queued.
 	for _, t := range c.pending() {
 		e.abortTransfer(t, now)
 		e.releaseTransfer(t)
 	}
+	e.ctrAbortedQueued.Add(uint64(len(c.pending())))
 	c.resetQueue()
 	c.a.peerTables = removeTable(c.a.peerTables, c.b.table)
 	c.b.peerTables = removeTable(c.b.peerTables, c.a.table)

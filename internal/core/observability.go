@@ -45,6 +45,28 @@ import (
 //	route_memo_pool_free routing memos parked in their free list
 //	transfer_pool_free   transfers parked in the arena free list
 //
+// The run's outcome counters (outcome.go), registered after the gauges
+// above; Engine.Result reads its counts back from them:
+//
+//	messages_created     messages minted (workload and Device.Annotate)
+//	messages_delivered   messages delivered to at least one destination
+//	transfers            completed handovers, to destinations and relays
+//	relay_transfers      the subset handed to relays
+//	aborted_transfers    transfers a contact teardown abandoned, in flight
+//	                     or queued
+//	aborted_queued       the subset still queued, never started
+//	refused_no_tokens    handovers the zero-token rule refused
+//	refused_reputation   transfers the receiver's avoid bar refused
+//	refused_radio_off    contacts raised closed (a selfish node's shut
+//	                     radio, or a dead battery)
+//	tags_added           enrichment tags added to buffered copies
+//	tags_relevant        the subset that matched the ground truth
+//	                     (Result.IrrelevantTags is the rest)
+//	created_high, created_medium, created_low
+//	                     messages created per priority
+//	delivered_high, delivered_medium, delivered_low
+//	                     messages delivered per priority
+//
 // Phase names and their attribution are documented on obs.Phase and in
 // DESIGN.md "Observability".
 
@@ -94,6 +116,7 @@ func (e *Engine) initObservability(cfg Config) {
 	e.ctrTransfers = e.reg.Counter("transfers")
 	e.ctrRelay = e.reg.Counter("relay_transfers")
 	e.ctrAborted = e.reg.Counter("aborted_transfers")
+	e.ctrAbortedQueued = e.reg.Counter("aborted_queued")
 	e.ctrRefusedTokens = e.reg.Counter("refused_no_tokens")
 	e.ctrRefusedRep = e.reg.Counter("refused_reputation")
 	e.ctrRefusedRadio = e.reg.Counter("refused_radio_off")

@@ -110,7 +110,8 @@ func TestRatingSampleTimestampsStepIndependent(t *testing.T) {
 
 // TestContactDownCountsQueuedTransfers pins the abort-accounting fix: a
 // contact torn down with queued-but-unstarted transfers must record every
-// one of them as aborted, not just the mid-flight one.
+// one of them as aborted, not just the mid-flight one, and count the
+// queued ones apart on aborted_queued.
 func TestContactDownCountsQueuedTransfers(t *testing.T) {
 	cfg, specs := periodicConfig(t, 2*time.Second)
 	eng, err := NewEngine(cfg, specs)
@@ -145,23 +146,21 @@ func TestContactDownCountsQueuedTransfers(t *testing.T) {
 	}
 
 	before := eng.Result().AbortedTransfers
-	inFlight := len(c.pending())
-	if c.active != nil {
-		inFlight++
-	} else {
+	queuedBefore := eng.Snapshot().Counter("aborted_queued")
+	if c.active == nil {
 		c.active = &transfer{from: c.a, to: c.b, msg: m}
-		inFlight++
 	}
-	const queued = 3
-	for i := 0; i < queued; i++ {
+	queued := len(c.pending()) + 3
+	for i := 0; i < 3; i++ {
 		c.push(&transfer{from: c.a, to: c.b, msg: m})
 	}
 	eng.contactDown(c)
 
-	got := eng.Result().AbortedTransfers - before
-	want := inFlight + queued
-	if got != want {
+	if got, want := eng.Result().AbortedTransfers-before, 1+queued; got != want {
 		t.Errorf("aborted transfers = %d, want %d (1 active + %d queued)", got, want, queued)
+	}
+	if got := eng.Snapshot().Counter("aborted_queued") - queuedBefore; got != uint64(queued) {
+		t.Errorf("aborted_queued moved by %d, want %d", got, queued)
 	}
 	// Teardown keeps the backing array for the contact's next arena life
 	// but must leave no pending transfers behind.
