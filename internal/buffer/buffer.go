@@ -82,7 +82,8 @@ type Store struct {
 	dropped     int32 // messages evicted before delivery
 
 	// rev is the store's revision (see Revision): it moves on every
-	// removal and every retag of a resident copy, never on an append.
+	// removal and every retag of a resident copy whose tag-ID slot is
+	// filled, never on an append.
 	rev uint32
 }
 
@@ -114,14 +115,16 @@ func (s *Store) Len() int { return len(s.order) }
 func (s *Store) Dropped() int { return int(s.dropped) }
 
 // Revision returns the store's revision. It moves on every removal,
-// eviction included, and on every retag of a resident copy, and never on
-// an append. So while it stands still, every resident copy keeps its slot
-// in Messages and its tag set, and copies only join at the end. A routing
-// walk that remembers what it found in a buffer (routing.Memo) stamps the
-// buffer's revision and length: an equal revision and a longer buffer
-// mean that only the slots past the old length are new. It counts in 32
-// bits, so a store would have to see 2^32 such changes between two reads
-// of one contact's walk before two stamps could collide.
+// eviction included, and on every retag of a resident copy whose tag-ID
+// slot is filled (see Annotate), and never on an append. So while it
+// stands still, every resident copy keeps its slot in Messages, every
+// copy with a filled slot keeps its tag set, and copies only join at the
+// end. A routing walk that remembers what it found in a buffer
+// (routing.Memo) stamps the buffer's revision and length: an equal
+// revision and a longer buffer mean that only the slots past the old
+// length are new. It counts in 32 bits, so a store would have to see 2^32
+// such changes between two reads of one contact's walk before two stamps
+// could collide.
 func (s *Store) Revision() uint32 { return s.rev }
 
 // Has reports whether the message with handle h is resident.
@@ -164,7 +167,7 @@ func (s *Store) Add(m *message.Message) error {
 	}
 	s.order = append(s.order, m)
 	s.handles = append(s.handles, m.Handle)
-	s.tagIDs = append(s.tagIDs, m.KwIDs)
+	s.tagIDs = append(s.tagIDs, nil)
 	s.used += m.Size
 	s.foldMax(m)
 	s.custody.Add(2*int(m.Handle) + 1)
@@ -192,19 +195,24 @@ func (s *Store) Remove(h message.Handle) bool {
 }
 
 // Annotate tags m with kw, as m.Annotate does, and reports whether the tag
-// was added. When m is the resident copy of its message, its tag-ID slot is
-// reset with the tag set, routing re-interns the copy on its next read, and
-// the revision moves. It is the only way to tag a resident copy:
-// m.Annotate alone would leave the slot holding the old IDs. m may be a
-// copy the store does not hold, which leaves the columns and the revision
-// alone.
+// was added. When m is the resident copy of its message and its tag-ID
+// slot is filled, the slot is emptied with the tag set, routing re-interns
+// the copy on its next read, and the revision moves. An empty slot stays
+// empty and the revision stands: only a routing walk fills a slot, and it
+// fills it before it remembers the copy as an offer candidate, so no walk
+// remembers anything of a copy whose slot is empty that a tag could
+// change. So the tags relay enrichment gives the copy it has just added
+// move nothing. Annotate is the only way to tag a resident copy:
+// m.Annotate alone would leave a filled slot holding the old IDs. m may be
+// a copy the store does not hold, which leaves the columns and the
+// revision alone.
 func (s *Store) Annotate(m *message.Message, kw string, by ident.NodeID, at time.Duration) bool {
 	if !m.Annotate(kw, by, at) {
 		return false
 	}
 	if s.Has(m.Handle) {
-		if i := slices.Index(s.handles, m.Handle); s.order[i] == m {
-			s.tagIDs[i] = m.KwIDs
+		if i := slices.Index(s.handles, m.Handle); s.order[i] == m && s.tagIDs[i] != nil {
+			s.tagIDs[i] = nil
 			s.rev++
 		}
 	}
@@ -227,11 +235,12 @@ func (s *Store) Handles() []message.Handle {
 
 // TagIDs returns the resident messages' interned tag IDs, parallel to
 // Messages and valid as long. Slot i is Messages()[i].KwIDs, the shared
-// slice routing.KeywordIDs memoises, or nil while routing has not yet
-// interned that copy's tags. The routing layer fills a nil slot in place
-// with the copy's KeywordIDs, where it would have computed them anyway, so
-// the interner assigns IDs in the same order as a walk over the copies;
-// no other caller writes the slice.
+// slice routing.KeywordIDs memoises, or nil while no routing walk has read
+// that copy since it was added or last retagged: Add leaves the slot
+// empty. The routing layer fills a nil slot in place with the copy's
+// KeywordIDs, where it would have computed them anyway, so the interner
+// assigns IDs in the same order as a walk over the copies; no other caller
+// writes the slice.
 func (s *Store) TagIDs() [][]int32 {
 	return s.tagIDs
 }

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"errors"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -360,16 +359,18 @@ func TestVictimsMatchStableSort(t *testing.T) {
 // TestColumnsTrackResidents checks the handle and tag-ID columns through
 // random adds, removes, evictions and tags: each stays parallel to
 // Messages, a slot's handle is its copy's, a filled ID slot is its copy's
+// KwIDs, Add leaves the new copy's ID slot empty even when the copy has
 // KwIDs, and Annotate empties the slot of the copy it tags but not the
 // slot of another copy of the message. The revision moves by exactly one
 // on every removal, eviction included, and on every retag of a resident
-// copy, and by nothing on an append, a failed removal, a slot fill or a
-// tag on a copy the store does not hold.
+// copy whose slot is filled, and by nothing on an append, a failed
+// removal, a slot fill, a retag of a resident copy whose slot is empty or
+// a tag on a copy the store does not hold.
 func TestColumnsTrackResidents(t *testing.T) {
 	rng := sim.NewRNG(37)
 	for trial, policy := range []Policy{DropOldest{}, DropLowPriority{}} {
 		s, _ := New(1000, policy)
-		var appends, retags int
+		var appends, retags, emptyRetags int
 		for op := 0; op < 2000; op++ {
 			hd := message.Handle(rng.Intn(16))
 			rev, dropped, n := s.Revision(), s.Dropped(), s.Len()
@@ -387,6 +388,9 @@ func TestColumnsTrackResidents(t *testing.T) {
 				}
 				if s.Add(m) == nil {
 					appends++
+					if ids := s.TagIDs()[s.Len()-1]; ids != nil {
+						t.Fatalf("trial %d op %d: Add filled the new copy's ID slot with %v", trial, op, ids)
+					}
 				}
 				// Each eviction is one removal; the append itself counts
 				// nothing.
@@ -407,19 +411,24 @@ func TestColumnsTrackResidents(t *testing.T) {
 				}
 			default:
 				if s.Len() > 0 {
-					m := s.Messages()[rng.Intn(s.Len())]
+					i := rng.Intn(s.Len())
+					m := s.Messages()[i]
 					other := m.CopyFor(2)
 					s.Annotate(other, "elsewhere", 2, 0) // not resident
 					if s.Revision() != rev {
 						t.Fatalf("trial %d op %d: tagging a copy the store does not hold moved the revision", trial, op)
 					}
+					filled := s.TagIDs()[i] != nil
 					tagged := s.Annotate(m, string(rune('a'+op%26)), 1, 0)
-					if tagged && s.TagIDs()[slices.Index(s.Messages(), m)] != nil {
+					if tagged && s.TagIDs()[i] != nil {
 						t.Fatalf("trial %d op %d: tagging %s left its ID slot filled", trial, op, m.ID)
 					}
-					if tagged {
+					switch {
+					case tagged && filled:
 						want = 1
 						retags++
+					case tagged:
+						emptyRetags++
 					}
 				}
 			}
@@ -451,8 +460,9 @@ func TestColumnsTrackResidents(t *testing.T) {
 				}
 			}
 		}
-		if s.Dropped() == 0 || appends == 0 || retags == 0 {
-			t.Fatalf("trial %d: %d evictions, %d appends, %d resident retags: each must occur", trial, s.Dropped(), appends, retags)
+		if s.Dropped() == 0 || appends == 0 || retags == 0 || emptyRetags == 0 {
+			t.Fatalf("trial %d: %d evictions, %d appends, %d retags of filled slots, %d of empty ones: each must occur",
+				trial, s.Dropped(), appends, retags, emptyRetags)
 		}
 	}
 }

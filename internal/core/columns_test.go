@@ -45,6 +45,8 @@ func checkBufferColumns(t *testing.T, eng *core.Engine, when string) (filled int
 // are evicted and, under the incentive scheme, enriched by honest and
 // malicious relays; and again after Device.Enrich retags buffered copies
 // whose slots routing had filled, and after the run goes on from there.
+// Only filled slots name IDs: Device.Enrich on a copy whose slot is empty
+// must leave it empty and the buffer's revision where it was.
 func TestBufferColumnsMatchCopies(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeChitChat, core.SchemeIncentive} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -72,26 +74,38 @@ func TestBufferColumnsMatchCopies(t *testing.T) {
 			}
 
 			// Retag one routed copy in every buffer through the operator
-			// function; its slot must not keep the old IDs.
-			retagged := 0
+			// function; its slot must not keep the old IDs. Retag one
+			// unread copy too; its slot stays empty and the revision
+			// stands.
+			retagged, unread := 0, 0
 			for _, n := range eng.Nodes() {
 				buf := n.Buffer()
+				dev, err := eng.Device(n.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i := slices.IndexFunc(buf.TagIDs(), func(ids []int32) bool { return ids == nil }); i >= 0 {
+					m, rev := buf.Messages()[i], buf.Revision()
+					if _, err := dev.Enrich(m.ID, "kw-unread-"+n.ID().String()); err != nil {
+						t.Fatal(err)
+					}
+					if buf.TagIDs()[i] != nil || buf.Revision() != rev {
+						t.Fatalf("node %v: retagging unread copy %s filled its slot or moved the revision", n.ID(), m.ID)
+					}
+					unread++
+				}
 				i := slices.IndexFunc(buf.TagIDs(), func(ids []int32) bool { return ids != nil })
 				if i < 0 {
 					continue
 				}
 				m := buf.Messages()[i]
-				dev, err := eng.Device(n.ID())
-				if err != nil {
-					t.Fatal(err)
-				}
 				if _, err := dev.Enrich(m.ID, "kw-enrich-"+n.ID().String()); err != nil {
 					t.Fatal(err)
 				}
 				retagged++
 			}
-			if retagged == 0 {
-				t.Fatal("no buffer held a routed copy to retag")
+			if retagged == 0 || unread == 0 {
+				t.Fatalf("%d routed and %d unread copies retagged: each must occur", retagged, unread)
 			}
 			checkBufferColumns(t, eng, "after Device.Enrich")
 
@@ -109,7 +123,7 @@ func TestBufferColumnsMatchCopies(t *testing.T) {
 			if dropped == 0 {
 				t.Fatal("no buffer evicted a copy")
 			}
-			if scheme == core.SchemeIncentive && res.TagsAdded <= retagged {
+			if scheme == core.SchemeIncentive && res.TagsAdded <= retagged+unread {
 				t.Fatalf("%d tags added, %d of them by Device.Enrich: relays enriched nothing", res.TagsAdded, retagged)
 			}
 		})

@@ -102,13 +102,14 @@ func (c *contact) other(n *Node) *Node {
 	return c.a
 }
 
-// hasTransfer reports whether msg is already queued or active toward dst.
-func (c *contact) hasTransfer(m *message.Message, dst *Node) bool {
-	if c.active != nil && c.active.msg.Handle == m.Handle && c.active.to == dst {
+// hasTransfer reports whether the message with handle h is already queued
+// or active toward dst.
+func (c *contact) hasTransfer(h message.Handle, dst *Node) bool {
+	if c.active != nil && c.active.msg.Handle == h && c.active.to == dst {
 		return true
 	}
 	for _, t := range c.pending() {
-		if t.msg.Handle == m.Handle && t.to == dst {
+		if t.msg.Handle == h && t.to == dst {
 			return true
 		}
 	}

@@ -97,11 +97,15 @@ type Engine struct {
 	// phaseMark is the last phase boundary (see chargePhase).
 	phaseMark time.Time
 
-	// offerKeys is sortOffers' reused key scratch.
+	// offerKeys is sortTransmission's reused key scratch.
 	offerKeys []offerKey
 	// sender is the view each routing call over a contact passes as u
-	// (see senderView); one reused view keeps the call allocation-free.
+	// (see senderView); one reused view, with the offer slice it lends the
+	// router, keeps the call allocation-free.
 	sender senderView
+	// floorAudit is nil in a run. A test sets it to see each destination
+	// offer negotiate refuses from an award floor its memo cached.
+	floorAudit func(u, v *Node, m *message.Message, floor float64)
 
 	// The run's outcome (see outcome.go): its counts, held by handle on
 	// the registry, the per-priority ones indexed by priority level − 1;

@@ -179,7 +179,7 @@ func TestZeroTokenRuleBarsZeroAward(t *testing.T) {
 	}
 	dst, _ := eng.Device(1)
 	dst.RateMessage(m, reputation.MessageRatingInputs{Confidence: 1})
-	if f := eng.Node(1).Reputation().AwardFactor(0, m.PathRatings); f != 0 {
+	if f := reputation.AwardFactor(eng.Config().Reputation.Alpha, eng.Node(1).Reputation().Rating(0), m.PathRatings); f != 0 {
 		t.Fatalf("award factor = %v, want 0", f)
 	}
 	res, err := eng.Run(context.Background())

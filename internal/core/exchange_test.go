@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"dtnsim/internal/behavior"
 	"dtnsim/internal/ident"
 	"dtnsim/internal/message"
 	"dtnsim/internal/routing"
 	"dtnsim/internal/sim"
+	"dtnsim/internal/world"
 )
 
 // refSortOffers is the sort.SliceStable formulation of sortOffers, which
@@ -142,6 +144,10 @@ func TestOfferOrderingDestinationsBeforeRelays(t *testing.T) {
 
 // TestExchangeScratchAllocFree asserts the offer sort stays
 // allocation-free in steady state: no closure and no slice-header escape.
+// So does a warmed routing call over an open contact, router walk,
+// negotiation and the sort of the accepted transfers included, when v
+// refuses some offers from the award floors its memo cached and accepts
+// others.
 func TestExchangeScratchAllocFree(t *testing.T) {
 	rng := sim.NewRNG(9)
 	offers := randomOffers(rng, 16)
@@ -151,6 +157,96 @@ func TestExchangeScratchAllocFree(t *testing.T) {
 			keys = sortOffers(offers, byPriority, keys)
 		}); avg != 0 {
 			t.Errorf("sortOffers(byPriority=%v) allocates %.1f objects per round, want 0", byPriority, avg)
+		}
+	}
+
+	// Node 1 is a destination for the "kw-dest" copies, which its
+	// 0.001-token balance cannot pay for, and a free relay for the rest
+	// under Epidemic.
+	cfg, specs := arenaConfig(t, behavior.CooperativeProfile())
+	cfg.Router = routing.NewEpidemic()
+	cfg.Incentive.InitialTokens = 0.001
+	specs[1].Interests = []string{"kw-dest"}
+	eng, err := NewEngine(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := eng.nodes[0], eng.nodes[1]
+	now := eng.runner.Clock().Now()
+	for i := 0; i < 8; i++ {
+		tags := []string{"kw-relay"}
+		if i%2 == 0 {
+			tags = []string{"kw-dest"}
+		}
+		if _, err := eng.mint(u, now, int64(1+i)<<18, message.Priority(1+i%3), float64(1+i)/8, tags, tags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cached int
+	eng.floorAudit = func(*Node, *Node, *message.Message, float64) { cached++ }
+	c := eng.contactUp(world.Pair{Lo: 0, Hi: 1}, now)
+	var queued int
+	route := func() {
+		eng.routeDirection(c, u, v)
+		queued = len(c.pending())
+		for _, tr := range c.pending() {
+			eng.releaseTransfer(tr)
+		}
+		c.resetQueue()
+	}
+	route()
+	refused := eng.ctrRefusedTokens.Value()
+	if avg := testing.AllocsPerRun(100, route); avg != 0 {
+		t.Errorf("a warm routeDirection allocates %.1f objects per call, want 0", avg)
+	}
+	if queued != 4 || eng.ctrRefusedTokens.Value() == refused || cached == 0 {
+		t.Fatalf("%d transfers queued per call, %d refusals, %d from a cached floor: want 4 accepted relays and cached refusals",
+			queued, eng.ctrRefusedTokens.Value()-refused, cached)
+	}
+}
+
+// unionRouter offers what two routers offer, walking the sender's memo
+// twice in one call.
+type unionRouter struct{ a, b routing.Router }
+
+func (r unionRouter) Name() string { return "union" }
+
+func (r unionRouter) SelectOffers(u, v routing.NodeView) []routing.Offer {
+	return append(r.a.SelectOffers(u, v), r.b.SelectOffers(u, v)...)
+}
+
+// TestOfferSliceLentOncePerCall: a router that walks a contact direction
+// twice in one routing call gets the engine's offer slice once, so the
+// second walk's offers do not overwrite the first's.
+func TestOfferSliceLentOncePerCall(t *testing.T) {
+	cfg, specs := arenaConfig(t, behavior.CooperativeProfile())
+	cfg.Router = unionRouter{routing.NewDirect(), routing.NewEpidemic()}
+	specs[1].Interests = []string{"kw-dest"}
+	eng, err := NewEngine(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := eng.nodes[0], eng.nodes[1]
+	now := eng.runner.Clock().Now()
+	for i := 0; i < 6; i++ {
+		tags := []string{"kw-relay"}
+		if i%2 == 0 {
+			tags = []string{"kw-dest"}
+		}
+		if _, err := eng.mint(u, now, 1<<20, message.PriorityMedium, 0.5, tags, tags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := eng.contactUp(world.Pair{Lo: 0, Hi: 1}, now)
+	want := cfg.Router.SelectOffers(u, v) // plain nodes: fresh memos and slices
+	eng.sender.Node, eng.sender.memo = u, eng.memoFor(c, u)
+	got := cfg.Router.SelectOffers(&eng.sender, v)
+	if len(got) != 9 || len(got) != len(want) {
+		t.Fatalf("%d offers through the contact's memo, %d through fresh walks, want 3 + 6", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Msg != want[i].Msg || got[i].Role != want[i].Role {
+			t.Fatalf("offer %d is %s as %v, want %s as %v", i, got[i].Msg.ID, got[i].Role, want[i].Msg.ID, want[i].Role)
 		}
 	}
 }

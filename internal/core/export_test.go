@@ -5,7 +5,7 @@ import "dtnsim/internal/message"
 // AwardBounds returns, for u delivering m to v, the award floor negotiate
 // refuses on and the full award it stands in for.
 func (e *Engine) AwardBounds(u, v *Node, m *message.Message) (floor, full float64) {
-	factor := e.awardFactor(u, v, m)
+	factor := e.awardFactor(v.rep.Rating(u.id), m)
 	return e.awardFloor(u, v, m, factor), e.award(factor, e.promiseFor(u, v, m), m)
 }
 
@@ -36,4 +36,10 @@ func OutcomeCounters() []OutcomeCounter {
 			OutcomeCounter{"delivered_" + p.String(), func(r Result) int { return r.DeliveredByPriority[p] }})
 	}
 	return out
+}
+
+// AuditCachedRefusals makes negotiate call fn with each destination offer
+// it refuses from an award floor a routing memo cached, and that floor.
+func (e *Engine) AuditCachedRefusals(fn func(u, v *Node, m *message.Message, floor float64)) {
+	e.floorAudit = fn
 }

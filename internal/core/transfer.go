@@ -142,7 +142,7 @@ func (e *Engine) settleDelivery(t *transfer, now time.Duration) {
 	clone.PromisedTokens = t.promise
 
 	if e.cfg.incentiveActive() {
-		award := e.award(e.awardFactor(u, v, m), t.promise, m)
+		award := e.award(e.awardFactor(v.rep.Rating(u.id), m), t.promise, m)
 		// Zero-token rule: a destination that cannot pay, or whose wallet
 		// is empty even for an award of zero, does not receive ("unless
 		// the node participates in relaying and gains more tokens ... the
@@ -215,8 +215,11 @@ func (e *Engine) judgeDelivered(v *Node, m *message.Message) {
 	if m.Source != v.id {
 		v.rep.RateSourceMessage(m.Source, enrich.JudgeSource(m, v.rng))
 	}
-	for _, enricher := range m.Enrichers() {
-		if enricher == v.id {
+	// Each enriching relay is judged once, in first-tag order: each
+	// judgement draws from v.rng, so the order is part of the trace.
+	for i := range m.Annotations {
+		enricher, first := m.FirstEnrichment(i)
+		if !first || enricher == v.id {
 			continue
 		}
 		inputs, _ := enrich.JudgeEnricher(m, enricher, v.rng)
@@ -226,25 +229,36 @@ func (e *Engine) judgeDelivered(v *Node, m *message.Message) {
 
 // attachPathRatings lets the forwarder send along its current opinion of
 // every custodian and enricher in the message's history ("they share this
-// rating with the next hop in the path of message traversal").
+// rating with the next hop in the path of message traversal"), each once,
+// in first-appearance order: the custodians, then the enrichers in
+// first-tag order.
 func attachPathRatings(u *Node, clone *message.Message) {
-	seen := make(map[ident.NodeID]bool, len(clone.Path))
-	rate := func(subject ident.NodeID) {
-		if subject == u.id || seen[subject] {
-			return
-		}
-		seen[subject] = true
-		clone.AttachRating(message.PathRating{
-			Rater:   u.id,
-			Subject: subject,
-			Rating:  u.rep.Rating(subject),
-		})
-	}
+	from := len(clone.PathRatings)
 	// Path excludes the new custodian (last element is the receiver).
 	for _, hop := range clone.Path[:len(clone.Path)-1] {
-		rate(hop)
+		attachRating(u, clone, from, hop)
 	}
-	for _, enricher := range clone.Enrichers() {
-		rate(enricher)
+	for _, a := range clone.Annotations {
+		if a.Hop > 0 {
+			attachRating(u, clone, from, a.AddedBy)
+		}
 	}
+}
+
+// attachRating attaches u's rating of subject to clone, unless subject is
+// u or among the ratings attached since clone.PathRatings[from].
+func attachRating(u *Node, clone *message.Message, from int, subject ident.NodeID) {
+	if subject == u.id {
+		return
+	}
+	for _, r := range clone.PathRatings[from:] {
+		if r.Subject == subject {
+			return
+		}
+	}
+	clone.AttachRating(message.PathRating{
+		Rater:   u.id,
+		Subject: subject,
+		Rating:  u.rep.Rating(subject),
+	})
 }

@@ -246,17 +246,21 @@ func (m *Message) TagsAddedBy(id ident.NodeID) []Annotation {
 	return out
 }
 
-// Enrichers returns the distinct relays that added tags, in first-tag order.
-func (m *Message) Enrichers() []ident.NodeID {
-	var out []ident.NodeID
-	seen := make(map[ident.NodeID]bool)
-	for _, a := range m.Annotations {
-		if a.Hop > 0 && !seen[a.AddedBy] {
-			seen[a.AddedBy] = true
-			out = append(out, a.AddedBy)
+// FirstEnrichment reports whether annotation i is an enrichment tag (Hop >
+// 0) and the first one its relay added, and names that relay. A scan of i
+// over Annotations so visits each enriching relay once, in first-tag
+// order, in place.
+func (m *Message) FirstEnrichment(i int) (ident.NodeID, bool) {
+	a := &m.Annotations[i]
+	if a.Hop == 0 {
+		return 0, false
+	}
+	for _, b := range m.Annotations[:i] {
+		if b.Hop > 0 && b.AddedBy == a.AddedBy {
+			return 0, false
 		}
 	}
-	return out
+	return a.AddedBy, true
 }
 
 // HopCount returns the number of transfers so far (path length minus one).

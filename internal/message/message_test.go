@@ -109,9 +109,17 @@ func TestEnrichmentProvenance(t *testing.T) {
 	if tags := clone2.TagsAddedBy(m.Source); len(tags) != 0 {
 		t.Errorf("source tags misattributed as enrichment: %v", tags)
 	}
-	enrichers := clone2.Enrichers()
+	// A relay's later tags do not name it again.
+	clone2.Annotate("lake", ident.NodeID(2), 3*time.Minute)
+	clone2.Annotate("road", ident.NodeID(3), 3*time.Minute)
+	var enrichers []ident.NodeID
+	for i := range clone2.Annotations {
+		if id, first := clone2.FirstEnrichment(i); first {
+			enrichers = append(enrichers, id)
+		}
+	}
 	if len(enrichers) != 2 || enrichers[0] != ident.NodeID(2) || enrichers[1] != ident.NodeID(3) {
-		t.Errorf("Enrichers = %v", enrichers)
+		t.Errorf("enrichers in first-tag order = %v, want [2 3]", enrichers)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"dtnsim/internal/ident"
-	"dtnsim/internal/message"
 )
 
 // The Bayesian comparator's evidence weights.
@@ -26,10 +25,9 @@ const (
 // 0–MaxRating scale. Rows are held like the DRM Store's: sorted by node ID
 // in parallel slices, for the nodes the store has heard of.
 type BetaStore struct {
-	params Params
-	self   ident.NodeID
-	ids    []ident.NodeID
-	rows   []betaRow
+	self ident.NodeID
+	ids  []ident.NodeID
+	rows []betaRow
 }
 
 type betaRow struct {
@@ -40,13 +38,13 @@ type betaRow struct {
 var _ Model = (*BetaStore)(nil)
 
 // NewBetaStore creates the comparator store for node self. It judges on
-// the DRM's rating scale and avoid bar, and uses params.Alpha in the award
-// formula.
+// the DRM's rating scale and avoid bar; the engine prices awards from its
+// Rating with AwardFactor and the same params.Alpha as under the DRM.
 func NewBetaStore(self ident.NodeID, params Params) (*BetaStore, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &BetaStore{params: params, self: self}, nil
+	return &BetaStore{self: self}, nil
 }
 
 // find returns v's row, or nil when the store has never heard of v.
@@ -139,12 +137,6 @@ func (s *BetaStore) ShouldAvoid(v ident.NodeID) bool {
 		return false
 	}
 	return r.firstN >= MinObservations && s.posterior(r) < AvoidBelow
-}
-
-// AwardFactor implements Model with the DRM award shape, using the Beta
-// posterior as the own-opinion term.
-func (s *BetaStore) AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64 {
-	return awardFactor(s.params.Alpha, s.Rating(deliverer), pathRatings)
 }
 
 // Len implements Model.

@@ -102,7 +102,7 @@ func TestBetaAwardFactorBounds(t *testing.T) {
 	v := ident.NodeID(4)
 	s.RateRelayMessage(v, MessageRatingInputs{TagRating: 4, Confidence: 1})
 	for _, ratings := range [][]message.PathRating{nil, pathRatings(0, 0), pathRatings(5, 5), pathRatings(-3, 9)} {
-		f := s.AwardFactor(v, ratings)
+		f := AwardFactor(DefaultParams().Alpha, s.Rating(v), ratings)
 		if f < 0 || f > 1 {
 			t.Errorf("AwardFactor(%v) = %v outside [0, 1]", ratings, f)
 		}
@@ -127,7 +127,7 @@ func TestBetaImplementsModelLikeDRM(t *testing.T) {
 		if m.Rating(1) <= m.Rating(2) {
 			t.Errorf("model ordering violated: good %v <= bad %v", m.Rating(1), m.Rating(2))
 		}
-		if m.AwardFactor(1, nil) <= m.AwardFactor(2, nil) {
+		if AwardFactor(DefaultParams().Alpha, m.Rating(1), nil) <= AwardFactor(DefaultParams().Alpha, m.Rating(2), nil) {
 			t.Error("award ordering violated")
 		}
 		if m.Len() != 2 {

@@ -24,15 +24,16 @@ func ExampleStore_RateSourceMessage() {
 	// Output: R_i = 2.5, node rating now 2.5
 }
 
-// ExampleStore_AwardFactor shows the reputation-scaled incentive factor
-// for a deliverer rated 4/5 carrying path ratings (5, 3).
-func ExampleStore_AwardFactor() {
-	store, err := reputation.NewStore(0, reputation.DefaultParams())
+// ExampleAwardFactor shows the reputation-scaled incentive factor for a
+// deliverer rated 4/5 carrying path ratings (5, 3).
+func ExampleAwardFactor() {
+	params := reputation.DefaultParams()
+	store, err := reputation.NewStore(0, params)
 	if err != nil {
 		panic(err)
 	}
 	store.RateRelayMessage(9, reputation.MessageRatingInputs{TagRating: 4, Confidence: 1})
-	factor := store.AwardFactor(9, []message.PathRating{{Rating: 5}, {Rating: 3}})
+	factor := reputation.AwardFactor(params.Alpha, store.Rating(9), []message.PathRating{{Rating: 5}, {Rating: 3}})
 	fmt.Printf("factor = %.2f\n", factor)
 	// Output: factor = 0.80
 }

@@ -2,7 +2,6 @@ package reputation
 
 import (
 	"dtnsim/internal/ident"
-	"dtnsim/internal/message"
 )
 
 // Model is the reputation interface the engine programs against. The
@@ -25,9 +24,6 @@ type Model interface {
 	Rating(v ident.NodeID) float64
 	// ShouldAvoid reports whether transfers from v should be refused.
 	ShouldAvoid(v ident.NodeID) bool
-	// AwardFactor returns the incentive multiplier in [0, 1] for a
-	// delivery by the given node carrying the given path ratings.
-	AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64
 	// Len returns how many nodes this node holds opinions about.
 	Len() int
 	// Opinion returns the i-th held opinion, 0 ≤ i < Len(), in ascending

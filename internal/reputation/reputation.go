@@ -217,20 +217,15 @@ func (s *Store) Opinion(i int) (ident.NodeID, float64) { return s.ids[i], s.rows
 //
 //	I_v = ((1-α)·(Σ r_{m_v,x})/N + α·r_{v,u}/r_m) · (I + I_t)
 //
-// pathRatings are the ratings r_{m_v,x} carried with the message from the
-// hops in its path; deliverer is v. Both terms are normalised by r_m so the
-// factor lies in [0, 1] (the thesis prints the first term unnormalised,
-// which would let a 0–5-scale mean multiply the award by up to 5 — the
-// normalisation keeps I_v ≤ I + I_t, which the token economy requires).
-// With no path ratings the deliverer's own reputation carries full weight.
-func (s *Store) AwardFactor(deliverer ident.NodeID, pathRatings []message.PathRating) float64 {
-	return awardFactor(s.params.Alpha, s.Rating(deliverer), pathRatings)
-}
-
-// awardFactor is the award multiplier both models share (see
-// Store.AwardFactor), given α, the deliverer's rating r_{v,u} and the path
-// ratings, read in place.
-func awardFactor(alpha, rating float64, pathRatings []message.PathRating) float64 {
+// given α (Params.Alpha), the destination's rating r_{v,u} of the
+// deliverer (Model.Rating, under either model) and the ratings r_{m_v,x}
+// carried with the message from the hops in its path, read in place. Both
+// terms are normalised by r_m so the factor lies in [0, 1] (the thesis
+// prints the first term unnormalised, which would let a 0–5-scale mean
+// multiply the award by up to 5 — the normalisation keeps I_v ≤ I + I_t,
+// which the token economy requires). With no path ratings the deliverer's
+// own reputation carries full weight.
+func AwardFactor(alpha, rating float64, pathRatings []message.PathRating) float64 {
 	own := rating / MaxRating
 	if len(pathRatings) == 0 {
 		return own

@@ -193,14 +193,14 @@ func TestAwardFactorFormula(t *testing.T) {
 	p := s.params
 	v := ident.NodeID(10)
 	s.RateRelayMessage(v, MessageRatingInputs{TagRating: 4, Confidence: 1}) // rating = 4
-	got := s.AwardFactor(v, pathRatings(5, 3))
+	got := AwardFactor(s.params.Alpha, s.Rating(v), pathRatings(5, 3))
 	want := (1-p.Alpha)*(4.0/5.0)/1 + p.Alpha*(4.0/5.0)
 	// mean(5,3)=4 → 4/r_m = 0.8; own rating 4 → 0.8.
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("AwardFactor = %v, want %v", got, want)
 	}
 	// Path ratings off the scale clamp into [0, r_m]: (9, -1) counts as (5, 0).
-	got = s.AwardFactor(v, pathRatings(9, -1))
+	got = AwardFactor(s.params.Alpha, s.Rating(v), pathRatings(9, -1))
 	want = (1-p.Alpha)*(2.5/5.0) + p.Alpha*(4.0/5.0)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("AwardFactor(9, -1) = %v, want %v", got, want)
@@ -210,7 +210,7 @@ func TestAwardFactorFormula(t *testing.T) {
 func TestAwardFactorNoPathRatings(t *testing.T) {
 	s := store(t)
 	v := ident.NodeID(11)
-	got := s.AwardFactor(v, nil)
+	got := AwardFactor(s.params.Alpha, s.Rating(v), nil)
 	want := InitialRating / MaxRating
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("AwardFactor(nil) = %v, want %v", got, want)
@@ -232,7 +232,7 @@ func TestAwardFactorBounded(t *testing.T) {
 		for i := range ratings {
 			ratings[i].Rating = rng.Range(-2, 8)
 		}
-		f := s.AwardFactor(v, ratings)
+		f := AwardFactor(s.params.Alpha, s.Rating(v), ratings)
 		return f >= 0 && f <= 1+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
@@ -255,7 +255,7 @@ func TestMaliciousRatingConverges(t *testing.T) {
 	if got := s.Rating(good); got < 4.5 {
 		t.Errorf("honest rating = %v, want near 5", got)
 	}
-	if s.AwardFactor(bad, nil) >= s.AwardFactor(good, nil) {
+	if AwardFactor(s.params.Alpha, s.Rating(bad), nil) >= AwardFactor(s.params.Alpha, s.Rating(good), nil) {
 		t.Error("malicious node must earn a lower award factor")
 	}
 }

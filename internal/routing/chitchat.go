@@ -27,19 +27,18 @@ func (ChitChat) Name() string { return "chitchat" }
 
 // SelectOffers implements Router.
 func (ChitChat) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
 	ut, vt := u.Interests(), v.Interests()
 	w := newWalk(u, v)
 	atCeiling := w.atCeiling(ut)
 	for w.next() {
 		switch {
 		case w.dest():
-			offers = append(offers, Offer{Msg: w.msg(), Role: RoleDestination})
+			w.offer(RoleDestination)
 		case atCeiling:
 			// u holds every tag at the ceiling: not a relay.
 		case relayRole(w.ids(), ut, vt) == RoleRelay:
-			offers = append(offers, Offer{Msg: w.msg(), Role: RoleRelay})
+			w.offer(RoleRelay)
 		}
 	}
-	return offers
+	return w.offers
 }

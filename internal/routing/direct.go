@@ -15,12 +15,11 @@ func (Direct) Name() string { return "direct" }
 
 // SelectOffers implements Router.
 func (Direct) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
 	w := newWalk(u, v)
 	for w.next() {
 		if w.dest() {
-			offers = append(offers, Offer{Msg: w.msg(), Role: RoleDestination})
+			w.offer(RoleDestination)
 		}
 	}
-	return offers
+	return w.offers
 }

@@ -16,7 +16,6 @@ func (Epidemic) Name() string { return "epidemic" }
 
 // SelectOffers implements Router.
 func (Epidemic) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
 	w := newWalk(u, v)
 	for w.next() {
 		// Epidemic replicates regardless of interest strength.
@@ -24,7 +23,7 @@ func (Epidemic) SelectOffers(u, v NodeView) []Offer {
 		if w.dest() {
 			role = RoleDestination
 		}
-		offers = append(offers, Offer{Msg: w.msg(), Role: role})
+		w.offer(role)
 	}
-	return offers
+	return w.offers
 }

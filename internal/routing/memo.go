@@ -13,7 +13,10 @@ import (
 // every routing call over an open contact; a plain NodeView gets a fresh
 // memo, so its walk reads the whole buffer.
 type MemoHolder interface {
-	WalkMemo() *Memo
+	// WalkMemo returns the memo, and an empty slice the router appends its
+	// offers to, so that the caller's array is reused from call to call.
+	// A second call within one routing call may return a nil slice.
+	WalkMemo() (*Memo, []Offer)
 }
 
 // Memo is one direction of one contact's routing walk, kept between the
@@ -33,9 +36,18 @@ type MemoHolder interface {
 //
 // The relay verdict moves with the weights, so a memo does not keep it.
 //
+// Beside each entry the memo keeps the award floor the engine last priced
+// for offering that copy to v (see Floor), or unknownFloor. A floor reads
+// v's rating of u and u's buffer maxima, which the memo stamps (see
+// StampFloors), the two nodes' roles, which never change, and fields of the
+// copy that change only through a retag: a retag of an entry's slot moves
+// u's revision and so rebuilds the memo, which forgets every floor.
+//
 // A Memo refers to no node, buffer or message, only to its own arrays of
-// slot numbers and tag IDs, so a pooled memo pins nothing. Its zero value
-// is empty and rebuilds on its first walk.
+// slot numbers, tag IDs and floors, so a pooled memo pins nothing. Its zero
+// value is empty and rebuilds on its first walk. Its fields fill the
+// 128-byte size class: a crowd-scale run holds one per open contact
+// direction.
 type Memo struct {
 	// entries are u's eligible slots in buffer order, each stored as the
 	// slot for a copy whose receiver is not a destination and as ^slot, a
@@ -46,6 +58,13 @@ type Memo struct {
 	// a superset at the ceiling still implies every member is, so it is
 	// made exact only when it fails the ceiling (see walk.atCeiling).
 	union bitset.Set
+	// floors is aligned with entries: each entry's cached award floor, or
+	// unknownFloor. floorRating, floorMaxSize and floorMaxQuality are the
+	// stamp the floors were priced under (see StampFloors).
+	floors          []float64
+	floorRating     float64
+	floorMaxSize    int64
+	floorMaxQuality float64
 
 	// built is set once a walk has filled the memo; the stamps are valid
 	// only then. uLen is how many of u's slots the memo has walked. walks
@@ -62,6 +81,10 @@ type Memo struct {
 	rebuilds   uint32
 }
 
+// unknownFloor marks an entry whose award floor has not been priced since
+// the memo was built or the stamp last moved.
+const unknownFloor = -1
+
 // entrySlot returns the buffer slot of a memo entry.
 func entrySlot(e int32) int32 {
 	if e < 0 {
@@ -73,7 +96,7 @@ func entrySlot(e int32) int32 {
 // Reset empties the memo for reuse by another contact direction, keeping
 // its arrays.
 func (m *Memo) Reset() {
-	*m = Memo{entries: m.entries[:0], union: m.union[:0]}
+	*m = Memo{entries: m.entries[:0], union: m.union[:0], floors: m.floors[:0]}
 }
 
 // Walks returns how many walks ran on the memo since the last call and how
@@ -84,27 +107,62 @@ func (m *Memo) Walks() (walks, rebuilds uint32) {
 	return walks, rebuilds
 }
 
-// walk brings the memo up to date and visits its entries, in buffer order.
-// All six routers iterate through it.
+// Len returns the number of entries the last walk left in the memo.
+func (m *Memo) Len() int { return len(m.entries) }
+
+// Slot returns the buffer slot of entry k, 0 ≤ k < Len().
+func (m *Memo) Slot(k int) int { return int(entrySlot(m.entries[k])) }
+
+// Floor returns the award floor cached for entry k, and whether there is
+// one.
+func (m *Memo) Floor(k int) (float64, bool) {
+	f := m.floors[k]
+	return f, f != unknownFloor
+}
+
+// SetFloor caches the award floor priced for entry k, a destination
+// entry. A floor is never negative: the award it bounds is not.
+func (m *Memo) SetFloor(k int, floor float64) { m.floors[k] = floor }
+
+// StampFloors forgets every cached floor unless v's rating of u and u's
+// buffer maxima equal the stamp the floors were priced under, and stamps
+// the memo with them. The engine calls it once per routing call, before it
+// reads the first floor.
+func (m *Memo) StampFloors(rating float64, maxSize int64, maxQuality float64) {
+	if rating == m.floorRating && maxSize == m.floorMaxSize && maxQuality == m.floorMaxQuality {
+		return
+	}
+	m.floorRating, m.floorMaxSize, m.floorMaxQuality = rating, maxSize, maxQuality
+	for k := range m.floors {
+		m.floors[k] = unknownFloor
+	}
+}
+
+// walk brings the memo up to date and visits its entries, in buffer order,
+// collecting the router's offers. All six routers iterate through it.
 type walk struct {
 	memo   *Memo
 	msgs   []*message.Message
 	tagIDs [][]int32
+	offers []Offer
 	i      int
 }
 
 // newWalk updates u's memo for v (see Memo), or fills a fresh one when u
 // carries none, and returns a walk over its entries.
 func newWalk(u, v NodeView) walk {
-	var memo *Memo
+	var (
+		memo   *Memo
+		offers []Offer
+	)
 	if h, ok := u.(MemoHolder); ok {
-		memo = h.WalkMemo()
+		memo, offers = h.WalkMemo()
 	} else {
 		memo = new(Memo)
 	}
 	memo.update(u, v)
 	b := u.Buffer()
-	return walk{memo: memo, msgs: b.Messages(), tagIDs: b.TagIDs(), i: -1}
+	return walk{memo: memo, msgs: b.Messages(), tagIDs: b.TagIDs(), offers: offers, i: -1}
 }
 
 // update brings the memo in line with u's and v's buffers and v's direct
@@ -136,6 +194,7 @@ func (m *Memo) update(u, v NodeView) {
 		m.uRev, m.vRev, m.vDirects = ub.Revision(), vb.Revision(), int32(vt.Directs())
 		m.uLen, m.vLen = 0, int32(vb.Len())
 		m.entries = m.entries[:0]
+		m.floors = m.floors[:0]
 		m.union = m.union[:0]
 		m.unionStale = false
 	case int(m.vLen) != vb.Len():
@@ -158,27 +217,29 @@ func (m *Memo) update(u, v NodeView) {
 		}
 		if vt.HasDirectAnyID(ids) {
 			m.entries = append(m.entries, ^int32(i))
-			continue
+		} else {
+			m.entries = append(m.entries, int32(i))
+			m.addUnion(ids)
 		}
-		m.entries = append(m.entries, int32(i))
-		m.addUnion(ids)
+		m.floors = append(m.floors, unknownFloor)
 	}
 	m.uLen = int32(len(handles))
 }
 
 // dropResident removes the entries for u's copies whose message v now
-// holds. When one of them was not a destination, the union may now hold
-// more than the remaining entries' tags.
+// holds, with their floors. When one of them was not a destination, the
+// union may now hold more than the remaining entries' tags.
 func (m *Memo) dropResident(handles []message.Handle, vb *buffer.Store) {
-	kept := m.entries[:0]
-	for _, e := range m.entries {
+	n := 0
+	for k, e := range m.entries {
 		if vb.Has(handles[entrySlot(e)]) {
 			m.unionStale = m.unionStale || e >= 0
 			continue
 		}
-		kept = append(kept, e)
+		m.entries[n], m.floors[n] = e, m.floors[k]
+		n++
 	}
-	m.entries = kept
+	m.entries, m.floors = m.entries[:n], m.floors[:n]
 }
 
 // addUnion adds tag IDs to the union of the non-destination entries.
@@ -204,6 +265,12 @@ func (w *walk) msg() *message.Message { return w.msgs[entrySlot(w.memo.entries[w
 
 // ids returns the interned tag IDs of the entry the walk stands on.
 func (w *walk) ids() []int32 { return w.tagIDs[entrySlot(w.memo.entries[w.i])] }
+
+// offer offers the copy of the entry the walk stands on in the given role,
+// naming the entry (see Offer.MemoEntry).
+func (w *walk) offer(role PeerRole) {
+	w.offers = append(w.offers, Offer{Msg: w.msg(), Role: role, entry: int32(w.i) + 1})
+}
 
 // atCeiling reports whether ut holds every tag of every entry that is not
 // a destination at the ceiling (interest.Table.AtCeilingSet over the

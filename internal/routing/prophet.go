@@ -157,15 +157,14 @@ func (p *Prophet) deliveryScore(carrier ident.NodeID, m *message.Message) float6
 // when the peer's delivery predictability toward an interested subscriber
 // beats the carrier's.
 func (p *Prophet) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
 	w := newWalk(u, v)
 	for w.next() {
 		switch m := w.msg(); {
 		case w.dest():
-			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
+			w.offer(RoleDestination)
 		case p.deliveryScore(v.ID(), m) > p.deliveryScore(u.ID(), m):
-			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
+			w.offer(RoleRelay)
 		}
 	}
-	return offers
+	return w.offers
 }

@@ -60,14 +60,24 @@ func (r PeerRole) String() string {
 type Offer struct {
 	Msg  *message.Message
 	Role PeerRole
+	// entry is one more than the index of the walk memo entry the offer
+	// was made from, or 0 (see MemoEntry).
+	entry int32
 }
+
+// MemoEntry returns the index of the entry of u's walk memo that the offer
+// was made from, if a walk made it: the engine reads the entry's cached
+// award floor (Memo.Floor). An offer built elsewhere names no entry.
+func (o Offer) MemoEntry() (int, bool) { return int(o.entry) - 1, o.entry > 0 }
 
 // Router selects the messages node u should offer node v during a contact.
 type Router interface {
 	// Name identifies the algorithm in reports.
 	Name() string
 	// SelectOffers returns the messages u offers v, in u's buffer order;
-	// the engine puts them in transmission order.
+	// the engine puts them in transmission order. The caller owns the
+	// returned slice: when u is a MemoHolder, it is the caller's own
+	// array, which the next call reuses.
 	SelectOffers(u, v NodeView) []Offer
 }
 

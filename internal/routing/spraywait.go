@@ -24,20 +24,19 @@ func (s *SprayAndWait) Name() string { return "spray-and-wait" }
 
 // SelectOffers implements Router.
 func (s *SprayAndWait) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
 	w := newWalk(u, v)
 	for w.next() {
-		switch m := w.msg(); {
+		switch {
 		case w.dest():
-			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-		case m.CopiesLeft > 1:
+			w.offer(RoleDestination)
+		case w.msg().CopiesLeft > 1:
 			// Spray phase: replicate to any willing carrier.
-			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
+			w.offer(RoleRelay)
 		default:
 			// Wait phase: single copy, destination-only.
 		}
 	}
-	return offers
+	return w.offers
 }
 
 // SplitCopies computes the binary split of c copies: the sender keeps

@@ -17,17 +17,16 @@ func (TwoHop) Name() string { return "two-hop" }
 
 // SelectOffers implements Router.
 func (TwoHop) SelectOffers(u, v NodeView) []Offer {
-	var offers []Offer
 	uID := u.ID()
 	w := newWalk(u, v)
 	for w.next() {
-		switch m := w.msg(); {
+		switch {
 		case w.dest():
-			offers = append(offers, Offer{Msg: m, Role: RoleDestination})
-		case m.Source == uID:
+			w.offer(RoleDestination)
+		case w.msg().Source == uID:
 			// Only the source sprays; relays wait for destinations.
-			offers = append(offers, Offer{Msg: m, Role: RoleRelay})
+			w.offer(RoleRelay)
 		}
 	}
-	return offers
+	return w.offers
 }

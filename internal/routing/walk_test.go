@@ -73,7 +73,7 @@ func TestColumnWalkMatchesCopyWalk(t *testing.T) {
 							t.Fatalf("check %d, %v→%v: %d offers, reference %d", check, u.ID(), v.ID(), len(got), len(want))
 						}
 						for i := range want {
-							if got[i] != want[i] {
+							if got[i].Msg != want[i].Msg || got[i].Role != want[i].Role {
 								t.Fatalf("check %d, %v→%v: offer %d is %s as %v, reference %s as %v",
 									check, u.ID(), v.ID(), i, got[i].Msg.ID, got[i].Role, want[i].Msg.ID, want[i].Role)
 							}
@@ -122,7 +122,7 @@ func (r *oracleRouter) SelectOffers(u, v routing.NodeView) []routing.Offer {
 		r.t.Fatalf("call %d, %v→%v: %d offers, reference %d", r.calls, u.ID(), v.ID(), len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].Msg != want[i].Msg || got[i].Role != want[i].Role {
 			r.t.Fatalf("call %d, %v→%v: offer %d is %s as %v, reference %s as %v",
 				r.calls, u.ID(), v.ID(), i, got[i].Msg.ID, got[i].Role, want[i].Msg.ID, want[i].Role)
 		}

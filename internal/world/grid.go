@@ -1,10 +1,8 @@
 package world
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"dtnsim/internal/ident"
 )
@@ -28,6 +26,9 @@ type Grid struct {
 	cells  [][]ident.NodeID
 	pos    []Point // indexed by NodeID; valid only where cellOf >= 0
 	cellOf []int32 // indexed by NodeID; -1 = absent
+	// loEnds is sortPairs' counting scratch, one int32 per node ID up to
+	// the largest Lo sorted so far.
+	loEnds []int32
 }
 
 // NewGrid builds a grid over bounds with the given cell size (normally the
@@ -184,7 +185,7 @@ func (g *Grid) Pairs(dst []Pair, radius float64) []Pair {
 			}
 		}
 	}
-	sortPairs(dst[start:])
+	g.loEnds = sortPairs(dst[start:], g.loEnds)
 	return dst
 }
 
@@ -241,16 +242,54 @@ func orderedPair(a, b ident.NodeID) Pair {
 }
 
 // sortPairs orders pairs lexicographically — the canonical order Pairs
-// returns and the engine's contact diffing relies on. Pairs are unique, so
-// the order does not depend on the sort algorithm.
-func sortPairs(ps []Pair) {
-	slices.SortFunc(ps, comparePairs)
-}
-
-// comparePairs is Less as a three-way comparison.
-func comparePairs(p, q Pair) int {
-	if c := cmp.Compare(p.Lo, q.Lo); c != 0 {
-		return c
+// returns and the engine's contact diffing relies on — without a
+// comparison sort. Pairs are unique, so the order does not depend on the
+// algorithm. A counting sort on Lo runs in place: ends[lo] starts one past
+// lo's range, and each pair not yet in its range is swapped to the back of
+// the unfilled part of it. A scan left to right finds every pair before
+// its own range already placed, so a pair at or past ends[lo] is in place
+// and any other goes back. Then an insertion sort orders each Lo's range
+// by Hi; it never moves a pair past a smaller Lo, and a node has few
+// neighbours. ends is the counting scratch, returned grown for reuse.
+func sortPairs(ps []Pair, ends []int32) []int32 {
+	if len(ps) < 2 {
+		return ends
 	}
-	return cmp.Compare(p.Hi, q.Hi)
+	var maxLo ident.NodeID
+	for _, p := range ps {
+		maxLo = max(maxLo, p.Lo)
+	}
+	if n := int(maxLo) + 1; cap(ends) < n {
+		ends = make([]int32, n)
+	} else {
+		ends = ends[:n]
+		clear(ends)
+	}
+	for _, p := range ps {
+		ends[p.Lo]++
+	}
+	var sum int32
+	for lo, n := range ends {
+		sum += n
+		ends[lo] = sum
+	}
+	for i := 0; i < len(ps); {
+		lo := ps[i].Lo
+		e := int(ends[lo]) - 1
+		if e < i {
+			i++ // in place
+			continue
+		}
+		ends[lo] = int32(e)
+		ps[i], ps[e] = ps[e], ps[i]
+		if e == i {
+			i++
+		}
+	}
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].Less(ps[j-1]); j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+	return ends
 }

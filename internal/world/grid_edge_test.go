@@ -1,6 +1,7 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -109,8 +110,72 @@ func pairsFromWithin(g *Grid, ids []ident.NodeID, radius float64) []Pair {
 			}
 		}
 	}
-	sortPairs(out)
+	slices.SortFunc(out, comparePairs)
 	return out
+}
+
+// comparePairs is Pair.Less as a three-way comparison: the comparison sort
+// sortPairs must agree with.
+func comparePairs(p, q Pair) int {
+	if c := cmp.Compare(p.Lo, q.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Hi, q.Hi)
+}
+
+// TestSortPairsMatchesComparisonSort checks the counting sort against
+// slices.SortFunc on random sets of distinct pairs in random order: empty,
+// one pair, every pair sharing one Lo, dense sets over a few nodes, and
+// sparse sets with IDs up to 20 000, the crowd20k scale. Each sort reuses
+// the scratch the previous one grew, from a larger or a smaller Lo range.
+func TestSortPairsMatchesComparisonSort(t *testing.T) {
+	rng := sim.NewRNG(41)
+	var ends []int32
+	check := func(label string, ps []Pair) {
+		t.Helper()
+		for i := len(ps) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			ps[i], ps[j] = ps[j], ps[i]
+		}
+		want := slices.Clone(ps)
+		slices.SortFunc(want, comparePairs)
+		ends = sortPairs(ps, ends)
+		assertSamePairs(t, label, ps, want)
+	}
+	check("empty", nil)
+	check("one pair", []Pair{{Lo: 7, Hi: 19999}})
+	for trial := 0; trial < 200; trial++ {
+		// idMax bounds the IDs: dense sets over a few nodes, then
+		// sparse ones up to 20 000.
+		idMax := 4 + rng.Intn(60)
+		if trial%2 == 1 {
+			idMax = 20000
+		}
+		seen := make(map[Pair]bool)
+		var ps []Pair
+		switch trial % 4 {
+		case 0:
+			// Every pair shares one Lo.
+			lo := ident.NodeID(rng.Intn(idMax - 1))
+			for hi := lo + 1; int(hi) < idMax && len(ps) < 300; hi++ {
+				if rng.Coin(0.7) {
+					ps = append(ps, Pair{Lo: lo, Hi: hi})
+				}
+			}
+		default:
+			for n := min(rng.Intn(400), idMax*(idMax-1)/2); len(ps) < n; {
+				a, b := ident.NodeID(rng.Intn(idMax)), ident.NodeID(rng.Intn(idMax))
+				if a == b {
+					continue
+				}
+				if p := orderedPair(a, b); !seen[p] {
+					seen[p] = true
+					ps = append(ps, p)
+				}
+			}
+		}
+		check(fmt.Sprintf("trial %d, %d pairs under %d", trial, len(ps), idMax), ps)
+	}
 }
 
 func assertSamePairs(t *testing.T, label string, got, want []Pair) {
